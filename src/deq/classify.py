@@ -9,12 +9,11 @@ same candidate layout.
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
 
-from .fields import PrimeField, UsageError, is_prime
+from .fields import PrimeField, UsageError, env_positive_int, is_prime
 from .linalg import Matrix, matrix_inverse
 from .tensor_ops import EndoPair, check_d
 
@@ -22,8 +21,7 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def budget() -> int:
-    value = os.environ.get("DEQ_BUDGET")
-    return int(value) if value else DEFAULT_BUDGET
+    return env_positive_int("DEQ_BUDGET", DEFAULT_BUDGET)
 
 
 def candidate_block(n: int, p: int, start: int, stop: int) -> np.ndarray:

@@ -7,6 +7,7 @@ so equality of values is representation equality.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 
@@ -20,6 +21,16 @@ class UsageError(ValueError):
 class MathError(ValueError):
     """A precondition that is a mathematical verdict failed (e.g. the input
     operator is not a solution); distinct from usage errors for exit codes."""
+
+
+def env_positive_int(name: str, default: int) -> int:
+    """The positive integer in environment variable `name`, default when unset."""
+    value = os.environ.get(name, "").strip()
+    if not value:
+        return default
+    if not value.isdecimal() or int(value) < 1:
+        raise UsageError("%s must be a positive integer, got %r" % (name, value))
+    return int(value)
 
 
 def is_prime(p: int) -> bool:

@@ -14,7 +14,7 @@ import math
 from .coalg import Coalgebra, Coideal, Comodule, coideal, comatrix, quotient
 from .fields import MathError, UsageError
 from .linalg import Matrix
-from .tensor_ops import EndoPair, first_violation, lift
+from .tensor_ops import EndoPair, first_violation
 
 
 class NotASolutionError(MathError):
@@ -194,36 +194,6 @@ def defect_pairing(R: EndoPair, j, k, l):
     if table != expect:
         raise RuntimeError("defect pairing identity violated")
     return table
-
-
-def d_identity(R: EndoPair, w, k, j):
-    """(R23 R12 - R12 R23)(w (x) m_k (x) m_j) as a length-n^3 vector; equals
-    sum_{r,s} A(o(r,s,j,k)) w (x) m_r (x) m_s for every R (asserted)."""
-    n, f = R.n, R.field
-    if not (1 <= k <= n and 1 <= j <= n):
-        raise UsageError("index out of range")
-    w = [f.coerce(c) for c in w]
-    if len(w) != n:
-        raise UsageError("vector length does not match the operator")
-    r12 = lift(R, 12)
-    r23 = lift(R, 23)
-    diff = r23 @ r12
-    diff = diff.sub(r12 @ r23)
-    vin = [f.zero] * (n ** 3)
-    for a in range(n):
-        vin[a * n * n + (k - 1) * n + (j - 1)] = w[a]
-    lhs = diff.apply(vin)
-    obs = ObstructionSet(R)
-    act = GeneratorAction(R)
-    rhs = [f.zero] * (n ** 3)
-    for r in range(n):
-        for s in range(n):
-            img = act.of_vector(obs.vector(r + 1, s + 1, j, k)).apply(w)
-            for a in range(n):
-                rhs[a * n * n + r * n + s] = img[a]
-    if lhs != rhs:
-        raise RuntimeError("second defect identity violated")
-    return lhs
 
 
 def _coeff_term(field, coeff, label):

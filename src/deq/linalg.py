@@ -67,9 +67,21 @@ class Matrix:
         self._match(other)
         if self.ncols != other.nrows:
             raise UsageError("inner dimensions differ: %d vs %d" % (self.ncols, other.nrows))
+        # Skipping zero terms is exact: every field keeps values canonical, so
+        # the sum of the nonzero products equals the full dot product. Values
+        # of all three fields are falsy exactly when zero, a cheaper test than ==.
         k = self.field
-        bt = [other.col(j) for j in range(other.ncols)]
-        return Matrix(k, [[k.dot(row, bcol) for bcol in bt] for row in self.rows], coerce=False)
+        add, mul, zero = k.add, k.mul, k.zero
+        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [zero] * other.ncols
+            for a, bk in zip(row, brows):
+                if a:
+                    for j, b in bk:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
+        return Matrix(k, out, coerce=False)
 
     def __matmul__(self, other):
         return self.mul(other)

@@ -8,10 +8,10 @@ m_1(x)m_1, m_1(x)m_2, ..., so f(x)g serializes to kron(f, g).
 
 from __future__ import annotations
 
-import os
+import itertools
 from collections import namedtuple
 
-from .fields import Field, UsageError
+from .fields import Field, UsageError, env_positive_int
 from .linalg import Matrix, matrix_inverse
 
 DEFAULT_MAX_N = 4
@@ -19,8 +19,7 @@ DEFAULT_MAX_N = 4
 
 def max_n() -> int:
     """Configured bound for equation checks; the cost is Theta(n^7)."""
-    value = os.environ.get("DEQ_MAX_N")
-    return int(value) if value else DEFAULT_MAX_N
+    return env_positive_int("DEQ_MAX_N", DEFAULT_MAX_N)
 
 
 def _guard_n(n):
@@ -40,6 +39,7 @@ class EndoPair:
         self.x = [[[[fix(x[u][v][j][i]) for i in range(n)] for j in range(n)]
                    for v in range(n)] for u in range(n)]
         self._mat = None
+        self._lifts = {}  # lifts by slot and their products by slot word
 
     @classmethod
     def from_matrix(cls, mat: Matrix):
@@ -82,48 +82,57 @@ def flip_pair(field, n) -> EndoPair:
     return EndoPair.from_matrix(tau_matrix(field, n))
 
 
-def _perm_matrix(field, size, image):
-    """Permutation matrix sending basis e_k to e_image(k)."""
-    z, o = field.zero, field.one
-    rows = [[z] * size for _ in range(size)]
-    for k in range(size):
-        rows[image(k)][k] = o
-    return Matrix(field, rows, coerce=False)
+def _flip(n):
+    """tau on M (x) M as an index map: m_a (x) m_b -> m_b (x) m_a; an involution."""
+    return [(k % n) * n + k // n for k in range(n * n)]
+
+
+def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
+    """A[rows[r]][cols[c]] at (r, c), None meaning unpermuted. With P e_k =
+    e_image(k), P A takes rows from image^-1 and A P takes cols from image."""
+    rows = range(A.nrows) if rows is None else rows
+    cols = range(A.ncols) if cols is None else cols
+    return Matrix(A.field, [[A.rows[r][c] for c in cols] for r in rows], coerce=False)
 
 
 def tau_matrix(field, n) -> Matrix:
     """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
-    return _perm_matrix(field, n * n, lambda k: (k % n) * n + k // n)
+    return _permuted(Matrix.identity(field, n * n), rows=_flip(n))
 
 
-def tau123_matrix(field, n) -> Matrix:
-    """tau^(123): l (x) m (x) p -> p (x) l (x) m."""
-    def image(k):
-        a, b, c = k // (n * n), (k // n) % n, k % n
-        return (c * n + a) * n + b
-    return _perm_matrix(field, n ** 3, image)
-
-
-def tau23_matrix(field, n) -> Matrix:
-    def image(k):
-        a, b, c = k // (n * n), (k // n) % n, k % n
-        return (a * n + c) * n + b
-    return _perm_matrix(field, n ** 3, image)
+_LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
 
 def lift(R: EndoPair, slot: int) -> Matrix:
-    """R^{12}, R^{13}, or R^{23} as an n^3 x n^3 matrix."""
+    """R^{12}, R^{13}, or R^{23} as an n^3 x n^3 matrix, formed once per operator.
+
+    Row x of R^{pq} is row (x_p, x_q) of R.matrix() spread over the columns y
+    with y_s = x_s for the third leg s, zero elsewhere.
+    """
     _guard_n(R.n)
-    k, n = R.field, R.n
-    eye = Matrix.identity(k, n)
-    if slot == 12:
-        return R.matrix().kron(eye)
-    if slot == 23:
-        return eye.kron(R.matrix())
-    if slot == 13:
-        p23 = tau23_matrix(k, n)
-        return p23.mul(R.matrix().kron(eye)).mul(p23)
-    raise UsageError("slot must be one of 12, 13, 23")
+    if slot not in _LEGS:
+        raise UsageError("slot must be one of 12, 13, 23")
+    if slot not in R._lifts:
+        n, src, z = R.n, R.matrix().rows, R.field.zero
+        p, q = _LEGS[slot]
+        weight = (n * n, n, 1)
+        rows = []
+        for x in itertools.product(range(n), repeat=3):
+            base = x[3 - p - q] * weight[3 - p - q]
+            row = [z] * n ** 3
+            for c, v in enumerate(src[x[p] * n + x[q]]):
+                row[base + (c // n) * weight[p] + (c % n) * weight[q]] = v
+            rows.append(row)
+        R._lifts[slot] = Matrix(R.field, rows, coerce=False)
+    return R._lifts[slot]
+
+
+def _product(R: EndoPair, *slots) -> Matrix:
+    """lift(R, slots[0]) lift(R, slots[1]) ..., formed once per operator."""
+    if slots not in R._lifts:
+        head = lift(R, slots[0]) if len(slots) == 2 else _product(R, *slots[:-1])
+        R._lifts[slots] = head.mul(lift(R, slots[-1]))
+    return R._lifts[slots]
 
 
 def _pair_violation(field, n, x, y):
@@ -151,8 +160,7 @@ def check_d(R: EndoPair) -> bool:
     """D-equation membership; coordinate and operator paths must agree."""
     _guard_n(R.n)
     coord = first_violation(R) is None
-    r12, r23 = lift(R, 12), lift(R, 23)
-    oper = r12.mul(r23) == r23.mul(r12)
+    oper = _product(R, 12, 23) == _product(R, 23, 12)
     if coord != oper:
         raise RuntimeError("verdict paths disagree: coordinate=%r operator=%r" % (coord, oper))
     return coord
@@ -173,23 +181,17 @@ def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
 
 def check_qybe(R: EndoPair) -> bool:
     """Quantum Yang-Baxter: R12 R13 R23 = R23 R13 R12."""
-    _guard_n(R.n)
-    r12, r13, r23 = lift(R, 12), lift(R, 13), lift(R, 23)
-    return r12.mul(r13).mul(r23) == r23.mul(r13).mul(r12)
+    return _product(R, 12, 13, 23) == _product(R, 23, 13, 12)
 
 
 def check_hopf(R: EndoPair) -> bool:
     """Hopf equation: R12 R23 = R23 R13 R12."""
-    _guard_n(R.n)
-    r12, r13, r23 = lift(R, 12), lift(R, 13), lift(R, 23)
-    return r12.mul(r23) == r23.mul(r13).mul(r12)
+    return _product(R, 12, 23) == _product(R, 23, 13, 12)
 
 
 def check_pentagon(W: EndoPair) -> bool:
     """Pentagon equation: W12 W13 W23 = W23 W12."""
-    _guard_n(W.n)
-    w12, w13, w23 = lift(W, 12), lift(W, 13), lift(W, 23)
-    return w12.mul(w13).mul(w23) == w23.mul(w12)
+    return _product(W, 12, 13, 23) == _product(W, 23, 12)
 
 
 FormVerdicts = namedtuple("FormVerdicts", ["d", "form_t", "form_u", "form_w"])
@@ -206,20 +208,20 @@ def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
     caller: it is the statement under test, not an input contract.
     """
     _guard_n(R.n)
-    k, n = R.field, R.n
-    tau = tau_matrix(k, n)
-    t123 = tau123_matrix(k, n)
-    T = EndoPair.from_matrix(R.matrix().mul(tau))
-    U = EndoPair.from_matrix(tau.mul(R.matrix()))
-    W = EndoPair.from_matrix(tau.mul(R.matrix()).mul(tau))
-    t12, t13, t23 = lift(T, 12), lift(T, 13), lift(T, 23)
-    u12, u13, u23 = lift(U, 12), lift(U, 13), lift(U, 23)
-    w12, w23 = lift(W, 12), lift(W, 23)
+    n, m = R.n, R.matrix()
+    flip = _flip(n)
+    T = EndoPair.from_matrix(_permuted(m, cols=flip))
+    U = EndoPair.from_matrix(_permuted(m, rows=flip))
+    W = EndoPair.from_matrix(_permuted(m, rows=flip, cols=flip))
+    # tau123 sends (a, b, c) to (c, a, b); its inverse sends (a, b, c) to (b, c, a)
+    legs = list(itertools.product(range(n), repeat=3))
+    t123 = [(c * n + a) * n + b for a, b, c in legs]
+    t123_inv = [(b * n + c) * n + a for a, b, c in legs]
     return FormVerdicts(
         d=check_d(R),
-        form_t=t12.mul(t13) == t23.mul(t13).mul(t123),
-        form_u=u13.mul(u23) == t123.mul(u13).mul(u12),
-        form_w=w12.mul(w23) == w23.mul(w12),
+        form_t=_product(T, 12, 13) == _permuted(_product(T, 23, 13), cols=t123),
+        form_u=_product(U, 13, 23) == _permuted(_product(U, 13, 12), rows=t123_inv),
+        form_w=_product(W, 12, 23) == _product(W, 23, 12),
     )
 
 

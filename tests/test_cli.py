@@ -40,6 +40,57 @@ def test_check_out_writes_report_and_sidecar(tmp_path, capsys):
     assert kv["d"] == "true" and kv["field"] == "Q" and kv["n"] == "2"
 
 
+VERDICT_NAMES = ("d", "qybe", "hopf", "pentagon", "form_t", "form_u", "form_w")
+# deq check on every operator file `deq examples` writes: field, n, the seven
+# verdicts in VERDICT_NAMES order (1 = true), and the exit code
+CHECK_GOLDEN = {
+    "identity-n2.txt": ("Q", 2, "1111111", 0),
+    "projection.txt": ("Q", 2, "1100111", 0),
+    "rq-q2.txt": ("Q", 2, "1111111", 0),
+    "rq-q3.txt": ("Q", 2, "1111111", 0),
+    "rq-symbolic.txt": ("QFUN q", 2, "1111111", 0),
+    "s3-graded.txt": ("Q", 3, "1000111", 0),
+    "triangular-111.txt": ("Q", 2, "1100111", 0),
+    "triangular-symbolic.txt": ("QFUN a,b,c", 2, "1100111", 0),
+    "yb-operator-q2.txt": ("Q", 2, "0100000", 1),
+    "yb-operator-symbolic.txt": ("QFUN q", 2, "0100000", 1),
+}
+
+
+def test_check_golden_on_bundled_examples(tmp_path, capsys):
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    written = {os.path.basename(line.split(" ", 1)[1])
+               for line in capsys.readouterr().out.splitlines()}
+    assert set(CHECK_GOLDEN) == written - {"s3-cayley.txt", "s3-graded-module.txt"}
+    for name, (field, n, bits, code) in CHECK_GOLDEN.items():
+        assert main(["check", os.path.join(exdir, name)]) == code, name
+        want = "deq check\nfield: %s\nn: %d\n" % (field, n) + "".join(
+            "%s: %s\n" % (v, "true" if b == "1" else "false")
+            for v, b in zip(VERDICT_NAMES, bits))
+        assert capsys.readouterr().out == want, name
+
+
+def test_bad_max_n_environment_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
+    for value in ("x", "2.5", "0", "-1"):
+        monkeypatch.setenv("DEQ_MAX_N", value)
+        assert main(["check", path]) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == "" and "DEQ_MAX_N" in captured.err
+
+
+def test_bad_budget_environment_exits_2(capsys, monkeypatch):
+    for value in ("abc", "1e6", "0", "-5"):
+        monkeypatch.setenv("DEQ_BUDGET", value)
+        assert main(["classify"]) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == "" and "DEQ_BUDGET" in captured.err
+    monkeypatch.setenv("DEQ_BUDGET", "20")
+    assert main(["classify"]) == 2
+    assert "over the budget of 20" in capsys.readouterr().err
+
+
 def test_frt_golden_presentation(tmp_path, capsys):
     path = write_operator(tmp_path, "r.txt", catalog.triangular_solution(QQ, 1, 1, 1))
     assert main(["frt", path]) == 0

@@ -54,6 +54,8 @@ def test_field_axioms_random():
             assert k.add(a, b) == k.add(b, a)
             assert k.mul(a, k.add(b, c)) == k.add(k.mul(a, b), k.mul(a, c))
             assert k.add(a, k.neg(a)) == k.zero
+            # Matrix.mul skips terms by truth value
+            assert bool(a) != k.is_zero(a) and not k.add(a, k.neg(a))
             if not k.is_zero(a):
                 assert k.mul(a, k.div(k.one, a)) == k.one
 

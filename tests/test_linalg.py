@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deq.fields import PrimeField, QQ, UsageError
+from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.linalg import (Matrix, kernel_basis, matrix_inverse, rref,
                         solve_linear, span_and_membership)
 
@@ -37,6 +37,33 @@ def test_kron_mixed_product():
     for _ in range(10):
         a, b, c, d = (rand_matrix(k, rng, 2, 2) for _ in range(4))
         assert a.kron(b).mul(c.kron(d)) == a.mul(c).kron(b.mul(d))
+
+
+def reference_mul(a, b):
+    """The dense triple loop, every term included."""
+    k = a.field
+    return [[k.sum(k.mul(a.rows[i][t], b.rows[t][j]) for t in range(a.ncols))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def sparse_matrix(field, rng, nrows, ncols):
+    """About 70% zeros, with the first row and the last column all zero."""
+    return Matrix(field, [[field.random(rng) if i and j < ncols - 1 and rng.random() < 0.3
+                           else field.zero for j in range(ncols)] for i in range(nrows)])
+
+
+def test_mul_skipping_zeros_equals_the_dense_triple_loop():
+    rng = random.Random(11)
+    for k in (QQ, PrimeField(13), FunctionField(["a"])):
+        for _ in range(12):
+            m, t, n = (rng.randint(1, 6) for _ in range(3))
+            a, b = sparse_matrix(k, rng, m, t), sparse_matrix(k, rng, t, n)
+            assert a.mul(b).rows == reference_mul(a, b)
+        dense, sparse = rand_matrix(k, rng, 3, 4), sparse_matrix(k, rng, 4, 2)
+        assert dense.mul(sparse).rows == reference_mul(dense, sparse)
+        assert sparse.transpose().mul(dense.transpose()).rows == reference_mul(
+            sparse.transpose(), dense.transpose())
+        assert Matrix.zeros(k, 2, 3).mul(dense).is_zero()
 
 
 def test_rref_is_reduced_and_idempotent():

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 
@@ -155,6 +156,94 @@ def test_lift_13_is_conjugated_12():
         prows[img][src] = k.one
     P = Matrix(k, prows)
     assert P @ r12 @ P == r13
+
+
+def dense_mul(a, b):
+    """Reference product: the dense triple loop, every term included."""
+    k = a.field
+    return Matrix(k, [[k.sum(k.mul(a.rows[i][t], b.rows[t][j]) for t in range(a.ncols))
+                       for j in range(b.ncols)] for i in range(a.nrows)])
+
+
+def perm_matrix(field, size, image):
+    """Reference permutation matrix sending e_t to e_image(t)."""
+    rows = [[field.zero] * size for _ in range(size)]
+    for t in range(size):
+        rows[image(t)][t] = field.one
+    return Matrix(field, rows)
+
+
+def reference_lifts(R):
+    """R12 = R (x) 1, R23 = 1 (x) R, and R13 = p23 (R (x) 1) p23."""
+    k, n = R.field, R.n
+    eye = Matrix.identity(k, n)
+    p23 = perm_matrix(k, n ** 3, lambda t: (t // (n * n) * n + t % n) * n + (t // n) % n)
+    r12 = R.matrix().kron(eye)
+    return {12: r12, 23: eye.kron(R.matrix()), 13: dense_mul(dense_mul(p23, r12), p23)}
+
+
+def reference_verdicts(R):
+    """d, qybe, hopf, pentagon and the T/U/W forms from dense products."""
+    k, n = R.field, R.n
+    tau = perm_matrix(k, n * n, lambda t: (t % n) * n + t // n)
+    t123 = perm_matrix(k, n ** 3, lambda t: ((t % n) * n + t // (n * n)) * n + (t // n) % n)
+    m = R.matrix()
+    ops = {"R": m, "T": dense_mul(m, tau), "U": dense_mul(tau, m),
+           "W": dense_mul(dense_mul(tau, m), tau)}
+    lifts = {name: reference_lifts(EndoPair.from_matrix(op)) for name, op in ops.items()}
+
+    def word(name, *slots):
+        return functools.reduce(dense_mul, [lifts[name][s] for s in slots])
+
+    return (word("R", 12, 23) == word("R", 23, 12),
+            word("R", 12, 13, 23) == word("R", 23, 13, 12),
+            word("R", 12, 23) == word("R", 23, 13, 12),
+            word("R", 12, 13, 23) == word("R", 23, 12),
+            word("T", 12, 13) == dense_mul(word("T", 23, 13), t123),
+            word("U", 13, 23) == dense_mul(t123, word("U", 13, 12)),
+            word("W", 12, 23) == word("W", 23, 12))
+
+
+def sparse_pair(field, rng, n):
+    return EndoPair.from_matrix(Matrix(field, [
+        [field.random(rng) if rng.random() < 0.3 else field.zero for _ in range(n * n)]
+        for _ in range(n * n)]))
+
+
+def test_lifts_match_kron_and_conjugation_references():
+    k = PrimeField(13)
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        for R in (rand_pair(k, rng, n), sparse_pair(k, rng, n)):
+            want = reference_lifts(R)
+            for slot in (12, 13, 23):
+                assert lift(R, slot) == want[slot], (n, slot)
+                assert lift(R, slot) is lift(R, slot)
+
+
+def test_verdicts_from_shared_products_match_direct_formulas():
+    rng = random.Random(13)
+    k = PrimeField(5)
+    ops = [catalog.triangular_solution(QQ, 1, 2, 3), catalog.rq(QQ, 3),
+           catalog.projection_solution(QQ), catalog.yang_baxter_operator(QQ, 2),
+           catalog.block_family(QQ, 1, 1, 1, 0, 1, 1), flip_pair(k, 2),
+           catalog.s3_graded_solution(PrimeField(13))]
+    ops += [sparse_pair(k, rng, 2) for _ in range(24)] + [rand_pair(k, rng, 2) for _ in range(4)]
+    # F_2 operators numbered by their 16 row-major bits: Hopf or pentagon
+    # solutions that fail the equation, where word order decides the verdict
+    f2 = PrimeField(2)
+    ops += [EndoPair.from_rows(f2, [[(serial >> (15 - 4 * r - c)) & 1 for c in range(4)]
+                                    for r in range(4)]) for serial in (2, 65, 97, 130, 138)]
+    seen = set()
+    for R in ops:
+        # the order deq check asks in, each verdict reading the shared products
+        forms = check_equivalent_forms(R)
+        got = (forms.d, check_qybe(R), check_hopf(R), check_pentagon(R)) + tuple(forms[1:])
+        want = reference_verdicts(R)
+        assert got == want, R
+        assert (check_d(R), check_qybe(R)) == want[:2]
+        seen.update(enumerate(want))
+    assert seen == {(i, v) for i in range(7) for v in (True, False)}
 
 
 def test_lift_rejects_bad_slot():
