@@ -2,9 +2,9 @@
 small prime fields, with conjugation-orbit reduction.
 
 Candidates are serialized row-major over the n^2 x n^2 operator matrix and
-scanned as base-p digit blocks with vectorized coordinate equations; the
-independent operator-composition path and batched identity checks share the
-same candidate layout.
+scanned as base-p digit blocks with vectorized coordinate equations. The
+independent operator-composition path evaluates the leg maps and the
+equation table of tensor_ops on the same candidate layout.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import numpy as np
 
 from .fields import PrimeField, UsageError, env_positive_int, is_prime
 from .linalg import Matrix, matrix_inverse
-from .tensor_ops import EndoPair, check_d
+from .tensor_ops import (EQUATIONS, EndoPair, check_d, flip_index, leg_map,
+                         tau123_index)
 
 DEFAULT_BUDGET = 1_000_000
+CHUNK = 65536  # candidates per vectorized block
 
 
 def budget() -> int:
@@ -28,13 +30,16 @@ def candidate_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     """Candidates start..stop-1 as an (N, n, n, n, n) array x[t, u, v, j, i];
     digit order is big-endian row-major, so lexicographic order of serialized
     matrices equals integer order."""
-    count = stop - start
     t = n ** 4
     ids = np.arange(start, stop, dtype=np.int64)
     weights = p ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    digits = (ids[:, None] // weights[None, :]) % p
-    mats = digits.reshape(count, n * n, n * n)
-    return mats.reshape(count, n, n, n, n).transpose(0, 4, 3, 2, 1)
+    return block_of((ids[:, None] // weights[None, :]) % p, n)
+
+
+def block_of(solutions, n: int) -> np.ndarray:
+    """The x block of serialized operators (sequences of n^4 digits)."""
+    digits = np.asarray(solutions, dtype=np.int64)
+    return digits.reshape(len(digits), n, n, n, n).transpose(0, 4, 3, 2, 1)
 
 
 def block_matrices(x: np.ndarray) -> np.ndarray:
@@ -49,94 +54,70 @@ def digits_of(x: np.ndarray) -> np.ndarray:
     return block_matrices(x).reshape(count, -1)
 
 
+def _rows_equal(a: np.ndarray, b) -> np.ndarray:
+    """Per candidate: whether all entries of a equal those of b."""
+    return (a == b).reshape(a.shape[0], -1).all(axis=1)
+
+
 def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
     """check_d by the coordinate equations, vectorized."""
     lhs = np.einsum('nkvji,nlqvp->nijklpq', x, x) % p
     rhs = np.einsum('nklja,naqip->nijklpq', x, x) % p
-    return (lhs == rhs).reshape(x.shape[0], -1).all(axis=1)
+    return _rows_equal(lhs, rhs)
 
 
-def _lift_blocks(mat: np.ndarray, n: int):
-    """(r12, r23) for a batch of n^2 x n^2 matrices."""
-    eye = np.eye(n, dtype=np.int64)
-    count = mat.shape[0]
-    r12 = np.einsum('nac,bd->nabcd', mat, eye).reshape(count, n ** 3, n ** 3)
-    r23 = np.einsum('ac,nbd->nabcd', eye, mat).reshape(count, n ** 3, n ** 3)
-    return r12, r23
+def _lift_block(mat: np.ndarray, slot: int) -> np.ndarray:
+    """R^slot for a batch of n^2 x n^2 matrices, gathered by tensor_ops.leg_map."""
+    count, n = mat.shape[0], round(mat.shape[1] ** 0.5)
+    dst, src = np.array(leg_map(n, slot)).T
+    out = np.zeros((count, n ** 6), dtype=np.int64)
+    out[:, dst] = mat.reshape(count, -1)[:, src]
+    return out.reshape(count, n ** 3, n ** 3)
 
 
-def _perm13(n: int) -> np.ndarray:
-    """Index map of the (2 3) leg swap on M (x) M (x) M."""
-    out = np.empty(n ** 3, dtype=np.int64)
-    for k in range(n ** 3):
-        a, b, c = k // (n * n), (k // n) % n, k % n
-        out[k] = (a * n + c) * n + b
+def _words(mat: np.ndarray, p: int, *words):
+    """The mod-p lifted product of each slot word, each lift gathered once."""
+    lifts = {}
+    out = []
+    for word in words:
+        prod = None
+        for slot in word:
+            if slot not in lifts:
+                lifts[slot] = _lift_block(mat, slot)
+            prod = lifts[slot] if prod is None else (prod @ lifts[slot]) % p
+        out.append(prod)
     return out
 
 
-def _perm123(n: int) -> np.ndarray:
-    """Index map of l (x) m (x) p -> p (x) l (x) m."""
-    out = np.empty(n ** 3, dtype=np.int64)
-    for k in range(n ** 3):
-        a, b, c = k // (n * n), (k // n) % n, k % n
-        out[k] = (c * n + a) * n + b
-    return out
+def _equation_mask(mat: np.ndarray, p: int, name: str) -> np.ndarray:
+    """Verdicts of tensor_ops.EQUATIONS[name] for a batch of operator matrices."""
+    return _rows_equal(*_words(mat, p, *EQUATIONS[name]))
 
 
 def operator_mask(x: np.ndarray, p: int) -> np.ndarray:
     """check_d by composing lifted operators, vectorized; the independent
     path cross-validating coordinate_mask."""
-    n = x.shape[1]
-    mat = block_matrices(x)
-    r12, r23 = _lift_blocks(mat, n)
-    return ((r12 @ r23) % p == (r23 @ r12) % p).reshape(x.shape[0], -1).all(axis=1)
+    return _equation_mask(block_matrices(x), p, "d")
 
 
 def qybe_mask(x: np.ndarray, p: int) -> np.ndarray:
-    n = x.shape[1]
-    mat = block_matrices(x)
-    r12, r23 = _lift_blocks(mat, n)
-    s = _perm13(n)
-    r13 = r12[:, s][:, :, s]
-    lhs = (((r12 @ r13) % p) @ r23) % p
-    rhs = (((r23 @ r13) % p) @ r12) % p
-    return (lhs == rhs).reshape(x.shape[0], -1).all(axis=1)
+    return _equation_mask(block_matrices(x), p, "qybe")
 
 
 def symmetric_mask(x: np.ndarray) -> np.ndarray:
     """R tau = tau R, i.e. x_uv^ji = x_vu^ij."""
-    flipped = x.transpose(0, 2, 1, 4, 3)
-    return (x == flipped).reshape(x.shape[0], -1).all(axis=1)
+    return _rows_equal(x, x.transpose(0, 2, 1, 4, 3))
 
 
 def forms_masks(x: np.ndarray, p: int):
     """(d, form_t, form_u, form_w) verdict arrays for a block."""
-    n = x.shape[1]
-    count = x.shape[0]
     mat = block_matrices(x)
-    tau = np.empty(n * n, dtype=np.int64)
-    for k in range(n * n):
-        tau[k] = (k % n) * n + k // n
-    s23 = _perm13(n)
-    im = _perm123(n)
-    inv = np.argsort(im)
-
-    def lifts(m):
-        a12, a23 = _lift_blocks(m, n)
-        a13 = a12[:, s23][:, :, s23]
-        return a12, a13, a23
-
-    tmat = mat[:, :, tau]
-    umat = mat[:, tau, :]
-    wmat = mat[:, tau][:, :, tau]
-    t12, t13, t23 = lifts(tmat)
-    u12, u13, u23 = lifts(umat)
-    w12, _, w23 = lifts(wmat)
-    d = coordinate_mask(x, p)
-    ft = ((t12 @ t13) % p == ((t23 @ t13) % p)[:, :, im]).reshape(count, -1).all(axis=1)
-    fu = ((u13 @ u23) % p == ((u13 @ u12) % p)[:, inv, :]).reshape(count, -1).all(axis=1)
-    fw = ((w12 @ w23) % p == (w23 @ w12) % p).reshape(count, -1).all(axis=1)
-    return d, ft, fu, fw
+    flip = np.array(flip_index(x.shape[1]))
+    t123 = np.array(tau123_index(x.shape[1]))
+    tl, tr = _words(mat[:, :, flip], p, *EQUATIONS["form_t"])
+    ul, ur = _words(mat[:, flip, :], p, *EQUATIONS["form_u"])
+    return (coordinate_mask(x, p), _rows_equal(tl, tr[:, :, t123]),
+            _rows_equal(ul[:, t123, :], ur), _equation_mask(mat[:, flip][:, :, flip], p, "d"))
 
 
 def obstruction_block(x: np.ndarray, p: int) -> np.ndarray:
@@ -177,31 +158,25 @@ def delta_identity_mask(x: np.ndarray, p: int) -> np.ndarray:
             e2[l, u, l * n + u] = 1
     rhs = np.einsum('nijkub,ulc->nijklbc', obs, e1)
     rhs = rhs + np.einsum('iub,nujklc->nijklbc', e2, obs)
-    rhs = rhs % p
-    return (left == rhs).reshape(x.shape[0], -1).all(axis=1)
+    return _rows_equal(left, rhs % p)
 
 
 def defect_identity_mask(x: np.ndarray, p: int) -> np.ndarray:
     """Second defect identity (R23 R12 - R12 R23 against acting obstructions),
     vectorized; true rows satisfy it (expected: all, for every R)."""
-    n = x.shape[1]
-    count = x.shape[0]
-    mat = block_matrices(x)
-    r12, r23 = _lift_blocks(mat, n)
-    diff = ((r23 @ r12) - (r12 @ r23)) % p
-    lhs = diff.reshape(count, n, n, n, n, n, n)
+    count, n = x.shape[0], x.shape[1]
+    r12r23, r23r12 = _words(block_matrices(x), p, *EQUATIONS["d"])
+    lhs = ((r23r12 - r12r23) % p).reshape(count, n, n, n, n, n, n)
     obs = obstruction_block(x, p)
     act = action_block(x)
-    rhs = np.einsum('nrsjkm,nmxw->nxrswkj', obs, act) % p
-    return (lhs == rhs).reshape(count, -1).all(axis=1)
+    return _rows_equal(lhs, np.einsum('nrsjkm,nmxw->nxrswkj', obs, act) % p)
 
 
 def annihilation_mask(x: np.ndarray, p: int) -> np.ndarray:
     """True where every obstruction acts as zero."""
     obs = obstruction_block(x, p)
     act = action_block(x)
-    img = np.einsum('nijklm,nmxw->nijklxw', obs, act) % p
-    return (img == 0).reshape(x.shape[0], -1).all(axis=1)
+    return _rows_equal(np.einsum('nijklm,nmxw->nijklxw', obs, act) % p, 0)
 
 
 def random_block(n: int, p: int, count: int, seed: int) -> np.ndarray:
@@ -210,7 +185,7 @@ def random_block(n: int, p: int, count: int, seed: int) -> np.ndarray:
 
 
 class CensusReport:
-    """Counts and solution list of one enumeration; merge-friendly."""
+    """Counts and solution list of one enumeration."""
 
     def __init__(self, n, p, total, solutions, bijective, symmetric, qybe,
                  orbits=None):
@@ -249,28 +224,16 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_range(n: int, p: int, start: int, stop: int, chunk: int = 65536):
+def enumerate_range(n: int, p: int, start: int, stop: int):
     """Solutions with serial number in [start, stop), ascending."""
     found = []
-    lo = start
-    while lo < stop:
-        hi = min(lo + chunk, stop)
-        x = candidate_block(n, p, lo, hi)
+    for lo in range(start, stop, CHUNK):
+        x = candidate_block(n, p, lo, min(lo + CHUNK, stop))
         mask = coordinate_mask(x, p)
         if mask.any():
             for row in digits_of(x[mask]):
                 found.append(tuple(int(v) for v in row))
-        lo = hi
     return found
-
-
-def merge_ranges(parts):
-    """Deterministic merge of per-range solution lists (already disjoint and
-    ascending)."""
-    out = []
-    for part in parts:
-        out.extend(part)
-    return sorted(out)
 
 
 def endo_from_digits(n: int, p: int, digits) -> EndoPair:
@@ -284,8 +247,7 @@ def digits_from_endo(R: EndoPair):
     return tuple(int(v) for row in R.matrix().rows for v in row)
 
 
-def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0,
-                        workers: int = 1, chunk: int = 65536) -> CensusReport:
+def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> CensusReport:
     """Full scan; refuses when the candidate count exceeds the budget."""
     if not is_prime(p):
         raise UsageError("p must be prime")
@@ -297,15 +259,9 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0,
         raise UsageError(
             "candidate space has %d operators, over the budget of %d; "
             "raise the budget to opt in" % (total, cap))
-    if workers < 1:
-        raise UsageError("workers must be positive")
-    bounds = [total * w // workers for w in range(workers + 1)]
-    parts = [enumerate_range(n, p, bounds[w], bounds[w + 1], chunk=chunk)
-             for w in range(workers)]
-    solutions = merge_ranges(parts)
+    solutions = enumerate_range(n, p, 0, total)
     if solutions:
-        xs = np.array([list(sol) for sol in solutions], dtype=np.int64)
-        xs = xs.reshape(len(solutions), n, n, n, n).transpose(0, 4, 3, 2, 1)
+        xs = block_of(solutions, n)
         sym = int(symmetric_mask(xs).sum())
         qyb = int(qybe_mask(xs, p).sum())
     else:
@@ -325,16 +281,11 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0,
     return CensusReport(n, p, total, solutions, bij, sym, qyb)
 
 
-def operator_count(n: int, p: int, chunk: int = 65536) -> int:
+def operator_count(n: int, p: int) -> int:
     """Solution count by the operator-composition path alone."""
     total = p ** (n ** 4)
-    count = 0
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        count += int(operator_mask(candidate_block(n, p, lo, hi), p).sum())
-        lo = hi
-    return count
+    return sum(int(operator_mask(candidate_block(n, p, lo, min(lo + CHUNK, total)), p).sum())
+               for lo in range(0, total, CHUNK))
 
 
 def gl_matrices(n: int, p: int):

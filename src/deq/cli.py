@@ -4,8 +4,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import catalog, classify, fileio
 from .dimodule import GradedModule, dimodule_from_grading, group_bialgebra, r_from_dimodule
 from .dmap import convolution_inverse_of_sigma, sigma_from_r
@@ -148,7 +146,7 @@ def cmd_dimodule(args) -> int:
 
 def cmd_classify(args) -> int:
     report = classify.enumerate_solutions(args.n, args.p, limit=args.budget,
-                                          seed=args.seed, workers=args.workers)
+                                          seed=args.seed)
     if args.orbits:
         report.orbits = classify.orbit_reduce(report.solutions, args.n, args.p)
     listed = report.solutions
@@ -158,9 +156,7 @@ def cmd_classify(args) -> int:
                         classify.endo_from_digits(args.n, args.p, sol).matrix())
                     is not None for sol in report.solutions]
         else:
-            xs = np.array([list(sol) for sol in report.solutions], dtype=np.int64)
-            xs = xs.reshape(len(report.solutions), args.n, args.n, args.n,
-                            args.n).transpose(0, 4, 3, 2, 1)
+            xs = classify.block_of(report.solutions, args.n)
             if args.filter == "symmetric":
                 keep = classify.symmetric_mask(xs).tolist()
             else:
@@ -253,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         % classify.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sample re-verification")
-    p.add_argument("--workers", type=int, default=1,
-                   help="number of scan ranges (result is independent of it)")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
     p.set_defaults(func=cmd_classify)
 
@@ -282,6 +276,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

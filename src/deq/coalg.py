@@ -323,20 +323,6 @@ class Comodule:
                         if lhs != rhs:
                             raise UsageError("comodule coassociativity fails at m_%d" % (l + 1))
 
-    def coact(self, vec):
-        """rho of a module coefficient vector: m x C table of coefficients."""
-        k, d = self.coalgebra.field, self.coalgebra.dim
-        out = [[k.zero] * d for _ in range(self.dim)]
-        for l, vl in enumerate(vec):
-            if k.is_zero(vl):
-                continue
-            for w in range(self.dim):
-                for a in range(d):
-                    r = self.rho[l][w][a]
-                    if not k.is_zero(r):
-                        out[w][a] = k.add(out[w][a], k.mul(vl, r))
-        return out
-
     def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
         """(I (x) pi) rho: the induced comodule over C/I."""
         if Q.parent is not self.coalgebra:

@@ -204,6 +204,34 @@ def _host_parts(host):
     raise UsageError("host must be a bialgebra or a presentation")
 
 
+def _compat_tables(A: Matrix, rho, l):
+    """(lhs, rhs) of rho(h . m_l) = sum h . (m_l)_0 (x) (m_l)_1 for h acting
+    by A, as tables [w][b] of the coefficients of m_w (x) e_b; rho[l][w][b]
+    is the coefficient of m_w (x) e_b in rho(m_l)."""
+    k, dim, dC = A.field, A.nrows, len(rho[l][0])
+    lhs = [[k.zero] * dC for _ in range(dim)]
+    for i in range(dim):
+        c = A.rows[i][l]
+        if k.is_zero(c):
+            continue
+        for w in range(dim):
+            for b in range(dC):
+                r = rho[i][w][b]
+                if not k.is_zero(r):
+                    lhs[w][b] = k.add(lhs[w][b], k.mul(c, r))
+    rhs = [[k.zero] * dC for _ in range(dim)]
+    for w in range(dim):
+        for b in range(dC):
+            r = rho[l][w][b]
+            if k.is_zero(r):
+                continue
+            for w2 in range(dim):
+                c = A.rows[w2][w]
+                if not k.is_zero(c):
+                    rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
+    return lhs, rhs
+
+
 class LongDimodule:
     """Module and comodule over a host with rho(h.m) = sum h.m_0 (x) m_1.
 
@@ -257,32 +285,6 @@ class LongDimodule:
                         "not a module: action not multiplicative at (%s,%s)"
                         % (H.labels[a], H.labels[b]))
 
-    def _compat_tables(self, a, l):
-        """(lhs, rhs) of rho(h_a . m_l) = sum h_a . (m_l)_0 (x) (m_l)_1."""
-        k, dC = self.field, self.coalgebra.dim
-        A = self.act[a]
-        lhs = [[k.zero] * dC for _ in range(self.dim)]
-        for i in range(self.dim):
-            c = A.rows[i][l]
-            if k.is_zero(c):
-                continue
-            for w in range(self.dim):
-                for b in range(dC):
-                    r = self.rho[i][w][b]
-                    if not k.is_zero(r):
-                        lhs[w][b] = k.add(lhs[w][b], k.mul(c, r))
-        rhs = [[k.zero] * dC for _ in range(self.dim)]
-        for w in range(self.dim):
-            for b in range(dC):
-                r = self.rho[l][w][b]
-                if k.is_zero(r):
-                    continue
-                for w2 in range(self.dim):
-                    c = A.rows[w2][w]
-                    if not k.is_zero(c):
-                        rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
-        return lhs, rhs
-
     def first_incompatibility(self):
         """First (basis index, module index) violating compatibility, or None."""
         for a in range(len(self.act)):
@@ -293,7 +295,7 @@ class LongDimodule:
 
     def pair_compatible(self, a, l) -> bool:
         """Compatibility verdict for one basis element acting on one m_l."""
-        lhs, rhs = self._compat_tables(a, l)
+        lhs, rhs = _compat_tables(self.act[a], self.rho, l)
         return lhs == rhs
 
     def is_compatible(self) -> bool:
@@ -314,17 +316,11 @@ def check_long_compat(algebra, coalgebra, action, coaction, generators=None) -> 
     dim = action[0].nrows if action else 0
     if len(coaction) != dim:
         raise UsageError("action and coaction dimensions differ")
-    comod = Comodule(coalgebra, dim, coaction, check=False)
-    probe = LongDimodule.__new__(LongDimodule)
-    probe.field = k
-    probe.coalgebra = coalgebra
-    probe.dim = dim
-    probe.act = list(action)
-    probe.rho = comod.rho
+    rho = Comodule(coalgebra, dim, coaction, check=False).rho
     indices = range(len(action)) if generators is None else generators
     for a in indices:
         for l in range(dim):
-            lhs, rhs = probe._compat_tables(a, l)
+            lhs, rhs = _compat_tables(action[a], rho, l)
             if lhs != rhs:
                 return False
     return True
@@ -335,20 +331,13 @@ def compatible_subalgebra(H: FinBialgebra, action, coaction):
     is closed under multiplication and contains the unit (asserted)."""
     k, dH = H.field, H.dim
     dim = len(coaction)
-    dC = H.coalg.dim
-    comod = Comodule(H.gen_coalgebra(), dim, coaction, check=False)
-    rho = comod.rho
+    rho = Comodule(H.gen_coalgebra(), dim, coaction, check=False).rho
     rows = []
     for l in range(dim):
+        tables = [_compat_tables(action[a], rho, l) for a in range(dH)]
         for w in range(dim):
-            for b in range(dC):
-                row = []
-                for a in range(dH):
-                    A = action[a]
-                    lhs = k.sum(k.mul(A.rows[i][l], rho[i][w][b]) for i in range(dim))
-                    rhs = k.sum(k.mul(rho[l][w2][b], A.rows[w][w2]) for w2 in range(dim))
-                    row.append(k.sub(lhs, rhs))
-                rows.append(row)
+            for b in range(H.coalg.dim):
+                rows.append([k.sub(lhs[w][b], rhs[w][b]) for lhs, rhs in tables])
     basis = kernel_basis(Matrix(k, rows, coerce=False))
     span, contains = span_and_membership(basis, k, dim=dH)
     if not contains(H.unit):

@@ -29,9 +29,6 @@ class DMap:
     def is_strong(self) -> bool:
         return self.ideal is None or self.ideal.dim == 0
 
-    def right_coalgebra(self) -> Coalgebra:
-        return self.sigma.right
-
     def __repr__(self):
         kind = "strong " if self.is_strong else ""
         return "DMap(%sdim C=%d)" % (kind, self.coalgebra.dim)

@@ -11,8 +11,6 @@ import os
 import re
 from fractions import Fraction
 
-import sympy
-
 
 class UsageError(ValueError):
     """Bad dimensions, mismatched fields, or invalid arguments."""
@@ -236,6 +234,7 @@ class FunctionField(Field):
         for name in names:
             if not _NAME_RE.fullmatch(name):
                 raise UsageError("bad variable name %r" % (name,))
+        import sympy  # imported here: only Q(vars) needs it, and it is slow to load
         self.names = names
         self.ring = sympy.QQ.frac_field(*names)
         self.gens = self.ring.gens
@@ -282,6 +281,7 @@ class FunctionField(Field):
         for name in _NAME_RE.findall(text):
             if name not in self.names:
                 raise UsageError("unknown variable %r in literal %r" % (name, text))
+        import sympy
         try:
             expr = sympy.sympify(text.replace("^", "**"), rational=True)
             return self.ring.from_sympy(expr)

@@ -126,8 +126,8 @@ def standard_comodule(C: Coalgebra) -> Comodule:
 
 
 class GeneratorAction:
-    """A(c_ju) m_v = sum_i x_uv^ji m_i, extended linearly and to words by
-    matrix products in word order."""
+    """A(c_ju) m_v = sum_i x_uv^ji m_i, extended linearly to coefficient
+    vectors over the generators."""
 
     def __init__(self, R: EndoPair):
         n, k = R.n, R.field
@@ -148,12 +148,6 @@ class GeneratorAction:
         for m, coeff in enumerate(vec):
             if not self.field.is_zero(coeff):
                 out = out.add(self.matrices[m].scale(coeff))
-        return out
-
-    def of_word(self, indices) -> Matrix:
-        out = Matrix.identity(self.field, self.n)
-        for m in indices:
-            out = out @ self.matrices[m]
         return out
 
 

@@ -8,6 +8,7 @@ m_1(x)m_1, m_1(x)m_2, ..., so f(x)g serializes to kron(f, g).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -82,14 +83,19 @@ def flip_pair(field, n) -> EndoPair:
     return EndoPair.from_matrix(tau_matrix(field, n))
 
 
-def _flip(n):
+def flip_index(n):
     """tau on M (x) M as an index map: m_a (x) m_b -> m_b (x) m_a; an involution."""
-    return [(k % n) * n + k // n for k in range(n * n)]
+    return tuple((k % n) * n + k // n for k in range(n * n))
+
+
+def tau123_index(n):
+    """tau123 on M (x) M (x) M as an index map: m_a (x) m_b (x) m_c -> m_c (x) m_a (x) m_b."""
+    return tuple((c * n + a) * n + b for a, b, c in itertools.product(range(n), repeat=3))
 
 
 def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
     """A[rows[r]][cols[c]] at (r, c), None meaning unpermuted. With P e_k =
-    e_image(k), P A takes rows from image^-1 and A P takes cols from image."""
+    e_image(k), P^-1 A takes rows from image and A P takes cols from image."""
     rows = range(A.nrows) if rows is None else rows
     cols = range(A.ncols) if cols is None else cols
     return Matrix(A.field, [[A.rows[r][c] for c in cols] for r in rows], coerce=False)
@@ -97,33 +103,56 @@ def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
 
 def tau_matrix(field, n) -> Matrix:
     """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
-    return _permuted(Matrix.identity(field, n * n), rows=_flip(n))
+    return _permuted(Matrix.identity(field, n * n), rows=flip_index(n))
 
 
 _LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
+# Each equation as the two slot words whose lifted products it equates; the
+# T and U forms hold up to a tau123 factor, applied by check_equivalent_forms
+# and classify.forms_masks.
+EQUATIONS = {
+    "d": ((12, 23), (23, 12)),
+    "qybe": ((12, 13, 23), (23, 13, 12)),
+    "hopf": ((12, 23), (23, 13, 12)),
+    "pentagon": ((12, 13, 23), (23, 12)),
+    "form_t": ((12, 13), (23, 13)),  # T12 T13 = T23 T13 tau123
+    "form_u": ((13, 23), (13, 12)),  # U13 U23 = tau123 U13 U12
+}
 
-def lift(R: EndoPair, slot: int) -> Matrix:
-    """R^{12}, R^{13}, or R^{23} as an n^3 x n^3 matrix, formed once per operator.
+
+@functools.lru_cache(maxsize=None)
+def leg_map(n: int, slot: int):
+    """Flat (dst, src) pairs: entry dst of the n^3 x n^3 lift R^slot is entry
+    src of the n^2 x n^2 R.matrix(), both row-major; other entries are zero.
 
     Row x of R^{pq} is row (x_p, x_q) of R.matrix() spread over the columns y
-    with y_s = x_s for the third leg s, zero elsewhere.
+    with y_s = x_s for the third leg s.
     """
-    _guard_n(R.n)
     if slot not in _LEGS:
         raise UsageError("slot must be one of 12, 13, 23")
+    p, q = _LEGS[slot]
+    weight = (n * n, n, 1)
+    pairs = []
+    for r, x in enumerate(itertools.product(range(n), repeat=3)):
+        base = r * n ** 3 + x[3 - p - q] * weight[3 - p - q]
+        for c in range(n * n):
+            pairs.append((base + (c // n) * weight[p] + (c % n) * weight[q],
+                          (x[p] * n + x[q]) * n * n + c))
+    return tuple(pairs)
+
+
+def lift(R: EndoPair, slot: int) -> Matrix:
+    """R^{12}, R^{13}, or R^{23} as an n^3 x n^3 matrix, formed once per operator."""
+    _guard_n(R.n)
     if slot not in R._lifts:
-        n, src, z = R.n, R.matrix().rows, R.field.zero
-        p, q = _LEGS[slot]
-        weight = (n * n, n, 1)
-        rows = []
-        for x in itertools.product(range(n), repeat=3):
-            base = x[3 - p - q] * weight[3 - p - q]
-            row = [z] * n ** 3
-            for c, v in enumerate(src[x[p] * n + x[q]]):
-                row[base + (c // n) * weight[p] + (c % n) * weight[q]] = v
-            rows.append(row)
-        R._lifts[slot] = Matrix(R.field, rows, coerce=False)
+        n3 = R.n ** 3
+        src = [v for row in R.matrix().rows for v in row]
+        flat = [R.field.zero] * n3 * n3
+        for d, s in leg_map(R.n, slot):
+            flat[d] = src[s]
+        R._lifts[slot] = Matrix(R.field, [flat[r:r + n3] for r in range(0, n3 * n3, n3)],
+                                coerce=False)
     return R._lifts[slot]
 
 
@@ -133,6 +162,12 @@ def _product(R: EndoPair, *slots) -> Matrix:
         head = lift(R, slots[0]) if len(slots) == 2 else _product(R, *slots[:-1])
         R._lifts[slots] = head.mul(lift(R, slots[-1]))
     return R._lifts[slots]
+
+
+def _holds(R: EndoPair, name: str) -> bool:
+    """Whether both words of EQUATIONS[name] give the same product for R."""
+    left, right = EQUATIONS[name]
+    return _product(R, *left) == _product(R, *right)
 
 
 def _pair_violation(field, n, x, y):
@@ -160,7 +195,7 @@ def check_d(R: EndoPair) -> bool:
     """D-equation membership; coordinate and operator paths must agree."""
     _guard_n(R.n)
     coord = first_violation(R) is None
-    oper = _product(R, 12, 23) == _product(R, 23, 12)
+    oper = _holds(R, "d")
     if coord != oper:
         raise RuntimeError("verdict paths disagree: coordinate=%r operator=%r" % (coord, oper))
     return coord
@@ -181,17 +216,17 @@ def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
 
 def check_qybe(R: EndoPair) -> bool:
     """Quantum Yang-Baxter: R12 R13 R23 = R23 R13 R12."""
-    return _product(R, 12, 13, 23) == _product(R, 23, 13, 12)
+    return _holds(R, "qybe")
 
 
 def check_hopf(R: EndoPair) -> bool:
     """Hopf equation: R12 R23 = R23 R13 R12."""
-    return _product(R, 12, 23) == _product(R, 23, 13, 12)
+    return _holds(R, "hopf")
 
 
 def check_pentagon(W: EndoPair) -> bool:
     """Pentagon equation: W12 W13 W23 = W23 W12."""
-    return _product(W, 12, 13, 23) == _product(W, 23, 12)
+    return _holds(W, "pentagon")
 
 
 FormVerdicts = namedtuple("FormVerdicts", ["d", "form_t", "form_u", "form_w"])
@@ -208,20 +243,17 @@ def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
     caller: it is the statement under test, not an input contract.
     """
     _guard_n(R.n)
-    n, m = R.n, R.matrix()
-    flip = _flip(n)
+    m, flip, t123 = R.matrix(), flip_index(R.n), tau123_index(R.n)
     T = EndoPair.from_matrix(_permuted(m, cols=flip))
     U = EndoPair.from_matrix(_permuted(m, rows=flip))
     W = EndoPair.from_matrix(_permuted(m, rows=flip, cols=flip))
-    # tau123 sends (a, b, c) to (c, a, b); its inverse sends (a, b, c) to (b, c, a)
-    legs = list(itertools.product(range(n), repeat=3))
-    t123 = [(c * n + a) * n + b for a, b, c in legs]
-    t123_inv = [(b * n + c) * n + a for a, b, c in legs]
+    (tl, tr), (ul, ur) = EQUATIONS["form_t"], EQUATIONS["form_u"]
+    # T's right side times tau123; U's form multiplied by tau123^-1 on the left
     return FormVerdicts(
         d=check_d(R),
-        form_t=_product(T, 12, 13) == _permuted(_product(T, 23, 13), cols=t123),
-        form_u=_product(U, 13, 23) == _permuted(_product(U, 13, 12), rows=t123_inv),
-        form_w=_product(W, 12, 23) == _product(W, 23, 12),
+        form_t=_product(T, *tl) == _permuted(_product(T, *tr), cols=t123),
+        form_u=_permuted(_product(U, *ul), rows=t123) == _product(U, *ur),
+        form_w=_holds(W, "d"),
     )
 
 

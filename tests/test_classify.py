@@ -7,12 +7,12 @@ from deq import catalog
 from deq.classify import (defect_identity_mask, annihilation_mask, block_matrices,
                           candidate_block, coordinate_mask, digits_from_endo,
                           digits_of, endo_from_digits, enumerate_range,
-                          enumerate_solutions, gl_matrices, merge_ranges,
+                          enumerate_solutions, forms_masks, gl_matrices,
                           operator_count, operator_mask, orbit_reduce,
                           delta_identity_mask, qybe_mask, random_block, symmetric_mask)
 from deq.dmap import first_symmetry_violation
 from deq.fields import PrimeField, UsageError
-from deq.tensor_ops import check_d, check_qybe
+from deq.tensor_ops import check_d, check_equivalent_forms, check_qybe
 
 
 def block_from_digit_rows(rows, n, p):
@@ -53,19 +53,44 @@ def test_masks_agree_with_scalar_checks():
     rows.append(list(digits_from_endo(catalog.triangular_solution(k, 1, 2, 2))))
     x = block_from_digit_rows(rows, 2, 5)
     co = coordinate_mask(x, 5)
-    op = operator_mask(x, 5)
-    qy = qybe_mask(x, 5)
     sy = symmetric_mask(x)
     for t, row in enumerate(rows):
         R = endo_from_digits(2, 5, row)
         assert bool(co[t]) == check_d(R)
-        assert bool(op[t]) == check_d(R)
-        assert bool(qy[t]) == check_qybe(R)
         assert bool(sy[t]) == (first_symmetry_violation(R) is None)
+    qy = [qybe for _, qybe, *_ in assert_operator_masks_exact(rows, 2, 5)]
     # the embedded cases exercise all verdict shapes
     assert co[-3] and qy[-3], "triangular_solution solves both equations"
     assert not co[-2] and qy[-2], "yb operator is qybe only"
     assert sy[-1] and not sy[-2]
+    # n = 3, where the leg maps of the three slots all differ: random
+    # operators, and over F_13 the S3-graded solution with one-entry
+    # perturbations of it, so that both verdicts occur
+    for p in (2, 3, 13):
+        rows = [[rng.randrange(p) for _ in range(81)] for _ in range(8)]
+        if p == 13:
+            sol = list(digits_from_endo(catalog.s3_graded_solution(PrimeField(p))))
+            rows.append(sol)
+            for t in rng.sample(range(81), 4):
+                rows.append(sol[:t] + [(sol[t] + 1) % p] + sol[t + 1:])
+        verdicts = assert_operator_masks_exact(rows, 3, p)
+        if p == 13:
+            assert verdicts[8][0] and not all(v[0] for v in verdicts)
+
+
+def assert_operator_masks_exact(rows, n, p):
+    """operator_mask, qybe_mask and forms_masks against the exact checks;
+    returns the exact (d, qybe, form_t, form_u, form_w) per row."""
+    x = block_from_digit_rows(rows, n, p)
+    got = zip(operator_mask(x, p), qybe_mask(x, p), *forms_masks(x, p))
+    verdicts = []
+    for t, (op, qy, d, ft, fu, fw) in enumerate(got):
+        R = endo_from_digits(n, p, rows[t])
+        forms = check_equivalent_forms(R)
+        want = (check_d(R), check_qybe(R), forms.form_t, forms.form_u, forms.form_w)
+        assert (op, qy, ft, fu, fw) == want and d == forms.d, (n, p, t)
+        verdicts.append(want)
+    return verdicts
 
 
 def test_obstruction_identities_hold_for_all_operators():
@@ -110,13 +135,6 @@ def test_two_path_agreement():
     assert operator_count(2, 2) == 100
 
 
-def test_worker_split_is_deterministic():
-    one = enumerate_solutions(2, 2, workers=1)
-    three = enumerate_solutions(2, 2, workers=3, chunk=10000)
-    assert one.solutions == three.solutions
-    assert one.to_kv() == three.to_kv()
-
-
 def test_budget_refusal():
     with pytest.raises(UsageError, match="budget"):
         enumerate_solutions(2, 3)
@@ -126,15 +144,13 @@ def test_budget_refusal():
         enumerate_solutions(2, 2, limit=1000)
     with pytest.raises(UsageError):
         enumerate_solutions(2, 4)
-    with pytest.raises(UsageError):
-        enumerate_solutions(2, 2, workers=0)
 
 
 def test_enumerate_range_split_and_merge():
     full = enumerate_range(2, 2, 0, 65536)
     lo = enumerate_range(2, 2, 0, 30000)
     hi = enumerate_range(2, 2, 30000, 65536)
-    assert merge_ranges([hi, lo]) == full
+    assert lo + hi == full
     assert len(full) == 100
 
 

@@ -174,14 +174,6 @@ def test_classify_counts_and_filters(tmp_path, capsys):
     assert kv["orbits"] == "32" and kv["qybe"] == "100"
 
 
-def test_classify_worker_output_identical(tmp_path, capsys):
-    one = str(tmp_path / "c1.txt")
-    three = str(tmp_path / "c3.txt")
-    assert main(["classify", "--workers", "1", "--out", one]) == 0
-    assert main(["classify", "--workers", "3", "--out", three]) == 0
-    assert open(one).read() == open(three).read()
-
-
 def test_classify_budget_refusal(capsys):
     assert main(["classify", "--n", "2", "--p", "3"]) == 2
     err = capsys.readouterr().err
@@ -230,4 +222,17 @@ def test_bad_invocations_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["check"]) == 2
+    assert main(["classify", "--workers", "2"]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    """A broken invariant, here the two check_d verdict paths disagreeing,
+    is neither a verdict nor a usage error."""
+    import deq.tensor_ops
+    path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
+    monkeypatch.setattr(deq.tensor_ops, "first_violation", lambda R: (1, 1, 1, 1, 1, 1))
+    assert main(["check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: verdict paths disagree")
