@@ -26,9 +26,9 @@ def main():
     print("relations: %s" % ", ".join(relation_strings(dm.ideal)))
     print("sigma lives on C (x) C/I with quotient dimension %d:" % dm.sigma.right.dim)
     show_table(dm.sigma, QQ)
-    print("balance condition holds: %s" % is_dmap(dm.coalgebra, dm.ideal, dm.sigma))
+    print("balance condition holds: %s" % is_dmap(dm.coalgebra, dm.quotient, dm.sigma))
 
-    prime = convolution_inverse_of_sigma(R)
+    prime = convolution_inverse_of_sigma(dm)
     print()
     print("the operator is bijective, so sigma has a convolution inverse:")
     show_table(prime, QQ)
@@ -41,7 +41,7 @@ def main():
     R = catalog.rq(QQ, 2)
     print("the rank-one family is not bijective:")
     try:
-        convolution_inverse_of_sigma(R)
+        convolution_inverse_of_sigma(sigma_from_r(R))
     except MathError as exc:
         print("  %s" % exc)
 

@@ -30,10 +30,14 @@ def candidate_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     """Candidates start..stop-1 as an (N, n, n, n, n) array x[t, u, v, j, i];
     digit order is big-endian row-major, so lexicographic order of serialized
     matrices equals integer order."""
+    if stop > 2 ** 63:
+        raise UsageError("candidate serials must be below 2^63")
     t = n ** 4
-    ids = np.arange(start, stop, dtype=np.int64)
-    weights = p ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    return block_of((ids[:, None] // weights[None, :]) % p, n)
+    ids = start + np.arange(stop - start, dtype=np.int64)
+    digits = np.empty((len(ids), t), dtype=np.int64)
+    for pos in range(t - 1, -1, -1):  # least significant digit first, no weights
+        ids, digits[:, pos] = np.divmod(ids, p)
+    return block_of(digits, n)
 
 
 def block_of(solutions, n: int) -> np.ndarray:

@@ -87,7 +87,7 @@ def cmd_dmap(args) -> int:
                 lines.append("sigma(%s, %s) = %s" % (C.labels[a], Q.labels[b], k.show(v)))
                 entries += 1
     try:
-        convolution_inverse_of_sigma(R)
+        convolution_inverse_of_sigma(dm)
         inverse_status = "found"
     except MathError:
         inverse_status = "not bijective"

@@ -8,11 +8,13 @@ coordinates are flattened as (b, c) -> b*d + c.
 from __future__ import annotations
 
 from .fields import Field, UsageError
-from .linalg import Matrix, matrix_inverse, reduce_against, rref, span_and_membership
+from .linalg import Matrix, matrix_inverse, reduce_against, rref
 
 
 class Coalgebra:
-    """Structure-constant coalgebra; axioms are verified at construction."""
+    """Structure-constant coalgebra; axioms are verified at construction
+    unless check=False, which is for coalgebras by construction (comatrix,
+    grouplike, quotients by a verified coideal), whose axioms the tests check."""
 
     def __init__(self, field: Field, labels, delta, counit, check: bool = True):
         d = len(labels)
@@ -90,7 +92,7 @@ def comatrix(field, n: int) -> Coalgebra:
                 mu[idx(j, k)][idx(j, u)][idx(u, k)] = o
             if j == k:
                 eps[idx(j, k)] = o
-    return Coalgebra(field, labels, mu, eps)
+    return Coalgebra(field, labels, mu, eps, check=False)
 
 
 def comatrix_index(n, j, k) -> int:
@@ -108,11 +110,14 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
     mu = [[[z] * d for _ in range(d)] for _ in range(d)]
     for a in range(d):
         mu[a][a][a] = o
-    return Coalgebra(field, labels, mu, [o] * d)
+    return Coalgebra(field, labels, mu, [o] * d, check=False)
 
 
 class Coideal:
-    """A verified coideal: reduced basis, its pivots, and the column order used."""
+    """A verified coideal: reduced basis, its pivots, and the column order used.
+
+    `coideal()` is the only maker of Coideals, so every Coideal has passed
+    the coideal test and `quotient` need not check its result again."""
 
     def __init__(self, parent: Coalgebra, basis, pivots, col_order):
         self.parent = parent
@@ -130,35 +135,31 @@ class Coideal:
         return all(k.is_zero(v) for v in reduce_against(vec, self.basis, self.pivots, k))
 
 
-def _coideal_failure(C: Coalgebra, basis):
-    """None when span(basis) is a coideal, else a reason string."""
+def _coideal_failure(C: Coalgebra, basis, pivots):
+    """None when span(basis) is a coideal, else a reason string.
+
+    basis is reduced echelon with the given pivots, so reducing against it
+    is the projection pi along I onto the non-pivot coordinates S. As
+    C (x) C = (I (x) C + C (x) I) (+) (S (x) S), Delta(v) lies in
+    I (x) C + C (x) I iff (pi (x) pi) Delta(v) = 0: reduce the rows of the
+    d x d table of Delta(v), then its columns, and require zero."""
     k, d = C.field, C.dim
     for v in basis:
         if not k.is_zero(C.counit_of(v)):
             return "counit does not vanish on %s" % _show_combo(C, v)
-    # span of I (x) C + C (x) I inside C (x) C
-    gens = []
     for v in basis:
-        for a in range(d):
-            left = [k.zero] * (d * d)
-            right = [k.zero] * (d * d)
-            for b in range(d):
-                left[b * d + a] = v[b]
-                right[a * d + b] = v[b]
-            gens.append(left)
-            gens.append(right)
-    _, inside = span_and_membership(gens, k, dim=d * d)
-    for v in basis:
-        if not inside(C.delta_vector(v)):
-            return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)
+        dv = C.delta_vector(v)
+        rows = [reduce_against(dv[b * d:(b + 1) * d], basis, pivots, k) for b in range(d)]
+        for col in zip(*rows):
+            if not all(k.is_zero(x) for x in reduce_against(col, basis, pivots, k)):
+                return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)
     return None
 
 
 def is_coideal(C: Coalgebra, vectors) -> bool:
     k = C.field
     vecs = [[k.coerce(x) for x in v] for v in vectors]
-    basis, _ = rref(vecs, k)
-    return _coideal_failure(C, basis) is None
+    return _coideal_failure(C, *rref(vecs, k)) is None
 
 
 def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
@@ -166,7 +167,7 @@ def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
     k = C.field
     vecs = [[k.coerce(x) for x in v] for v in vectors]
     basis, pivots = rref(vecs, k, col_order=col_order)
-    reason = _coideal_failure(C, basis)
+    reason = _coideal_failure(C, basis, pivots)
     if reason is not None:
         raise UsageError("not a coideal: %s" % reason)
     order = list(range(C.dim)) if col_order is None else list(col_order)
@@ -196,7 +197,10 @@ def _show_combo(C: Coalgebra, vec) -> str:
 
 
 class QuotientCoalgebra(Coalgebra):
-    """C/I with a chosen section; a genuine Coalgebra on the complement labels."""
+    """C/I with a chosen section; a genuine Coalgebra on the complement labels.
+
+    I is a verified coideal, so the structure (pi (x) pi) Delta does not
+    depend on the section and satisfies the axioms; it is not re-checked."""
 
     def __init__(self, parent: Coalgebra, ideal: Coideal, complement=None):
         k, d = parent.field, parent.dim
@@ -212,40 +216,19 @@ class QuotientCoalgebra(Coalgebra):
         Binv = matrix_inverse(B)
         if Binv is None:
             raise UsageError("complement does not complement the coideal")
-        q = d - rank
-        if q == 0:
+        if rank == d:
             raise UsageError("coideal exhausts the coalgebra")
-        proj_rows = Binv.rows[rank:]
         self.parent = parent
         self.ideal = ideal
-        self.complement = complement
-        self.proj = Matrix(k, proj_rows, coerce=False)
+        self.proj = Matrix(k, Binv.rows[rank:], coerce=False)
         self.section_cols = complement
+        # Delta-bar(e_c~) = (pi (x) pi) Delta(e_c): the table P mu[c] P^t
+        proj_t = self.proj.transpose()
+        mu = [self.proj.mul(Matrix(k, parent.mu[c], coerce=False)).mul(proj_t).rows
+              for c in complement]
         labels = [parent.labels[c] + "~" for c in complement]
-        mu = []
-        eps = []
-        for c in complement:
-            lifted = [k.one if a == c else k.zero for a in range(d)]
-            dv = parent.delta_vector(lifted)
-            # (proj (x) proj) Delta
-            table = [[k.zero] * q for _ in range(q)]
-            for b in range(d):
-                for c2 in range(d):
-                    v = dv[b * d + c2]
-                    if k.is_zero(v):
-                        continue
-                    for bb in range(q):
-                        pb = proj_rows[bb][b]
-                        if k.is_zero(pb):
-                            continue
-                        for cc in range(q):
-                            pc = proj_rows[cc][c2]
-                            if not k.is_zero(pc):
-                                table[bb][cc] = k.add(table[bb][cc], k.mul(v, k.mul(pb, pc)))
-            mu.append(table)
-            eps.append(parent.counit_of(lifted))
-        super().__init__(k, labels, mu, eps, check=True)
-        self._check_projection_compat()
+        eps = [parent.counit[c] for c in complement]
+        super().__init__(k, labels, mu, eps, check=False)
 
     def project(self, vec):
         """pi applied to a parent coefficient vector."""
@@ -258,34 +241,6 @@ class QuotientCoalgebra(Coalgebra):
         for b, c in enumerate(self.section_cols):
             out[c] = k.add(out[c], k.coerce(qvec[b]))
         return out
-
-    def _check_projection_compat(self):
-        """(pi (x) pi) Delta == Delta-bar pi on every parent basis element."""
-        k, d, q = self.field, self.parent.dim, self.dim
-        for a in range(d):
-            e = [k.one if i == a else k.zero for i in range(d)]
-            dv = self.parent.delta_vector(e)
-            lhs = [[k.zero] * q for _ in range(q)]
-            for b in range(d):
-                for c in range(d):
-                    v = dv[b * d + c]
-                    if k.is_zero(v):
-                        continue
-                    for bb in range(q):
-                        for cc in range(q):
-                            w = k.mul(self.proj.rows[bb][b], self.proj.rows[cc][c])
-                            if not k.is_zero(w):
-                                lhs[bb][cc] = k.add(lhs[bb][cc], k.mul(v, w))
-            pv = self.project(e)
-            rhs = [[k.zero] * q for _ in range(q)]
-            for b, vb in enumerate(pv):
-                if k.is_zero(vb):
-                    continue
-                for bb in range(q):
-                    for cc in range(q):
-                        rhs[bb][cc] = k.add(rhs[bb][cc], k.mul(vb, self.mu[b][bb][cc]))
-            if lhs != rhs:
-                raise UsageError("quotient structure is not section-independent")
 
 
 def quotient(C: Coalgebra, I: Coideal, complement=None) -> QuotientCoalgebra:
@@ -327,7 +282,6 @@ class Comodule:
         """(I (x) pi) rho: the induced comodule over C/I."""
         if Q.parent is not self.coalgebra:
             raise UsageError("quotient of a different coalgebra")
-        k = Q.field
         rho = [[Q.project(self.rho[l][w]) for w in range(self.dim)] for l in range(self.dim)]
         return Comodule(Q, self.dim, rho)
 

@@ -9,21 +9,23 @@ strong when I = 0.
 
 from __future__ import annotations
 
-from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule, QuotientCoalgebra,
-                    coideal, comatrix, convolve, counit_form, quotient)
+from .coalg import BilinearForm, Coalgebra, Coideal, Comodule, convolve, counit_form
 from .fields import MathError, UsageError
-from .frt import obstruction_coideal, require_solution, standard_comodule
+from .frt import d_bialgebra, standard_comodule
+from .linalg import Matrix
 from .tensor_ops import EndoPair, first_violation, invert
 
 
 class DMap:
-    """sigma: C (x) C/I -> k satisfying the balance condition."""
+    """sigma: C (x) C/I -> k satisfying the balance condition; `endo` is the
+    solution R it was built from, if any."""
 
-    def __init__(self, C: Coalgebra, I, Q, sigma: BilinearForm):
+    def __init__(self, C: Coalgebra, I, Q, sigma: BilinearForm, endo: EndoPair = None):
         self.coalgebra = C
         self.ideal = I
         self.quotient = Q
         self.sigma = sigma
+        self.endo = endo
 
     @property
     def is_strong(self) -> bool:
@@ -34,27 +36,18 @@ class DMap:
         return "DMap(%sdim C=%d)" % (kind, self.coalgebra.dim)
 
 
-def _project(C, Q, vec):
-    return vec if Q is None else Q.project(vec)
-
-
-def is_dmap(C: Coalgebra, I, sigma) -> bool:
+def is_dmap(C: Coalgebra, Q, sigma) -> bool:
     """Balance condition, exactly, on all basis pairs.
 
-    `I` may be None or a zero/nonzero Coideal; `sigma` a BilinearForm (or
-    raw table) on C (x) C/I, where C/I means C itself when I is trivial."""
+    `Q` is the quotient C/I, or None for I = 0; `sigma` a BilinearForm (or
+    raw table) on C (x) C/I, where C/I means C itself when Q is None."""
     k = C.field
     table = sigma.table if isinstance(sigma, BilinearForm) else sigma
-    Q = None
-    if isinstance(I, Coideal) and I.dim > 0:
-        Q = quotient(C, I)
     qdim = C.dim if Q is None else Q.dim
     if len(table) != C.dim or any(len(row) != qdim for row in table):
         raise UsageError("sigma table has wrong shape")
-    pi = []
-    for a in range(C.dim):
-        e = [k.one if t == a else k.zero for t in range(C.dim)]
-        pi.append(_project(C, Q, e))
+    # pi[a]: the image of basis element a in C/I
+    pi = (Matrix.identity(k, C.dim) if Q is None else Q.proj.transpose()).rows
     for a in range(C.dim):
         row = C.mu[a]
         for b in range(qdim):
@@ -125,21 +118,22 @@ def _check_kills_right(table, I: Coideal, what: str):
                     % (what, I.parent.labels[a], r + 1))
 
 
+def _sigma_table(R: EndoPair, I: Coideal, Q, what: str):
+    """sigma0 of R on C (x) C/I: checked to vanish on C (x) I, then read on
+    the section columns of Q."""
+    table0 = _sigma0_table(R)
+    _check_kills_right(table0, I, what)
+    return [[row[c] for c in Q.section_cols] for row in table0]
+
+
 def sigma_from_r(R: EndoPair) -> DMap:
     """The unique D-map with sigma(c_iv (x) c_ju~) = x_uv^ji for a solution R."""
-    require_solution(R)
-    n, k = R.n, R.field
-    C = comatrix(k, n)
-    I = obstruction_coideal(R, C)
-    Q = quotient(C, I)
-    table0 = _sigma0_table(R)
-    _check_kills_right(table0, I, "sigma")
-    table = [[table0[a][c] for c in Q.section_cols] for a in range(C.dim)]
-    sigma = BilinearForm(C, Q, table)
-    dm = DMap(C, I, Q, sigma)
-    if not is_dmap(C, I, sigma):
+    pres = d_bialgebra(R)
+    C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
+    sigma = BilinearForm(C, Q, _sigma_table(R, I, Q, "sigma"))
+    if not is_dmap(C, Q, sigma):
         raise RuntimeError("balance condition failed for a solution")
-    return dm
+    return DMap(C, I, Q, sigma, endo=R)
 
 
 def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
@@ -150,18 +144,9 @@ def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
     n = comodule.dim
     d = dm.coalgebra.dim
     Q = dm.quotient
-    qdim = dm.sigma.right.dim
     # sigma with the right leg pulled back to C
-    pulled = [[k.zero] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            if Q is None:
-                pulled[a][b] = dm.sigma.table[a][b]
-            else:
-                e = [k.one if t == b else k.zero for t in range(d)]
-                coords = Q.project(e)
-                pulled[a][b] = k.sum(k.mul(coords[c], dm.sigma.table[a][c])
-                                     for c in range(qdim))
+    pulled = dm.sigma.table if Q is None else \
+        Matrix(k, dm.sigma.table, coerce=False).mul(Q.proj).rows
     rho = comodule.rho
     x = [[[[k.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
          for _ in range(n)]
@@ -200,16 +185,13 @@ def first_symmetry_violation(R: EndoPair):
 def strong_dmap_from_symmetric(R: EndoPair):
     """(C(R), strong D-map) for a solution with R tau = tau R; sigma then
     factors through I(R) on both legs."""
-    require_solution(R)
+    pres = d_bialgebra(R)
     bad = first_symmetry_violation(R)
     if bad is not None:
         u, v, j, i = bad
         raise MathError(
             "R tau != tau R: x_%d%d^%d%d != x_%d%d^%d%d" % (u, v, j, i, v, u, i, j))
-    n, k = R.n, R.field
-    C = comatrix(k, n)
-    I = obstruction_coideal(R, C)
-    Q = quotient(C, I)
+    C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
     table0 = _sigma0_table(R)
     _check_kills_right(table0, I, "sigma")
     # symmetry makes the left leg factor as well
@@ -227,20 +209,16 @@ def strong_dmap_from_symmetric(R: EndoPair):
     return Q, dm
 
 
-def convolution_inverse_of_sigma(R: EndoPair) -> BilinearForm:
-    """sigma' with sigma * sigma' = sigma' * sigma = eps (x) eps~, built from
-    the coefficients of R^{-1}."""
-    require_solution(R)
-    dm = sigma_from_r(R)
-    Rinv = invert(R)
+def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:
+    """sigma' with sigma * sigma' = sigma' * sigma = eps (x) eps~ for the
+    D-map `sigma_from_r(R)`, built from the coefficients of R^{-1}."""
+    if dm.endo is None:
+        raise UsageError("the D-map was not built from an operator")
+    Rinv = invert(dm.endo)
     if Rinv is None:
         raise MathError("operator is not bijective; sigma has no convolution inverse")
-    k = R.field
     C, Q = dm.coalgebra, dm.quotient
-    table0 = _sigma0_table(Rinv)
-    _check_kills_right(table0, dm.ideal, "sigma'")
-    table = [[table0[a][c] for c in Q.section_cols] for a in range(C.dim)]
-    prime = BilinearForm(C, Q, table)
+    prime = BilinearForm(C, Q, _sigma_table(Rinv, dm.ideal, Q, "sigma'"))
     unit = counit_form(C, Q)
     if convolve(dm.sigma, prime) != unit or convolve(prime, dm.sigma) != unit:
         raise RuntimeError("convolution identities failed for sigma'")

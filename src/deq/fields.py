@@ -7,6 +7,8 @@ so equality of values is representation equality.
 
 from __future__ import annotations
 
+import ast
+import math
 import os
 import re
 from fractions import Fraction
@@ -216,6 +218,44 @@ class PrimeField(Field):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _LITERAL_CHARS = re.compile(r"^[0-9A-Za-z_+\-*/^() ]*$")
 
+# Work bounds for one Q(vars) literal, enforced before sympy expands it.
+MAX_LITERAL_CHARS = 200
+MAX_DEGREE = 16    # total degree of the numerator and of the denominator
+MAX_TERMS = 1000   # monomials of degree <= MAX_DEGREE in the literal's variables
+MAX_BITS = 4096    # size of the coefficients, counted in bits of the integers
+
+
+def _literal_bounds(node):
+    """Upper bounds (numerator degree, denominator degree, coefficient bits)
+    of a literal's value, read off its syntax tree without expanding it."""
+    if isinstance(node, ast.Name):
+        return 1, 0, 1
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return 0, 0, max(1, node.value.bit_length())
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _literal_bounds(node.operand)
+    if not isinstance(node, ast.BinOp):
+        raise UsageError("unsupported syntax")
+    na, da, ba = _literal_bounds(node.left)
+    if isinstance(node.op, ast.Pow):
+        try:
+            e = ast.literal_eval(node.right)
+        except ValueError:
+            e = None
+        if type(e) is not int:
+            raise UsageError("exponents must be integer literals")
+        if e < 0:
+            na, da = da, na
+        return na * abs(e), da * abs(e), ba * abs(e)
+    nb, db, bb = _literal_bounds(node.right)
+    if isinstance(node.op, ast.Div):
+        nb, db = db, nb
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return max(na + db, nb + da), da + db, ba + bb
+    if isinstance(node.op, (ast.Mult, ast.Div)):
+        return na + nb, da + db, ba + bb
+    raise UsageError("unsupported operator")
+
 
 class FunctionField(Field):
     """Q(vars): rational functions with sympy FracElement values.
@@ -281,12 +321,28 @@ class FunctionField(Field):
         for name in _NAME_RE.findall(text):
             if name not in self.names:
                 raise UsageError("unknown variable %r in literal %r" % (name, text))
+        if len(text) > MAX_LITERAL_CHARS:
+            raise UsageError("function-field literal of %d characters is over the limit of %d"
+                             % (len(text), MAX_LITERAL_CHARS))
+        try:
+            num, den, bits = _literal_bounds(ast.parse(text.replace("^", "**"), mode="eval").body)
+        except (SyntaxError, UsageError) as exc:
+            raise UsageError("bad function-field literal %r: %s" % (text, exc))
+        degree, nvars = max(num, den), len(set(_NAME_RE.findall(text)))
+        if (degree > MAX_DEGREE or math.comb(degree + nvars, degree) > MAX_TERMS
+                or bits > MAX_BITS):
+            raise UsageError("function-field literal %r is too large: degree up to %d and "
+                             "coefficients up to %d bits (limits: degree %d, %d monomials, "
+                             "%d bits)" % (text, degree, bits, MAX_DEGREE, MAX_TERMS, MAX_BITS))
         import sympy
         try:
             expr = sympy.sympify(text.replace("^", "**"), rational=True)
-            return self.ring.from_sympy(expr)
+            value = self.ring.from_sympy(expr)
         except (sympy.SympifyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise UsageError("bad function-field literal %r: %s" % (text, exc))
+        if max(sum(m) for p in (value.numer, value.denom) for m in p.monoms()) > MAX_DEGREE:
+            raise UsageError("function-field literal %r has degree over %d" % (text, MAX_DEGREE))
+        return value
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")

@@ -181,7 +181,7 @@ def test_criterion_10_convolution_inverses():
     cases.append(diagonal_solution(QQ, [[1, 2], [3, 4]]))
     ok = True
     for R in cases:
-        prime = convolution_inverse_of_sigma(R)
+        prime = convolution_inverse_of_sigma(sigma_from_r(R))
         sigma = BilinearForm(prime.left, prime.right, sigma_from_r(R).sigma.table)
         unit = counit_form(prime.left, prime.right)
         ok = ok and convolve(sigma, prime) == unit

@@ -37,6 +37,30 @@ def test_candidate_block_serialization():
             assert k.coerce(int(mat[r][c])) == exact.rows[r][c]
 
 
+def python_digits(serial, n, p):
+    """Big-endian base-p digits of a serial, with Python integers."""
+    out = []
+    for _ in range(n ** 4):
+        serial, digit = divmod(serial, p)
+        out.append(digit)
+    return out[::-1]
+
+
+def test_candidate_block_digits_beyond_int64_weights():
+    """At n = 3 the weight p^(n^4 - 1) does not fit in int64; the digits
+    must still match Python integer arithmetic."""
+    x = candidate_block(3, 2, 0, 3)
+    assert x.shape == (3, 3, 3, 3, 3)
+    assert digits_of(x).tolist() == [python_digits(s, 3, 2) for s in range(3)]
+    lo = 2 ** 62 - 3
+    x = candidate_block(3, 3, lo, lo + 6)
+    assert x.shape[0] == 6
+    assert digits_of(x).tolist() == [python_digits(s, 3, 3) for s in range(lo, lo + 6)]
+    assert candidate_block(3, 2, 2 ** 63 - 1, 2 ** 63).shape[0] == 1
+    with pytest.raises(UsageError):
+        candidate_block(3, 2, 2 ** 63 - 1, 2 ** 63 + 1)
+
+
 def test_candidate_blocks_are_lexicographic():
     x = candidate_block(2, 3, 100, 140)
     d = digits_of(x)

@@ -1,4 +1,7 @@
+import hashlib
 import os
+import sys
+import time
 
 from deq import catalog, fileio
 from deq.cli import main
@@ -69,6 +72,101 @@ def test_check_golden_on_bundled_examples(tmp_path, capsys):
             "%s: %s\n" % (v, "true" if b == "1" else "false")
             for v, b in zip(VERDICT_NAMES, bits))
         assert capsys.readouterr().out == want, name
+
+
+# sha256 of the stdout of deq frt and deq dmap on every operator file that
+# `deq examples` writes, and the exit code
+PRESENT_GOLDEN = {
+    ('frt', 'triangular-symbolic.txt'):
+        ('491f9f5fae97f2ae6f1c036b0ce93339e90e464b68d33efe166d0c0ebd9c5648', 0),
+    ('frt', 'triangular-111.txt'):
+        ('c028974b303ad2a4f6b3613aa095884658bdd17765b46bce5f516e0bac9098e8', 0),
+    ('frt', 'rq-symbolic.txt'):
+        ('99540da08d73068f448ba6cb46db62c8e8eeac05bf4c22f5d76944a53714dc69', 0),
+    ('frt', 'rq-q3.txt'):
+        ('4f17472e27f3aeb3d6680e4a731bfa22a16ebd1e100b4b2c2614231bef5f1866', 0),
+    ('frt', 'rq-q2.txt'):
+        ('98cef7b12cddef284f397da62424331e63debe8f7e1858e18d1120c099a07535', 0),
+    ('frt', 'projection.txt'):
+        ('db695b88c33077c59bcc9fb588593a0350e40d129c4e8e9ea1a7b9087cf04ff8', 0),
+    ('frt', 'yb-operator-symbolic.txt'):
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 1),
+    ('frt', 'yb-operator-q2.txt'):
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 1),
+    ('frt', 's3-graded.txt'):
+        ('0c30944fbc1ff961dc75b6fd4fe1a49a3df133d1b3b3d06acd754157ba8ea060', 0),
+    ('frt', 'identity-n2.txt'):
+        ('718bfb9d0b037cc9e7ad146f39a880f8beabbdb5d9bfef82498201e66f56aa5f', 0),
+    ('dmap', 'triangular-symbolic.txt'):
+        ('f3e6b4a44f218479d1b4e871ae00f406a69d048b8e98a854134a5321a5a3c809', 0),
+    ('dmap', 'triangular-111.txt'):
+        ('61dc132e75d4cc4a005bf6e052d7f94b9f773bcc6727b61b05d1992884fe7bf2', 0),
+    ('dmap', 'rq-symbolic.txt'):
+        ('29266f28dc4d25973e80e1154aebe2846c6a13e1cdba3b7b051277e3f99d60e0', 0),
+    ('dmap', 'rq-q3.txt'):
+        ('68edcc0992a02ad9e821e090e94fc7a5368de8eadfc48dd3a22a0fee4e24a0c4', 0),
+    ('dmap', 'rq-q2.txt'):
+        ('fbd0ea757c26f1dc24413501197ae8df7d0a9503c76d88f42e92be42fea94a84', 0),
+    ('dmap', 'projection.txt'):
+        ('1d30dad51763db5d9e97c4bf7f890dcd8bf94307a5b320736aae8d578d6b4f09', 0),
+    ('dmap', 'yb-operator-symbolic.txt'):
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 1),
+    ('dmap', 'yb-operator-q2.txt'):
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 1),
+    ('dmap', 's3-graded.txt'):
+        ('9a7d6a83b0635e6bf442d8cd0bbdf684f20b9b1dc15fd0f5d2ef5579333fbc90', 0),
+    ('dmap', 'identity-n2.txt'):
+        ('ed622039fa95cc7a85d94e8e72790f121ca9fc26af59b8631cdb8a2fc54a4a3d', 0),
+}
+
+
+def test_frt_and_dmap_golden_on_bundled_examples(tmp_path, capsys):
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+    assert {name for _, name in PRESENT_GOLDEN} == set(CHECK_GOLDEN)
+    for (command, name), (digest, code) in PRESENT_GOLDEN.items():
+        assert main([command, os.path.join(exdir, name)]) == code, (command, name)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name)
+
+
+def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
+    """One deq dmap run checks the equation, builds comatrix(n), the
+    obstruction coideal and the quotient once each."""
+    from deq import coalg, frt, tensor_ops
+    originals = {"first_violation": tensor_ops.first_violation,
+                 "comatrix": coalg.comatrix,
+                 "obstruction_coideal": frt.obstruction_coideal,
+                 "quotient": coalg.quotient}
+    counts = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in originals.items():
+        wrapper = counting(name, fn)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "deq" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    path = write_operator(tmp_path, "diag.txt", diagonal_solution(QQ, [[1, 2], [3, 4]]))
+    assert main(["dmap", path]) == 0
+    assert "convolution inverse: found" in capsys.readouterr().out
+    assert counts == dict.fromkeys(originals, 1)
+
+
+def test_hostile_function_field_literal_exits_2_quickly(tmp_path, capsys):
+    for literal in ("(a+1)^3000", "((a+1)^64)^64"):
+        path = str(tmp_path / "big.txt")
+        with open(path, "w") as handle:
+            handle.write("field QFUN a\ndim 1\n%s\n" % literal)
+        start = time.monotonic()
+        assert main(["check", path]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "too large" in capsys.readouterr().err
 
 
 def test_bad_max_n_environment_exits_2(tmp_path, capsys, monkeypatch):

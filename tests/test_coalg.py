@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deq import catalog
+from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix,
                        comatrix_index, convolution_inverse, convolve,
                        counit_form, grouplike_coalgebra, is_coideal, quotient)
 from deq.fields import PrimeField, QQ, UsageError
-from deq.frt import obstruction_coideal
-from deq.tensor_ops import check_d
+from deq.frt import obstruction_coideal, obstructions
+from deq.linalg import Matrix, matrix_inverse, rref, span_and_membership
+from deq.tensor_ops import check_d, diagonal_solution, identity_pair
 
 
 def test_comatrix_axioms_and_labels():
@@ -88,7 +92,7 @@ def test_quotient_reproduces_relations_and_axioms():
     Q = quotient(C, I)
     assert Q.dim == 2
     assert Q.labels == ["c11~", "c12~"]
-    # quotient coalgebra is itself validated on construction (coassoc+counit)
+    # its axioms are checked in test_quotients_of_catalog_solutions_are_coalgebras
     k = QQ
     # project(c22) = c11~, project(c21) = 0
     v = [k.zero] * 4
@@ -197,3 +201,129 @@ def test_convolution_inverse_round_trip():
         found += 1
         assert convolve(phi, inv) == eps
         assert convolve(inv, phi) == eps
+
+
+# The runtime builds comatrix and grouplike coalgebras and quotients by a
+# verified coideal without checking their axioms; these tests check them.
+
+def recheck(C):
+    """Rebuild C with the full axiom check."""
+    return Coalgebra(C.field, C.labels, C.mu, C.counit, check=True)
+
+
+def test_constant_coalgebras_satisfy_the_axioms():
+    for k in (QQ, PrimeField(13)):
+        for n in (1, 2, 3):
+            recheck(comatrix(k, n))
+        recheck(grouplike_coalgebra(k, ["g", "h", "u"]))
+
+
+def second_complement(C, I):
+    """A complement of I other than its non-pivot coordinates, or None."""
+    default = [c for c in range(C.dim) if c not in I.pivots]
+    for cols in itertools.combinations(range(C.dim), len(default)):
+        if list(cols) == default:
+            continue
+        rows = [list(v) for v in I.basis] + [
+            [C.field.one if a == c else C.field.zero for a in range(C.dim)] for c in cols]
+        if matrix_inverse(Matrix(C.field, rows)) is not None:
+            return list(cols)
+    return None
+
+
+def assert_quotient_is_a_coalgebra(C, I):
+    """C/I passes the axiom check, and a second section gives the same
+    structure constants once its basis is matched to the first."""
+    k = C.field
+    Q1 = quotient(C, I)
+    recheck(Q1)
+    alt = second_complement(C, I)
+    if alt is None:
+        return
+    Q2 = quotient(C, I, complement=alt)
+    q = Q1.dim
+    # images[b]: the b-th basis element of Q1 in the coordinates of Q2
+    images = [Q2.project(Q1.lift([k.one if t == b else k.zero for t in range(q)]))
+              for b in range(q)]
+    for b in range(q):
+        lhs = [[k.sum(k.mul(images[b][a], Q2.mu[a][s][t]) for a in range(q))
+                for t in range(q)] for s in range(q)]
+        rhs = [[k.sum(k.mul(Q1.mu[b][u][w], k.mul(images[u][s], images[w][t]))
+                      for u in range(q) for w in range(q))
+                for t in range(q)] for s in range(q)]
+        assert lhs == rhs
+        assert k.dot(Q2.counit, images[b]) == Q1.counit[b]
+
+
+def test_quotients_of_all_f2_solutions_are_coalgebras():
+    report = enumerate_solutions(2, 2)
+    assert report.count == 100
+    for sol in report.solutions:
+        R = endo_from_digits(2, 2, sol)
+        C = comatrix(R.field, 2)
+        assert_quotient_is_a_coalgebra(C, obstruction_coideal(R, C))
+
+
+def test_quotients_of_catalog_solutions_are_coalgebras():
+    k = QQ
+    for R in (catalog.triangular_solution(k, 1, 2, 3), catalog.rq(k, 3),
+              catalog.projection_solution(k), catalog.s3_graded_solution(k),
+              identity_pair(k, 2), diagonal_solution(k, [[1, 2], [3, 4]])):
+        C = comatrix(k, R.n)
+        assert_quotient_is_a_coalgebra(C, obstruction_coideal(R, C))
+
+
+def reference_is_coideal(C, vectors):
+    """The coideal test by span membership in I (x) C + C (x) I."""
+    k, d = C.field, C.dim
+    basis, _ = rref([[k.coerce(x) for x in v] for v in vectors], k)
+    if any(not k.is_zero(C.counit_of(v)) for v in basis):
+        return False
+    gens = []
+    for v in basis:
+        for a in range(d):
+            left = [k.zero] * (d * d)
+            right = [k.zero] * (d * d)
+            for b in range(d):
+                left[b * d + a] = v[b]
+                right[a * d + b] = v[b]
+            gens += [left, right]
+    _, inside = span_and_membership(gens, k, dim=d * d)
+    return all(inside(C.delta_vector(v)) for v in basis)
+
+
+F3 = PrimeField(3)
+COMATRIX2 = comatrix(F3, 2)
+GROUPLIKE3 = grouplike_coalgebra(F3, ["g", "h", "u"])
+
+
+@st.composite
+def coalgebra_and_vectors(draw):
+    kind = draw(st.sampled_from(["comatrix", "kernel", "grouplike", "obstruction"]))
+    C = GROUPLIKE3 if kind == "grouplike" else COMATRIX2
+    if kind == "obstruction":
+        digits = draw(st.lists(st.integers(0, 2), min_size=16, max_size=16))
+        vectors = [v for _, v in obstructions(endo_from_digits(2, 3, digits), C).items()]
+    else:
+        vectors = draw(st.lists(st.lists(st.integers(0, 2), min_size=C.dim, max_size=C.dim),
+                                min_size=1, max_size=3))
+        if kind in ("kernel", "grouplike"):
+            # shift the first coordinate (a label with counit 1) so that eps(v) = 0
+            for v in vectors:
+                v[0] = (v[0] - sum(v[a] for a in range(C.dim) if C.counit[a])) % 3
+    return C, vectors, draw(st.permutations(range(C.dim)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(coalgebra_and_vectors())
+def test_coideal_test_agrees_with_span_membership(case):
+    C, vectors, order = case
+    want = reference_is_coideal(C, vectors)
+    assert is_coideal(C, vectors) == want
+    # any column order, hence any pivots, gives the same verdict
+    try:
+        coideal(C, vectors, col_order=order)
+        got = True
+    except UsageError:
+        got = False
+    assert got == want

@@ -32,7 +32,7 @@ def test_sigma_from_r_balance():
               catalog.projection_solution(k), identity_pair(k, 2),
               catalog.s3_graded_solution(QQ)):
         dm = sigma_from_r(R)
-        assert is_dmap(dm.coalgebra, dm.ideal, dm.sigma)
+        assert is_dmap(dm.coalgebra, dm.quotient, dm.sigma)
 
 
 def test_sigma_from_r_rejects_non_solutions():
@@ -94,7 +94,7 @@ def test_sigma_form_is_always_balanced():
     I = obstruction_coideal(R, C)
     Q = quotient(C, I)
     f = [QQ.coerce(3), QQ.coerce(-1)]
-    assert is_dmap(C, I, sigma_form(C, f, right=Q))
+    assert is_dmap(C, Q, sigma_form(C, f, right=Q))
     with pytest.raises(UsageError):
         sigma_form(C, f)
 
@@ -142,7 +142,7 @@ def test_convolution_inverse_of_sigma():
     cases = [identity_pair(k, 2), diagonal_solution(k, [[1, 2], [3, 4]])]
     cases += [random_bijective_solution(k, 2, rng) for _ in range(8)]
     for R in cases:
-        prime = convolution_inverse_of_sigma(R)
+        prime = convolution_inverse_of_sigma(sigma_from_r(R))
         assert isinstance(prime, BilinearForm)
         # rebuild sigma on the same coalgebra objects prime lives on
         sigma = BilinearForm(prime.left, prime.right, sigma_from_r(R).sigma.table)
@@ -155,4 +155,4 @@ def test_convolution_inverse_requires_bijectivity():
     k = QQ
     for R in (catalog.rq(k, 2), catalog.projection_solution(k)):
         with pytest.raises(MathError, match="not bijective"):
-            convolution_inverse_of_sigma(R)
+            convolution_inverse_of_sigma(sigma_from_r(R))

@@ -68,6 +68,24 @@ def test_function_field_parse_show_round_trip():
         assert k.parse(k.show(v)) == v
 
 
+def test_function_field_parse_bounds_work_before_expanding():
+    k = FunctionField(["a", "b", "c"])
+    a, b = k.gens[0], k.gens[1]
+    assert k.parse("((a+1)^4)^4") == (a + 1) ** 16
+    assert k.parse("(a+b)^-3") == 1 / (a + b) ** 3
+    assert k.parse("(a+b+c+1)^16").numer.degree() == 16
+    for text in ["(a+1)^3000", "((a+1)^64)^64", "((a+1)^4)^5", "1/(a+1)^17",
+                 "(a^2 + 1)^9", "2^4096", "1+" * 100 + "1"]:
+        with pytest.raises(UsageError, match="too large|over the limit"):
+            k.parse(text)
+    for text in ["a^2^3", "a^(1+1)", "a^b", "a//b"]:
+        with pytest.raises(UsageError, match="bad function-field literal"):
+            k.parse(text)
+    # degree 16 in four variables allows more than MAX_TERMS monomials
+    with pytest.raises(UsageError, match="too large"):
+        FunctionField(["a", "b", "c", "d"]).parse("(a+b+c+d+1)^16")
+
+
 def test_function_field_rejects_unknown_symbols():
     k = FunctionField(["a"])
     with pytest.raises(UsageError):
