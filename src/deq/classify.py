@@ -2,21 +2,23 @@
 small prime fields, with conjugation-orbit reduction.
 
 Candidates are serialized row-major over the n^2 x n^2 operator matrix and
-scanned as base-p digit blocks with vectorized coordinate equations. The
-independent operator-composition path evaluates the leg maps and the
-equation table of tensor_ops on the same candidate layout.
+scanned as base-p digit blocks, sieved through the coordinate equations of
+tensor_ops.coordinate_equations. The independent operator-composition path
+evaluates the leg maps and the equation table of tensor_ops on the same
+candidate layout.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
 
 from .fields import PrimeField, UsageError, env_positive_int, is_prime
 from .linalg import Matrix, matrix_inverse
-from .tensor_ops import (EQUATIONS, EndoPair, check_d, flip_index, leg_map,
-                         tau123_index)
+from .tensor_ops import (EQUATIONS, EndoPair, check_d, coordinate_equations,
+                         flip_index, leg_map, tau123_index)
 
 DEFAULT_BUDGET = 1_000_000
 CHUNK = 65536  # candidates per vectorized block
@@ -54,8 +56,8 @@ def block_matrices(x: np.ndarray) -> np.ndarray:
 
 def digits_of(x: np.ndarray) -> np.ndarray:
     """Serialized row-major matrix entries of an x block, as (N, n^4)."""
-    count = x.shape[0]
-    return block_matrices(x).reshape(count, -1)
+    count, n = x.shape[0], x.shape[1]
+    return block_matrices(x).reshape(count, n ** 4)
 
 
 def _rows_equal(a: np.ndarray, b) -> np.ndarray:
@@ -63,11 +65,34 @@ def _rows_equal(a: np.ndarray, b) -> np.ndarray:
     return (a == b).reshape(a.shape[0], -1).all(axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _equation_columns(n: int):
+    """tensor_ops.coordinate_equations(n) as two (n^6, 2n) arrays of entry
+    indices: the first and the second factors of the lhs terms, then rhs."""
+    pairs = np.array([lhs + rhs for _, lhs, rhs in coordinate_equations(n)],
+                     dtype=np.intp).reshape(-1, 2 * n, 2)
+    pairs.flags.writeable = False  # cached: shared by every caller
+    return pairs[:, :, 0], pairs[:, :, 1]
+
+
 def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
-    """check_d by the coordinate equations, vectorized."""
-    lhs = np.einsum('nkvji,nlqvp->nijklpq', x, x) % p
-    rhs = np.einsum('nklja,naqip->nijklpq', x, x) % p
-    return _rows_equal(lhs, rhs)
+    """check_d by the coordinate equations, as a sieve: each equation, in
+    first_violation's order, is evaluated mod p on the candidates that passed
+    the ones before it. Entries lie in [0, p), so |lhs - rhs| < n p^2 is exact
+    in int64."""
+    count, n = x.shape[0], x.shape[1]
+    entries = digits_of(x)
+    alive = np.arange(count)
+    for first, second in zip(*_equation_columns(n)):
+        terms = entries[:, first] * entries[:, second]
+        keep = (terms[:, :n].sum(axis=1) - terms[:, n:].sum(axis=1)) % p == 0
+        if not keep.all():
+            entries, alive = entries[keep], alive[keep]
+            if not len(alive):
+                break
+    mask = np.zeros(count, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def _lift_block(mat: np.ndarray, slot: int) -> np.ndarray:
@@ -189,19 +214,25 @@ def random_block(n: int, p: int, count: int, seed: int) -> np.ndarray:
 
 
 class CensusReport:
-    """Counts and solution list of one enumeration."""
+    """Counts, solution list and per-solution flags of one enumeration."""
 
-    def __init__(self, n, p, total, solutions, bijective, symmetric, qybe,
-                 orbits=None):
+    def __init__(self, n, p, total, solutions, flags, orbits=None):
         self.n = n
         self.p = p
         self.total = total
         self.solutions = solutions
         self.count = len(solutions)
-        self.bijective = bijective
-        self.symmetric = symmetric
-        self.qybe = qybe
+        self.flags = flags  # bijective, symmetric, qybe: one bool per solution
+        self.bijective = sum(flags["bijective"])
+        self.symmetric = sum(flags["symmetric"])
+        self.qybe = sum(flags["qybe"])
         self.orbits = orbits
+
+    def listed(self, filter_name="all"):
+        """The solutions a filter keeps: all of them, or those with its flag."""
+        if filter_name == "all":
+            return self.solutions
+        return [sol for sol, keep in zip(self.solutions, self.flags[filter_name]) if keep]
 
     def serial(self, sol) -> str:
         return "".join(str(d) for d in sol)
@@ -215,7 +246,7 @@ class CensusReport:
             kv.append(("orbits", str(len(self.orbits))))
         return kv
 
-    def to_text(self, listed=None, filter_name="all"):
+    def to_text(self, filter_name="all"):
         lines = ["deq classify"]
         for key, value in self.to_kv():
             lines.append("%s: %s" % (key, value))
@@ -223,7 +254,7 @@ class CensusReport:
         if self.orbits is not None:
             for rep, size in self.orbits:
                 lines.append("orbit %s size %d" % (self.serial(rep), size))
-        for sol in (self.solutions if listed is None else listed):
+        for sol in self.listed(filter_name):
             lines.append("solution %s" % self.serial(sol))
         return "\n".join(lines) + "\n"
 
@@ -263,26 +294,18 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
         raise UsageError(
             "candidate space has %d operators, over the budget of %d; "
             "raise the budget to opt in" % (total, cap))
-    solutions = enumerate_range(n, p, 0, total)
-    if solutions:
-        xs = block_of(solutions, n)
-        sym = int(symmetric_mask(xs).sum())
-        qyb = int(qybe_mask(xs, p).sum())
-    else:
-        sym = qyb = 0
-    bij = 0
-    for sol in solutions:
-        R = endo_from_digits(n, p, sol)
-        if matrix_inverse(R.matrix()) is not None:
-            bij += 1
+    solutions = enumerate_range(n, p, 0, total)  # never empty: R = 0 solves
+    xs = block_of(solutions, n)
+    flags = {"bijective": [matrix_inverse(endo_from_digits(n, p, sol).matrix()) is not None
+                           for sol in solutions],
+             "symmetric": symmetric_mask(xs).tolist(),
+             "qybe": qybe_mask(xs, p).tolist()}
     # re-verify a 1% sample through the scalar dual-path oracle
-    if solutions:
-        rng = random.Random(seed)
-        k = max(1, len(solutions) // 100)
-        for idx in sorted(rng.sample(range(len(solutions)), min(k, len(solutions)))):
-            if not check_d(endo_from_digits(n, p, solutions[idx])):
-                raise RuntimeError("sample re-verification failed at %d" % idx)
-    return CensusReport(n, p, total, solutions, bij, sym, qyb)
+    rng = random.Random(seed)
+    for idx in sorted(rng.sample(range(len(solutions)), max(1, len(solutions) // 100))):
+        if not check_d(endo_from_digits(n, p, solutions[idx])):
+            raise RuntimeError("sample re-verification failed at %d" % idx)
+    return CensusReport(n, p, total, solutions, flags)
 
 
 def operator_count(n: int, p: int) -> int:

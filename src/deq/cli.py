@@ -9,7 +9,6 @@ from .dimodule import GradedModule, dimodule_from_grading, group_bialgebra, r_fr
 from .dmap import convolution_inverse_of_sigma, sigma_from_r
 from .fields import MathError, FunctionField, QQ, UsageError
 from .frt import d_bialgebra, relation_strings
-from .linalg import matrix_inverse
 from .tensor_ops import (check_equivalent_forms, check_hopf, check_pentagon,
                          check_qybe, identity_pair)
 
@@ -149,20 +148,7 @@ def cmd_classify(args) -> int:
                                           seed=args.seed)
     if args.orbits:
         report.orbits = classify.orbit_reduce(report.solutions, args.n, args.p)
-    listed = report.solutions
-    if args.filter != "all" and report.solutions:
-        if args.filter == "bijective":
-            keep = [matrix_inverse(
-                        classify.endo_from_digits(args.n, args.p, sol).matrix())
-                    is not None for sol in report.solutions]
-        else:
-            xs = classify.block_of(report.solutions, args.n)
-            if args.filter == "symmetric":
-                keep = classify.symmetric_mask(xs).tolist()
-            else:
-                keep = classify.qybe_mask(xs, args.p).tolist()
-        listed = [sol for sol, flag in zip(report.solutions, keep) if flag]
-    text = report.to_text(listed=listed, filter_name=args.filter)
+    text = report.to_text(filter_name=args.filter)
     if args.out:
         fileio.write_report(args.out, text, report.to_kv())
     else:

@@ -147,7 +147,7 @@ def lift(R: EndoPair, slot: int) -> Matrix:
     _guard_n(R.n)
     if slot not in R._lifts:
         n3 = R.n ** 3
-        src = [v for row in R.matrix().rows for v in row]
+        src = _entries(R)
         flat = [R.field.zero] * n3 * n3
         for d, s in leg_map(R.n, slot):
             flat[d] = src[s]
@@ -170,25 +170,52 @@ def _holds(R: EndoPair, name: str) -> bool:
     return _product(R, *left) == _product(R, *right)
 
 
-def _pair_violation(field, n, x, y):
-    """First 1-based (i,j,k,l,p,q) where sum_v x_kv^ji y_lq^vp != sum_a x_kl^ja y_aq^ip."""
+def _entries(R: EndoPair):
+    """The entries of R.matrix(), row-major."""
+    return [v for row in R.matrix().rows for v in row]
+
+
+def coordinate_equations(n: int):
+    """The n^6 coordinate equations sum_v x_kv^ji y_lq^vp = sum_a x_kl^ja y_aq^ip
+    of R^{23} S^{12} = S^{12} R^{23} (x of R, y of S), in (i,j,k,l,p,q) order:
+    (label, lhs, rhs) with the 1-based label and, per side, the (s, t) pairs
+    of row-major R.matrix() entries whose products x[s] y[t] it sums.
+
+    The table is cached up to n = DEFAULT_MAX_N. Past that it is generated
+    as it is read: it has n^6 entries, and an operator read from a file may
+    be large, so one that fails an early equation must not build them all.
+    """
+    return _equation_table(n) if n <= DEFAULT_MAX_N else _equations(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _equation_table(n: int):
+    return tuple(_equations(n))
+
+
+def _equations(n: int):
+    def at(u, v, j, i):  # x_uv^ji sits at row (i, j), column (v, u)
+        return (i * n + j) * n * n + v * n + u
     rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for p in rng:
-                        for q in rng:
-                            lhs = field.sum(field.mul(x[k][v][j][i], y[l][q][v][p]) for v in rng)
-                            rhs = field.sum(field.mul(x[k][l][j][a], y[a][q][i][p]) for a in rng)
-                            if lhs != rhs:
-                                return (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1)
+    for i, j, k, l, p, q in itertools.product(rng, repeat=6):
+        yield ((i + 1, j + 1, k + 1, l + 1, p + 1, q + 1),
+               tuple((at(k, v, j, i), at(l, q, v, p)) for v in rng),
+               tuple((at(k, l, j, a), at(a, q, i, p)) for a in rng))
+
+
+def _pair_violation(R: EndoPair, S: EndoPair):
+    """Label of the first coordinate equation R and S fail, or None."""
+    field, x, y = R.field, _entries(R), _entries(S)
+    for label, lhs, rhs in coordinate_equations(R.n):
+        if (field.sum(field.mul(x[s], y[t]) for s, t in lhs)
+                != field.sum(field.mul(x[s], y[t]) for s, t in rhs)):
+            return label
     return None
 
 
 def first_violation(R: EndoPair):
     """First coordinate equation the D-criterion fails on, or None."""
-    return _pair_violation(R.field, R.n, R.x, R.x)
+    return _pair_violation(R, R)
 
 
 def check_d(R: EndoPair) -> bool:
@@ -206,7 +233,7 @@ def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
     if R.n != S.n or R.field != S.field:
         raise UsageError("operators live on different spaces")
     _guard_n(R.n)
-    coord = _pair_violation(R.field, R.n, R.x, S.x) is None
+    coord = _pair_violation(R, S) is None
     r23, s12 = lift(R, 23), lift(S, 12)
     oper = r23.mul(s12) == s12.mul(r23)
     if coord != oper:

@@ -1,18 +1,23 @@
+import functools
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deq import catalog
-from deq.classify import (defect_identity_mask, annihilation_mask, block_matrices,
-                          candidate_block, coordinate_mask, digits_from_endo,
+from deq.classify import (CHUNK, defect_identity_mask, annihilation_mask, block_matrices,
+                          block_of, candidate_block, coordinate_mask, digits_from_endo,
                           digits_of, endo_from_digits, enumerate_range,
                           enumerate_solutions, forms_masks, gl_matrices,
                           operator_count, operator_mask, orbit_reduce,
                           delta_identity_mask, qybe_mask, random_block, symmetric_mask)
 from deq.dmap import first_symmetry_violation
 from deq.fields import PrimeField, UsageError
-from deq.tensor_ops import check_d, check_equivalent_forms, check_qybe
+from deq.linalg import Matrix
+from deq.tensor_ops import (check_d, check_equivalent_forms, check_qybe, conjugate,
+                            diagonal_solution, product_solution)
 
 
 def block_from_digit_rows(rows, n, p):
@@ -102,6 +107,93 @@ def test_masks_agree_with_scalar_checks():
             assert verdicts[8][0] and not all(v[0] for v in verdicts)
 
 
+def dense_coordinate_mask(x, p):
+    """The coordinate equations as two dense einsums over every candidate:
+    the oracle for the sieve in coordinate_mask."""
+    lhs = np.einsum('nkvji,nlqvp->nijklpq', x, x) % p
+    rhs = np.einsum('nklja,naqip->nijklpq', x, x) % p
+    return (lhs == rhs).all(axis=tuple(range(1, 7)))
+
+
+def assert_sieve_matches_dense(x, p):
+    got = coordinate_mask(x, p)
+    assert got.dtype == bool and got.shape == (x.shape[0],)
+    assert (got == dense_coordinate_mask(x, p)).all()
+    return got
+
+
+def test_sieve_matches_dense_oracle_on_census_windows():
+    assert assert_sieve_matches_dense(candidate_block(2, 2, 0, 2 ** 16), 2).sum() == 100
+    total = 3 ** 16
+    for lo in (0, (total - CHUNK) // 2, total - CHUNK):
+        assert_sieve_matches_dense(candidate_block(2, 3, lo, lo + CHUNK), 3)
+
+
+def test_sieve_matches_dense_oracle_on_random_and_edge_blocks():
+    for n, p, count in ((2, 5, 4000), (3, 2, 1000), (3, 3, 1000), (2, 13, 4000)):
+        assert_sieve_matches_dense(random_block(n, p, count, seed=n * p), p)
+    assert assert_sieve_matches_dense(random_block(2, 2, 0, seed=0), 2).shape == (0,)
+    solutions = enumerate_range(2, 2, 0, 2 ** 16)
+    assert len(solutions) == 100
+    assert assert_sieve_matches_dense(block_of(solutions, 2), 2).all(), "every row survives"
+    sol = list(digits_from_endo(catalog.s3_graded_solution(PrimeField(13))))
+    rows = [sol] + [sol[:t] + [(sol[t] + d) % 13] + sol[t + 1:]
+                    for t in range(81) for d in (1, 5)]
+    got = assert_sieve_matches_dense(block_of(rows, 3), 13)
+    assert got[0] and not got.all()
+
+
+def legs_commute(digits, n, p):
+    """The commuting-legs criterion mod p: every left-leg piece L_bd, with
+    L_bd[a][c] = R[(a,b),(c,d)], commutes with every right-leg block
+    R[(a,.),(c,.)]."""
+    r = np.asarray(digits, dtype=np.int64).reshape(n, n, n, n)  # r[a, b, c, d]
+    left = r.transpose(1, 3, 0, 2).reshape(-1, n, n)
+    right = r.transpose(0, 2, 1, 3).reshape(-1, n, n)
+    return all(not ((L @ B - B @ L) % p).any() for L in left for B in right)
+
+
+@functools.lru_cache(maxsize=None)
+def units(n, p):
+    return gl_matrices(n, p)
+
+
+@st.composite
+def operators_over_fp(draw):
+    """(n, p, kind, R): a random operator, f (x) g with g a polynomial in f
+    (so fg = gf), or a conjugate of a diagonal solution; the last two solve."""
+    n, p = draw(st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2)]))
+    k = PrimeField(p)
+
+    def square():
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        return [entries[r * n:(r + 1) * n] for r in range(n)]
+
+    kind = draw(st.sampled_from(["random", "product", "diagonal"]))
+    if kind == "random":
+        digits = draw(st.lists(st.integers(0, p - 1), min_size=n ** 4, max_size=n ** 4))
+        return n, p, kind, endo_from_digits(n, p, digits)
+    if kind == "product":
+        f = Matrix(k, square())
+        c0, c1, c2 = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
+        g = Matrix.identity(k, n).scale(k.coerce(c0)).add(
+            f.scale(k.coerce(c1))).add(f.mul(f).scale(k.coerce(c2)))
+        return n, p, kind, product_solution(f, g)
+    u = draw(st.sampled_from(units(n, p)))
+    return n, p, kind, conjugate(diagonal_solution(k, square()), u)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(operators_over_fp())
+def test_sieve_check_d_and_commuting_legs_agree(case):
+    n, p, kind, R = case
+    digits = digits_from_endo(R)
+    verdict = bool(coordinate_mask(block_of([digits], n), p)[0])
+    assert verdict == check_d(R) == legs_commute(digits, n, p)
+    if kind != "random":
+        assert verdict, kind
+
+
 def assert_operator_masks_exact(rows, n, p):
     """operator_mask, qybe_mask and forms_masks against the exact checks;
     returns the exact (d, qybe, form_t, form_u, form_w) per row."""
@@ -152,6 +244,17 @@ def test_census_counts_over_f2():
     sols = report.solutions
     assert sols == sorted(sols)
     assert check_d(endo_from_digits(2, 2, sols[37]))
+
+
+def test_census_over_f3_is_frozen():
+    """The full (2, 3) scan: counts, orbits under GL_2(F_3) and the digest of
+    the sorted serials, checked together."""
+    report = enumerate_solutions(2, 3, limit=3 ** 16)
+    assert (report.count, report.bijective, report.symmetric, report.qybe) == (1017, 480, 315, 1017)
+    assert len(orbit_reduce(report.solutions, 2, 3)) == 129
+    serials = "".join(report.serial(sol) + "\n" for sol in sorted(report.solutions))
+    assert hashlib.sha256(serials.encode()).hexdigest() == (
+        "1cc0d7243370b9406e4e15d3b30dcf3c47a9bfd9679b8a476c08382530862a5c")
 
 
 def test_two_path_agreement():

@@ -272,6 +272,28 @@ def test_classify_counts_and_filters(tmp_path, capsys):
     assert kv["orbits"] == "32" and kv["qybe"] == "100"
 
 
+# sha256 of the stdout of `deq classify --n 2 --p 2` per filter, without and
+# with --orbits
+CLASSIFY_GOLDEN = {
+    "all": ("94c28dfcd5794892634a1c16d7abc4e7e337c02a0089b7ea9634c93158094ffd",
+            "ebea68734c499c3b30d274e3a278ca7516933e383c734af4385c54c7c325e254"),
+    "bijective": ("590dd5b74ae00512a32e0d65dcfa6f811764516080f7f567c2c8fbc2e663c25a",
+                  "50c09aff109931d8d20238070053d382756b0930813ef2e9538dabe4a199c460"),
+    "symmetric": ("c6b391d6c7795708e5be1a50ede0fa148b603e2920b2698cad7559c7a0c96ee4",
+                  "a49d1509953f5380ee33b225d13bb2380147e33d9f241d1c7c05491720c32b55"),
+    "qybe": ("50b70c07be6067adbc80fdab1703539a3bd0c1034b50c2621a8f08eaa52bb997",
+             "107ffa68f69afa98152cde2fc4a14e5d52b2cb003f84f8f44a70d351a332469e"),
+}
+
+
+def test_classify_golden_for_every_filter(capsys):
+    for name, digests in CLASSIFY_GOLDEN.items():
+        for orbits, digest in zip(([], ["--orbits"]), digests):
+            assert main(["classify", "--n", "2", "--p", "2", "--filter", name] + orbits) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, orbits)
+
+
 def test_classify_budget_refusal(capsys):
     assert main(["classify", "--n", "2", "--p", "3"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import random
 
@@ -8,11 +9,11 @@ from deq import catalog
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_commuting_pair, check_d,
-                            check_equivalent_forms, check_hopf,
+                            check_equivalent_forms, check_hopf, coordinate_equations,
                             check_pentagon, check_qybe, conjugate,
                             diagonal_solution, first_violation, flip_pair,
                             identity_pair, invert, lift, product_solution,
-                            tau_matrix)
+                            tau_matrix, _pair_violation)
 
 
 def rand_matrix(field, rng, n):
@@ -127,6 +128,86 @@ def test_first_violation_matches_check():
     for _ in range(50):
         R = rand_pair(k, rng, 2)
         assert (first_violation(R) is None) == check_d(R)
+
+
+def coordinate_sides(field, n, x, y, i, j, k, l, p, q):
+    """Both sides of the coordinate equation at 0-based (i,j,k,l,p,q), read
+    off the 4-index families: sum_v x_kv^ji y_lq^vp and sum_a x_kl^ja y_aq^ip."""
+    rng = range(n)
+    return (field.sum(field.mul(x[k][v][j][i], y[l][q][v][p]) for v in rng),
+            field.sum(field.mul(x[k][l][j][a], y[a][q][i][p]) for a in rng))
+
+
+def nested_loop_violation(field, n, x, y):
+    """First 1-based label whose sides differ, by six nested loops: the
+    oracle for the equation table that first_violation walks."""
+    rng = range(n)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in rng:
+                    for p in rng:
+                        for q in rng:
+                            lhs, rhs = coordinate_sides(field, n, x, y, i, j, k, l, p, q)
+                            if lhs != rhs:
+                                return (i + 1, j + 1, k + 1, l + 1, p + 1, q + 1)
+    return None
+
+
+def test_coordinate_equation_table_states_each_equation():
+    """Every entry of the table gives, on a pair (R, S), both sides of the
+    formula at its label. Verdicts cannot see a lost equation: the n^6
+    equations are linearly dependent (rank 45 of 64 at n = 2), and the last
+    one follows from those before it."""
+    k = PrimeField(101)
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        R, S = rand_pair(k, rng, n), rand_pair(k, rng, n)
+        xm = [v for row in R.matrix().rows for v in row]
+        ym = [v for row in S.matrix().rows for v in row]
+        table = coordinate_equations(n)
+        assert [label for label, _, _ in table] == [
+            tuple(t + 1 for t in idx) for idx in itertools.product(range(n), repeat=6)]
+        for label, lhs, rhs in table:
+            got = tuple(k.sum(k.mul(xm[s], ym[t]) for s, t in side) for side in (lhs, rhs))
+            assert got == coordinate_sides(k, n, R.x, S.x, *(t - 1 for t in label)), label
+
+
+def one_entry_perturbations(R, rng, count):
+    m = R.matrix()
+    out = []
+    for _ in range(count):
+        rows = [list(row) for row in m.rows]
+        r, c = rng.randrange(m.nrows), rng.randrange(m.ncols)
+        rows[r][c] = R.field.add(rows[r][c], R.field.one)
+        out.append(EndoPair.from_rows(R.field, rows))
+    return out
+
+
+def test_first_violation_labels_match_the_nested_loops():
+    for k in (QQ, PrimeField(5)):
+        assert first_violation(catalog.yang_baxter_operator(k, 2)) == (1, 2, 1, 1, 1, 2)
+        assert first_violation(catalog.block_family(k, 1, 2, 3, 4, 0, 1)) == (1, 1, 1, 2, 2, 1)
+        assert first_violation(catalog.s3_graded_solution(k)) is None
+    k = PrimeField(5)
+    rng = random.Random(7)
+    ops = [rand_pair(k, rng, 2) for _ in range(20)] + [rand_pair(k, rng, 3) for _ in range(5)]
+    for sol in (catalog.triangular_solution(k, 1, 2, 3), catalog.rq(k, 3),
+                catalog.projection_solution(k), catalog.s3_graded_solution(k)):
+        ops += one_entry_perturbations(sol, rng, 12)
+    labels = set()
+    for R in ops:
+        want = nested_loop_violation(k, R.n, R.x, R.x)
+        assert first_violation(R) == want
+        labels.add(want)
+    assert len(labels) > 10, "the perturbations fail at many different equations"
+    # past DEFAULT_MAX_N the table is generated as it is read
+    big = identity_pair(k, 5)
+    for R in [big] + one_entry_perturbations(big, rng, 3):
+        assert first_violation(R) == nested_loop_violation(k, 5, R.x, R.x)
+    for R, S in zip(ops, ops[1:]):
+        if R.n == S.n:
+            assert _pair_violation(R, S) == nested_loop_violation(k, R.n, R.x, S.x)
 
 
 def test_check_commuting_pair_is_the_d_check_for_lifts():
