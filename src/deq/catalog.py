@@ -20,24 +20,6 @@ def triangular_solution(field: Field, a, b, c) -> EndoPair:
     return EndoPair.from_matrix(f.kron(g))
 
 
-def triangular_scalar_table(field: Field, a, b, c):
-    """The nine nonzero coefficients x_uv^ji of triangular_solution, keyed
-    (u,v,j,i), 1-based; x_22^11 = c is recovered from the product form."""
-    a, b, c = field.coerce(a), field.coerce(b), field.coerce(c)
-    ab, ac = field.mul(a, b), field.mul(a, c)
-    return {
-        (1, 1, 1, 1): ab,
-        (2, 1, 1, 1): ac,
-        (2, 1, 2, 1): ab,
-        (1, 2, 1, 1): b,
-        (2, 2, 1, 1): c,
-        (2, 2, 2, 1): b,
-        (1, 2, 1, 2): ab,
-        (2, 2, 1, 2): ac,
-        (2, 2, 2, 2): ab,
-    }
-
-
 def rq(field: Field, q) -> EndoPair:
     """[[0,-q,0,-q^2],[0,1,0,q],[0,0,0,0],[0,0,0,0]]; a D-equation and Hopf
     equation solution of the form f (x) g with fg = gf = 0."""

@@ -67,11 +67,6 @@ class Coalgebra:
     def counit_of(self, vec):
         return self.field.dot(self.counit, vec)
 
-    def is_cocommutative(self) -> bool:
-        d = self.dim
-        return all(self.mu[a][b][c] == self.mu[a][c][b]
-                   for a in range(d) for b in range(d) for c in range(d))
-
     def __repr__(self):
         return "Coalgebra(dim=%d, %r)" % (self.dim, self.field)
 
@@ -174,26 +169,35 @@ def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
     return Coideal(C, basis, pivots, order)
 
 
+def _coeff_term(field, coeff, label):
+    """Render coeff*label with sign split off: returns (sign, text)."""
+    mag = field.show(coeff)
+    sign = "+"
+    if mag.startswith("-"):
+        sign, mag = "-", mag[1:]
+    if mag == "1":
+        return sign, label
+    if any(ch in mag for ch in " +-"):
+        mag = "(%s)" % mag
+    return sign, "%s*%s" % (mag, label)
+
+
+def _combo_text(field, pairs):
+    """Signed sum of (coeff, label) terms."""
+    out = ""
+    for idx, (coeff, label) in enumerate(pairs):
+        sign, text = _coeff_term(field, coeff, label)
+        if idx == 0:
+            out = ("-" if sign == "-" else "") + text
+        else:
+            out += " %s %s" % (sign, text)
+    return out if out else "0"
+
+
 def _show_combo(C: Coalgebra, vec) -> str:
-    """Render a coefficient vector over C's labels, pivot-style formatting."""
+    """Render a coefficient vector over C's labels."""
     k = C.field
-    terms = []
-    for a, v in enumerate(vec):
-        if k.is_zero(v):
-            continue
-        mag = k.show(v)
-        sign = "+"
-        if mag.startswith("-"):
-            sign, mag = "-", mag[1:]
-        head = C.labels[a] if mag == "1" else "%s*%s" % (mag, C.labels[a])
-        terms.append((sign, head))
-    if not terms:
-        return "0"
-    first_sign, first = terms[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, head in terms[1:]:
-        out += " %s %s" % (sign, head)
-    return out
+    return _combo_text(k, [(v, C.labels[a]) for a, v in enumerate(vec) if not k.is_zero(v)])
 
 
 class QuotientCoalgebra(Coalgebra):
@@ -250,7 +254,14 @@ def quotient(C: Coalgebra, I: Coideal, complement=None) -> QuotientCoalgebra:
 
 
 class Comodule:
-    """Right C-comodule on k^dim: rho(m_l) = sum_{w,a} rho[l][w][a] m_w (x) e_a."""
+    """Right C-comodule on k^dim: rho(m_l) = sum_{w,a} rho[l][w][a] m_w (x) e_a.
+
+    The axioms are verified at construction unless check=False, which is for
+    comodules by construction, whose axioms the tests check: the standard
+    comodule of comatrix(n); pushforwards, because the quotient map is a
+    coalgebra map; and the coaction of a graded module
+    (`dimodule_from_grading`), whose projectors are orthogonal idempotents
+    that sum to the identity."""
 
     def __init__(self, C: Coalgebra, dim: int, rho, check: bool = True):
         k = C.field
@@ -279,11 +290,13 @@ class Comodule:
                             raise UsageError("comodule coassociativity fails at m_%d" % (l + 1))
 
     def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
-        """(I (x) pi) rho: the induced comodule over C/I."""
+        """(I (x) pi) rho: the induced comodule over C/I. It is not re-checked:
+        pi is the coalgebra map onto the quotient by a verified coideal, so
+        (I (x) pi) rho is a comodule whenever rho is."""
         if Q.parent is not self.coalgebra:
             raise UsageError("quotient of a different coalgebra")
         rho = [[Q.project(self.rho[l][w]) for w in range(self.dim)] for l in range(self.dim)]
-        return Comodule(Q, self.dim, rho)
+        return Comodule(Q, self.dim, rho, check=False)
 
 
 class BilinearForm:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .coalg import Coalgebra, Comodule
 from .fields import MathError, UsageError
+from .frt import FrtPresentation
 from .linalg import Matrix, kernel_basis, span_and_membership
 from .tensor_ops import EndoPair
 
@@ -71,9 +72,11 @@ class FinAlgebra:
 
 
 class FinBialgebra(FinAlgebra):
-    """Algebra plus coalgebra with Delta and eps algebra maps."""
+    """Algebra plus coalgebra with Delta and eps algebra maps.
 
-    kind = "bialgebra"
+    The axioms are verified at construction unless check=False, which only
+    `group_bialgebra` passes: once its Cayley table has passed the group
+    checks, k[G] with grouplike basis is a bialgebra; the tests check it."""
 
     def __init__(self, field, labels, mult, unit, delta, counit, check: bool = True):
         super().__init__(field, labels, mult, unit, check=check)
@@ -160,7 +163,9 @@ class FinBialgebra(FinAlgebra):
 
 def group_bialgebra(field, labels, table) -> FinBialgebra:
     """k[G] from a Cayley table table[a][b] = index of product; every basis
-    element grouplike."""
+    element grouplike. The table is checked as a group (range, identity,
+    associativity, inverses); k[G] is then a bialgebra by construction and
+    is built without re-checking its axioms."""
     d = len(labels)
     if any(len(row) != d for row in table) or len(table) != d:
         raise UsageError("Cayley table is not square")
@@ -192,16 +197,42 @@ def group_bialgebra(field, labels, table) -> FinBialgebra:
     unit = [o if a == ident else z for a in range(d)]
     delta = [[[o if (b == a and c == a) else z for c in range(d)] for b in range(d)]
              for a in range(d)]
-    return FinBialgebra(k, labels, mult, unit, delta, [o] * d)
+    return FinBialgebra(k, labels, mult, unit, delta, [o] * d, check=False)
 
 
 def _host_parts(host):
-    """(field, generator count, coalgebra view, is_presentation)."""
-    if getattr(host, "kind", None) == "presentation":
-        return host.field, host.quotient.dim, host.quotient, True
-    if getattr(host, "kind", None) == "bialgebra":
-        return host.field, host.dim, host.gen_coalgebra(), False
-    raise UsageError("host must be a bialgebra or a presentation")
+    """(coalgebra of generators, is_presentation) of a bialgebra or presentation."""
+    if not isinstance(host, (FinBialgebra, FrtPresentation)):
+        raise UsageError("host must be a bialgebra or a presentation")
+    return host.gen_coalgebra(), not isinstance(host, FinBialgebra)
+
+
+def _act_rows(k, vec, act, dim):
+    """Rows of sum_a vec[a] act[a]: the action of an element given by its
+    coefficients."""
+    rows = [[k.zero] * dim for _ in range(dim)]
+    for a, c in enumerate(vec):
+        if k.is_zero(c):
+            continue
+        for out, row in zip(rows, act[a].rows):
+            for j, v in enumerate(row):
+                if not k.is_zero(v):
+                    out[j] = k.add(out[j], k.mul(c, v))
+    return rows
+
+
+def _check_module(H: FinAlgebra, act, dim):
+    """Raise MathError unless act (one dim x dim matrix per basis element of
+    H) is an H-module: the unit acts as the identity and the action is
+    multiplicative."""
+    k = H.field
+    if _act_rows(k, H.unit, act, dim) != Matrix.identity(k, dim).rows:
+        raise MathError("not a module: unit does not act as identity")
+    for a in range(H.dim):
+        for b in range(H.dim):
+            if (act[a] @ act[b]).rows != _act_rows(k, H.mult[a][b], act, dim):
+                raise MathError("not a module: action not multiplicative at (%s,%s)"
+                                % (H.labels[a], H.labels[b]))
 
 
 def _compat_tables(A: Matrix, rho, l):
@@ -236,16 +267,21 @@ class LongDimodule:
     """Module and comodule over a host with rho(h.m) = sum h.m_0 (x) m_1.
 
     `action` is one matrix per host basis element (per generator for a
-    presentation host, where words act by products in word order)."""
+    presentation host, where words act by products in word order).
+    Compatibility is the invariant every LongDimodule keeps, so
+    `r_from_dimodule` does not check it again. It is verified at
+    construction, with the module axioms over a bialgebra host, unless
+    check=False, which only `dimodule_from_grading` passes: there both
+    hold by construction, and the tests check them."""
 
     def __init__(self, host, action, comodule: Comodule, check: bool = True):
-        field, gens, HC, presented = _host_parts(host)
+        HC, presented = _host_parts(host)
         if comodule.coalgebra is not HC:
             raise UsageError("comodule is not over the host's coalgebra")
-        if len(action) != gens:
+        if len(action) != HC.dim:
             raise UsageError("one action matrix per host basis element required")
         self.host = host
-        self.field = field
+        self.field = field = host.field
         self.coalgebra = HC
         self.dim = comodule.dim
         self.act = list(action)
@@ -257,33 +293,13 @@ class LongDimodule:
         self.presented = presented
         if check:
             if not presented:
-                self._check_module()
+                _check_module(host, self.act, self.dim)
             bad = self.first_incompatibility()
             if bad is not None:
                 a, l = bad
                 raise MathError(
                     "not a Long dimodule: compatibility fails for basis "
                     "element %d acting on m_%d" % (a + 1, l + 1))
-
-    def _check_module(self):
-        H, k = self.host, self.field
-        unit_act = Matrix.zeros(k, self.dim, self.dim)
-        for a, ua in enumerate(H.unit):
-            if not k.is_zero(ua):
-                unit_act = unit_act.add(self.act[a].scale(ua))
-        if unit_act != Matrix.identity(k, self.dim):
-            raise MathError("not a module: unit does not act as identity")
-        for a in range(H.dim):
-            for b in range(H.dim):
-                prod = H.mult[a][b]
-                want = Matrix.zeros(k, self.dim, self.dim)
-                for c, pc in enumerate(prod):
-                    if not k.is_zero(pc):
-                        want = want.add(self.act[c].scale(pc))
-                if self.act[a] @ self.act[b] != want:
-                    raise MathError(
-                        "not a module: action not multiplicative at (%s,%s)"
-                        % (H.labels[a], H.labels[b]))
 
     def first_incompatibility(self):
         """First (basis index, module index) violating compatibility, or None."""
@@ -353,34 +369,21 @@ class GradedModule:
     """Module over k[G] with a decomposition into group-indexed components
     given by projectors; every component is stable under the action."""
 
-    def __init__(self, H: FinBialgebra, action, projectors, check: bool = True):
-        k = H.field
+    def __init__(self, H: FinBialgebra, action, projectors):
         self.host = H
         self.act = list(action)
         self.projectors = list(projectors)
         if len(self.act) != H.dim or len(self.projectors) != H.dim:
             raise UsageError("need one action matrix and one projector per group element")
         self.dim = self.act[0].nrows
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         H, k, d = self.host, self.host.field, self.dim
-        ident = Matrix.identity(k, d)
         for a in range(H.dim):
             if self.act[a].nrows != d or self.act[a].ncols != d:
                 raise UsageError("action matrix has wrong shape")
-        # module axioms over k[G]
-        e = next(a for a in range(H.dim) if not k.is_zero(H.unit[a]))
-        if self.act[e] != ident:
-            raise MathError("identity element does not act as identity")
-        table = [[next(c for c in range(H.dim) if not k.is_zero(H.mult[a][b][c]))
-                  for b in range(H.dim)] for a in range(H.dim)]
-        for a in range(H.dim):
-            for b in range(H.dim):
-                if self.act[a] @ self.act[b] != self.act[table[a][b]]:
-                    raise MathError("action not multiplicative at (%s,%s)"
-                                    % (H.labels[a], H.labels[b]))
+        _check_module(H, self.act, d)
         # projector family
         total = Matrix.zeros(k, d, d)
         for s, P in enumerate(self.projectors):
@@ -391,7 +394,7 @@ class GradedModule:
                 if t != s and not (P @ Q).is_zero():
                     raise MathError("projectors for %s and %s are not orthogonal"
                                     % (H.labels[s], H.labels[t]))
-        if total != ident:
+        if total != Matrix.identity(k, d):
             raise MathError("projectors do not sum to the identity")
         # stability: act maps each component into itself
         for s, P in enumerate(self.projectors):
@@ -401,18 +404,14 @@ class GradedModule:
                     raise MathError("component %s is not stable under %s"
                                     % (H.labels[s], H.labels[a]))
 
-    def component_of(self, vec):
-        """Labels of components with a nonzero projection of vec."""
-        k = self.host.field
-        out = []
-        for s, P in enumerate(self.projectors):
-            if any(not k.is_zero(c) for c in P.apply(vec)):
-                out.append(self.host.labels[s])
-        return out
-
 
 def dimodule_from_grading(g: GradedModule) -> LongDimodule:
-    """Coaction rho(m_sigma) = m_sigma (x) sigma on homogeneous components."""
+    """Coaction rho(m_sigma) = m_sigma (x) sigma on homogeneous components.
+
+    Built unchecked: GradedModule has verified the module axioms, and its
+    orthogonal idempotent projectors summing to 1 give the comodule axioms;
+    stability of each component gives P_sigma h = h P_sigma, which is
+    exactly Long compatibility."""
     H, k = g.host, g.host.field
     rho = [[[k.zero] * H.dim for _ in range(g.dim)] for _ in range(g.dim)]
     for s, P in enumerate(g.projectors):
@@ -421,8 +420,8 @@ def dimodule_from_grading(g: GradedModule) -> LongDimodule:
                 c = P.rows[w][l]
                 if not k.is_zero(c):
                     rho[l][w][s] = k.add(rho[l][w][s], c)
-    comod = Comodule(H.gen_coalgebra(), g.dim, rho)
-    return LongDimodule(H, g.act, comod)
+    comod = Comodule(H.gen_coalgebra(), g.dim, rho, check=False)
+    return LongDimodule(H, g.act, comod, check=False)
 
 
 def grading_from_dimodule(d: LongDimodule):
@@ -435,9 +434,7 @@ def grading_from_dimodule(d: LongDimodule):
 
 def r_from_dimodule(d: LongDimodule) -> EndoPair:
     """R(m (x) n) = sum n_1 . m (x) n_0; a D-equation solution for every
-    Long dimodule."""
-    if not d.is_compatible():
-        raise MathError("dimodule fails compatibility; no induced operator")
+    Long dimodule (compatibility is LongDimodule's invariant)."""
     k, n = d.field, d.dim
     x = [[[[k.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
          for _ in range(n)]

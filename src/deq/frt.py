@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .coalg import Coalgebra, Coideal, Comodule, coideal, comatrix, quotient
+from .coalg import (Coalgebra, Coideal, Comodule, _combo_text, coideal, comatrix,
+                    quotient)
 from .fields import MathError, UsageError
 from .linalg import Matrix
 from .tensor_ops import EndoPair, first_violation
@@ -116,14 +117,17 @@ def obstruction_coideal(R: EndoPair, C: Coalgebra = None) -> Coideal:
 
 
 def standard_comodule(C: Coalgebra) -> Comodule:
-    """rho(m_l) = sum_v m_v (x) c_vl on a comatrix coalgebra C."""
+    """rho(m_l) = sum_v m_v (x) c_vl on a comatrix coalgebra C. It is not
+    re-checked: on comatrix(n) this rho is a comodule by construction, and
+    any other C is refused."""
     n = math.isqrt(C.dim)
-    if n * n != C.dim:
+    ref = comatrix(C.field, n)
+    if n * n != C.dim or C.mu != ref.mu or C.counit != ref.counit:
         raise UsageError("standard comodule needs a comatrix coalgebra")
     k = C.field
     rho = [[[k.one if a == w * n + l else k.zero for a in range(C.dim)]
             for w in range(n)] for l in range(n)]
-    return Comodule(C, n, rho)
+    return Comodule(C, n, rho, check=False)
 
 
 class GeneratorAction:
@@ -139,10 +143,6 @@ class GeneratorAction:
             for u in range(n):
                 rows = [[R.x[u][v][j][i] for v in range(n)] for i in range(n)]
                 self.matrices.append(Matrix(k, rows, coerce=False))
-
-    def of_basis(self, j, u) -> Matrix:
-        """A(c_ju), 1-based indices."""
-        return self.matrices[(j - 1) * self.n + (u - 1)]
 
     def of_vector(self, vec) -> Matrix:
         out = Matrix.zeros(self.field, self.n, self.n)
@@ -191,31 +191,6 @@ def defect_pairing(R: EndoPair, j, k, l):
     return table
 
 
-def _coeff_term(field, coeff, label):
-    """Render coeff*label with sign split off: returns (sign, text)."""
-    mag = field.show(coeff)
-    sign = "+"
-    if mag.startswith("-"):
-        sign, mag = "-", mag[1:]
-    if mag == "1":
-        return sign, label
-    if any(ch in mag for ch in " +-"):
-        mag = "(%s)" % mag
-    return sign, "%s*%s" % (mag, label)
-
-
-def _combo_text(field, pairs):
-    """Signed sum of (coeff, label) terms."""
-    out = ""
-    for idx, (coeff, label) in enumerate(pairs):
-        sign, text = _coeff_term(field, coeff, label)
-        if idx == 0:
-            out = ("-" if sign == "-" else "") + text
-        else:
-            out += " %s %s" % (sign, text)
-    return out if out else "0"
-
-
 def relation_strings(I: Coideal):
     """One line per reduced relation: pivot term first, the rest in
     row-major label order, '= 0' suffix."""
@@ -244,8 +219,6 @@ def delta_string(Q: Coalgebra, b: int) -> str:
 class FrtPresentation:
     """D(R) presented as the free algebra on a basis of comatrix(n)/I(R)."""
 
-    kind = "presentation"
-
     def __init__(self, R: EndoPair):
         require_solution(R)
         self.endo = R
@@ -260,6 +233,10 @@ class FrtPresentation:
     @property
     def generators(self):
         return self.quotient.labels
+
+    def gen_coalgebra(self) -> Coalgebra:
+        """The coalgebra of generators, comatrix(n)/I(R)."""
+        return self.quotient
 
     def generator_matrices(self):
         """Action of each quotient-basis generator on the standard module."""
@@ -295,11 +272,10 @@ def d_bialgebra(R: EndoPair) -> FrtPresentation:
     return FrtPresentation(R)
 
 
-def _host_coalgebra(H):
-    """Coalgebra-of-generators view of a bialgebra or presentation host."""
-    if getattr(H, "kind", None) == "presentation":
-        return H.quotient
-    return H.gen_coalgebra()
+def _combine(k, coeffs, vectors, dim):
+    """sum_a coeffs[a] * vectors[a], vectors of length dim."""
+    return [k.sum(k.mul(c, v[t]) for c, v in zip(coeffs, vectors) if not k.is_zero(c))
+            for t in range(dim)]
 
 
 def universal_map(R: EndoPair, H, realization):
@@ -312,31 +288,17 @@ def universal_map(R: EndoPair, H, realization):
         raise UsageError("realization dimension does not match the operator")
     if r_from_dimodule(realization) != R:
         return None
-    HC = _host_coalgebra(H)
+    HC = H.gen_coalgebra()
     if realization.coalgebra is not HC and realization.coalgebra.dim != HC.dim:
         raise UsageError("realization does not live over the given host")
     dH = HC.dim
     cprime = {(i + 1, j + 1): list(realization.rho[j][i])
               for i in range(n) for j in range(n)}
-    # relations map to zero: o'(i,j,k,l) = 0 in H
-    x = R.x
-    for i in range(n):
-        for j in range(n):
-            for kk in range(n):
-                for l in range(n):
-                    vec = [k.zero] * dH
-                    for v in range(n):
-                        c = x[kk][v][j][i]
-                        if not k.is_zero(c):
-                            cv = cprime[(v + 1, l + 1)]
-                            vec = [k.add(vec[t], k.mul(c, cv[t])) for t in range(dH)]
-                    for a in range(n):
-                        c = x[kk][l][j][a]
-                        if not k.is_zero(c):
-                            ca = cprime[(i + 1, a + 1)]
-                            vec = [k.sub(vec[t], k.mul(c, ca[t])) for t in range(dH)]
-                    if any(not k.is_zero(t) for t in vec):
-                        raise RuntimeError("obstruction image nonzero in host")
+    # relations map to zero: the image sum_a o[a] c'_a of every o(i,j,k,l)
+    images = [cprime[(a // n + 1, a % n + 1)] for a in range(n * n)]
+    for _, o in ObstructionSet(R).items():
+        if any(not k.is_zero(t) for t in _combine(k, o, images, dH)):
+            raise RuntimeError("obstruction image nonzero in host")
     # the assignment factors through the quotient and matches the coaction
     pres = d_bialgebra(R)
     Q = pres.quotient
@@ -344,24 +306,12 @@ def universal_map(R: EndoPair, H, realization):
     for i in range(n):
         for j in range(n):
             e = [k.one if a == i * n + j else k.zero for a in range(n * n)]
-            coords = Q.project(e)
-            img = [k.sum(k.mul(coords[b], gen_images[b][t])
-                         for b in range(Q.dim)) for t in range(dH)]
-            if img != cprime[(i + 1, j + 1)]:
+            if _combine(k, Q.project(e), gen_images, dH) != cprime[(i + 1, j + 1)]:
                 raise RuntimeError("assignment does not match the coaction")
     # Delta and eps respected on generators
     for b in range(Q.dim):
         g = gen_images[b]
-        lhs = [[k.zero] * dH for _ in range(dH)]
-        for a, va in enumerate(g):
-            if k.is_zero(va):
-                continue
-            for p in range(dH):
-                for q in range(dH):
-                    m = HC.mu[a][p][q]
-                    if not k.is_zero(m):
-                        lhs[p][q] = k.add(lhs[p][q], k.mul(va, m))
-        rhs = [[k.zero] * dH for _ in range(dH)]
+        rhs = [k.zero] * (dH * dH)
         for p in range(Q.dim):
             for q in range(Q.dim):
                 c = Q.mu[b][p][q]
@@ -372,8 +322,8 @@ def universal_map(R: EndoPair, H, realization):
                         continue
                     for t in range(dH):
                         w = k.mul(c, k.mul(gen_images[p][s], gen_images[q][t]))
-                        rhs[s][t] = k.add(rhs[s][t], w)
-        if lhs != rhs:
+                        rhs[s * dH + t] = k.add(rhs[s * dH + t], w)
+        if HC.delta_vector(g) != rhs:
             raise RuntimeError("comultiplication not respected on generators")
         if k.dot(HC.counit, g) != Q.counit[b]:
             raise RuntimeError("counit not respected on generators")

@@ -250,6 +250,93 @@ def test_dimodule_report(tmp_path, capsys):
     assert "regenerated d: true\n" in out
 
 
+# sha256 of the stdout of deq dimodule on the bundled S3 example
+DIMODULE_GOLDEN = "413e2d9e3f0de97078a584e9f517c753f91b8cb90e9b20888913a80b89ab42da"
+
+
+def test_dimodule_golden_on_bundled_example(tmp_path, capsys):
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+    assert main(["dimodule", os.path.join(exdir, "s3-cayley.txt"),
+                 os.path.join(exdir, "s3-graded-module.txt")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMODULE_GOLDEN
+
+
+def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
+    """Each is a mathematical no: exit 1 with the reason on stderr."""
+    from deq.linalg import Matrix
+    k = QQ
+    z, o = k.zero, k.one
+    z2 = str(tmp_path / "z2.txt")
+    fileio.write_cayley(z2, ["e", "g"], [[0, 1], [1, 0]])
+    unstable = str(tmp_path / "unstable.txt")
+    fileio.write_graded_module(
+        unstable, ["e", "g"], k,
+        {"e": Matrix.identity(k, 2), "g": Matrix(k, [[z, o], [o, z]], coerce=False)},
+        {"e": Matrix(k, [[o, z], [z, z]], coerce=False),
+         "g": Matrix(k, [[z, z], [z, o]], coerce=False)})
+    monoid = str(tmp_path / "monoid.txt")
+    fileio.write_cayley(monoid, ["e", "g"], [[0, 1], [1, 1]])
+    for group, reason in ((z2, "component e is not stable under g"),
+                          (monoid, "not a group: no inverse for g")):
+        assert main(["dimodule", group, unstable]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+
+
+def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
+    """Structures correct by construction are not re-checked: one deq frt
+    and one deq dimodule run check no comodule, algebra or bialgebra axioms,
+    and test compatibility once for each (basis element, m_l) pair."""
+    from deq import coalg, dimodule
+    checks = {"Comodule._check_axioms": (coalg.Comodule, "_check_axioms"),
+              "FinAlgebra._check_algebra": (dimodule.FinAlgebra, "_check_algebra"),
+              "FinBialgebra._check_bialgebra": (dimodule.FinBialgebra, "_check_bialgebra")}
+    counts = dict.fromkeys(checks, 0)
+    pairs = {}
+    tables = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, (owner, attr) in checks.items():
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    pair_compatible = dimodule.LongDimodule.pair_compatible
+    compat_tables = dimodule._compat_tables
+
+    def counted_pair(self, a, l):
+        pairs.setdefault(self, []).append((a, l))
+        return pair_compatible(self, a, l)
+
+    def counted_tables(*args):
+        tables.append(args)
+        return compat_tables(*args)
+
+    monkeypatch.setattr(dimodule.LongDimodule, "pair_compatible", counted_pair)
+    monkeypatch.setattr(dimodule, "_compat_tables", counted_tables)
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    for argv in (["frt", os.path.join(exdir, "s3-graded.txt")],
+                 ["dimodule", os.path.join(exdir, "s3-cayley.txt"),
+                  os.path.join(exdir, "s3-graded-module.txt")]):
+        counts.update(dict.fromkeys(checks, 0))
+        pairs.clear()
+        del tables[:]
+        assert main(argv) == 0, argv
+        assert counts == dict.fromkeys(checks, 0), argv
+        (dim, seen), = pairs.items()
+        grid = [(a, l) for a in range(len(dim.act)) for l in range(dim.dim)]
+        assert sorted(seen) == grid, argv
+        assert len(tables) == len(grid), argv
+    capsys.readouterr()
+
+
 def test_classify_counts_and_filters(tmp_path, capsys):
     assert main(["classify"]) == 0
     out = capsys.readouterr().out

@@ -9,8 +9,8 @@ from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix,
                        comatrix_index, convolution_inverse, convolve,
                        counit_form, grouplike_coalgebra, is_coideal, quotient)
-from deq.fields import PrimeField, QQ, UsageError
-from deq.frt import obstruction_coideal, obstructions
+from deq.fields import FunctionField, PrimeField, QQ, UsageError
+from deq.frt import obstruction_coideal, obstructions, standard_comodule
 from deq.linalg import Matrix, matrix_inverse, rref, span_and_membership
 from deq.tensor_ops import check_d, diagonal_solution, identity_pair
 
@@ -50,9 +50,12 @@ def test_coalgebra_rejects_broken_coassociativity():
 
 
 def test_grouplike_coalgebra_cocommutative():
-    C = grouplike_coalgebra(QQ, ["g", "h"])
-    assert C.is_cocommutative()
-    assert not comatrix(QQ, 2).is_cocommutative()
+    def cocommutative(C):
+        d = C.dim
+        return all(C.mu[a][b][c] == C.mu[a][c][b]
+                   for a in range(d) for b in range(d) for c in range(d))
+    assert cocommutative(grouplike_coalgebra(QQ, ["g", "h"]))
+    assert not cocommutative(comatrix(QQ, 2))
 
 
 def test_coideal_membership_and_dim():
@@ -271,6 +274,50 @@ def test_quotients_of_catalog_solutions_are_coalgebras():
               identity_pair(k, 2), diagonal_solution(k, [[1, 2], [3, 4]])):
         C = comatrix(k, R.n)
         assert_quotient_is_a_coalgebra(C, obstruction_coideal(R, C))
+
+
+# The standard comodule of comatrix(n) and its pushforwards to quotients are
+# built without checking their axioms too; these tests check them.
+
+def recheck_comodule(M):
+    """Rebuild M with the full axiom check."""
+    return Comodule(M.coalgebra, M.dim, M.rho, check=True)
+
+
+def test_standard_comodules_satisfy_the_axioms():
+    for k in (QQ, PrimeField(5), FunctionField(["a"])):
+        for n in (1, 2, 3):
+            recheck_comodule(standard_comodule(comatrix(k, n)))
+
+
+def test_standard_comodule_refuses_other_coalgebras():
+    k = QQ
+    C = comatrix(k, 2)
+    # square dimensions, but not comatrix(n): grouplike, and the co-opposite
+    # comatrix coalgebra Delta(c_jk) = sum_u c_uk (x) c_ju
+    coopposite = Coalgebra(k, C.labels, [[[C.mu[a][c][b] for c in range(4)]
+                                          for b in range(4)] for a in range(4)],
+                           C.counit)
+    for other in (grouplike_coalgebra(k, ["a", "b", "c", "d"]), coopposite,
+                  grouplike_coalgebra(k, ["a", "b"])):
+        with pytest.raises(UsageError, match="comatrix"):
+            standard_comodule(other)
+
+
+def test_pushforwards_of_the_standard_comodule_satisfy_the_axioms():
+    fq = FunctionField(["q"])
+    operators = [endo_from_digits(2, 2, sol) for sol in enumerate_solutions(2, 2).solutions]
+    assert len(operators) == 100
+    operators += [catalog.triangular_solution(QQ, 1, 2, 3), catalog.rq(QQ, 3),
+                  catalog.projection_solution(QQ), catalog.s3_graded_solution(QQ),
+                  identity_pair(QQ, 2), diagonal_solution(QQ, [[1, 2], [3, 4]]),
+                  catalog.rq(fq, fq.gens[0])]
+    for R in operators:
+        C = comatrix(R.field, R.n)
+        Q = quotient(C, obstruction_coideal(R, C))
+        M = standard_comodule(C).pushforward(Q)
+        assert M.coalgebra is Q
+        recheck_comodule(M)
 
 
 def reference_is_coideal(C, vectors):

@@ -94,16 +94,6 @@ def test_long_dimodule_rejects_incompatible_pair():
     assert not check_long_compat(H, H.gen_coalgebra(), action, rho, generators=[1])
 
 
-def test_r_from_dimodule_requires_compatibility():
-    k = QQ
-    H = z2_bialgebra(k)
-    action, rho = z2_swap_pair(k)
-    comod = Comodule(H.gen_coalgebra(), 2, rho)
-    d = LongDimodule(H, action, comod, check=False)
-    with pytest.raises(MathError, match="no induced operator"):
-        r_from_dimodule(d)
-
-
 def test_compatible_subalgebra_of_incompatible_pair():
     """The compatible elements of k[Z/2] for the swap pair are exactly k.e."""
     k = QQ
@@ -154,14 +144,6 @@ def test_graded_module_validation():
     # g must act as an involution over k[Z/2]
     with pytest.raises(MathError, match="not multiplicative"):
         GradedModule(H, [ident, ident.scale(k.coerce(2))], [pe, pg])
-
-
-def test_component_of_reads_degrees():
-    k = PrimeField(5)
-    g = z2_eigen_grading(k, 2)
-    assert g.component_of([k.one, k.zero]) == ["e"]
-    assert g.component_of([k.zero, k.one]) == ["g"]
-    assert g.component_of([k.one, k.one]) == ["e", "g"]
 
 
 def test_grading_round_trip():
@@ -266,6 +248,96 @@ def test_induce_from_comodule():
                                       [[[QQ.one if l == w and a == 0 else QQ.zero
                                          for a in range(2)] for w in range(2)]
                                        for l in range(2)]), H)
+
+
+# group_bialgebra and dimodule_from_grading build their results without
+# run-time axiom checks; these tests rebuild them with every check on.
+
+def cyclic_table(m):
+    return [[(a + b) % m for b in range(m)] for a in range(m)]
+
+
+def relabeled(labels, table, perm):
+    """The same group with element a moved to position perm[a]."""
+    d = len(labels)
+    new_labels = [None] * d
+    new_table = [[None] * d for _ in range(d)]
+    for a in range(d):
+        new_labels[perm[a]] = labels[a]
+        for b in range(d):
+            new_table[perm[a]][perm[b]] = perm[table[a][b]]
+    return new_labels, new_table
+
+
+def test_group_bialgebras_satisfy_the_axioms():
+    s3_labels, s3_table = catalog.s3_cayley()
+    groups = [(s3_labels, s3_table),
+              (["g%d" % a for a in range(6)], cyclic_table(6)),
+              (["e", "a", "b", "ab"], [[a ^ b for b in range(4)] for a in range(4)]),
+              relabeled(s3_labels, s3_table, [3, 0, 5, 1, 4, 2])]
+    for k in (QQ, PrimeField(5)):
+        for labels, table in groups:
+            H = group_bialgebra(k, labels, table)
+            assert H.labels == labels
+            FinBialgebra(k, H.labels, H.mult, H.unit, H.delta, H.counit, check=True)
+
+
+def z6_graded_module(field):
+    """k^3 over k[Z/6] = k[g0..g5]: g_a acts by r^a on a plane (r of order
+    3) and by (-1)^a on a line; the plane is graded g2, the line g3."""
+    k = field
+    z, o, m = k.zero, k.one, k.neg(k.one)
+    H = group_bialgebra(k, ["g%d" % a for a in range(6)], cyclic_table(6))
+    r = Matrix(k, [[z, m, z], [o, m, z], [z, z, m]], coerce=False)
+    action = [Matrix.identity(k, 3)]
+    for _ in range(5):
+        action.append(action[-1] @ r)
+    plane = Matrix(k, [[o, z, z], [z, o, z], [z, z, z]], coerce=False)
+    line = Matrix(k, [[z, z, z], [z, z, z], [z, z, o]], coerce=False)
+    zero = Matrix.zeros(k, 3, 3)
+    return GradedModule(H, action, [zero, zero, plane, line, zero, zero])
+
+
+def conjugated(g, rows):
+    """g with its action and projectors conjugated by the matrix rows."""
+    S = Matrix(g.host.field, rows)
+    Sinv = matrix_inverse(S)
+    return GradedModule(g.host, [S @ A @ Sinv for A in g.act],
+                        [S @ P @ Sinv for P in g.projectors])
+
+
+def test_dimodules_from_gradings_satisfy_the_axioms():
+    shear = [[1, 1, 0], [0, 1, 2], [0, 0, 1]]
+    for g in (catalog.s3_graded_module(QQ), catalog.s3_graded_module(PrimeField(7)),
+              z6_graded_module(QQ), z6_graded_module(PrimeField(7)),
+              conjugated(z6_graded_module(QQ), shear),
+              conjugated(catalog.s3_graded_module(PrimeField(7)), shear)):
+        d = dimodule_from_grading(g)
+        comod = Comodule(d.coalgebra, d.dim, d.rho, check=True)
+        LongDimodule(g.host, d.act, comod, check=True)
+        assert check_long_compat(g.host, d.coalgebra, d.act, d.rho)
+        assert check_d(r_from_dimodule(d))
+
+
+def test_module_axioms_are_checked_once_for_both_makers():
+    """GradedModule and LongDimodule refuse the same non-module with the
+    same message."""
+    k = QQ
+    H = z2_bialgebra(k)
+    ident = Matrix.identity(k, 2)
+    doubled = ident.scale(k.coerce(2))
+    z, o = k.zero, k.one
+    pe = Matrix(k, [[o, z], [z, z]], coerce=False)
+    pg = Matrix(k, [[z, z], [z, o]], coerce=False)
+    rho = [[[o if w == l else z, z] for w in range(2)] for l in range(2)]
+    comod = Comodule(H.gen_coalgebra(), 2, rho)
+    for action in ([ident, doubled], [doubled, ident]):
+        with pytest.raises(MathError) as graded:
+            GradedModule(H, action, [pe, pg])
+        with pytest.raises(MathError) as dimodule:
+            LongDimodule(H, action, comod)
+        assert str(graded.value) == str(dimodule.value)
+        assert str(graded.value).startswith("not a module: ")
 
 
 def test_bialgebra_axiom_enforcement():

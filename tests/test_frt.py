@@ -164,7 +164,7 @@ def test_generator_action_is_the_coefficient_table():
     act = generator_action(R)
     for j in range(1, 3):
         for u in range(1, 3):
-            m = act.of_basis(j, u)
+            m = act.matrices[(j - 1) * 2 + (u - 1)]
             for i in range(1, 3):
                 for v in range(1, 3):
                     assert m.rows[i - 1][v - 1] == R.coeff(u, v, j, i)
