@@ -32,11 +32,23 @@ from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
 from .dmap import (DMap, convolution_inverse_of_sigma, delta_form,
                    first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                    sigma_from_r, strong_dmap_from_symmetric)
-from .classify import CensusReport, enumerate_solutions, operator_count, orbit_reduce
 from .fileio import (ParseError, read_cayley, read_coalgebra,
                      read_graded_module, read_matrix, write_cayley,
                      write_coalgebra, write_graded_module, write_matrix,
                      write_report)
 from . import catalog
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The census needs numpy; its names are imported on first use (PEP 562), so
+# that the exact layers and the command line load without it.
+_CENSUS = ("CensusReport", "enumerate_solutions", "operator_count", "orbit_reduce")
+
+
+def __getattr__(name):
+    if name in _CENSUS:
+        from . import classify
+        return getattr(classify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["classify", *_CENSUS])

@@ -5,7 +5,8 @@ Candidates are serialized row-major over the n^2 x n^2 operator matrix and
 scanned as base-p digit blocks, sieved through the coordinate equations of
 tensor_ops.coordinate_equations. The independent operator-composition path
 evaluates the leg maps and the equation table of tensor_ops on the same
-candidate layout.
+candidate layout. Flags and orbits are computed mod p in numpy as well; a
+sample of the solutions is re-verified by the exact check_d.
 """
 
 from __future__ import annotations
@@ -15,36 +16,68 @@ import random
 
 import numpy as np
 
-from .fields import PrimeField, UsageError, env_positive_int, is_prime
-from .linalg import Matrix, matrix_inverse
+from .fields import DEFAULT_BUDGET, PrimeField, UsageError, env_positive_int, is_prime
+from .linalg import Matrix
 from .tensor_ops import (EQUATIONS, EndoPair, check_d, coordinate_equations,
                          flip_index, leg_map, tau123_index)
 
-DEFAULT_BUDGET = 1_000_000
-CHUNK = 65536  # candidates per vectorized block
+CHUNK = 65536  # candidates (or conjugate images) per vectorized block
 
 
 def budget() -> int:
     return env_positive_int("DEQ_BUDGET", DEFAULT_BUDGET)
 
 
+def _digit_dtype(n: int, p: int):
+    """int16 when it holds every coordinate-equation sum n(p-1)^2 of the
+    sieve, else int64."""
+    return np.int16 if n * (p - 1) ** 2 <= np.iinfo(np.int16).max else np.int64
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(p: int, dtype):
+    """Row s is the k big-endian base-p digits of s, for s < p^k and the
+    largest k with p^k <= CHUNK."""
+    k = 1
+    while p ** (k + 1) <= CHUNK:
+        k += 1
+    table = np.empty((p ** k, k), dtype=dtype)
+    values = np.arange(p ** k)
+    for pos in range(k - 1, -1, -1):
+        values, table[:, pos] = np.divmod(values, p)
+    table.flags.writeable = False  # cached: shared by every caller
+    return table
+
+
+def _serial_digits(width: int, p: int, start: int, stop: int, dtype) -> np.ndarray:
+    """Big-endian base-p digits of the serials start..stop-1, as (N, width):
+    one divmod and one _digit_table lookup per k digits."""
+    if stop > 2 ** 63:
+        raise UsageError("candidate serials must be below 2^63")
+    table = _digit_table(p, dtype) if p <= CHUNK else None  # no table past CHUNK rows
+    k = 1 if table is None else table.shape[1]
+    ids = start + np.arange(stop - start, dtype=np.int64)
+    out = np.empty((len(ids), width), dtype=dtype)
+    for hi in range(width, 0, -k):
+        lo = max(hi - k, 0)
+        ids, low = np.divmod(ids, p ** k)
+        out[:, lo:hi] = (low[:, None] if table is None
+                         else np.take(table[:, k - hi + lo:], low, axis=0))
+    return out
+
+
 def candidate_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     """Candidates start..stop-1 as an (N, n, n, n, n) array x[t, u, v, j, i];
     digit order is big-endian row-major, so lexicographic order of serialized
-    matrices equals integer order."""
-    if stop > 2 ** 63:
-        raise UsageError("candidate serials must be below 2^63")
-    t = n ** 4
-    ids = start + np.arange(stop - start, dtype=np.int64)
-    digits = np.empty((len(ids), t), dtype=np.int64)
-    for pos in range(t - 1, -1, -1):  # least significant digit first, no weights
-        ids, digits[:, pos] = np.divmod(ids, p)
-    return block_of(digits, n)
+    matrices equals integer order. The digits are int16 whenever the sieve's
+    sums fit in it."""
+    return block_of(_serial_digits(n ** 4, p, start, stop, _digit_dtype(n, p)), n)
 
 
 def block_of(solutions, n: int) -> np.ndarray:
-    """The x block of serialized operators (sequences of n^4 digits)."""
-    digits = np.asarray(solutions, dtype=np.int64)
+    """The x block of serialized operators: an (N, n^4) digit array, kept in
+    its dtype, or a sequence of n^4-digit sequences, stored as int64."""
+    digits = np.asarray(solutions, dtype=getattr(solutions, "dtype", np.int64))
     return digits.reshape(len(digits), n, n, n, n).transpose(0, 4, 3, 2, 1)
 
 
@@ -78,14 +111,16 @@ def _equation_columns(n: int):
 def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
     """check_d by the coordinate equations, as a sieve: each equation, in
     first_violation's order, is evaluated mod p on the candidates that passed
-    the ones before it. Entries lie in [0, p), so |lhs - rhs| < n p^2 is exact
-    in int64."""
+    the ones before it. Entries lie in [0, p), so each side's sum is at most
+    n (p-1)^2 and is exact in _digit_dtype(n, p)."""
     count, n = x.shape[0], x.shape[1]
-    entries = digits_of(x)
+    dtype = _digit_dtype(n, p)
+    entries = digits_of(x).astype(dtype, copy=False)
     alive = np.arange(count)
     for first, second in zip(*_equation_columns(n)):
         terms = entries[:, first] * entries[:, second]
-        keep = (terms[:, :n].sum(axis=1) - terms[:, n:].sum(axis=1)) % p == 0
+        keep = (terms[:, :n].sum(axis=1, dtype=dtype)
+                - terms[:, n:].sum(axis=1, dtype=dtype)) % p == 0
         if not keep.all():
             entries, alive = entries[keep], alive[keep]
             if not len(alive):
@@ -266,8 +301,7 @@ def enumerate_range(n: int, p: int, start: int, stop: int):
         x = candidate_block(n, p, lo, min(lo + CHUNK, stop))
         mask = coordinate_mask(x, p)
         if mask.any():
-            for row in digits_of(x[mask]):
-                found.append(tuple(int(v) for v in row))
+            found.extend(map(tuple, digits_of(x[mask]).tolist()))
     return found
 
 
@@ -278,8 +312,47 @@ def endo_from_digits(n: int, p: int, digits) -> EndoPair:
     return EndoPair.from_matrix(Matrix(field, rows))
 
 
-def digits_from_endo(R: EndoPair):
-    return tuple(int(v) for row in R.matrix().rows for v in row)
+def inverse_mod_p(mats: np.ndarray, p: int):
+    """(invertible, inverses) for a batch of m x m matrices over F_p: one
+    Gauss-Jordan elimination of [A | I] mod p for the whole batch. The
+    inverse of a singular matrix is left unspecified."""
+    count, m = mats.shape[0], mats.shape[1]
+    aug = np.zeros((count, m, 2 * m), dtype=np.int64)
+    aug[:, :, :m] = mats % p
+    aug[:, np.arange(m), m + np.arange(m)] = 1
+    batch = np.arange(count)
+    invertible = np.ones(count, dtype=bool)
+    for c in range(m):
+        nonzero = aug[:, c:, c] != 0
+        invertible &= nonzero.any(axis=1)
+        r = c + nonzero.argmax(axis=1)  # first pivot candidate; c when there is none
+        pivot = aug[batch, r]
+        aug[batch, r] = aug[:, c]
+        # pivot^(p-2) is its inverse mod p; entries stay below p, products below p^2
+        inv, base, e = np.ones(count, dtype=np.int64), pivot[:, c], p - 2
+        while e:
+            if e & 1:
+                inv = inv * base % p
+            base, e = base * base % p, e >> 1
+        aug[:, c] = pivot * inv[:, None] % p
+        factors = aug[:, :, c:c + 1].copy()
+        factors[:, c] = 0
+        aug = (aug - factors * aug[:, None, c]) % p
+    return invertible, aug[:, :, m:]
+
+
+def unit_group(n: int, p: int):
+    """GL_n(F_p) in ascending serialization, with the inverses, as two
+    (U, n, n) int64 arrays; found by inverse_mod_p, CHUNK matrices at a time.
+    The digits are read from the candidates' digit table."""
+    total = p ** (n * n)
+    units, inverses = [], []
+    for lo in range(0, total, CHUNK):
+        mats = _serial_digits(n * n, p, lo, min(lo + CHUNK, total), _digit_dtype(n, p))
+        invertible, inv = inverse_mod_p(mats.reshape(-1, n, n), p)
+        units.append(mats[invertible].reshape(-1, n, n))
+        inverses.append(inv[invertible])
+    return np.concatenate(units, dtype=np.int64), np.concatenate(inverses)
 
 
 def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> CensusReport:
@@ -296,8 +369,10 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
             "raise the budget to opt in" % (total, cap))
     solutions = enumerate_range(n, p, 0, total)  # never empty: R = 0 solves
     xs = block_of(solutions, n)
-    flags = {"bijective": [matrix_inverse(endo_from_digits(n, p, sol).matrix()) is not None
-                           for sol in solutions],
+    mats = block_matrices(xs)
+    bijective = np.concatenate([inverse_mod_p(mats[lo:lo + CHUNK], p)[0]
+                                for lo in range(0, len(mats), CHUNK)])
+    flags = {"bijective": bijective.tolist(),
              "symmetric": symmetric_mask(xs).tolist(),
              "qybe": qybe_mask(xs, p).tolist()}
     # re-verify a 1% sample through the scalar dual-path oracle
@@ -315,43 +390,47 @@ def operator_count(n: int, p: int) -> int:
                for lo in range(0, total, CHUNK))
 
 
-def gl_matrices(n: int, p: int):
-    """All invertible n x n matrices over F_p, ascending serialization."""
-    field = PrimeField(p)
-    total = p ** (n * n)
-    out = []
-    for code in range(total):
-        digits = []
-        rem = code
-        for _ in range(n * n):
-            digits.append(rem % p)
-            rem //= p
-        digits.reverse()
-        rows = [digits[r * n:(r + 1) * n] for r in range(n)]
-        m = Matrix(field, rows)
-        if matrix_inverse(m) is not None:
-            out.append(m)
-    return out
+def _serial_keys(digits: np.ndarray, p: int) -> np.ndarray:
+    """Keys of (N, t) digit rows that sort as their serials do: the base-p
+    values of consecutive runs of at most k digits, p^k <= 2^63, one int64
+    field each."""
+    k = 1
+    while p ** (k + 1) <= 2 ** 63:
+        k += 1
+    starts = range(0, digits.shape[1], k)
+    keys = np.empty(len(digits), dtype=[("l%d" % i, np.int64) for i in range(len(starts))])
+    for i, lo in enumerate(starts):
+        run = digits[:, lo:lo + k]
+        keys["l%d" % i] = run @ p ** np.arange(run.shape[1] - 1, -1, -1, dtype=np.int64)
+    return keys
 
 
 def orbit_reduce(solutions, n: int, p: int):
     """Partition into GL_n(F_p)-conjugation orbits; canonical representative
-    is the lexicographically least serialization; orbits sorted by it."""
-    from .tensor_ops import conjugate
-    pool = set(tuple(sol) for sol in solutions)
-    units = gl_matrices(n, p)
-    seen = set()
-    orbits = []
-    for sol in sorted(pool):
-        if sol in seen:
-            continue
-        R = endo_from_digits(n, p, sol)
-        orbit = set()
-        for u in units:
-            img = digits_from_endo(conjugate(R, u))
-            if img not in pool:
+    is the lexicographically least serialization; orbits sorted by it. Every
+    solution is conjugated by every unit mod p, at most CHUNK images at a
+    time; each solution's orbit is named by its least image in the pool."""
+    pool = sorted(set(tuple(int(v) for v in sol) for sol in solutions))
+    if not pool:
+        return []
+    digits = np.array(pool, dtype=np.int64)
+    keys = _serial_keys(digits, p)
+    mats = digits.reshape(len(pool), 1, n * n, n * n)
+    # u (x) u and its inverse u^-1 (x) u^-1, as (U, n^2, n^2)
+    left, right = (np.einsum("uij,ukl->uikjl", u, u).reshape(-1, n * n, n * n)
+                   for u in unit_group(n, p))
+    least = np.arange(len(pool))  # the identity is a unit
+    ustep = min(len(left), CHUNK)
+    step = max(1, CHUNK // ustep)
+    for lo in range(0, len(pool), step):
+        block = mats[lo:lo + step]
+        for ulo in range(0, len(left), ustep):
+            images = (left[ulo:ulo + ustep] @ block % p) @ right[ulo:ulo + ustep] % p
+            found = _serial_keys(images.reshape(-1, n ** 4), p)
+            idx = np.minimum(np.searchsorted(keys, found), len(pool) - 1)
+            if (keys[idx] != found).any():
                 raise UsageError("conjugate of a solution missing from input")
-            orbit.add(img)
-        seen |= orbit
-        orbits.append((min(orbit), len(orbit)))
-    return orbits
+            least[lo:lo + step] = np.minimum(least[lo:lo + step],
+                                             idx.reshape(len(block), -1).min(axis=1))
+    reps, sizes = np.unique(least, return_counts=True)
+    return [(pool[r], int(size)) for r, size in zip(reps.tolist(), sizes.tolist())]

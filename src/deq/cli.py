@@ -4,12 +4,12 @@ import argparse
 import os
 import sys
 
-from . import catalog, classify, fileio
+from . import catalog, fileio
 from .dimodule import GradedModule, dimodule_from_grading, group_bialgebra, r_from_dimodule
 from .dmap import convolution_inverse_of_sigma, sigma_from_r
-from .fields import MathError, FunctionField, QQ, UsageError
+from .fields import DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError
 from .frt import d_bialgebra, relation_strings
-from .tensor_ops import (check_equivalent_forms, check_hopf, check_pentagon,
+from .tensor_ops import (check_d, check_equivalent_forms, check_hopf, check_pentagon,
                          check_qybe, identity_pair)
 
 
@@ -130,20 +130,21 @@ def cmd_dimodule(args) -> int:
             compatible = compatible and ok
             lines.append("compat %s m%d: %s" % (labels[a], l + 1, _bool_text(ok)))
     regen = r_from_dimodule(dim)
-    forms = check_equivalent_forms(regen)
+    regen_d = check_d(regen)
     lines.append("compatible: %s" % _bool_text(compatible))
     lines.append("regenerated operator n: %d" % regen.n)
-    lines.append("regenerated d: %s" % _bool_text(forms.d))
+    lines.append("regenerated d: %s" % _bool_text(regen_d))
     kv = [("field", field.header()), ("group_order", str(len(labels))),
           ("module_dim", str(graded.dim)),
           ("compatible", _bool_text(compatible)),
           ("regenerated_n", str(regen.n)),
-          ("regenerated_d", _bool_text(forms.d))]
+          ("regenerated_d", _bool_text(regen_d))]
     _emit(args, lines, kv)
     return 0 if compatible else 1
 
 
 def cmd_classify(args) -> int:
+    from . import classify  # numpy loads only for the census
     report = classify.enumerate_solutions(args.n, args.p, limit=args.budget,
                                           seed=args.seed)
     if args.orbits:
@@ -232,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also list conjugation orbit representatives")
     p.add_argument("--budget", type=int, default=None,
                    help="candidate budget override (default %d or DEQ_BUDGET)"
-                        % classify.DEFAULT_BUDGET)
+                        % DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sample re-verification")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")

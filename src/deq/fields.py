@@ -23,6 +23,11 @@ class MathError(ValueError):
     operator is not a solution); distinct from usage errors for exit codes."""
 
 
+# The census's default candidate budget (DEQ_BUDGET); kept here so that the
+# command line's help can show it without importing numpy.
+DEFAULT_BUDGET = 1_000_000
+
+
 def env_positive_int(name: str, default: int) -> int:
     """The positive integer in environment variable `name`, default when unset."""
     value = os.environ.get(name, "").strip()

@@ -281,7 +281,8 @@ def _combine(k, coeffs, vectors, dim):
 def universal_map(R: EndoPair, H, realization):
     """Generator assignment c~_ij -> c'_ij of the unique bialgebra map
     D(R) -> H induced by a realization of R as a dimodule over H, or None
-    when the realization does not reproduce R."""
+    when the realization does not reproduce R. When H is the presentation of
+    R itself, its quotient is reused."""
     from .dimodule import r_from_dimodule
     n, k = R.n, R.field
     if realization.dim != n:
@@ -300,7 +301,7 @@ def universal_map(R: EndoPair, H, realization):
         if any(not k.is_zero(t) for t in _combine(k, o, images, dH)):
             raise RuntimeError("obstruction image nonzero in host")
     # the assignment factors through the quotient and matches the coaction
-    pres = d_bialgebra(R)
+    pres = H if isinstance(H, FrtPresentation) and H.endo == R else d_bialgebra(R)
     Q = pres.quotient
     gen_images = [cprime[(c // n + 1, c % n + 1)] for c in Q.section_cols]
     for i in range(n):

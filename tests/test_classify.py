@@ -6,18 +6,65 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deq import catalog
+from deq import catalog, classify
 from deq.classify import (CHUNK, defect_identity_mask, annihilation_mask, block_matrices,
-                          block_of, candidate_block, coordinate_mask, digits_from_endo,
-                          digits_of, endo_from_digits, enumerate_range,
-                          enumerate_solutions, forms_masks, gl_matrices,
-                          operator_count, operator_mask, orbit_reduce,
-                          delta_identity_mask, qybe_mask, random_block, symmetric_mask)
+                          block_of, candidate_block, coordinate_mask, digits_of,
+                          endo_from_digits, enumerate_range, enumerate_solutions,
+                          forms_masks, inverse_mod_p, operator_count, operator_mask,
+                          orbit_reduce, delta_identity_mask, qybe_mask, random_block,
+                          symmetric_mask, unit_group)
 from deq.dmap import first_symmetry_violation
 from deq.fields import PrimeField, UsageError
-from deq.linalg import Matrix
-from deq.tensor_ops import (check_d, check_equivalent_forms, check_qybe, conjugate,
-                            diagonal_solution, product_solution)
+from deq.linalg import Matrix, matrix_inverse
+from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_qybe,
+                            conjugate, diagonal_solution, product_solution)
+
+
+def digits_from_endo(R: EndoPair):
+    return tuple(int(v) for row in R.matrix().rows for v in row)
+
+
+def gl_matrices(n, p):
+    """All invertible n x n matrices over F_p, ascending serialization, by
+    one exact matrix_inverse each: the oracle for unit_group."""
+    field = PrimeField(p)
+    out = []
+    for code in range(p ** (n * n)):
+        digits = []
+        for _ in range(n * n):
+            code, digit = divmod(code, p)
+            digits.append(digit)
+        digits.reverse()
+        m = Matrix(field, [digits[r * n:(r + 1) * n] for r in range(n)])
+        if matrix_inverse(m) is not None:
+            out.append(m)
+    return out
+
+
+def exact_orbit_reduce(solutions, n, p):
+    """orbit_reduce by one exact conjugate per orbit representative and unit:
+    the oracle for the batched orbit_reduce."""
+    pool = set(tuple(sol) for sol in solutions)
+    seen = set()
+    orbits = []
+    for sol in sorted(pool):
+        if sol in seen:
+            continue
+        R = endo_from_digits(n, p, sol)
+        orbit = set()
+        for u in units(n, p):
+            img = digits_from_endo(conjugate(R, u))
+            if img not in pool:
+                raise UsageError("conjugate of a solution missing from input")
+            orbit.add(img)
+        seen |= orbit
+        orbits.append((min(orbit), len(orbit)))
+    return orbits
+
+
+@functools.lru_cache(maxsize=None)
+def census(n, p):
+    return enumerate_solutions(n, p, limit=p ** (n ** 4))
 
 
 def block_from_digit_rows(rows, n, p):
@@ -66,6 +113,18 @@ def test_candidate_block_digits_beyond_int64_weights():
         candidate_block(3, 2, 2 ** 63 - 1, 2 ** 63 + 1)
 
 
+def test_candidate_digits_across_digit_table_groups():
+    """Digits are looked up k at a time, p^k <= CHUNK; windows that cross
+    the boundaries of those groups match Python integer digits."""
+    for n, p, k in ((2, 2, 16), (2, 3, 10), (3, 2, 16), (3, 3, 10), (2, 13, 4), (1, 65537, 1)):
+        for lo in {p ** k - 5, 2 * p ** k - 3, p ** (2 * k) - 2, 2 ** 63 - 8}:
+            hi = min(lo + 10, 2 ** 63, p ** (n ** 4))
+            if lo >= hi:
+                continue
+            got = digits_of(candidate_block(n, p, lo, hi)).tolist()
+            assert got == [python_digits(s, n, p) for s in range(lo, hi)], (n, p, lo)
+
+
 def test_candidate_blocks_are_lexicographic():
     x = candidate_block(2, 3, 100, 140)
     d = digits_of(x)
@@ -108,8 +167,9 @@ def test_masks_agree_with_scalar_checks():
 
 
 def dense_coordinate_mask(x, p):
-    """The coordinate equations as two dense einsums over every candidate:
-    the oracle for the sieve in coordinate_mask."""
+    """The coordinate equations as two dense einsums over every candidate, in
+    int64: the oracle for the sieve in coordinate_mask."""
+    x = x.astype(np.int64)
     lhs = np.einsum('nkvji,nlqvp->nijklpq', x, x) % p
     rhs = np.einsum('nklja,naqip->nijklpq', x, x) % p
     return (lhs == rhs).all(axis=tuple(range(1, 7)))
@@ -141,6 +201,21 @@ def test_sieve_matches_dense_oracle_on_random_and_edge_blocks():
                     for t in range(81) for d in (1, 5)]
     got = assert_sieve_matches_dense(block_of(rows, 3), 13)
     assert got[0] and not got.all()
+
+
+def test_sieve_dtype_boundary_matches_dense_oracle():
+    """n (p-1)^2 is 31,752 at (2, 127), held by int16, and 33,800 at
+    (2, 131), which is not; the all-(p-1) solution reaches that sum."""
+    for p, dtype in ((127, np.int16), (131, np.int64)):
+        x = candidate_block(2, p, 0, CHUNK)
+        assert x.dtype == dtype
+        assert 0 < assert_sieve_matches_dense(x, p).sum() < CHUNK
+        top = [p - 1] * 16  # (p-1) j (x) j with j the all-ones matrix: f g = g f
+        rows = [top] + [top[:t] + [(top[t] + d) % p] + top[t + 1:]
+                        for t in range(16) for d in (1, p - 2)]
+        got = assert_sieve_matches_dense(block_from_digit_rows(rows, 2, p), p)
+        assert got[0] and not got[1:].all()
+        assert check_d(endo_from_digits(2, p, top))
 
 
 def legs_commute(digits, n, p):
@@ -249,7 +324,7 @@ def test_census_counts_over_f2():
 def test_census_over_f3_is_frozen():
     """The full (2, 3) scan: counts, orbits under GL_2(F_3) and the digest of
     the sorted serials, checked together."""
-    report = enumerate_solutions(2, 3, limit=3 ** 16)
+    report = census(2, 3)
     assert (report.count, report.bijective, report.symmetric, report.qybe) == (1017, 480, 315, 1017)
     assert len(orbit_reduce(report.solutions, 2, 3)) == 129
     serials = "".join(report.serial(sol) + "\n" for sol in sorted(report.solutions))
@@ -284,6 +359,55 @@ def test_enumerate_range_split_and_merge():
 def test_gl_matrices_order():
     assert len(gl_matrices(2, 2)) == 6
     assert len(gl_matrices(2, 3)) == 48
+    for n, p in ((1, 5), (2, 2), (2, 3), (3, 2)):
+        units, inverses = unit_group(n, p)
+        assert [u.tolist() for u in units] == [m.rows for m in gl_matrices(n, p)]
+        assert (np.einsum("uij,ujk->uik", units, inverses) % p == np.eye(n, dtype=int)).all()
+
+
+def assert_inverses_exact(mats, p):
+    invertible, inverses = inverse_mod_p(np.asarray(mats), p)
+    field = PrimeField(p)
+    for mat, ok, inv in zip(mats, invertible, inverses):
+        want = matrix_inverse(Matrix(field, [[int(v) for v in row] for row in mat]))
+        assert bool(ok) == (want is not None)
+        if ok:
+            assert inv.tolist() == want.rows
+    return invertible
+
+
+def test_inverse_mod_p_matches_matrix_inverse():
+    for n, p, bijective in ((2, 2, 30), (2, 3, 480)):
+        report = census(n, p)
+        mats = block_matrices(block_of(report.solutions, n))
+        assert assert_inverses_exact(mats, p).sum() == bijective == report.bijective
+    rng = np.random.default_rng(20261018)
+    for m in (4, 9):
+        for p in (2, 3, 5, 13):
+            mats = rng.integers(0, p, size=(60, m, m))
+            # singular by construction: a repeated row, a zero column, a
+            # row that is a combination of two others
+            mats[:10, 1] = mats[:10, 0]
+            mats[10:20, :, 2] = 0
+            mats[20:30, 3] = (mats[20:30, 0] + 2 * mats[20:30, 1]) % p
+            invertible = assert_inverses_exact(mats, p)
+            assert not invertible[:30].any() and invertible[30:].any(), (m, p)
+
+
+def test_orbit_reduce_matches_the_exact_oracle(monkeypatch):
+    want = {}
+    for n, p in ((2, 2), (2, 3)):
+        solutions = census(n, p).solutions
+        want[n, p] = exact_orbit_reduce(solutions, n, p)
+        assert orbit_reduce(solutions, n, p) == want[n, p]
+    # small blocks: at (2, 2) a block holds 4 of the 6 units' images of one
+    # solution, at (2, 3) all 48 images of each of 2 solutions; the digit
+    # tables are already cached, so they keep their size
+    for n, p, chunk in ((2, 2, 4), (2, 3, 100)):
+        monkeypatch.setattr(classify, "CHUNK", chunk)
+        solutions = census(n, p).solutions
+        assert orbit_reduce(solutions[::-1] + solutions[:40], n, p) == want[n, p]
+    assert orbit_reduce([], 2, 3) == []
 
 
 def test_orbit_partition_of_the_census():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import subprocess
 import sys
 import time
 
@@ -156,6 +157,20 @@ def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
     assert main(["dmap", path]) == 0
     assert "convolution inverse: found" in capsys.readouterr().out
     assert counts == dict.fromkeys(originals, 1)
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy is imported by the census only, on first use."""
+    code = ("import sys, deq.cli, deq; deq.check_d; "
+            "print(sorted(m for m in ('numpy', 'sympy', 'deq.classify') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split("\n")[0] == "[]"
+    code = "import deq; deq.orbit_reduce; import sys; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True"
 
 
 def test_hostile_function_field_literal_exits_2_quickly(tmp_path, capsys):

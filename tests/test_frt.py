@@ -200,6 +200,34 @@ def test_universal_map_identity_realization():
     assert assignment[(1, 2)] == [k.zero, k.one]
 
 
+def test_universal_map_builds_no_second_presentation(monkeypatch):
+    """With the presentation of R as host, universal_map reuses its quotient;
+    any other host costs one presentation of R."""
+    from deq import frt
+    from deq.dimodule import dimodule_from_grading
+    counts = {"d_bialgebra": 0, "obstruction_coideal": 0}
+
+    def counting(name):
+        fn = getattr(frt, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    R = catalog.triangular_solution(QQ, 1, 1, 1)
+    P = d_bialgebra(R)
+    dmod = P.canonical_dimodule()
+    for name in counts:
+        monkeypatch.setattr(frt, name, counting(name))
+    assert universal_map(R, P, dmod) is not None
+    assert counts == {"d_bialgebra": 0, "obstruction_coideal": 0}
+    S = catalog.s3_graded_solution(QQ)
+    H = catalog.s3_bialgebra(QQ)
+    assert universal_map(S, H, dimodule_from_grading(catalog.s3_graded_module(QQ))) is not None
+    assert counts == {"d_bialgebra": 1, "obstruction_coideal": 1}
+
+
 def test_universal_map_to_group_bialgebra():
     # S3-graded solution realized over k[S3]; the universal map lands there
     k = QQ
