@@ -1,6 +1,7 @@
 """Command line interface: checks, presentations, D-maps, dimodules, census."""
 
 import argparse
+import functools
 import os
 import sys
 
@@ -196,7 +197,11 @@ def cmd_examples(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built at the first main() call of a process.
+    It holds no command functions: main() looks cmd_<command> up when it
+    dispatches, so a name rebound in this module later is the one called."""
     parser = argparse.ArgumentParser(
         prog="deq",
         description="Exact checks and constructions for operators R with "
@@ -206,23 +211,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="equation verdicts for an operator file")
     p.add_argument("matrix", help="operator file")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("frt", help="universal bialgebra presentation")
     p.add_argument("matrix", help="operator file (must satisfy the equation)")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
-    p.set_defaults(func=cmd_frt)
 
     p = sub.add_parser("dmap", help="the D-map induced by a solution")
     p.add_argument("matrix", help="operator file (must satisfy the equation)")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
-    p.set_defaults(func=cmd_dmap)
 
     p = sub.add_parser("dimodule", help="compatibility report for a graded module")
     p.add_argument("group", help="Cayley table file")
     p.add_argument("module", help="graded module file")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
-    p.set_defaults(func=cmd_dimodule)
 
     p = sub.add_parser("classify", help="census of solutions over a prime field")
     p.add_argument("--n", type=int, default=2, help="matrix size (default 2)")
@@ -237,23 +238,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sample re-verification")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("examples", help="write the bundled example files")
     p.add_argument("--dir", default="deq-examples", help="target directory")
-    p.set_defaults(func=cmd_examples)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except MathError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -38,21 +38,58 @@ def env_positive_int(name: str, default: int) -> int:
     return int(value)
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly below MAX_MODULUS (Sorenson and Webster, 2015); larger moduli are
+# refused rather than guessed at.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MAX_MODULUS:
+        raise UsageError("modulus %d is too large: primality is decided below %d"
+                         % (p, MAX_MODULUS))
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class Field:
-    """Common helpers; concrete fields define zero/one and the primitive ops."""
+    """Common helpers; concrete fields define zero/one and the primitive ops.
+
+    Each field also states its integral form, the values on which plain
+    Python + and * compute sums of products (linalg.Matrix.mul):
+    `integral(rows)` gives (rows of integral values, their denominator),
+    `integral_zero` is the integral form of zero, and
+    `from_integral(rows, denominator)` turns sums of products of integral
+    values, over the product of their factors' denominators, back into
+    field values. By default the integral form is the values themselves.
+    """
 
     kind = "abstract"
+    integral_zero = 0
+
+    def integral(self, rows):
+        return rows, 1
+
+    def from_integral(self, rows, denominator):
+        return rows
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -101,6 +138,17 @@ class RationalField(Field):
 
     def inv(self, a):
         return 1 / a  # Fraction raises ZeroDivisionError on 0
+
+    # Integral form: ints over the lcm of the denominators, so that a sum of
+    # products costs no gcd until its one division.
+    def integral(self, rows):
+        scale = math.lcm(*{v.denominator for row in rows for v in row if v})
+        return [[v.numerator * (scale // v.denominator) if v else 0 for v in row]
+                for row in rows], scale
+
+    def from_integral(self, rows, denominator):
+        zero = self.zero
+        return [[Fraction(v, denominator) if v else zero for v in row] for row in rows]
 
     def from_int(self, k: int):
         return Fraction(k)
@@ -177,6 +225,12 @@ class PrimeField(Field):
             raise UsageError("inverse of 0 in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
 
+    # Integral form: the residues themselves, summed unreduced and reduced
+    # once per entry.
+    def from_integral(self, rows, denominator):
+        p = self.p
+        return [[v % p for v in row] for row in rows]
+
     def from_int(self, k: int):
         return k % self.p
 
@@ -222,8 +276,11 @@ class PrimeField(Field):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _LITERAL_CHARS = re.compile(r"^[0-9A-Za-z_+\-*/^() ]*$")
+# a signed integer literal as Python reads one, so that taking it without a
+# syntax tree accepts exactly what the tree would
+_INTEGER_RE = re.compile(r"[+-]?(?:0+|[1-9][0-9]*)")
 
-# Work bounds for one Q(vars) literal, enforced before sympy expands it.
+# Work bounds for one Q(vars) literal, enforced before it is evaluated.
 MAX_LITERAL_CHARS = 200
 MAX_DEGREE = 16    # total degree of the numerator and of the denominator
 MAX_TERMS = 1000   # monomials of degree <= MAX_DEGREE in the literal's variables
@@ -283,7 +340,12 @@ class FunctionField(Field):
         self.names = names
         self.ring = sympy.QQ.frac_field(*names)
         self.gens = self.ring.gens
-        self.zero = self.ring.zero
+        # Integral form: the FracElement values themselves. Clearing a matrix
+        # to one common polynomial denominator costs more than it saves: the
+        # products of the cleared numerators grow with every denominator, and
+        # on an n = 2 operator with 16 distinct linear denominators it made
+        # the equation checks four times slower.
+        self.zero = self.integral_zero = self.ring.zero
         self.one = self.ring.one
 
     def add(self, a, b):
@@ -329,8 +391,11 @@ class FunctionField(Field):
         if len(text) > MAX_LITERAL_CHARS:
             raise UsageError("function-field literal of %d characters is over the limit of %d"
                              % (len(text), MAX_LITERAL_CHARS))
+        if _INTEGER_RE.fullmatch(text):
+            return self.ring.convert(int(text))
         try:
-            num, den, bits = _literal_bounds(ast.parse(text.replace("^", "**"), mode="eval").body)
+            tree = ast.parse(text.replace("^", "**"), mode="eval").body
+            num, den, bits = _literal_bounds(tree)
         except (SyntaxError, UsageError) as exc:
             raise UsageError("bad function-field literal %r: %s" % (text, exc))
         degree, nvars = max(num, den), len(set(_NAME_RE.findall(text)))
@@ -339,15 +404,39 @@ class FunctionField(Field):
             raise UsageError("function-field literal %r is too large: degree up to %d and "
                              "coefficients up to %d bits (limits: degree %d, %d monomials, "
                              "%d bits)" % (text, degree, bits, MAX_DEGREE, MAX_TERMS, MAX_BITS))
-        import sympy
         try:
-            expr = sympy.sympify(text.replace("^", "**"), rational=True)
-            value = self.ring.from_sympy(expr)
-        except (sympy.SympifyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise UsageError("bad function-field literal %r: %s" % (text, exc))
+            value = self._evaluate(tree)
+        except ZeroDivisionError:
+            raise UsageError("bad function-field literal %r: division by zero" % text)
         if max(sum(m) for p in (value.numer, value.denom) for m in p.monoms()) > MAX_DEGREE:
             raise UsageError("function-field literal %r has degree over %d" % (text, MAX_DEGREE))
         return value
+
+    def _evaluate(self, node):
+        """The value of a literal's syntax tree, computed in this field; the
+        tree is one that _literal_bounds accepted. A zero divisor raises
+        ZeroDivisionError."""
+        if isinstance(node, ast.Name):
+            return self.gens[self.names.index(node.id)]
+        if isinstance(node, ast.Constant):
+            return self.ring.convert(node.value)
+        if isinstance(node, ast.UnaryOp):
+            value = self._evaluate(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node.op, ast.Pow):
+            e = ast.literal_eval(node.right)
+            if e == 0:
+                return self.one  # x^0 = 1 for every x, 0 included
+            base = self._evaluate(node.left)
+            return (self.one / base) ** -e if e < 0 else base ** e
+        left, right = self._evaluate(node.left), self._evaluate(node.right)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        return left / right
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")

@@ -11,7 +11,8 @@ from .fields import Field, UsageError
 
 
 class Matrix:
-    """Dense matrix; entries are raw field values, validated at construction."""
+    """Dense matrix; entries are raw field values, checked at construction
+    unless the field's own operations produced them (Matrix._computed)."""
 
     def __init__(self, field: Field, rows, coerce: bool = True):
         if not rows or not rows[0]:
@@ -29,6 +30,15 @@ class Matrix:
         self.rows = fixed
         self.nrows = len(fixed)
         self.ncols = ncols
+
+    @classmethod
+    def _computed(cls, field, rows):
+        """A matrix of values that the field's own operations produced, taken
+        as they are: they were checked when they entered, so no entry is
+        checked again. rows must be nonempty and rectangular."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), len(rows[0])
+        return m
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -49,39 +59,44 @@ class Matrix:
     def add(self, other):
         self._match(other, same_shape=True)
         k = self.field
-        return Matrix(k, [[k.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)], coerce=False)
+        return Matrix._computed(k, [[k.add(a, b) for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(self.rows, other.rows)])
 
     def sub(self, other):
         self._match(other, same_shape=True)
         k = self.field
-        return Matrix(k, [[k.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)], coerce=False)
+        return Matrix._computed(k, [[k.sub(a, b) for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(self.rows, other.rows)])
 
     def scale(self, s):
         k = self.field
         s = k.coerce(s)
-        return Matrix(k, [[k.mul(s, a) for a in row] for row in self.rows], coerce=False)
+        return Matrix._computed(k, [[k.mul(s, a) for a in row] for row in self.rows])
 
     def mul(self, other):
         self._match(other)
         if self.ncols != other.nrows:
             raise UsageError("inner dimensions differ: %d vs %d" % (self.ncols, other.nrows))
+        # The sums of products run on the field's integral form (fields.Field)
+        # with plain + and *: ints over a common denominator for Q, unreduced
+        # residues for F_p, each entry brought back to a field value once.
         # Skipping zero terms is exact: every field keeps values canonical, so
-        # the sum of the nonzero products equals the full dot product. Values
-        # of all three fields are falsy exactly when zero, a cheaper test than ==.
+        # the sum of the nonzero products equals the full dot product. Integral
+        # values are falsy exactly when zero, a cheaper test than ==.
         k = self.field
-        add, mul, zero = k.add, k.mul, k.zero
-        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        arows, aden = k.integral(self.rows)
+        brows, bden = k.integral(other.rows)
+        zero = k.integral_zero
+        bnonzero = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
         out = []
-        for row in self.rows:
+        for row in arows:
             acc = [zero] * other.ncols
-            for a, bk in zip(row, brows):
+            for a, bk in zip(row, bnonzero):
                 if a:
                     for j, b in bk:
-                        acc[j] = add(acc[j], mul(a, b))
+                        acc[j] += a * b
             out.append(acc)
-        return Matrix(k, out, coerce=False)
+        return Matrix._computed(k, k.from_integral(out, aden * bden))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -93,7 +108,7 @@ class Matrix:
         return [k.dot(row, vec) for row in self.rows]
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)], coerce=False)
+        return Matrix._computed(self.field, [self.col(j) for j in range(self.ncols)])
 
     def kron(self, other):
         self._match(other)
@@ -102,7 +117,7 @@ class Matrix:
         for ra in self.rows:
             for rb in other.rows:
                 out.append([k.mul(a, b) for a in ra for b in rb])
-        return Matrix(k, out, coerce=False)
+        return Matrix._computed(k, out)
 
     def is_zero(self):
         k = self.field
@@ -231,4 +246,4 @@ def matrix_inverse(A: Matrix):
     rows, pivots = rref(aug, k)
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         return None
-    return Matrix(k, [row[n:] for row in rows], coerce=False)
+    return Matrix._computed(k, [row[n:] for row in rows])

@@ -35,21 +35,26 @@ class EndoPair:
         if n < 1:
             raise UsageError("n must be positive")
         fix = field.coerce if coerce else field.validate
+        self._fill(field, n, [[[[fix(x[u][v][j][i]) for i in range(n)] for j in range(n)]
+                               for v in range(n)] for u in range(n)])
+
+    def _fill(self, field, n, x):
         self.field = field
         self.n = n
-        self.x = [[[[fix(x[u][v][j][i]) for i in range(n)] for j in range(n)]
-                   for v in range(n)] for u in range(n)]
+        self.x = x
         self._mat = None
         self._lifts = {}  # lifts by slot and their products by slot word
 
     @classmethod
     def from_matrix(cls, mat: Matrix):
+        """The operator with matrix mat, whose entries a Matrix has already checked."""
         n = round(mat.nrows ** 0.5)
         if n * n != mat.nrows or mat.nrows != mat.ncols:
             raise UsageError("matrix of shape %dx%d is not n^2 x n^2" % (mat.nrows, mat.ncols))
-        x = [[[[mat.rows[i * n + j][v * n + u] for i in range(n)] for j in range(n)]
-              for v in range(n)] for u in range(n)]
-        return cls(mat.field, n, x, coerce=False)
+        R = cls.__new__(cls)
+        R._fill(mat.field, n, [[[[mat.rows[i * n + j][v * n + u] for i in range(n)]
+                                 for j in range(n)] for v in range(n)] for u in range(n)])
+        return R
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -60,7 +65,7 @@ class EndoPair:
             n = self.n
             rows = [[self.x[u][v][j][i] for v in range(n) for u in range(n)]
                     for i in range(n) for j in range(n)]
-            self._mat = Matrix(self.field, rows, coerce=False)
+            self._mat = Matrix._computed(self.field, rows)
         return self._mat
 
     def coeff(self, u, v, j, i):
@@ -98,7 +103,7 @@ def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
     e_image(k), P^-1 A takes rows from image and A P takes cols from image."""
     rows = range(A.nrows) if rows is None else rows
     cols = range(A.ncols) if cols is None else cols
-    return Matrix(A.field, [[A.rows[r][c] for c in cols] for r in rows], coerce=False)
+    return Matrix._computed(A.field, [[A.rows[r][c] for c in cols] for r in rows])
 
 
 def tau_matrix(field, n) -> Matrix:
@@ -151,8 +156,8 @@ def lift(R: EndoPair, slot: int) -> Matrix:
         flat = [R.field.zero] * n3 * n3
         for d, s in leg_map(R.n, slot):
             flat[d] = src[s]
-        R._lifts[slot] = Matrix(R.field, [flat[r:r + n3] for r in range(0, n3 * n3, n3)],
-                                coerce=False)
+        R._lifts[slot] = Matrix._computed(R.field, [flat[r:r + n3]
+                                                    for r in range(0, n3 * n3, n3)])
     return R._lifts[slot]
 
 

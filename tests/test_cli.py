@@ -458,3 +458,53 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: verdict paths disagree")
+
+
+def test_check_validates_each_read_entry_a_bounded_number_of_times(tmp_path, capsys,
+                                                                 monkeypatch):
+    """Entries are checked where they enter; products, lifts and permuted
+    matrices of checked entries are not checked again. One deq check on the
+    n = 3 example reads 81 entries and may check each at most 5 times."""
+    from deq.fields import RationalField
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+    calls = []
+    validate = RationalField.validate
+
+    def counting(self, v):
+        calls.append(v)
+        return validate(self, v)
+
+    monkeypatch.setattr(RationalField, "validate", counting)
+    assert main(["check", os.path.join(exdir, "s3-graded.txt")]) == 0
+    assert capsys.readouterr().out.startswith("deq check\nfield: Q\nn: 3\n")
+    assert 81 <= len(calls) <= 5 * 3 ** 4
+
+
+def test_bad_entries_in_an_operator_file_exit_2(tmp_path, capsys):
+    for header, entry, message in (("Q", "1.5", "bad rational literal"),
+                                   ("F 13", "x", "bad integer literal"),
+                                   ("QFUN a", "a/(a-a)", "division by zero"),
+                                   ("F %d" % (2 ** 89 - 1), "5", "too large")):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as handle:
+            handle.write("field %s\ndim 1\n%s\n" % (header, entry))
+        assert main(["check", path]) == 2, header
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, header
+
+
+def test_main_dispatches_to_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process and holds no command functions,
+    so a cmd_* name rebound after the first call (as a tracer does) is the
+    one called, and the original again once it is restored."""
+    import deq.cli
+    path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
+    assert main(["check", path]) == 0
+    monkeypatch.setattr(deq.cli, "cmd_check", lambda args: 7)
+    assert main(["check", path]) == 7
+    monkeypatch.undo()
+    assert main(["check", path]) == 0
+    assert deq.cli._parser() is deq.cli._parser()
+    capsys.readouterr()

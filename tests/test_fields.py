@@ -1,9 +1,11 @@
+import ast
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deq.fields import (FunctionField, PrimeField, QQ, UsageError,
-                        field_from_header)
+                        field_from_header, is_prime)
 
 
 def test_rationals_basic():
@@ -38,6 +40,22 @@ def test_prime_field_rejects_nonprime():
         PrimeField(6)
     with pytest.raises(UsageError):
         PrimeField(1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    for p in list(range(-3, 3000)) + list(range(10 ** 9, 10 ** 9 + 200)):
+        assert is_prime(p) == trial(p), p
+    # strong pseudoprimes to the first bases, Carmichael numbers, and primes
+    for p in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 561, 41041, 825265):
+        assert not is_prime(p), p
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59, 2 ** 80 - 65):
+        assert is_prime(p), p
+    assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+    with pytest.raises(UsageError, match="too large"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_prime_field_division_by_zero():
@@ -119,3 +137,72 @@ def test_sum_and_dot():
     k = PrimeField(5)
     assert k.sum([1, 2, 3]) == 1
     assert k.dot([1, 2], [3, 4]) == 1  # 3 + 8 = 11 = 1 mod 5
+
+
+def sympify_value(k, text):
+    """The literal as sympy reads it, the oracle for FunctionField.parse;
+    None when sympy's value is not a rational function."""
+    import sympy
+    try:
+        return k.ring.from_sympy(sympy.sympify(text.replace("^", "**"), rational=True))
+    except (sympy.SympifyError, ValueError, TypeError, ZeroDivisionError):
+        return None
+
+
+def has_zero_divisor(text):
+    """Whether some divisor in the literal, the right side of a / or the base
+    of a negative power, is 0 by sympy."""
+    import sympy
+    for node in ast.walk(ast.parse(text.replace("^", "**"), mode="eval")):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            divisor = node.right
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and ast.literal_eval(node.right) < 0):
+            divisor = node.left
+        else:
+            continue
+        if sympy.sympify(ast.unparse(divisor), rational=True) == 0:
+            return True
+    return False
+
+
+def _literals():
+    atoms = st.sampled_from(["a", "b", "0", "1", "2", "7", "12", "-3", "+5", "00"])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["-", "+", "(", "- "]), inner).map(
+            lambda t: t[0] + t[1] + (")" if t[0] == "(" else "")),
+        st.tuples(inner, st.sampled_from([" + ", "-", "*", " / ", "/"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^0", "^1", "^2", "^3", "^-1", "^(-2)"])).map(
+            lambda t: "(%s)%s" % t),
+    ), max_leaves=10)
+
+
+QAB = FunctionField(["a", "b"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_literals())
+def test_parse_agrees_with_sympify(text):
+    try:
+        got = QAB.parse(text)
+    except UsageError as exc:
+        # the work bounds run before either route evaluates; a zero divisor
+        # is refused even where sympy's infinity cancels out later
+        if "division by zero" in str(exc):
+            assert has_zero_divisor(text), text
+        else:
+            assert "too large" in str(exc) or "degree over" in str(exc), (text, exc)
+        return
+    assert got == sympify_value(QAB, text), text
+
+
+def test_parse_edge_cases_against_sympify():
+    k = QAB
+    for text in ["0^0", "(a-a)^0", "(1/0)^0", "a^0", "2/4", "-a^2", "+3", "-0", "00",
+                 "--a", "a*-b", "a^-1", "b/2/a", "(a+b)^-3", "12345678901234567890"]:
+        assert k.parse(text) == sympify_value(k, text), text
+    for text in ["1/0", "a/(a-a)", "0^-1", "(a-a)^-2", "0/0", "1/(1/0)"]:
+        with pytest.raises(UsageError, match="division by zero"):
+            k.parse(text)
+    with pytest.raises(UsageError, match="bad function-field literal"):
+        k.parse("007")

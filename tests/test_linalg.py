@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,74 @@ def test_mul_skipping_zeros_equals_the_dense_triple_loop():
         assert sparse.transpose().mul(dense.transpose()).rows == reference_mul(
             sparse.transpose(), dense.transpose())
         assert Matrix.zeros(k, 2, 3).mul(dense).is_zero()
+
+
+def assert_integral_product_is_exact(a, b):
+    """a.mul(b), computed on the field's integral form, equals the dense
+    triple loop in field arithmetic, and every entry is a valid field value:
+    Matrix.mul's results are not checked again at run time."""
+    got = a.mul(b)
+    assert got.rows == reference_mul(a, b)
+    for row in got.rows:
+        for v in row:
+            assert a.field.validate(v) is v
+
+
+# denominators: mixed, large primes (2^61 - 1 among them) and 1
+DENOMINATORS = (1, 2, 3, 12, 97, 999_983, 1_000_003, 2 ** 61 - 1)
+
+
+def rational(rng):
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(DENOMINATORS))
+
+
+def test_integral_product_over_q_with_mixed_and_large_denominators():
+    rng = random.Random(17)
+    for _ in range(20):
+        m, t, n = (rng.randint(1, 6) for _ in range(3))
+        a = Matrix(QQ, [[rational(rng) if rng.random() < 0.6 else 0 for _ in range(t)]
+                        for _ in range(m)])
+        b = Matrix(QQ, [[rational(rng) if rng.random() < 0.6 else 0 for _ in range(n)]
+                        for _ in range(t)])
+        assert_integral_product_is_exact(a, b)
+    # terms that cancel: x y - y x, and (x, y) against its own orthogonal
+    x, y = Fraction(-3, 1_000_003), Fraction(5, 2 ** 61 - 1)
+    a = Matrix(QQ, [[x, y], [y, -x]])
+    b = Matrix(QQ, [[y, x], [-x, y]])
+    assert_integral_product_is_exact(a, b)
+    assert a.mul(b).rows[0][0] == 0 and a.mul(b).rows[1][1] == 0
+    assert a.mul(b).rows[0][0] is QQ.zero
+
+
+def test_integral_product_over_a_large_prime_field():
+    # sums of unreduced products pass 64 bits before their one reduction
+    k = PrimeField(2 ** 61 - 1)
+    rng = random.Random(19)
+    top = Matrix(k, [[k.p - 1 - rng.randrange(3) for _ in range(8)] for _ in range(5)])
+    assert_integral_product_is_exact(top, top.transpose())
+    for _ in range(10):
+        a, b = rand_matrix(k, rng, 4, 6), sparse_matrix(k, rng, 6, 3)
+        assert_integral_product_is_exact(a, b)
+
+
+def test_integral_product_over_q_vars_with_distinct_denominators():
+    k = FunctionField(["a", "b"])
+    a, b = k.gens
+    rng = random.Random(23)
+    pool = [(i + a) / (b + j) for i in range(-2, 3) for j in range(1, 5)] + [k.zero] * 6
+    for _ in range(6):
+        m, t, n = (rng.randint(1, 4) for _ in range(3))
+        x = Matrix(k, [[rng.choice(pool) for _ in range(t)] for _ in range(m)])
+        y = Matrix(k, [[rng.choice(pool) for _ in range(n)] for _ in range(t)])
+        assert_integral_product_is_exact(x, y)
+
+
+def test_construction_still_checks_entries_from_outside():
+    other = FunctionField(["b"])
+    for k, bad in ((PrimeField(13), 13), (PrimeField(13), -1), (QQ, 1),
+                   (FunctionField(["a"]), other.gens[0])):
+        with pytest.raises(UsageError):
+            Matrix(k, [[k.one, bad]], coerce=False)
 
 
 def test_rref_is_reduced_and_idempotent():
