@@ -38,10 +38,12 @@ def env_positive_int(name: str, default: int) -> int:
     return int(value)
 
 
-# Miller-Rabin with the first twelve primes as bases decides primality
-# exactly below MAX_MODULUS (Sorenson and Webster, 2015); larger moduli are
-# refused rather than guessed at.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen primes, 2..41, as bases decides
+# primality exactly below MAX_MODULUS, the least strong pseudoprime to all
+# of them (Sorenson and Webster, 2015); larger moduli are refused rather
+# than guessed at. The first twelve bases alone are fooled by
+# 318665857834031151167461 (OEIS A014233).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_MODULUS = 3_317_044_064_679_887_385_961_981
 
 
@@ -276,9 +278,6 @@ class PrimeField(Field):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _LITERAL_CHARS = re.compile(r"^[0-9A-Za-z_+\-*/^() ]*$")
-# a signed integer literal as Python reads one, so that taking it without a
-# syntax tree accepts exactly what the tree would
-_INTEGER_RE = re.compile(r"[+-]?(?:0+|[1-9][0-9]*)")
 
 # Work bounds for one Q(vars) literal, enforced before it is evaluated.
 MAX_LITERAL_CHARS = 200
@@ -391,8 +390,6 @@ class FunctionField(Field):
         if len(text) > MAX_LITERAL_CHARS:
             raise UsageError("function-field literal of %d characters is over the limit of %d"
                              % (len(text), MAX_LITERAL_CHARS))
-        if _INTEGER_RE.fullmatch(text):
-            return self.ring.convert(int(text))
         try:
             tree = ast.parse(text.replace("^", "**"), mode="eval").body
             num, den, bits = _literal_bounds(tree)

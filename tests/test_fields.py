@@ -54,6 +54,20 @@ def test_is_prime_agrees_with_trial_division():
     for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59, 2 ** 80 - 65):
         assert is_prime(p), p
     assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+    # the least strong pseudoprime to the bases 2..37 (OEIS A014233, a(12)),
+    # caught only by the base 41, and the least one to 2..41, refused
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(UsageError, match="too large"):
+        is_prime(3317044064679887385961981)
+    # up to the bound, against sympy's test: random odd numbers and products
+    # (k + 1)(2k + 1), the shape of the pseudoprimes above
+    import sympy
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(2 ** 64, 3317044064679887385961981) | 1
+        k = rng.randrange(2 ** 30, 2 ** 40)
+        for m in (n, (k + 1) * (2 * k + 1)):
+            assert is_prime(m) == sympy.isprime(m), m
     with pytest.raises(UsageError, match="too large"):
         PrimeField(2 ** 89 - 1)
 
