@@ -115,11 +115,12 @@ def cmd_dimodule(args) -> int:
         lines.append("action %s:" % label)
         for row in graded.act[i].rows:
             lines.append("  " + " ".join(field.show(v) for v in row))
+    slices = dim.comodule.slices
     for l in range(dim.dim):
         terms = []
         for w in range(dim.dim):
             for a in range(len(labels)):
-                v = dim.rho[l][w][a]
+                v = slices[a].rows[w][l]
                 if not field.is_zero(v):
                     coeff = "" if v == field.one else field.show(v) + "*"
                     terms.append("%sm%d (x) %s" % (coeff, w + 1, labels[a]))

@@ -8,7 +8,8 @@ coordinates are flattened as (b, c) -> b*d + c.
 from __future__ import annotations
 
 from .fields import Field, UsageError
-from .linalg import Matrix, matrix_inverse, reduce_against, rref
+from .linalg import (Matrix, linear_combination, matrix_inverse, reduce_against, rref,
+                     solve_linear)
 
 
 class Coalgebra:
@@ -66,6 +67,15 @@ class Coalgebra:
 
     def counit_of(self, vec):
         return self.field.dot(self.counit, vec)
+
+    def delta_matrix(self, a) -> Matrix:
+        """M_a, the Matrix of mu[a]: Delta(e_a) = sum M_a[b][c] e_b (x) e_c."""
+        return Matrix._computed(self.field, self.mu[a])
+
+    def same_structure(self, other) -> bool:
+        """Equal field, comultiplication and counit, basis by basis."""
+        return (self.field == other.field and self.mu == other.mu
+                and self.counit == other.counit)
 
     def __repr__(self):
         return "Coalgebra(dim=%d, %r)" % (self.dim, self.field)
@@ -228,8 +238,7 @@ class QuotientCoalgebra(Coalgebra):
         self.section_cols = complement
         # Delta-bar(e_c~) = (pi (x) pi) Delta(e_c): the table P mu[c] P^t
         proj_t = self.proj.transpose()
-        mu = [self.proj.mul(Matrix(k, parent.mu[c], coerce=False)).mul(proj_t).rows
-              for c in complement]
+        mu = [self.proj.mul(parent.delta_matrix(c)).mul(proj_t).rows for c in complement]
         labels = [parent.labels[c] + "~" for c in complement]
         eps = [parent.counit[c] for c in complement]
         super().__init__(k, labels, mu, eps, check=False)
@@ -254,7 +263,11 @@ def quotient(C: Coalgebra, I: Coideal, complement=None) -> QuotientCoalgebra:
 
 
 class Comodule:
-    """Right C-comodule on k^dim: rho(m_l) = sum_{w,a} rho[l][w][a] m_w (x) e_a.
+    """Right C-comodule on k^dim, stored as its slices: one dim x dim Matrix
+    P_a per basis element e_a of C, with P_a[w][l] the coefficient of
+    m_w (x) e_a in rho(m_l). The slices are the action of the dual basis of
+    the algebra C* (Sweedler 1969, Hopf Algebras, 2.1), so the axioms read
+    sum_a eps(e_a) P_a = I and P_b P_a = sum_c mu[c][b][a] P_c.
 
     The axioms are verified at construction unless check=False, which is for
     comodules by construction, whose axioms the tests check: the standard
@@ -263,40 +276,38 @@ class Comodule:
     (`dimodule_from_grading`), whose projectors are orthogonal idempotents
     that sum to the identity."""
 
-    def __init__(self, C: Coalgebra, dim: int, rho, check: bool = True):
-        k = C.field
+    def __init__(self, C: Coalgebra, slices, check: bool = True):
+        if len(slices) != C.dim:
+            raise UsageError("one slice per coalgebra basis element required")
+        dim = slices[0].nrows
+        for P in slices:
+            if P.field != C.field or P.nrows != dim or P.ncols != dim:
+                raise UsageError("comodule slice has wrong shape or field")
         self.coalgebra = C
         self.dim = dim
-        self.rho = [[[k.coerce(rho[l][w][a]) for a in range(C.dim)] for w in range(dim)]
-                    for l in range(dim)]
+        self.slices = list(slices)
         if check:
             self._check_axioms()
 
     def _check_axioms(self):
-        k, C, m, rho = self.coalgebra.field, self.coalgebra, self.dim, self.rho
-        d = C.dim
-        for l in range(m):
-            for w in range(m):
-                want = k.one if w == l else k.zero
-                if k.sum(k.mul(rho[l][w][a], C.counit[a]) for a in range(d)) != want:
-                    raise UsageError("comodule counit law fails at m_%d" % (l + 1))
-        for l in range(m):
-            for w2 in range(m):
-                for b in range(d):
-                    for a in range(d):
-                        lhs = k.sum(k.mul(rho[l][w][a], rho[w][w2][b]) for w in range(m))
-                        rhs = k.sum(k.mul(rho[l][w2][c], C.mu[c][b][a]) for c in range(d))
-                        if lhs != rhs:
-                            raise UsageError("comodule coassociativity fails at m_%d" % (l + 1))
+        C, P = self.coalgebra, self.slices
+        if linear_combination(C.counit, P) != Matrix.identity(C.field, self.dim):
+            raise UsageError("comodule counit law fails")
+        for b in range(C.dim):
+            for a in range(C.dim):
+                if P[b] @ P[a] != linear_combination([C.mu[c][b][a] for c in range(C.dim)], P):
+                    raise UsageError("comodule coassociativity fails at (%s, %s)"
+                                     % (C.labels[b], C.labels[a]))
 
     def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
-        """(I (x) pi) rho: the induced comodule over C/I. It is not re-checked:
-        pi is the coalgebra map onto the quotient by a verified coideal, so
-        (I (x) pi) rho is a comodule whenever rho is."""
+        """(I (x) pi) rho: the induced comodule over C/I, with slices
+        sum_a proj[q][a] P_a. It is not re-checked: pi is the coalgebra map
+        onto the quotient by a verified coideal, so (I (x) pi) rho is a
+        comodule whenever rho is."""
         if Q.parent is not self.coalgebra:
             raise UsageError("quotient of a different coalgebra")
-        rho = [[Q.project(self.rho[l][w]) for w in range(self.dim)] for l in range(self.dim)]
-        return Comodule(Q, self.dim, rho, check=False)
+        return Comodule(Q, [linear_combination(row, self.slices) for row in Q.proj.rows],
+                        check=False)
 
 
 class BilinearForm:
@@ -327,29 +338,18 @@ def counit_form(left: Coalgebra, right: Coalgebra) -> BilinearForm:
 
 
 def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
-    """(phi * psi)(c (x) d) = sum phi(c1 (x) d1) psi(c2 (x) d2)."""
+    """(phi * psi)(c (x) d) = sum phi(c1 (x) d1) psi(c2 (x) d2): with
+    W_b = phi M^D_b psi^T, out[a][b] is the sum of M^C_a[a1][a2] W_b[a1][a2],
+    one product of the flattened M^C_a with the flattened W_b."""
     if phi.left is not psi.left or phi.right is not psi.right:
         raise UsageError("convolution needs forms on the same coalgebra pair")
     C, D, k = phi.left, phi.right, phi.left.field
-    out = [[k.zero] * D.dim for _ in range(C.dim)]
-    for a in range(C.dim):
-        for b in range(D.dim):
-            acc = k.zero
-            for a1 in range(C.dim):
-                for a2 in range(C.dim):
-                    ma = C.mu[a][a1][a2]
-                    if k.is_zero(ma):
-                        continue
-                    for b1 in range(D.dim):
-                        for b2 in range(D.dim):
-                            mb = D.mu[b][b1][b2]
-                            if k.is_zero(mb):
-                                continue
-                            term = k.mul(k.mul(ma, mb),
-                                         k.mul(phi.table[a1][b1], psi.table[a2][b2]))
-                            acc = k.add(acc, term)
-            out[a][b] = acc
-    return BilinearForm(C, D, out)
+    phi_m = Matrix._computed(k, phi.table)
+    psi_t = Matrix._computed(k, psi.table).transpose()
+    w = [[v for row in phi_m.mul(D.delta_matrix(b)).mul(psi_t).rows for v in row]
+         for b in range(D.dim)]
+    mc = Matrix._computed(k, [[m for row in C.mu[a] for m in row] for a in range(C.dim)])
+    return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows)
 
 
 def convolution_inverse(phi: BilinearForm):
@@ -377,7 +377,6 @@ def convolution_inverse(phi: BilinearForm):
                                 row[c * nD + e] = k.add(row[c * nD + e], coeff)
             rows.append(row)
             rhs.append(k.mul(C.counit[a], D.counit[b]))
-    from .linalg import solve_linear
     sol = solve_linear(Matrix(k, rows, coerce=False), rhs)
     if sol is None:
         return None

@@ -4,15 +4,18 @@ products, induction), and regeneration of the operator R.
 
 A Long dimodule is a module and comodule over the same bialgebra with
 rho(h.m) = sum h.m_0 (x) m_1. The induced operator is
-R(m (x) n) = sum n_1 . m (x) n_0.
+R(m (x) n) = sum n_1 . m (x) n_0, that is R = sum_a A_a (x) P_a for the
+action matrices A_a and the comodule's slices P_a.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .coalg import Coalgebra, Comodule
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
-from .linalg import Matrix, kernel_basis, span_and_membership
+from .linalg import Matrix, kernel_basis, linear_combination, span_and_membership
 from .tensor_ops import EndoPair
 
 
@@ -207,68 +210,35 @@ def _host_parts(host):
     return host.gen_coalgebra(), not isinstance(host, FinBialgebra)
 
 
-def _act_rows(k, vec, act, dim):
-    """Rows of sum_a vec[a] act[a]: the action of an element given by its
-    coefficients."""
-    rows = [[k.zero] * dim for _ in range(dim)]
-    for a, c in enumerate(vec):
-        if k.is_zero(c):
-            continue
-        for out, row in zip(rows, act[a].rows):
-            for j, v in enumerate(row):
-                if not k.is_zero(v):
-                    out[j] = k.add(out[j], k.mul(c, v))
-    return rows
-
-
 def _check_module(H: FinAlgebra, act, dim):
     """Raise MathError unless act (one dim x dim matrix per basis element of
     H) is an H-module: the unit acts as the identity and the action is
     multiplicative."""
-    k = H.field
-    if _act_rows(k, H.unit, act, dim) != Matrix.identity(k, dim).rows:
+    if linear_combination(H.unit, act) != Matrix.identity(H.field, dim):
         raise MathError("not a module: unit does not act as identity")
     for a in range(H.dim):
         for b in range(H.dim):
-            if (act[a] @ act[b]).rows != _act_rows(k, H.mult[a][b], act, dim):
+            if act[a] @ act[b] != linear_combination(H.mult[a][b], act):
                 raise MathError("not a module: action not multiplicative at (%s,%s)"
                                 % (H.labels[a], H.labels[b]))
 
 
-def _compat_tables(A: Matrix, rho, l):
+def _compat_tables(A: Matrix, comodule: Comodule, l):
     """(lhs, rhs) of rho(h . m_l) = sum h . (m_l)_0 (x) (m_l)_1 for h acting
-    by A, as tables [w][b] of the coefficients of m_w (x) e_b; rho[l][w][b]
-    is the coefficient of m_w (x) e_b in rho(m_l)."""
-    k, dim, dC = A.field, A.nrows, len(rho[l][0])
-    lhs = [[k.zero] * dC for _ in range(dim)]
-    for i in range(dim):
-        c = A.rows[i][l]
-        if k.is_zero(c):
-            continue
-        for w in range(dim):
-            for b in range(dC):
-                r = rho[i][w][b]
-                if not k.is_zero(r):
-                    lhs[w][b] = k.add(lhs[w][b], k.mul(c, r))
-    rhs = [[k.zero] * dC for _ in range(dim)]
-    for w in range(dim):
-        for b in range(dC):
-            r = rho[l][w][b]
-            if k.is_zero(r):
-                continue
-            for w2 in range(dim):
-                c = A.rows[w2][w]
-                if not k.is_zero(c):
-                    rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
-    return lhs, rhs
+    by A: per slice P_b, the columns P_b (A e_l) and A (P_b e_l). They agree
+    for every l exactly when [A, P_b] = 0."""
+    col = A.col(l)
+    return ([P.apply(col) for P in comodule.slices],
+            [A.apply(P.col(l)) for P in comodule.slices])
 
 
 class LongDimodule:
     """Module and comodule over a host with rho(h.m) = sum h.m_0 (x) m_1.
 
-    `action` is one matrix per host basis element (per generator for a
-    presentation host, where words act by products in word order).
-    Compatibility is the invariant every LongDimodule keeps, so
+    `action` is one matrix A_a per host basis element (per generator for a
+    presentation host, where words act by products in word order), and the
+    comodule is its slices P_b. Compatibility says that every A_a commutes
+    with every P_b; it is the invariant every LongDimodule keeps, so
     `r_from_dimodule` does not check it again. It is verified at
     construction, with the module axioms over a bialgebra host, unless
     check=False, which only `dimodule_from_grading` passes: there both
@@ -288,7 +258,6 @@ class LongDimodule:
         for m in self.act:
             if m.field != field or m.nrows != self.dim or m.ncols != self.dim:
                 raise UsageError("action matrix has wrong shape or field")
-        self.rho = comodule.rho
         self.comodule = comodule
         self.presented = presented
         if check:
@@ -311,7 +280,7 @@ class LongDimodule:
 
     def pair_compatible(self, a, l) -> bool:
         """Compatibility verdict for one basis element acting on one m_l."""
-        lhs, rhs = _compat_tables(self.act[a], self.rho, l)
+        lhs, rhs = _compat_tables(self.act[a], self.comodule, l)
         return lhs == rhs
 
     def is_compatible(self) -> bool:
@@ -321,39 +290,34 @@ class LongDimodule:
         return "LongDimodule(dim=%d over %r)" % (self.dim, self.host)
 
 
-def check_long_compat(algebra, coalgebra, action, coaction, generators=None) -> bool:
+def check_long_compat(algebra, action, comodule: Comodule, generators=None) -> bool:
     """Exact verdict on rho(a.m) = sum a.m_0 (x) m_1 over all basis pairs of
     an algebra/coalgebra pair; `generators` restricts the algebra side to a
     generating set (enough for a bialgebra by the compatible-subalgebra
     lemma)."""
-    k = algebra.field
-    if coalgebra.field != k:
+    if comodule.coalgebra.field != algebra.field:
         raise UsageError("algebra and coalgebra fields differ")
-    dim = action[0].nrows if action else 0
-    if len(coaction) != dim:
+    if action[0].nrows != comodule.dim:
         raise UsageError("action and coaction dimensions differ")
-    rho = Comodule(coalgebra, dim, coaction, check=False).rho
     indices = range(len(action)) if generators is None else generators
     for a in indices:
-        for l in range(dim):
-            lhs, rhs = _compat_tables(action[a], rho, l)
+        for l in range(comodule.dim):
+            lhs, rhs = _compat_tables(action[a], comodule, l)
             if lhs != rhs:
                 return False
     return True
 
 
-def compatible_subalgebra(H: FinBialgebra, action, coaction):
+def compatible_subalgebra(H: FinBialgebra, action, comodule: Comodule):
     """Basis of {h in H : rho(h.m) = sum h.m_0 (x) m_1 for all m}; the span
     is closed under multiplication and contains the unit (asserted)."""
     k, dH = H.field, H.dim
-    dim = len(coaction)
-    rho = Comodule(H.gen_coalgebra(), dim, coaction, check=False).rho
     rows = []
-    for l in range(dim):
-        tables = [_compat_tables(action[a], rho, l) for a in range(dH)]
-        for w in range(dim):
-            for b in range(H.coalg.dim):
-                rows.append([k.sub(lhs[w][b], rhs[w][b]) for lhs, rhs in tables])
+    for l in range(comodule.dim):
+        tables = [_compat_tables(action[a], comodule, l) for a in range(dH)]
+        for b in range(len(comodule.slices)):
+            for w in range(comodule.dim):
+                rows.append([k.sub(lhs[b][w], rhs[b][w]) for lhs, rhs in tables])
     basis = kernel_basis(Matrix(k, rows, coerce=False))
     span, contains = span_and_membership(basis, k, dim=dH)
     if not contains(H.unit):
@@ -406,46 +370,29 @@ class GradedModule:
 
 
 def dimodule_from_grading(g: GradedModule) -> LongDimodule:
-    """Coaction rho(m_sigma) = m_sigma (x) sigma on homogeneous components.
+    """Coaction rho(m_sigma) = m_sigma (x) sigma on homogeneous components:
+    the slices are the projectors.
 
     Built unchecked: GradedModule has verified the module axioms, and its
     orthogonal idempotent projectors summing to 1 give the comodule axioms;
     stability of each component gives P_sigma h = h P_sigma, which is
     exactly Long compatibility."""
-    H, k = g.host, g.host.field
-    rho = [[[k.zero] * H.dim for _ in range(g.dim)] for _ in range(g.dim)]
-    for s, P in enumerate(g.projectors):
-        for l in range(g.dim):
-            for w in range(g.dim):
-                c = P.rows[w][l]
-                if not k.is_zero(c):
-                    rho[l][w][s] = k.add(rho[l][w][s], c)
-    comod = Comodule(H.gen_coalgebra(), g.dim, rho, check=False)
-    return LongDimodule(H, g.act, comod, check=False)
+    comod = Comodule(g.host.gen_coalgebra(), g.projectors, check=False)
+    return LongDimodule(g.host, g.act, comod, check=False)
 
 
 def grading_from_dimodule(d: LongDimodule):
     """Projectors P_sigma = (I (x) eval_sigma) rho for a k[G]-dimodule whose
-    coaction lands in single group components."""
-    k = d.field
-    return [Matrix(k, [[d.rho[l][w][s] for l in range(d.dim)] for w in range(d.dim)])
-            for s in range(d.coalgebra.dim)]
+    coaction lands in single group components: its slices."""
+    return list(d.comodule.slices)
 
 
 def r_from_dimodule(d: LongDimodule) -> EndoPair:
-    """R(m (x) n) = sum n_1 . m (x) n_0; a D-equation solution for every
-    Long dimodule (compatibility is LongDimodule's invariant)."""
-    k, n = d.field, d.dim
-    x = [[[[k.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-         for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            for j in range(n):
-                for i in range(n):
-                    x[u][v][j][i] = k.sum(
-                        k.mul(d.rho[u][j][a], d.act[a].rows[i][v])
-                        for a in range(len(d.act)))
-    return EndoPair(k, n, x, coerce=False)
+    """R(m (x) n) = sum n_1 . m (x) n_0, that is R = sum_a A_a (x) P_a; a
+    D-equation solution for every Long dimodule (compatibility is
+    LongDimodule's invariant)."""
+    terms = [A.kron(P) for A, P in zip(d.act, d.comodule.slices)]
+    return EndoPair.from_matrix(functools.reduce(Matrix.add, terms))
 
 
 def trivial_module(H: FinBialgebra, dim: int):
@@ -455,125 +402,61 @@ def trivial_module(H: FinBialgebra, dim: int):
 
 
 def trivial_comodule(H: FinBialgebra, dim: int) -> Comodule:
-    """rho(m) = m (x) 1."""
-    k = H.field
-    rho = [[[H.unit[a] if w == l else k.zero for a in range(H.dim)]
-            for w in range(dim)] for l in range(dim)]
-    return Comodule(H.gen_coalgebra(), dim, rho)
+    """rho(m) = m (x) 1: the slices are unit[a] I."""
+    ident = Matrix.identity(H.field, dim)
+    return Comodule(H.gen_coalgebra(), [ident.scale(u) for u in H.unit])
+
+
+def _kron_combination(table, left, right) -> Matrix:
+    """sum_{p,q} table[p][q] left[p] (x) right[q], forming only the terms
+    with a nonzero coefficient; table has one at least (a counit law for
+    Delta(e_a), the unit law for the coefficients of e_c)."""
+    k = left[0].field
+    terms = [left[p].kron(right[q]).scale(c) for p, row in enumerate(table)
+             for q, c in enumerate(row) if not k.is_zero(c)]
+    return functools.reduce(Matrix.add, terms)
 
 
 def tensor_dimodule(M: LongDimodule, N: LongDimodule) -> LongDimodule:
     """M (x) N with h.(m (x) n) = sum h_1.m (x) h_2.n and coaction
-    m_0 (x) n_0 (x) m_1 n_1."""
+    m_0 (x) n_0 (x) m_1 n_1: the action of e_a is
+    sum_{p,q} Delta[a][p][q] A^M_p (x) A^N_q, and slice c is
+    sum_{a,b} mult[a][b][c] P^M_a (x) P^N_b."""
     if M.host is not N.host:
         raise UsageError("tensor product needs the same host bialgebra")
     if M.presented:
         raise UsageError("tensor products over a free presentation are unsupported")
     H = M.host
-    k, dH = H.field, H.dim
-    dm, dn = M.dim, N.dim
-    dim = dm * dn
-    action = []
-    for a in range(dH):
-        rows = [[k.zero] * dim for _ in range(dim)]
-        for p in range(dH):
-            for q in range(dH):
-                c = H.delta[a][p][q]
-                if k.is_zero(c):
-                    continue
-                AP, AQ = M.act[p], N.act[q]
-                for i in range(dm):
-                    for l in range(dm):
-                        m1 = AP.rows[i][l]
-                        if k.is_zero(m1):
-                            continue
-                        for j in range(dn):
-                            for w in range(dn):
-                                m2 = AQ.rows[j][w]
-                                if not k.is_zero(m2):
-                                    rows[i * dn + j][l * dn + w] = k.add(
-                                        rows[i * dn + j][l * dn + w],
-                                        k.mul(c, k.mul(m1, m2)))
-        action.append(Matrix(k, rows, coerce=False))
-    rho = [[[k.zero] * dH for _ in range(dim)] for _ in range(dim)]
-    for l in range(dm):
-        for w in range(dn):
-            for i in range(dm):
-                for j in range(dn):
-                    for a in range(dH):
-                        ra = M.rho[l][i][a]
-                        if k.is_zero(ra):
-                            continue
-                        for b in range(dH):
-                            rb = N.rho[w][j][b]
-                            if k.is_zero(rb):
-                                continue
-                            w2 = k.mul(ra, rb)
-                            for c in range(dH):
-                                m = H.mult[a][b][c]
-                                if not k.is_zero(m):
-                                    rho[l * dn + w][i * dn + j][c] = k.add(
-                                        rho[l * dn + w][i * dn + j][c],
-                                        k.mul(w2, m))
-    comod = Comodule(H.gen_coalgebra(), dim, rho)
-    return LongDimodule(H, action, comod)
+    rng = range(H.dim)
+    action = [_kron_combination(H.delta[a], M.act, N.act) for a in rng]
+    coaction = [_kron_combination([[H.mult[a][b][c] for b in rng] for a in rng],
+                                  M.comodule.slices, N.comodule.slices) for c in rng]
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
 
 
 def induce_from_module(N_action, H: FinBialgebra) -> LongDimodule:
-    """N (x) H with h.(n (x) l) = h.n (x) l and coaction I (x) Delta."""
-    k, dH = H.field, H.dim
-    dn = N_action[0].nrows if N_action else 0
-    dim = dn * dH
-    action = []
-    for a in range(dH):
-        A = N_action[a]
-        rows = [[k.zero] * dim for _ in range(dim)]
-        for i in range(dn):
-            for j in range(dn):
-                c = A.rows[i][j]
-                if k.is_zero(c):
-                    continue
-                for b in range(dH):
-                    rows[i * dH + b][j * dH + b] = c
-        action.append(Matrix(k, rows, coerce=False))
-    rho = [[[k.zero] * dH for _ in range(dim)] for _ in range(dim)]
-    for j in range(dn):
-        for b in range(dH):
-            for p in range(dH):
-                for q in range(dH):
-                    c = H.delta[b][p][q]
-                    if not k.is_zero(c):
-                        rho[j * dH + b][j * dH + p][q] = k.add(
-                            rho[j * dH + b][j * dH + p][q], c)
-    comod = Comodule(H.gen_coalgebra(), dim, rho)
-    return LongDimodule(H, action, comod)
+    """N (x) H with h.(n (x) l) = h.n (x) l and coaction I (x) Delta: the
+    action of e_a is A_a (x) I and slice q is I (x) D_q with
+    D_q[p][b] = Delta[b][p][q]."""
+    k, rng = H.field, range(H.dim)
+    ident_h = Matrix.identity(k, H.dim)
+    ident_n = Matrix.identity(k, N_action[0].nrows)
+    action = [A.kron(ident_h) for A in N_action]
+    coaction = [ident_n.kron(Matrix._computed(k, [[H.delta[b][p][q] for b in rng] for p in rng]))
+                for q in rng]
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
 
 
 def induce_from_comodule(M: Comodule, H: FinBialgebra) -> LongDimodule:
-    """H (x) M with h.(l (x) m) = hl (x) m and coaction l (x) m_0 (x) m_1."""
+    """H (x) M with h.(l (x) m) = hl (x) m and coaction l (x) m_0 (x) m_1:
+    the action of e_a is L_a (x) I with L_a[b][c] = mult[a][c][b], and
+    slice a is I (x) P^M_a."""
     if M.coalgebra is not H.gen_coalgebra():
         raise UsageError("comodule is not over the host's coalgebra")
-    k, dH = H.field, H.dim
-    dm = M.dim
-    dim = dH * dm
-    action = []
-    for a in range(dH):
-        rows = [[k.zero] * dim for _ in range(dim)]
-        for c in range(dH):
-            for b in range(dH):
-                m = H.mult[a][c][b]
-                if k.is_zero(m):
-                    continue
-                for i in range(dm):
-                    rows[b * dm + i][c * dm + i] = m
-        action.append(Matrix(k, rows, coerce=False))
-    rho = [[[k.zero] * dH for _ in range(dim)] for _ in range(dim)]
-    for c in range(dH):
-        for l in range(dm):
-            for w in range(dm):
-                for a in range(dH):
-                    r = M.rho[l][w][a]
-                    if not k.is_zero(r):
-                        rho[c * dm + l][c * dm + w][a] = r
-    comod = Comodule(H.gen_coalgebra(), dim, rho)
-    return LongDimodule(H, action, comod)
+    k, rng = H.field, range(H.dim)
+    ident_h = Matrix.identity(k, H.dim)
+    ident_m = Matrix.identity(k, M.dim)
+    action = [Matrix._computed(k, [[H.mult[a][c][b] for c in rng] for b in rng]).kron(ident_m)
+              for a in rng]
+    coaction = [ident_h.kron(P) for P in M.slices]
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))

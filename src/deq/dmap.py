@@ -9,10 +9,12 @@ strong when I = 0.
 
 from __future__ import annotations
 
+import functools
+
 from .coalg import BilinearForm, Coalgebra, Coideal, Comodule, convolve, counit_form
 from .fields import MathError, UsageError
 from .frt import d_bialgebra, standard_comodule
-from .linalg import Matrix
+from .linalg import Matrix, linear_combination
 from .tensor_ops import EndoPair, first_violation, invert
 
 
@@ -37,7 +39,8 @@ class DMap:
 
 
 def is_dmap(C: Coalgebra, Q, sigma) -> bool:
-    """Balance condition, exactly, on all basis pairs.
+    """Balance condition, exactly, on all basis pairs: with M_a the matrix
+    of Delta(e_a), sigma^T M_a pi = sigma^T M_a^T pi for every a.
 
     `Q` is the quotient C/I, or None for I = 0; `sigma` a BilinearForm (or
     raw table) on C (x) C/I, where C/I means C itself when Q is None."""
@@ -46,26 +49,13 @@ def is_dmap(C: Coalgebra, Q, sigma) -> bool:
     qdim = C.dim if Q is None else Q.dim
     if len(table) != C.dim or any(len(row) != qdim for row in table):
         raise UsageError("sigma table has wrong shape")
-    # pi[a]: the image of basis element a in C/I
-    pi = (Matrix.identity(k, C.dim) if Q is None else Q.proj.transpose()).rows
+    # pi: row a is the image of basis element a in C/I
+    pi = Matrix.identity(k, C.dim) if Q is None else Q.proj.transpose()
+    sigma_t = Matrix(k, table).transpose()
     for a in range(C.dim):
-        row = C.mu[a]
-        for b in range(qdim):
-            lhs = [k.zero] * qdim
-            rhs = [k.zero] * qdim
-            for a1 in range(C.dim):
-                for a2 in range(C.dim):
-                    m = row[a1][a2]
-                    if k.is_zero(m):
-                        continue
-                    c1 = k.mul(m, table[a1][b])
-                    if not k.is_zero(c1):
-                        lhs = [k.add(lhs[t], k.mul(c1, pi[a2][t])) for t in range(qdim)]
-                    c2 = k.mul(m, table[a2][b])
-                    if not k.is_zero(c2):
-                        rhs = [k.add(rhs[t], k.mul(c2, pi[a1][t])) for t in range(qdim)]
-            if lhs != rhs:
-                return False
+        M = C.delta_matrix(a)
+        if sigma_t.mul(M).mul(pi) != sigma_t.mul(M.transpose()).mul(pi):
+            return False
     return True
 
 
@@ -137,34 +127,19 @@ def sigma_from_r(R: EndoPair) -> DMap:
 
 
 def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
-    """R_sigma(m (x) n) = sum sigma(m_1 (x) n_1~) m_0 (x) n_0."""
+    """R_sigma(m (x) n) = sum sigma(m_1 (x) n_1~) m_0 (x) n_0, that is
+    R = sum_a P_a (x) (sum_b sigma-bar[a][b] P_b) with sigma-bar the table
+    pulled back to C (x) C."""
     if comodule.coalgebra is not dm.coalgebra:
         raise UsageError("comodule is not over the D-map's coalgebra")
     k = dm.coalgebra.field
-    n = comodule.dim
-    d = dm.coalgebra.dim
     Q = dm.quotient
     # sigma with the right leg pulled back to C
     pulled = dm.sigma.table if Q is None else \
         Matrix(k, dm.sigma.table, coerce=False).mul(Q.proj).rows
-    rho = comodule.rho
-    x = [[[[k.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-         for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            for j in range(n):
-                for i in range(n):
-                    acc = k.zero
-                    for a in range(d):
-                        ra = rho[v][i][a]
-                        if k.is_zero(ra):
-                            continue
-                        for b in range(d):
-                            rb = rho[u][j][b]
-                            if not k.is_zero(rb):
-                                acc = k.add(acc, k.mul(k.mul(ra, rb), pulled[a][b]))
-                    x[u][v][j][i] = acc
-    out = EndoPair(k, n, x, coerce=False)
+    P = comodule.slices
+    out = EndoPair.from_matrix(functools.reduce(
+        Matrix.add, (Pa.kron(linear_combination(row, P)) for Pa, row in zip(P, pulled))))
     if first_violation(out) is not None:
         raise RuntimeError("operator from a D-map fails the equation")
     return out

@@ -14,7 +14,7 @@ import math
 from .coalg import (Coalgebra, Coideal, Comodule, _combo_text, coideal, comatrix,
                     quotient)
 from .fields import MathError, UsageError
-from .linalg import Matrix
+from .linalg import Matrix, linear_combination
 from .tensor_ops import EndoPair, first_violation
 
 
@@ -121,13 +121,13 @@ def standard_comodule(C: Coalgebra) -> Comodule:
     re-checked: on comatrix(n) this rho is a comodule by construction, and
     any other C is refused."""
     n = math.isqrt(C.dim)
-    ref = comatrix(C.field, n)
-    if n * n != C.dim or C.mu != ref.mu or C.counit != ref.counit:
+    if n * n != C.dim or not C.same_structure(comatrix(C.field, n)):
         raise UsageError("standard comodule needs a comatrix coalgebra")
     k = C.field
-    rho = [[[k.one if a == w * n + l else k.zero for a in range(C.dim)]
-            for w in range(n)] for l in range(n)]
-    return Comodule(C, n, rho, check=False)
+    # slice c_wl is the matrix unit E_wl
+    slices = [Matrix._computed(k, [[k.one if (i, j) == (w, l) else k.zero for j in range(n)]
+                                   for i in range(n)]) for w in range(n) for l in range(n)]
+    return Comodule(C, slices, check=False)
 
 
 class GeneratorAction:
@@ -145,11 +145,7 @@ class GeneratorAction:
                 self.matrices.append(Matrix(k, rows, coerce=False))
 
     def of_vector(self, vec) -> Matrix:
-        out = Matrix.zeros(self.field, self.n, self.n)
-        for m, coeff in enumerate(vec):
-            if not self.field.is_zero(coeff):
-                out = out.add(self.matrices[m].scale(coeff))
-        return out
+        return linear_combination(vec, self.matrices)
 
 
 def generator_action(R: EndoPair) -> GeneratorAction:
@@ -272,60 +268,40 @@ def d_bialgebra(R: EndoPair) -> FrtPresentation:
     return FrtPresentation(R)
 
 
-def _combine(k, coeffs, vectors, dim):
-    """sum_a coeffs[a] * vectors[a], vectors of length dim."""
-    return [k.sum(k.mul(c, v[t]) for c, v in zip(coeffs, vectors) if not k.is_zero(c))
-            for t in range(dim)]
-
-
 def universal_map(R: EndoPair, H, realization):
     """Generator assignment c~_ij -> c'_ij of the unique bialgebra map
     D(R) -> H induced by a realization of R as a dimodule over H, or None
-    when the realization does not reproduce R. When H is the presentation of
-    R itself, its quotient is reused."""
+    when the realization does not reproduce R. c'_ij is the vector of the
+    (i, j) entries of the realization's slices. When H is the presentation
+    of R itself, its quotient is reused."""
     from .dimodule import r_from_dimodule
     n, k = R.n, R.field
     if realization.dim != n:
         raise UsageError("realization dimension does not match the operator")
+    HC = H.gen_coalgebra()
+    if not realization.coalgebra.same_structure(HC):
+        raise UsageError("realization does not live over the given host")
     if r_from_dimodule(realization) != R:
         return None
-    HC = H.gen_coalgebra()
-    if realization.coalgebra is not HC and realization.coalgebra.dim != HC.dim:
-        raise UsageError("realization does not live over the given host")
-    dH = HC.dim
-    cprime = {(i + 1, j + 1): list(realization.rho[j][i])
-              for i in range(n) for j in range(n)}
+    # row i*n + j of images is c'_ij, one column per basis element of H
+    images = Matrix._computed(k, [[P.rows[i][j] for P in realization.comodule.slices]
+                                  for i in range(n) for j in range(n)])
     # relations map to zero: the image sum_a o[a] c'_a of every o(i,j,k,l)
-    images = [cprime[(a // n + 1, a % n + 1)] for a in range(n * n)]
-    for _, o in ObstructionSet(R).items():
-        if any(not k.is_zero(t) for t in _combine(k, o, images, dH)):
-            raise RuntimeError("obstruction image nonzero in host")
+    obs = [o for _, o in ObstructionSet(R).items()]
+    if not Matrix._computed(k, obs).mul(images).is_zero():
+        raise RuntimeError("obstruction image nonzero in host")
     # the assignment factors through the quotient and matches the coaction
     pres = H if isinstance(H, FrtPresentation) and H.endo == R else d_bialgebra(R)
     Q = pres.quotient
-    gen_images = [cprime[(c // n + 1, c % n + 1)] for c in Q.section_cols]
-    for i in range(n):
-        for j in range(n):
-            e = [k.one if a == i * n + j else k.zero for a in range(n * n)]
-            if _combine(k, Q.project(e), gen_images, dH) != cprime[(i + 1, j + 1)]:
-                raise RuntimeError("assignment does not match the coaction")
-    # Delta and eps respected on generators
+    G = Matrix._computed(k, [images.rows[c] for c in Q.section_cols])
+    if Q.proj.transpose().mul(G) != images:
+        raise RuntimeError("assignment does not match the coaction")
+    # Delta and eps respected on generators: sum_a G[b][a] M^H_a = G^T M^Q_b G
+    G_t = G.transpose()
+    host_deltas = [HC.delta_matrix(a) for a in range(HC.dim)]
     for b in range(Q.dim):
-        g = gen_images[b]
-        rhs = [k.zero] * (dH * dH)
-        for p in range(Q.dim):
-            for q in range(Q.dim):
-                c = Q.mu[b][p][q]
-                if k.is_zero(c):
-                    continue
-                for s in range(dH):
-                    if k.is_zero(gen_images[p][s]):
-                        continue
-                    for t in range(dH):
-                        w = k.mul(c, k.mul(gen_images[p][s], gen_images[q][t]))
-                        rhs[s * dH + t] = k.add(rhs[s * dH + t], w)
-        if HC.delta_vector(g) != rhs:
+        if linear_combination(G.rows[b], host_deltas) != G_t.mul(Q.delta_matrix(b)).mul(G):
             raise RuntimeError("comultiplication not respected on generators")
-        if k.dot(HC.counit, g) != Q.counit[b]:
+        if k.dot(HC.counit, G.rows[b]) != Q.counit[b]:
             raise RuntimeError("counit not respected on generators")
-    return cprime
+    return {(i + 1, j + 1): images.rows[i * n + j] for i in range(n) for j in range(n)}

@@ -7,6 +7,8 @@ nonzero row as pivot, so bases and echelon forms are reproducible.
 
 from __future__ import annotations
 
+import functools
+
 from .fields import Field, UsageError
 
 
@@ -105,7 +107,10 @@ class Matrix:
         if len(vec) != self.ncols:
             raise UsageError("vector length %d does not match %d columns" % (len(vec), self.ncols))
         k = self.field
-        return [k.dot(row, vec) for row in self.rows]
+        # only the products of nonzero entries are formed
+        nonzero = [(j, v) for j, v in enumerate(vec) if not k.is_zero(v)]
+        return [k.sum(k.mul(row[j], v) for j, v in nonzero if not k.is_zero(row[j]))
+                for row in self.rows]
 
     def transpose(self):
         return Matrix._computed(self.field, [self.col(j) for j in range(self.ncols)])
@@ -113,10 +118,14 @@ class Matrix:
     def kron(self, other):
         self._match(other)
         k = self.field
+        zeros = [k.zero] * other.ncols
         out = []
         for ra in self.rows:
             for rb in other.rows:
-                out.append([k.mul(a, b) for a in ra for b in rb])
+                row = []
+                for a in ra:
+                    row.extend(zeros if k.is_zero(a) else [k.mul(a, b) for b in rb])
+                out.append(row)
         return Matrix._computed(k, out)
 
     def is_zero(self):
@@ -135,6 +144,16 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r, %dx%d)" % (self.field, self.nrows, self.ncols)
+
+
+def linear_combination(coeffs, mats):
+    """sum_a coeffs[a] mats[a] for a nonempty list of matrices of one field
+    and shape; zero coefficients cost nothing."""
+    k = mats[0].field
+    terms = [m.scale(c) for c, m in zip(coeffs, mats) if not k.is_zero(c)]
+    if not terms:
+        return Matrix.zeros(k, mats[0].nrows, mats[0].ncols)
+    return functools.reduce(Matrix.add, terms)
 
 
 def rref(rows, field, col_order=None):

@@ -4,10 +4,9 @@ import random
 import time
 
 from deq import catalog
-from deq.classify import (defect_identity_mask, annihilation_mask, candidate_block,
-                          coordinate_mask, endo_from_digits,
+from deq.classify import (candidate_block, coordinate_mask, endo_from_digits,
                           enumerate_solutions, forms_masks, operator_count,
-                          orbit_reduce, delta_identity_mask, random_block)
+                          orbit_reduce)
 from deq.coalg import BilinearForm, convolve, counit_form
 from deq.dimodule import r_from_dimodule
 from deq.dmap import (delta_form, is_dmap, r_sigma, sigma_form, sigma_from_r,
@@ -18,6 +17,8 @@ from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (check_d, check_qybe, conjugate, diagonal_solution,
                             product_solution)
 from deq.coalg import comatrix
+from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
+                            random_block)
 
 
 def report(num, ok, elapsed, budget=None):

@@ -161,11 +161,12 @@ def test_comodule_axioms_and_pushforward():
 def test_comodule_rejects_broken_coassociativity():
     C = comatrix(QQ, 2)
     k = QQ
-    rho = [[[k.zero] * 4 for _ in range(2)] for _ in range(2)]
-    rho[0][0][comatrix_index(2, 1, 2)] = k.one  # eps kills it: counit axiom fails
-    rho[1][1][comatrix_index(2, 2, 2)] = k.one
+    slices = [Matrix.zeros(k, 2, 2) for _ in range(4)]
+    # eps kills c12: the counit axiom fails
+    slices[comatrix_index(2, 1, 2)] = Matrix(k, [[1, 0], [0, 0]])
+    slices[comatrix_index(2, 2, 2)] = Matrix(k, [[0, 0], [0, 1]])
     with pytest.raises(UsageError):
-        Comodule(C, 2, rho)
+        Comodule(C, slices)
 
 
 def test_convolution_unit_and_commutativity_of_counit_form():
@@ -281,7 +282,7 @@ def test_quotients_of_catalog_solutions_are_coalgebras():
 
 def recheck_comodule(M):
     """Rebuild M with the full axiom check."""
-    return Comodule(M.coalgebra, M.dim, M.rho, check=True)
+    return Comodule(M.coalgebra, M.slices, check=True)
 
 
 def test_standard_comodules_satisfy_the_axioms():

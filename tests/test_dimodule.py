@@ -21,15 +21,13 @@ def z2_bialgebra(field):
 
 
 def z2_swap_pair(field):
-    """(action, coaction) on k^2: g swaps the axes, e1 graded e, e2 graded g.
-    Incompatible because g moves e1 out of its component."""
+    """(action, coaction slices) on k^2: g swaps the axes, e1 graded e, e2
+    graded g. Incompatible because g moves e1 out of its component."""
     k = field
     z, o = k.zero, k.one
     action = [Matrix.identity(k, 2), Matrix(k, [[z, o], [o, z]], coerce=False)]
-    rho = [[[z, z] for _ in range(2)] for _ in range(2)]
-    rho[0][0][0] = o
-    rho[1][1][1] = o
-    return action, rho
+    slices = [Matrix(k, [[o, z], [z, z]]), Matrix(k, [[z, z], [z, o]])]
+    return action, slices
 
 
 def z2_eigen_grading(field, dim):
@@ -83,23 +81,23 @@ def test_group_bialgebra_rejects_non_groups():
 def test_long_dimodule_rejects_incompatible_pair():
     k = QQ
     H = z2_bialgebra(k)
-    action, rho = z2_swap_pair(k)
-    comod = Comodule(H.gen_coalgebra(), 2, rho)
+    action, slices = z2_swap_pair(k)
+    comod = Comodule(H.gen_coalgebra(), slices)
     with pytest.raises(MathError, match="compatibility fails"):
         LongDimodule(H, action, comod)
     # same verdict from the standalone checker
-    assert not check_long_compat(H, H.gen_coalgebra(), action, rho)
+    assert not check_long_compat(H, action, comod)
     # restricted to the compatible generator e the violation is invisible
-    assert check_long_compat(H, H.gen_coalgebra(), action, rho, generators=[0])
-    assert not check_long_compat(H, H.gen_coalgebra(), action, rho, generators=[1])
+    assert check_long_compat(H, action, comod, generators=[0])
+    assert not check_long_compat(H, action, comod, generators=[1])
 
 
 def test_compatible_subalgebra_of_incompatible_pair():
     """The compatible elements of k[Z/2] for the swap pair are exactly k.e."""
     k = QQ
     H = z2_bialgebra(k)
-    action, rho = z2_swap_pair(k)
-    basis = compatible_subalgebra(H, action, rho)
+    action, slices = z2_swap_pair(k)
+    basis = compatible_subalgebra(H, action, Comodule(H.gen_coalgebra(), slices))
     assert len(basis) == 1
     span, contains = span_and_membership(basis, k, dim=2)
     assert contains(H.unit)
@@ -110,7 +108,7 @@ def test_compatible_subalgebra_of_graded_module():
     """A genuine grading is compatible with all of k[G]."""
     g = catalog.s3_graded_module(QQ)
     d = dimodule_from_grading(g)
-    basis = compatible_subalgebra(g.host, d.act, d.rho)
+    basis = compatible_subalgebra(g.host, d.act, d.comodule)
     assert len(basis) == 6
 
 
@@ -119,8 +117,8 @@ def test_check_long_compat_generator_restriction():
     g = catalog.s3_graded_module(QQ)
     d = dimodule_from_grading(g)
     H = g.host
-    full = check_long_compat(H, H.gen_coalgebra(), d.act, d.rho)
-    gens = check_long_compat(H, H.gen_coalgebra(), d.act, d.rho, generators=[1, 2])
+    full = check_long_compat(H, d.act, d.comodule)
+    gens = check_long_compat(H, d.act, d.comodule, generators=[1, 2])
     assert full and gens
 
 
@@ -235,19 +233,14 @@ def test_induce_from_comodule():
     k = PrimeField(5)
     H = z2_bialgebra(k)
     z, o = k.zero, k.one
-    rho = [[[z, z] for _ in range(2)] for _ in range(2)]
-    rho[0][0][0] = o
-    rho[1][1][1] = o
-    M = Comodule(H.gen_coalgebra(), 2, rho)
+    M = Comodule(H.gen_coalgebra(), [Matrix(k, [[o, z], [z, z]]), Matrix(k, [[z, z], [z, o]])])
     d = induce_from_comodule(M, H)
     assert d.dim == 4
     assert d.is_compatible()
     assert check_d(r_from_dimodule(d))
     with pytest.raises(UsageError):
-        induce_from_comodule(Comodule(z2_bialgebra(QQ).gen_coalgebra(), 2,
-                                      [[[QQ.one if l == w and a == 0 else QQ.zero
-                                         for a in range(2)] for w in range(2)]
-                                       for l in range(2)]), H)
+        induce_from_comodule(Comodule(z2_bialgebra(QQ).gen_coalgebra(),
+                                      [Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 2)]), H)
 
 
 # group_bialgebra and dimodule_from_grading build their results without
@@ -313,9 +306,9 @@ def test_dimodules_from_gradings_satisfy_the_axioms():
               conjugated(z6_graded_module(QQ), shear),
               conjugated(catalog.s3_graded_module(PrimeField(7)), shear)):
         d = dimodule_from_grading(g)
-        comod = Comodule(d.coalgebra, d.dim, d.rho, check=True)
+        comod = Comodule(d.coalgebra, d.comodule.slices, check=True)
         LongDimodule(g.host, d.act, comod, check=True)
-        assert check_long_compat(g.host, d.coalgebra, d.act, d.rho)
+        assert check_long_compat(g.host, d.act, comod)
         assert check_d(r_from_dimodule(d))
 
 
@@ -329,8 +322,7 @@ def test_module_axioms_are_checked_once_for_both_makers():
     z, o = k.zero, k.one
     pe = Matrix(k, [[o, z], [z, z]], coerce=False)
     pg = Matrix(k, [[z, z], [z, o]], coerce=False)
-    rho = [[[o if w == l else z, z] for w in range(2)] for l in range(2)]
-    comod = Comodule(H.gen_coalgebra(), 2, rho)
+    comod = Comodule(H.gen_coalgebra(), [ident, Matrix.zeros(k, 2, 2)])
     for action in ([ident, doubled], [doubled, ident]):
         with pytest.raises(MathError) as graded:
             GradedModule(H, action, [pe, pg])

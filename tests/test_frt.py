@@ -4,7 +4,7 @@ import pytest
 
 from deq import catalog
 from deq.coalg import comatrix, comatrix_index, quotient
-from deq.fields import FunctionField, PrimeField, QQ
+from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import (FrtPresentation, NotASolutionError, annihilation_check,
                      d_bialgebra, defect_pairing, frt_col_order,
                      generator_action, obstruction_coideal, obstructions,
@@ -244,6 +244,19 @@ def test_universal_map_to_group_bialgebra():
     # m1, m2 graded by t12; m3 by t13: diagonal generators map to grouplikes
     assert assignment[(1, 1)][t12] == k.one
     assert assignment[(3, 3)][t13] == k.one
+
+
+def test_universal_map_refuses_a_host_of_another_coalgebra():
+    """The quotient of the triangular solution and k[Z/2] have the same
+    dimension but different comultiplications: a usage error, not an
+    internal one."""
+    from deq.dimodule import group_bialgebra
+    R = catalog.triangular_solution(QQ, 1, 1, 1)
+    dmod = d_bialgebra(R).canonical_dimodule()
+    H = group_bialgebra(QQ, ["e", "g"], [[0, 1], [1, 0]])
+    assert dmod.coalgebra.dim == H.dim
+    with pytest.raises(UsageError, match="does not live over the given host"):
+        universal_map(R, H, dmod)
 
 
 def test_universal_map_rejects_wrong_realization():
