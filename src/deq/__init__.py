@@ -15,9 +15,8 @@ from .tensor_ops import (EndoPair, FormVerdicts, check_commuting_pair,
                          diagonal_solution, first_violation, flip_pair,
                          identity_pair, invert, lift, product_solution)
 from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
-                    QuotientCoalgebra, coideal, comatrix, convolution_inverse,
-                    convolve, counit_form, grouplike_coalgebra, is_coideal,
-                    quotient)
+                    QuotientCoalgebra, coideal, comatrix, convolve,
+                    counit_form, grouplike_coalgebra, is_coideal, quotient)
 from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
                   ObstructionSet, annihilation_check, d_bialgebra,
                   defect_pairing, frt_col_order, generator_action,

@@ -8,14 +8,13 @@ coordinates are flattened as (b, c) -> b*d + c.
 from __future__ import annotations
 
 from .fields import Field, UsageError
-from .linalg import (Matrix, linear_combination, matrix_inverse, reduce_against, rref,
-                     solve_linear)
+from .linalg import Matrix, linear_combination, reduce_against, rref
 
 
 class Coalgebra:
     """Structure-constant coalgebra; axioms are verified at construction
     unless check=False, which is for coalgebras by construction (comatrix,
-    grouplike, quotients by a verified coideal), whose axioms the tests check."""
+    grouplike, quotients by a coideal), whose axioms the tests check."""
 
     def __init__(self, field: Field, labels, delta, counit, check: bool = True):
         d = len(labels)
@@ -119,10 +118,15 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
 
 
 class Coideal:
-    """A verified coideal: reduced basis, its pivots, and the column order used.
+    """A coideal of `parent`: reduced echelon basis, its pivots, and the
+    column order used.
 
-    `coideal()` is the only maker of Coideals, so every Coideal has passed
-    the coideal test and `quotient` need not check its result again."""
+    Two makers build Coideals. `coideal()` spans user vectors and checks the
+    coideal conditions at run time. `frt.obstruction_coideal` builds
+    span{o(i,j,k,l)} from its echelon form alone: that span is a coideal for
+    every R, a theorem the tests check (`ObstructionSet.delta_identity_holds`
+    and the coideal test on the census and the catalog). So `quotient` need
+    not check its result again."""
 
     def __init__(self, parent: Coalgebra, basis, pivots, col_order):
         self.parent = parent
@@ -211,55 +215,43 @@ def _show_combo(C: Coalgebra, vec) -> str:
 
 
 class QuotientCoalgebra(Coalgebra):
-    """C/I with a chosen section; a genuine Coalgebra on the complement labels.
+    """C/I on the non-pivot coordinates of I's reduced basis; a genuine
+    Coalgebra on their labels.
 
-    I is a verified coideal, so the structure (pi (x) pi) Delta does not
-    depend on the section and satisfies the axioms; it is not re-checked."""
+    The quotient map is read off the echelon form: pi(e_s) = e_s on a
+    non-pivot column s, and e_p + sum_s basis[r][s] e_s lies in I for the
+    pivot p of row r, so pi(e_p) = -sum_s basis[r][s] e_s. The tests check
+    that this equals the last rows of B^-1 for B = [basis | section], and
+    that another section gives the same coalgebra. I is a coideal, so the
+    structure (pi (x) pi) Delta satisfies the axioms (checked in the tests);
+    it is not re-checked here."""
 
-    def __init__(self, parent: Coalgebra, ideal: Coideal, complement=None):
+    def __init__(self, parent: Coalgebra, ideal: Coideal):
         k, d = parent.field, parent.dim
-        rank = ideal.dim
-        if complement is None:
-            complement = [c for c in range(d) if c not in ideal.pivots]
-        complement = list(complement)
-        if len(complement) != d - rank:
-            raise UsageError("complement has wrong size")
-        cols = [list(v) for v in ideal.basis] + \
-               [[k.one if a == c else k.zero for a in range(d)] for c in complement]
-        B = Matrix(k, cols, coerce=False).transpose()
-        Binv = matrix_inverse(B)
-        if Binv is None:
-            raise UsageError("complement does not complement the coideal")
-        if rank == d:
+        if ideal.dim == d:
             raise UsageError("coideal exhausts the coalgebra")
+        section = [c for c in range(d) if c not in ideal.pivots]
+        proj = [[k.zero] * d for _ in section]
+        for b, s in enumerate(section):
+            proj[b][s] = k.one
+            for row, p in zip(ideal.basis, ideal.pivots):
+                proj[b][p] = k.neg(row[s])
         self.parent = parent
         self.ideal = ideal
-        self.proj = Matrix(k, Binv.rows[rank:], coerce=False)
-        self.section_cols = complement
+        self.proj = Matrix._computed(k, proj)
+        self.section_cols = section
         # Delta-bar(e_c~) = (pi (x) pi) Delta(e_c): the table P mu[c] P^t
         proj_t = self.proj.transpose()
-        mu = [self.proj.mul(parent.delta_matrix(c)).mul(proj_t).rows for c in complement]
-        labels = [parent.labels[c] + "~" for c in complement]
-        eps = [parent.counit[c] for c in complement]
+        mu = [self.proj.mul(parent.delta_matrix(c)).mul(proj_t).rows for c in section]
+        labels = [parent.labels[c] + "~" for c in section]
+        eps = [parent.counit[c] for c in section]
         super().__init__(k, labels, mu, eps, check=False)
 
-    def project(self, vec):
-        """pi applied to a parent coefficient vector."""
-        return self.proj.apply([self.field.coerce(v) for v in vec])
 
-    def lift(self, qvec):
-        """Section: quotient coefficients back to parent coordinates."""
-        k, d = self.field, self.parent.dim
-        out = [k.zero] * d
-        for b, c in enumerate(self.section_cols):
-            out[c] = k.add(out[c], k.coerce(qvec[b]))
-        return out
-
-
-def quotient(C: Coalgebra, I: Coideal, complement=None) -> QuotientCoalgebra:
+def quotient(C: Coalgebra, I: Coideal) -> QuotientCoalgebra:
     if I.parent is not C:
         raise UsageError("coideal belongs to a different coalgebra")
-    return QuotientCoalgebra(C, I, complement=complement)
+    return QuotientCoalgebra(C, I)
 
 
 class Comodule:
@@ -302,7 +294,7 @@ class Comodule:
     def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
         """(I (x) pi) rho: the induced comodule over C/I, with slices
         sum_a proj[q][a] P_a. It is not re-checked: pi is the coalgebra map
-        onto the quotient by a verified coideal, so (I (x) pi) rho is a
+        onto the quotient by a coideal, so (I (x) pi) rho is a
         comodule whenever rho is."""
         if Q.parent is not self.coalgebra:
             raise UsageError("quotient of a different coalgebra")
@@ -350,38 +342,3 @@ def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
          for b in range(D.dim)]
     mc = Matrix._computed(k, [[m for row in C.mu[a] for m in row] for a in range(C.dim)])
     return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows)
-
-
-def convolution_inverse(phi: BilinearForm):
-    """Two-sided convolution inverse, or None; found by one exact linear solve."""
-    C, D, k = phi.left, phi.right, phi.left.field
-    nC, nD = C.dim, D.dim
-    unknowns = nC * nD
-    rows = []
-    rhs = []
-    for a in range(nC):
-        for b in range(nD):
-            row = [k.zero] * unknowns
-            for a1 in range(nC):
-                for c in range(nC):
-                    ma = C.mu[a][a1][c]
-                    if k.is_zero(ma):
-                        continue
-                    for b1 in range(nD):
-                        for e in range(nD):
-                            mb = D.mu[b][b1][e]
-                            if k.is_zero(mb):
-                                continue
-                            coeff = k.mul(k.mul(ma, mb), phi.table[a1][b1])
-                            if not k.is_zero(coeff):
-                                row[c * nD + e] = k.add(row[c * nD + e], coeff)
-            rows.append(row)
-            rhs.append(k.mul(C.counit[a], D.counit[b]))
-    sol = solve_linear(Matrix(k, rows, coerce=False), rhs)
-    if sol is None:
-        return None
-    psi = BilinearForm(C, D, [[sol[c * nD + e] for e in range(nD)] for c in range(nC)])
-    unit = counit_form(C, D)
-    if convolve(phi, psi) != unit or convolve(psi, phi) != unit:
-        raise RuntimeError("one-sided convolution inverse failed to be two-sided")
-    return psi

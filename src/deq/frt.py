@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .coalg import (Coalgebra, Coideal, Comodule, _combo_text, coideal, comatrix,
-                    quotient)
+from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
 from .fields import MathError, UsageError
-from .linalg import Matrix, linear_combination
+from .linalg import Matrix, linear_combination, rref
 from .tensor_ops import EndoPair, first_violation
 
 
@@ -31,9 +30,18 @@ class NotASolutionError(MathError):
         super().__init__(msg)
 
 
-def require_solution(R: EndoPair):
-    where = first_violation(R)
-    if where is not None:
+def require_solution(R: EndoPair, action: GeneratorAction, basis):
+    """Raise NotASolutionError unless R solves the equation.
+
+    By the FRT-type theorem, R is a solution exactly when every obstruction
+    acts as zero on M: entry (p, q) of A(o(i,j,k,l)) is the difference of
+    the two sides of coordinate equation (i,j,k,l,p,q). A is linear, so the
+    reduced basis of I(R) decides it (`annihilation_check`). The equation
+    that fails is named by `first_violation`, which runs only after a no."""
+    if not annihilation_check(action, basis):
+        where = first_violation(R)
+        if where is None:
+            raise RuntimeError("annihilation gate and coordinate equations disagree")
         raise NotASolutionError(where)
 
 
@@ -107,13 +115,16 @@ def frt_col_order(n: int):
 
 
 def obstruction_coideal(R: EndoPair, C: Coalgebra = None) -> Coideal:
-    """span{o(i,j,k,l)} as a verified coideal of comatrix(n).
+    """span{o(i,j,k,l)} as a coideal of comatrix(n), from its reduced
+    echelon form in `frt_col_order`.
 
-    `coideal` verifies it; `delta_identity_holds`, which implies the same
-    fact for every R, is checked in the tests instead."""
+    It is not checked at run time: `delta_identity_holds` shows it is a
+    coideal for every R, solution or not, and the tests check that and the
+    coideal conditions themselves on the census and the catalog."""
     obs = ObstructionSet(R, C)
-    vectors = [vec for _, vec in obs.items()]
-    return coideal(obs.coalgebra, vectors, col_order=frt_col_order(R.n))
+    basis, pivots = rref([vec for _, vec in obs.items()], R.field,
+                         col_order=frt_col_order(R.n))
+    return Coideal(obs.coalgebra, basis, pivots, frt_col_order(R.n))
 
 
 def standard_comodule(C: Coalgebra) -> Comodule:
@@ -131,8 +142,7 @@ def standard_comodule(C: Coalgebra) -> Comodule:
 
 
 class GeneratorAction:
-    """A(c_ju) m_v = sum_i x_uv^ji m_i, extended linearly to coefficient
-    vectors over the generators."""
+    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju."""
 
     def __init__(self, R: EndoPair):
         n, k = R.n, R.field
@@ -141,22 +151,23 @@ class GeneratorAction:
         self.matrices = []
         for j in range(n):
             for u in range(n):
-                rows = [[R.x[u][v][j][i] for v in range(n)] for i in range(n)]
-                self.matrices.append(Matrix(k, rows, coerce=False))
-
-    def of_vector(self, vec) -> Matrix:
-        return linear_combination(vec, self.matrices)
+                self.matrices.append(Matrix._computed(
+                    k, [[R.x[u][v][j][i] for v in range(n)] for i in range(n)]))
 
 
 def generator_action(R: EndoPair) -> GeneratorAction:
     return GeneratorAction(R)
 
 
-def annihilation_check(R: EndoPair) -> bool:
-    """True iff every obstruction acts as zero on M."""
-    act = GeneratorAction(R)
-    obs = ObstructionSet(R)
-    return all(act.of_vector(vec).is_zero() for _, vec in obs.items())
+def annihilation_check(action: GeneratorAction, vectors) -> bool:
+    """True iff every coefficient vector over the generators acts as zero
+    on M: the vectors, stacked, times the table whose row c is A(c)
+    flattened, is zero."""
+    if not vectors:
+        return True
+    k = action.field
+    table = Matrix._computed(k, [[v for row in m.rows for v in row] for m in action.matrices])
+    return Matrix._computed(k, vectors).mul(table).is_zero()
 
 
 def defect_pairing(R: EndoPair, j, k, l):
@@ -213,18 +224,21 @@ def delta_string(Q: Coalgebra, b: int) -> str:
 
 
 class FrtPresentation:
-    """D(R) presented as the free algebra on a basis of comatrix(n)/I(R)."""
+    """D(R) presented as the free algebra on a basis of comatrix(n)/I(R).
+
+    Building it is the solution gate: `require_solution` on the reduced
+    basis of I(R) and the generator action, both kept."""
 
     def __init__(self, R: EndoPair):
-        require_solution(R)
         self.endo = R
         self.field = R.field
         self.n = R.n
         self.coalgebra = comatrix(R.field, R.n)
         self.ideal = obstruction_coideal(R, self.coalgebra)
+        self.action = GeneratorAction(R)
+        require_solution(R, self.action, self.ideal.basis)
         self.quotient = quotient(self.coalgebra, self.ideal)
         self.relations = relation_strings(self.ideal)
-        self.action = GeneratorAction(R)
 
     @property
     def generators(self):
@@ -235,11 +249,9 @@ class FrtPresentation:
         return self.quotient
 
     def generator_matrices(self):
-        """Action of each quotient-basis generator on the standard module."""
-        return [self.action.of_vector(self.quotient.lift(
-                    [self.field.one if b == b2 else self.field.zero
-                     for b2 in range(self.quotient.dim)]))
-                for b in range(self.quotient.dim)]
+        """Action of each quotient-basis generator on the standard module:
+        the generator c~ is the class of its section column c."""
+        return [self.action.matrices[c] for c in self.quotient.section_cols]
 
     def generator_lines(self):
         """Delta and eps of every generator, as text."""
@@ -252,11 +264,12 @@ class FrtPresentation:
 
     def canonical_dimodule(self):
         """The standard module and comodule on M, as a Long dimodule over
-        this presentation."""
+        this presentation. It is built unchecked: R is a solution, so by the
+        FRT-type theorem it is compatible; the tests check that."""
         from .dimodule import LongDimodule
         std = standard_comodule(self.coalgebra)
         return LongDimodule(self, self.generator_matrices(),
-                            std.pushforward(self.quotient))
+                            std.pushforward(self.quotient), check=False)
 
     def __repr__(self):
         return ("FrtPresentation(n=%d, dim I=%d, generators=%s)"

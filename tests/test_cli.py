@@ -7,7 +7,8 @@ import time
 from deq import catalog, fileio
 from deq.cli import main
 from deq.fields import QQ
-from deq.tensor_ops import diagonal_solution, identity_pair
+from deq.linalg import Matrix
+from deq.tensor_ops import EndoPair, diagonal_solution, identity_pair
 
 
 def write_operator(tmp_path, name, R):
@@ -132,14 +133,9 @@ def test_frt_and_dmap_golden_on_bundled_examples(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name)
 
 
-def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
-    """One deq dmap run checks the equation, builds comatrix(n), the
-    obstruction coideal and the quotient once each."""
-    from deq import coalg, frt, tensor_ops
-    originals = {"first_violation": tensor_ops.first_violation,
-                 "comatrix": coalg.comatrix,
-                 "obstruction_coideal": frt.obstruction_coideal,
-                 "quotient": coalg.quotient}
+def count_calls(monkeypatch, originals):
+    """Counts of calls to each named function, patched in every deq module
+    that binds it."""
     counts = dict.fromkeys(originals, 0)
 
     def counting(name, fn):
@@ -153,10 +149,138 @@ def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] == "deq" and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
+    """One deq dmap run builds comatrix(n), the obstruction coideal and the
+    quotient once each; on a solution the coordinate equations never run."""
+    from deq import coalg, frt, tensor_ops
+    counts = count_calls(monkeypatch, {"first_violation": tensor_ops.first_violation,
+                                       "comatrix": coalg.comatrix,
+                                       "obstruction_coideal": frt.obstruction_coideal,
+                                       "quotient": coalg.quotient})
     path = write_operator(tmp_path, "diag.txt", diagonal_solution(QQ, [[1, 2], [3, 4]]))
     assert main(["dmap", path]) == 0
     assert "convolution inverse: found" in capsys.readouterr().out
-    assert counts == dict.fromkeys(originals, 1)
+    assert counts == {"first_violation": 0, "comatrix": 1, "obstruction_coideal": 1,
+                      "quotient": 1}
+
+
+def test_frt_and_dmap_rerun_no_theorem_on_a_solution(tmp_path, capsys, monkeypatch):
+    """On a solution, deq frt and deq dmap run no coordinate equation, no
+    coideal check, no balance condition and no convolution; the tests check
+    those theorems instead. deq dmap inverts R once, for its convolution
+    inverse line, and deq frt never."""
+    from deq import coalg, dmap, linalg, tensor_ops
+    counts = count_calls(monkeypatch, {"first_violation": tensor_ops.first_violation,
+                                       "_coideal_failure": coalg._coideal_failure,
+                                       "is_dmap": dmap.is_dmap,
+                                       "convolve": coalg.convolve,
+                                       "matrix_inverse": linalg.matrix_inverse})
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    for command, inverses in (("frt", 0), ("dmap", 1)):
+        for name in ("s3-graded.txt", "rq-symbolic.txt", "triangular-symbolic.txt",
+                     "projection.txt", "identity-n2.txt"):
+            counts.update(dict.fromkeys(counts, 0))
+            assert main([command, os.path.join(exdir, name)]) == 0, (command, name)
+            assert counts == dict(dict.fromkeys(counts, 0), matrix_inverse=inverses), \
+                (command, name)
+    capsys.readouterr()
+
+
+def perturbed_runs(tmp_path, capsys, command, path):
+    """(exit codes, sha256 of every run's exit code, stdout and stderr) of
+    the command on each one-entry perturbation of the operator in path, the
+    entry raised by 1, in row-major order."""
+    R = fileio.read_matrix(path)
+    k, rows = R.field, R.matrix().rows
+    codes, digest = "", hashlib.sha256()
+    for r in range(len(rows)):
+        for c in range(len(rows)):
+            bumped = [list(row) for row in rows]
+            bumped[r][c] = k.add(bumped[r][c], k.one)
+            target = str(tmp_path / "bumped.txt")
+            fileio.write_matrix(target, EndoPair.from_matrix(Matrix(k, bumped)))
+            code = main([command, target])
+            captured = capsys.readouterr()
+            codes += str(code)
+            digest.update(("%d\n%s\0%s\0" % (code, captured.out, captured.err)).encode())
+    return codes, digest.hexdigest()
+
+
+# deq frt and deq dmap on the bundled non-solutions: exit code and sha256 of stderr
+NON_SOLUTION_STDERR = {
+    ('frt', 'yb-operator-q2.txt'):
+        (1, 'f58f05431956f02e4b58996a1626b142a4dec9e4bef7e651a133255104d8c1b3'),
+    ('frt', 'yb-operator-symbolic.txt'):
+        (1, 'f58f05431956f02e4b58996a1626b142a4dec9e4bef7e651a133255104d8c1b3'),
+    ('dmap', 'yb-operator-q2.txt'):
+        (1, 'f58f05431956f02e4b58996a1626b142a4dec9e4bef7e651a133255104d8c1b3'),
+    ('dmap', 'yb-operator-symbolic.txt'):
+        (1, 'f58f05431956f02e4b58996a1626b142a4dec9e4bef7e651a133255104d8c1b3'),
+}
+# the same two commands on every one-entry perturbation of a bundled
+# operator: perturbed_runs' exit codes and digest
+PERTURBED_GOLDEN = {
+    ('frt', 'triangular-111.txt'):
+        ('1110111111111111',
+         '4cd43192ea310ed91a508f0bfae73fa3d4fb0ff0ca559dd0fb6a1ab3e5582de4'),
+    ('frt', 'rq-symbolic.txt'):
+        ('1111111111111111',
+         'a90db9b7d3d49f7c08ac850513e4ef2c096f49de40876fa68bf998c5fd5b5d85'),
+    ('frt', 'identity-n2.txt'):
+        ('0110101111010110',
+         '5f8fca7f1f5d9fd30bd1b995dd582b49b1d179030ae9a4423ed1c8d1a5a50918'),
+    ('frt', 's3-graded.txt'):
+        ('111111111111111111110110111111111111111111111110110111111111111111111111111111110',
+         '7c66d8efa256ad2d4cd6f641624496e5447560795550b567f38113dc8c7d5c79'),
+    ('dmap', 'triangular-111.txt'):
+        ('1110111111111111',
+         'f45a0102ecfe0a9dfa53d5b000674cc53d677ccc5aa2bb7711726a666a47df59'),
+    ('dmap', 'rq-symbolic.txt'):
+        ('1111111111111111',
+         'a90db9b7d3d49f7c08ac850513e4ef2c096f49de40876fa68bf998c5fd5b5d85'),
+    ('dmap', 'identity-n2.txt'):
+        ('0110101111010110',
+         'e35b9add9ed9555388fcbf10fb6bd24f245746001ce0a4c1db371b779b23920b'),
+    ('dmap', 's3-graded.txt'):
+        ('111111111111111111110110111111111111111111111110110111111111111111111111111111110',
+         'a391ef82eb2e38c180e4fc3c5dda645a5d48e636893b90a7f024b19abbbb7c12'),
+}
+
+
+def test_frt_and_dmap_on_non_solutions_are_frozen(tmp_path, capsys):
+    """A no names its failing coordinate equation on stderr, byte for byte,
+    with exit 1; perturbations that stay solutions keep their reports."""
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+    for (command, name), (code, digest) in NON_SOLUTION_STDERR.items():
+        assert main([command, os.path.join(exdir, name)]) == code, (command, name)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: not a D-equation")
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == digest, (command, name)
+    for (command, name), want in PERTURBED_GOLDEN.items():
+        got = perturbed_runs(tmp_path, capsys, command, os.path.join(exdir, name))
+        assert got == want, (command, name)
+
+
+def test_frt_and_dmap_refuse_n_above_9_before_any_equation(tmp_path, capsys):
+    """comatrix(n) has two-digit labels, so n >= 10 is refused with exit 2
+    before the obstruction coideal or an equation is computed, for a
+    solution and a non-solution alike."""
+    n = 10
+    R = diagonal_solution(QQ, [[i + j + 1 for j in range(n)] for i in range(n)])
+    rows = [list(row) for row in R.matrix().rows]
+    rows[0][1] = QQ.one
+    for name, S in (("sol.txt", R), ("non.txt", EndoPair.from_matrix(Matrix(QQ, rows)))):
+        path = write_operator(tmp_path, name, S)
+        for command in ("frt", "dmap"):
+            assert main([command, path]) == 2, (command, name)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "comatrix order must be in 1..9" in captured.err
 
 
 def test_cli_import_does_not_load_numpy():
@@ -281,7 +405,6 @@ def test_dimodule_golden_on_bundled_example(tmp_path, capsys):
 
 def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
     """Each is a mathematical no: exit 1 with the reason on stderr."""
-    from deq.linalg import Matrix
     k = QQ
     z, o = k.zero, k.one
     z2 = str(tmp_path / "z2.txt")
@@ -304,8 +427,10 @@ def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
 
 def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     """Structures correct by construction are not re-checked: one deq frt
-    and one deq dimodule run check no comodule, algebra or bialgebra axioms,
-    and test compatibility once for each (basis element, m_l) pair."""
+    and one deq dimodule run check no comodule, algebra or bialgebra axioms.
+    deq dimodule tests compatibility once for each (basis element, m_l)
+    pair, for its compat lines; deq frt does not test it, since the
+    canonical dimodule of a solution is compatible by the FRT-type theorem."""
     from deq import coalg, dimodule
     checks = {"Comodule._check_axioms": (coalg.Comodule, "_check_axioms"),
               "FinAlgebra._check_algebra": (dimodule.FinAlgebra, "_check_algebra"),
@@ -345,6 +470,9 @@ def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
         del tables[:]
         assert main(argv) == 0, argv
         assert counts == dict.fromkeys(checks, 0), argv
+        if argv[0] == "frt":
+            assert pairs == {} and tables == [], argv
+            continue
         (dim, seen), = pairs.items()
         grid = [(a, l) for a in range(len(dim.act)) for l in range(dim.dim)]
         assert sorted(seen) == grid, argv

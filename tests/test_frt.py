@@ -10,7 +10,7 @@ from deq.frt import (FrtPresentation, NotASolutionError, annihilation_check,
                      generator_action, obstruction_coideal, obstructions,
                      relation_strings, require_solution, standard_comodule,
                      universal_map)
-from deq.linalg import Matrix
+from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
 from deq.dimodule import r_from_dimodule
 
@@ -89,7 +89,7 @@ def test_action_kills_obstructions_iff_solution():
     seen = [0, 0]
     for R in cases:
         act = generator_action(R)
-        killed = all(act.of_vector(vec) == zero
+        killed = all(linear_combination(vec, act.matrices) == zero
                      for _, vec in obstructions(R).items())
         assert killed == check_d(R)
         seen[int(killed)] += 1
@@ -103,11 +103,16 @@ def test_action_kills_obstructions_iff_solution():
 
 
 def test_annihilation_equivalence_random():
+    """The gate on all obstructions and on the reduced basis of I(R) agree
+    with check_d."""
     k = PrimeField(5)
     rng = random.Random(6)
     for _ in range(60):
         R = rand_pair(k, rng, 2)
-        assert annihilation_check(R) == check_d(R)
+        act = generator_action(R)
+        want = check_d(R)
+        assert annihilation_check(act, [v for _, v in obstructions(R).items()]) == want
+        assert annihilation_check(act, obstruction_coideal(R).basis) == want
 
 
 def test_frt_col_order():
@@ -152,8 +157,10 @@ def test_presentation_rejects_non_solution():
     with pytest.raises(NotASolutionError) as info:
         d_bialgebra(catalog.yang_baxter_operator(QQ, 2))
     assert len(info.value.where) == 6
-    with pytest.raises(NotASolutionError):
-        require_solution(catalog.yang_baxter_operator(QQ, 2))
+    R = catalog.yang_baxter_operator(QQ, 2)
+    with pytest.raises(NotASolutionError) as again:
+        require_solution(R, generator_action(R), obstruction_coideal(R).basis)
+    assert again.value.where == info.value.where
 
 
 def test_generator_action_is_the_coefficient_table():

@@ -1,0 +1,240 @@
+"""The theorems `deq frt` and `deq dmap` rely on instead of re-checking them
+on every run, each checked on every (2, 2) and (2, 3) solution and on the
+catalog over Q, F_13 and Q(q)."""
+
+import functools
+import random
+
+import pytest
+
+from deq import catalog
+from deq.classify import endo_from_digits
+from deq.coalg import BilinearForm, comatrix, coideal, convolve, counit_form, quotient
+from deq.dimodule import LongDimodule
+from deq.dmap import (DMap, _sigma0_table, convolution_inverse_of_sigma, delta_form,
+                      first_symmetry_violation, is_dmap, r_sigma, sigma_form,
+                      sigma_from_r, strong_dmap_from_symmetric)
+from deq.fields import MathError
+from deq.frt import (NotASolutionError, annihilation_check, d_bialgebra, frt_col_order,
+                     generator_action, obstruction_coideal, obstructions,
+                     standard_comodule)
+from deq.linalg import Matrix
+from deq.tensor_ops import EndoPair, first_violation, invert
+from oracles import convolution_inverse, section_quotient
+from test_classify import census
+from test_matrix_forms import FIELDS, catalog_solutions
+
+FIELD_IDS = ["Q", "F13", "Qq"]
+
+
+@functools.lru_cache(maxsize=None)
+def census_solutions():
+    """Every solution over F_2 and F_3 at n = 2: 100 and 1,017."""
+    out = []
+    for p, count in ((2, 100), (3, 1017)):
+        report = census(2, p)
+        assert report.count == count
+        out += [endo_from_digits(2, p, sol) for sol in report.solutions]
+    return out
+
+
+def each_solution(k_q=None):
+    return census_solutions() if k_q is None else catalog_solutions(*k_q)
+
+
+SOURCES = [None] + FIELDS
+SOURCE_IDS = ["census"] + FIELD_IDS
+
+
+def perturbations(R):
+    """R with one entry raised by 1, for every entry in row-major order."""
+    rows = R.matrix().rows
+    k = R.field
+    for r in range(len(rows)):
+        for c in range(len(rows)):
+            bumped = [list(row) for row in rows]
+            bumped[r][c] = k.add(bumped[r][c], k.one)
+            yield EndoPair.from_matrix(Matrix._computed(k, bumped))
+
+
+def vanishes_on_right(table, I):
+    """The form with this table on C (x) C is zero on C (x) I."""
+    if not I.basis:
+        return True
+    k = I.parent.field
+    return Matrix._computed(k, table).mul(Matrix._computed(k, I.basis).transpose()).is_zero()
+
+
+@pytest.mark.parametrize("k_q", [FIELDS[0], FIELDS[1], FIELDS[2]], ids=FIELD_IDS)
+def test_obstruction_span_is_a_coideal_for_every_operator(k_q):
+    """span{o(i,j,k,l)} passes the coideal check, and equals the unchecked
+    obstruction_coideal, for catalog solutions, their one-entry
+    perturbations and the Yang-Baxter operator."""
+    k, q = k_q
+    operators = [catalog.yang_baxter_operator(k, q)]
+    for R in catalog_solutions(k, q):
+        operators.append(R)
+        if R.n == 2:
+            operators += list(perturbations(R))
+    solutions = 0
+    for R in operators:
+        C = comatrix(k, R.n)
+        vectors = [v for _, v in obstructions(R, C).items()]
+        checked = coideal(C, vectors, col_order=frt_col_order(R.n))
+        built = obstruction_coideal(R, C)
+        assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
+        solutions += first_violation(R) is None
+    assert 0 < solutions < len(operators)
+
+
+def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
+    rng = random.Random(21)
+    census_ops = census_solutions()
+    operators = census_ops + [next(iter(perturbations(R))) for R in census_ops[::7]]
+    for R in operators:
+        C = comatrix(R.field, 2)
+        vectors = [v for _, v in obstructions(R, C).items()]
+        built = obstruction_coideal(R, C)
+        checked = coideal(C, vectors, col_order=frt_col_order(2))
+        assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
+    # random operators over F_3, nearly all of them non-solutions
+    k = census_ops[-1].field
+    for _ in range(100):
+        R = EndoPair.from_matrix(Matrix(k, [[rng.randrange(3) for _ in range(4)]
+                                            for _ in range(4)]))
+        coideal(comatrix(k, 2), [v for _, v in obstructions(R).items()])
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_closed_form_quotient_map_is_the_inverse_rows(k_q):
+    """pi read off the echelon form equals the last rows of B^-1, and the
+    quotient coalgebras agree."""
+    for R in each_solution(k_q):
+        C = comatrix(R.field, R.n)
+        I = obstruction_coideal(R, C)
+        Q = quotient(C, I)
+        oracle, proj = section_quotient(C, I, Q.section_cols)
+        assert Q.proj == proj
+        assert (Q.mu, Q.counit) == (oracle.mu, oracle.counit)
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_sigma_from_r_is_a_dmap(k_q):
+    for R in each_solution(k_q):
+        dm = sigma_from_r(R)
+        assert is_dmap(dm.coalgebra, dm.quotient, dm.sigma)
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_sigma_vanishes_on_c_tensor_the_ideal(k_q):
+    """sigma0 of R, and of R^-1 when R is bijective, vanishes on C (x) I(R);
+    for a symmetric R sigma0 vanishes on I(R) (x) C as well."""
+    inverses = symmetric = 0
+    for R in each_solution(k_q):
+        I = obstruction_coideal(R)
+        table = _sigma0_table(R)
+        assert vanishes_on_right(table, I)
+        Rinv = invert(R)
+        if Rinv is not None:
+            inverses += 1
+            assert vanishes_on_right(_sigma0_table(Rinv), I)
+        if first_symmetry_violation(R) is None:
+            symmetric += 1
+            assert vanishes_on_right([list(col) for col in zip(*table)], I)
+    assert inverses and (k_q is not None or symmetric)
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_canonical_dimodule_is_compatible(k_q):
+    for R in each_solution(k_q):
+        pres = d_bialgebra(R)
+        d = pres.canonical_dimodule()
+        assert d.is_compatible()
+        LongDimodule(pres, d.act, d.comodule, check=True)
+
+
+def sigma_as_matrix(R):
+    """Entry ((i, j), (v, u)) of the table of sigma0(c_iv (x) c_ju)."""
+    n, table = R.n, _sigma0_table(R)
+    return Matrix._computed(R.field, [[table[i * n + v][j * n + u]
+                                       for v in range(n) for u in range(n)]
+                                      for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_sigma_is_r_and_convolution_is_the_matrix_product(k_q):
+    """On comatrix(n), sigma0 of R is R.matrix() re-indexed, convolving
+    sigma0 of R and S gives sigma0 of RS, and sigma_(R^-1) is the two-sided
+    convolution inverse of sigma_R, as the generic solve finds it."""
+    solutions = each_solution(k_q)
+    found = 0
+    for R, S in zip(solutions, solutions[1:] + solutions[:1]):
+        if (R.n, R.field) != (S.n, S.field):
+            continue
+        assert sigma_as_matrix(R) == R.matrix()
+        C = comatrix(R.field, R.n)
+        form = lambda T: BilinearForm(C, C, _sigma0_table(T))
+        RS = EndoPair.from_matrix(R.matrix().mul(S.matrix()))
+        assert convolve(form(R), form(S)) == form(RS)
+        dm = sigma_from_r(R)
+        unit = counit_form(dm.coalgebra, dm.quotient)
+        try:
+            prime = convolution_inverse_of_sigma(dm)
+        except MathError:
+            assert invert(R) is None
+            assert convolution_inverse(dm.sigma) is None
+            continue
+        found += 1
+        assert convolve(dm.sigma, prime) == unit and convolve(prime, dm.sigma) == unit
+        assert convolution_inverse(dm.sigma) == prime
+    assert found
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_r_sigma_solves_the_equation(k_q):
+    """r_sigma of the standard comodule gives back R for sigma_from_r(R),
+    and a solution for the D-maps sigma_f and delta_form."""
+    rng = random.Random(22)
+    for R in each_solution(k_q):
+        dm = sigma_from_r(R)
+        std = standard_comodule(dm.coalgebra)
+        assert r_sigma(std, dm) == R
+    k = R.field
+    for n in (2, 3):
+        C = comatrix(k, n)
+        std = standard_comodule(C)
+        for form in (sigma_form(C, [k.random(rng) for _ in range(C.dim)]),
+                     delta_form(C, n, k.random(rng))):
+            assert first_violation(r_sigma(std, DMap(C, None, None, form))) is None
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_strong_dmaps_are_dmaps_and_regenerate(k_q):
+    symmetric = 0
+    for R in each_solution(k_q):
+        if first_symmetry_violation(R) is not None:
+            continue
+        symmetric += 1
+        Q, dm = strong_dmap_from_symmetric(R)
+        assert dm.is_strong and is_dmap(Q, None, dm.sigma)
+        assert r_sigma(standard_comodule(Q.parent).pushforward(Q), dm) == R
+    assert symmetric
+
+
+@pytest.mark.parametrize("k_q", FIELDS, ids=FIELD_IDS)
+def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
+    """On every one-entry perturbation of the catalog solutions the
+    annihilation gate says yes exactly when first_violation finds nothing,
+    and a no names that equation."""
+    seen = set()
+    for R in catalog_solutions(*k_q):
+        for S in perturbations(R):
+            where = first_violation(S)
+            gate = annihilation_check(generator_action(S), obstruction_coideal(S).basis)
+            assert gate == (where is None)
+            seen.add(gate)
+            if not gate:
+                with pytest.raises(NotASolutionError) as info:
+                    d_bialgebra(S)
+                assert info.value.where == where
+    assert seen == {True, False}
