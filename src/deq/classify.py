@@ -1,13 +1,17 @@
 """Exhaustive classification of D-equation solutions at low dimension over
 small prime fields, with conjugation-orbit reduction.
 
-Candidates are serialized row-major over the n^2 x n^2 operator matrix and
-scanned as base-p digit blocks, sieved through the coordinate equations of
-tensor_ops.coordinate_equations. The independent operator-composition path
-evaluates the leg maps and the equation table of tensor_ops on the same
-candidate layout. Flags and orbits are computed mod p in numpy as well; a
-sample of the solutions is re-verified by the exact check_d.
-"""
+Candidates are serialized row-major over the n^2 x n^2 operator matrix, as
+big-endian base-p digits. The scan (enumerate_range) is a prefix-pruned
+sieve: it fixes the digits left to right and checks each coordinate
+equation of tensor_ops.coordinate_equations as soon as its last digit is
+fixed, so almost every candidate dies as a short prefix; the frontier is
+expanded depth-first, at most CHUNK rows at a time. Whole candidate blocks
+(candidate_block) sieved through every equation (coordinate_mask) are its
+test oracle. The independent operator-composition path evaluates the leg
+maps and the equation table of tensor_ops on the same candidate layout.
+Flags and orbits are computed mod p in numpy as well; a sample of the
+solutions is re-verified by the exact check_d."""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .linalg import Matrix
 from .tensor_ops import (EQUATIONS, EndoPair, check_d, coordinate_equations,
                          flip_index, leg_map, tau123_index)
 
-CHUNK = 65536  # candidates (or conjugate images) per vectorized block
+CHUNK = 65536  # rows per vectorized block: candidates, scan prefixes or conjugate images
 
 
 def budget() -> int:
@@ -34,13 +38,19 @@ def _digit_dtype(n: int, p: int):
     return np.int16 if n * (p - 1) ** 2 <= np.iinfo(np.int16).max else np.int64
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_table(p: int, dtype):
-    """Row s is the k big-endian base-p digits of s, for s < p^k and the
-    largest k with p^k <= CHUNK."""
+def _run_length(p: int) -> int:
+    """The largest k with p^k <= CHUNK, and 1 when p > CHUNK."""
     k = 1
     while p ** (k + 1) <= CHUNK:
         k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(p: int, dtype):
+    """Row s is the k big-endian base-p digits of s, for s < p^k and
+    k = _run_length(p)."""
+    k = _run_length(p)
     table = np.empty((p ** k, k), dtype=dtype)
     values = np.arange(p ** k)
     for pos in range(k - 1, -1, -1):
@@ -49,21 +59,29 @@ def _digit_table(p: int, dtype):
     return table
 
 
-def _serial_digits(width: int, p: int, start: int, stop: int, dtype) -> np.ndarray:
-    """Big-endian base-p digits of the serials start..stop-1, as (N, width):
-    one divmod and one _digit_table lookup per k digits."""
+def _guard_serials(stop: int):
     if stop > 2 ** 63:
         raise UsageError("candidate serials must be below 2^63")
+
+
+def _digits(values: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
+    """Big-endian base-p digits of int64 values, as (N, width): one divmod
+    and one _digit_table lookup per k digits."""
     table = _digit_table(p, dtype) if p <= CHUNK else None  # no table past CHUNK rows
     k = 1 if table is None else table.shape[1]
-    ids = start + np.arange(stop - start, dtype=np.int64)
-    out = np.empty((len(ids), width), dtype=dtype)
+    out = np.empty((len(values), width), dtype=dtype)
     for hi in range(width, 0, -k):
         lo = max(hi - k, 0)
-        ids, low = np.divmod(ids, p ** k)
+        values, low = np.divmod(values, p ** k)
         out[:, lo:hi] = (low[:, None] if table is None
                          else np.take(table[:, k - hi + lo:], low, axis=0))
     return out
+
+
+def _serial_digits(width: int, p: int, start: int, stop: int, dtype) -> np.ndarray:
+    """Big-endian base-p digits of the serials start..stop-1, as (N, width)."""
+    _guard_serials(stop)
+    return _digits(start + np.arange(stop - start, dtype=np.int64), width, p, dtype)
 
 
 def candidate_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
@@ -108,19 +126,28 @@ def _equation_columns(n: int):
     return pairs[:, :, 0], pairs[:, :, 1]
 
 
+def _holds(entries: np.ndarray, first: np.ndarray, second: np.ndarray, p: int) -> np.ndarray:
+    """Per row of entries (serial digits, or a prefix of them, in
+    _digit_dtype), whether coordinate equations hold mod p: first and
+    second are (..., 2n) entry columns of the factors of the lhs terms, then
+    the rhs. Entries lie in [0, p), so each side's sum is at most n (p-1)^2
+    and is exact in that dtype."""
+    terms = entries[:, first] * entries[:, second]
+    n, dtype = first.shape[-1] // 2, entries.dtype
+    return (terms[..., :n].sum(axis=-1, dtype=dtype)
+            - terms[..., n:].sum(axis=-1, dtype=dtype)) % p == 0
+
+
 def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
-    """check_d by the coordinate equations, as a sieve: each equation, in
-    first_violation's order, is evaluated mod p on the candidates that passed
-    the ones before it. Entries lie in [0, p), so each side's sum is at most
-    n (p-1)^2 and is exact in _digit_dtype(n, p)."""
+    """check_d by the coordinate equations, as a sieve over a whole block:
+    each equation, in first_violation's order, is evaluated mod p on the
+    candidates that passed the ones before it. With candidate_block it is
+    the oracle for enumerate_range."""
     count, n = x.shape[0], x.shape[1]
-    dtype = _digit_dtype(n, p)
-    entries = digits_of(x).astype(dtype, copy=False)
+    entries = digits_of(x).astype(_digit_dtype(n, p), copy=False)
     alive = np.arange(count)
     for first, second in zip(*_equation_columns(n)):
-        terms = entries[:, first] * entries[:, second]
-        keep = (terms[:, :n].sum(axis=1, dtype=dtype)
-                - terms[:, n:].sum(axis=1, dtype=dtype)) % p == 0
+        keep = _holds(entries, first, second, p)
         if not keep.all():
             entries, alive = entries[keep], alive[keep]
             if not len(alive):
@@ -230,14 +257,67 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def _stages(n: int, k: int):
+    """The prefix sieve's plan: (lo, hi, first, second) per stage, which
+    fixes serial digits lo..hi-1, at most k of them, and then checks the
+    coordinate equations whose highest entry index is hi - 1, given by
+    their (g, 2n) factor columns."""
+    first, second = _equation_columns(n)
+    last = np.maximum(first.max(axis=1), second.max(axis=1))
+    stages, lo = [], 0
+    for end in sorted(set(last.tolist())):  # the last is n^4 - 1
+        while lo <= end:
+            hi = min(end + 1, lo + k)
+            columns = first[last == hi - 1], second[last == hi - 1]
+            for cols in columns:
+                cols.flags.writeable = False  # cached: shared by every caller
+            stages.append((lo, hi) + columns)
+            lo = hi
+    return tuple(stages)
+
+
 def enumerate_range(n: int, p: int, start: int, stop: int):
-    """Solutions with serial number in [start, stop), ascending."""
+    """Solutions with serial number in [start, stop), ascending, by a
+    prefix-pruned sieve. The big-endian serial digits are fixed left to
+    right, stage by stage (_stages), and each coordinate equation is checked
+    as soon as its last digit is fixed, so a prefix that fails one is never
+    extended. Prefixes whose serial interval misses [start, stop) are never
+    made: only the first and the last prefix can reach past a bound. The
+    frontier is expanded depth-first, at most CHUNK (prefix, extension) rows
+    at a time, so no stage holds more than CHUNK rows, and survivors come
+    out in serial order."""
+    _guard_serials(stop)
+    width = n ** 4
+    start, stop = max(start, 0), min(stop, p ** width)
+    if start >= stop:
+        return []
+    stages, dtype = _stages(n, _run_length(p)), _digit_dtype(n, p)
     found = []
-    for lo in range(start, stop, CHUNK):
-        x = candidate_block(n, p, lo, min(lo + CHUNK, stop))
-        mask = coordinate_mask(x, p)
-        if mask.any():
-            found.extend(map(tuple, digits_of(x[mask]).tolist()))
+
+    def descend(prefixes, at_start, at_stop, depth):
+        # at_start / at_stop: the first / last prefix is the one of start /
+        # of stop - 1, whose extensions are clipped to the window
+        lo, hi, first, second = stages[depth]
+        size, shift = p ** (hi - lo), p ** (width - hi)
+        begin = start // shift % size if at_start else 0
+        end = ((len(prefixes) - 1) * size + (stop - 1) // shift % size + 1 if at_stop
+               else len(prefixes) * size)
+        for b0 in range(begin, end, CHUNK):
+            b1 = min(b0 + CHUNK, end)
+            ids = np.arange(b0, b1, dtype=np.int64)  # prefix ids // size, extension % size
+            rows = np.concatenate([prefixes[ids // size],
+                                   _digits(ids % size, hi - lo, p, dtype)], axis=1)
+            keep = _holds(rows, first, second, p).all(axis=1)
+            if not keep.any():
+                continue
+            if hi == width:
+                found.extend(map(tuple, rows[keep].tolist()))
+            else:  # rows 0 and -1 of the block may be the window's bounds
+                descend(rows[keep], at_start and b0 == begin and keep[0],
+                        at_stop and b1 == end and keep[-1], depth + 1)
+
+    descend(np.empty((1, 0), dtype=dtype), True, True, 0)
     return found
 
 

@@ -181,12 +181,19 @@ def rref(rows, field, col_order=None):
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][c])
-        work[rank] = [field.mul(inv, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[rank])]
+        row = work[rank]
+        inv = field.inv(row[c])
+        # scaling and elimination touch only the pivot row's nonzero columns
+        support = [j for j, v in enumerate(row) if j != c and not field.is_zero(v)]
+        for j in support:
+            row[j] = field.mul(inv, row[j])
+        row[c] = field.one
+        for i, other in enumerate(work):
+            if i != rank and not field.is_zero(other[c]):
+                f = other[c]
+                for j in support:
+                    other[j] = field.sub(other[j], field.mul(f, row[j]))
+                other[c] = field.zero
         pivots.append(c)
         rank += 1
     return work[:rank], pivots

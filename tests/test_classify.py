@@ -356,6 +356,103 @@ def test_enumerate_range_split_and_merge():
     assert len(full) == 100
 
 
+def sieved_range(n, p, start, stop):
+    """Solutions in [start, stop) by the whole-block path: every candidate
+    from candidate_block, sieved by coordinate_mask. The oracle for the
+    prefix sieve in enumerate_range."""
+    found = []
+    for lo in range(start, stop, CHUNK):
+        x = candidate_block(n, p, lo, min(lo + CHUNK, stop))
+        found.extend(map(tuple, digits_of(x[coordinate_mask(x, p)]).tolist()))
+    return found
+
+
+def serial_of(digits, p):
+    value = 0
+    for d in digits:
+        value = value * p + d
+    return value
+
+
+def assert_range_matches_sieve(n, p, start, stop):
+    got = enumerate_range(n, p, start, stop)
+    assert got == sieved_range(n, p, start, stop), (n, p, start, stop)
+    return got
+
+
+def test_enumerate_range_matches_the_whole_block_sieve():
+    assert len(assert_range_matches_sieve(2, 2, 0, 2 ** 16)) == 100
+    total, found = 3 ** 16, 0
+    # windows at the start, middle and end, and windows not aligned to any
+    # power of 3 that cross the boundaries of digit runs
+    for lo, hi in ((0, CHUNK), ((total - CHUNK) // 2, (total + CHUNK) // 2),
+                   (total - CHUNK, total), (3 ** 10 - 7, 3 ** 10 + 59_000),
+                   (12_345_678, 12_445_677), (2 * 3 ** 12 + 1, 2 * 3 ** 12 + 3 ** 9 - 1)):
+        found += len(assert_range_matches_sieve(2, 3, lo, hi))
+    assert found > 0
+    assert enumerate_range(2, 3, 500, 500) == [] == enumerate_range(2, 3, 9, 3)
+    sol = catalog.triangular_solution(PrimeField(3), 1, 2, 2)
+    serial = serial_of(digits_from_endo(sol), 3)
+    assert enumerate_range(2, 3, serial, serial + 1) == [digits_from_endo(sol)]
+    assert assert_range_matches_sieve(2, 3, serial + 1, serial + 2) == []
+    # random windows over F_5 and F_13, half of them around a solution
+    # f (x) g with g a polynomial in f, so that solutions occur
+    rng = random.Random(20261018)
+    for p in (5, 13):
+        k, found = PrimeField(p), 0
+        for t in range(6):
+            if t % 2:
+                centre = rng.randrange(p ** 16 - CHUNK)
+            else:
+                f = Matrix(k, [[rng.randrange(p) for _ in range(2)] for _ in range(2)])
+                g = Matrix.identity(k, 2).add(f.scale(k.coerce(rng.randrange(p))))
+                centre = serial_of(digits_from_endo(product_solution(f, g)), p)
+            lo = max(centre - rng.randrange(CHUNK // 2), 0)
+            found += len(assert_range_matches_sieve(2, p, lo, lo + rng.randrange(1, CHUNK)))
+        assert found > 0, p
+    # n = 1, also with p > CHUNK, where a stage extends by one digit
+    assert len(assert_range_matches_sieve(1, 5, 0, 5)) == 5
+    assert len(assert_range_matches_sieve(1, 7, 2, 5)) == 3
+    assert len(assert_range_matches_sieve(1, 65537, 100, 65_537)) == 65_437
+    # n = 3, where the first equation needs 55 digits; one window ends at 2^63
+    assert len(assert_range_matches_sieve(3, 2, 0, 4000)) > 0
+    assert_range_matches_sieve(3, 3, 2 ** 62, 2 ** 62 + 3000)
+    assert_range_matches_sieve(3, 2, 2 ** 63 - 5000, 2 ** 63)
+    for scan in (candidate_block, enumerate_range):
+        with pytest.raises(UsageError, match=r"below 2\^63"):
+            scan(3, 2, 2 ** 63 - 1, 2 ** 63 + 1)
+
+
+def test_enumerate_range_holds_at_most_chunk_rows(monkeypatch):
+    """With CHUNK at 64 the frontier is cut into many small blocks; the
+    solutions do not change, and no block passed to the equations is
+    larger than CHUNK."""
+    want = {(2, 2): sieved_range(2, 2, 0, 2 ** 16),
+            (2, 3): sieved_range(2, 3, 3 ** 12 - 50, 3 ** 12 + 20_000)}
+    sizes = []
+    holds = classify._holds
+
+    def counted(entries, *args):
+        sizes.append(len(entries))
+        return holds(entries, *args)
+
+    monkeypatch.setattr(classify, "_holds", counted)
+    monkeypatch.setattr(classify, "CHUNK", 64)
+    assert enumerate_range(2, 2, 0, 2 ** 16) == want[2, 2]
+    assert enumerate_range(2, 3, 3 ** 12 - 50, 3 ** 12 + 20_000) == want[2, 3]
+    assert len(want[2, 2]) == 100 and want[2, 3]
+    assert max(sizes) == 64
+
+
+def test_census_count_matches_the_closed_form():
+    """A second method for the count: at n = 2 the solutions are the rank-r
+    tensors in A (x) B over the pairs of commuting r-dimensional subspaces,
+    N(2, p) = p^4 + (p^2+p+1) p^2 (p^2-1)."""
+    for p, want in ((2, 100), (3, 1017), (5, 19_225)):
+        assert p ** 4 + (p * p + p + 1) * p * p * (p * p - 1) == want
+        assert len(enumerate_range(2, p, 0, p ** 16)) == want
+
+
 def test_gl_matrices_order():
     assert len(gl_matrices(2, 2)) == 6
     assert len(gl_matrices(2, 3)) == 48
