@@ -19,9 +19,9 @@ from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
                     counit_form, grouplike_coalgebra, is_coideal, quotient)
 from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
                   ObstructionSet, annihilation_check, d_bialgebra,
-                  defect_pairing, frt_col_order, generator_action,
-                  obstruction_coideal, obstructions, relation_strings,
-                  require_solution, standard_comodule, universal_map)
+                  frt_col_order, generator_action, obstruction_coideal,
+                  obstructions, relation_strings, require_solution,
+                  standard_comodule, universal_map)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
                        check_long_compat, compatible_subalgebra,
                        dimodule_from_grading, grading_from_dimodule,

@@ -10,12 +10,13 @@ strong when I = 0.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .coalg import BilinearForm, Coalgebra, Comodule
 from .fields import MathError, UsageError
 from .frt import d_bialgebra
 from .linalg import Matrix, linear_combination
-from .tensor_ops import EndoPair, invert
+from .tensor_ops import EndoPair, _entries, _permuted, flip_index, invert
 
 
 class DMap:
@@ -83,17 +84,19 @@ def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
     return BilinearForm(C, C, table)
 
 
+@functools.lru_cache(maxsize=None)
+def _sigma0_index(n: int):
+    """Rows of flat sources in row-major R.matrix() for the sigma0 table:
+    entry ((i, v), (j, u)) is entry ((i, j), (v, u)), x_uv^ji."""
+    pairs = list(itertools.product(range(n), repeat=2))
+    return tuple(tuple(((i * n + j) * n + v) * n + u for j, u in pairs) for i, v in pairs)
+
+
 def _sigma0_table(R: EndoPair):
-    """sigma0(c_iv (x) c_ju) = x_uv^ji on full C (x) C."""
-    n, k = R.n, R.field
-    d = n * n
-    table = [[k.zero] * d for _ in range(d)]
-    for i in range(n):
-        for v in range(n):
-            for j in range(n):
-                for u in range(n):
-                    table[i * n + v][j * n + u] = R.x[u][v][j][i]
-    return table
+    """sigma0(c_iv (x) c_ju) = x_uv^ji on full C (x) C: R.matrix() with the
+    middle two of its four legs swapped."""
+    src = _entries(R)
+    return [[src[s] for s in row] for row in _sigma0_index(R.n)]
 
 
 def _sigma_table(R: EndoPair, Q):
@@ -134,15 +137,13 @@ def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
 
 
 def first_symmetry_violation(R: EndoPair):
-    """First (u,v,j,i), 1-based, with x_uv^ji != x_vu^ij, or None."""
-    n = R.n
-    for u in range(n):
-        for v in range(n):
-            for j in range(n):
-                for i in range(n):
-                    if R.x[u][v][j][i] != R.x[v][u][i][j]:
-                        return (u + 1, v + 1, j + 1, i + 1)
-    return None
+    """First (u,v,j,i), 1-based, with x_uv^ji != x_vu^ij, or None: R commutes
+    with tau exactly when tau R tau = R."""
+    m, flip = R.matrix(), flip_index(R.n)
+    if m == _permuted(m, rows=flip, cols=flip):
+        return None
+    return next(t for t in itertools.product(range(1, R.n + 1), repeat=4)
+                if R.coeff(*t) != R.coeff(t[1], t[0], t[3], t[2]))
 
 
 def strong_dmap_from_symmetric(R: EndoPair):

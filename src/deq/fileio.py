@@ -111,10 +111,8 @@ def _parse_field_header(reader):
 
 def write_matrix(path, R):
     """Write an operator in the format read_matrix reads."""
-    lines = ["field %s" % R.field.header(), "dim %d" % R.n]
-    lines.extend(_show_matrix_rows(R.field, R.matrix()))
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(matrix_text(R))
 
 
 def matrix_text(R):

@@ -3,12 +3,16 @@ universal bialgebra D(R), the standard comodule, generator actions, and the
 generator-level universal map.
 
 o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia lives in the comatrix
-coalgebra; the span of all o's is a coideal I(R), and D(R) is the free
-algebra on a basis of comatrix(n)/I(R) with the quotient comultiplication.
+coalgebra. Read as the n x n matrix of its coefficients (c_ab at (a, b)), it
+is the commutator [A(c_jk)^T, E_il] = A(c_jk)^T E_il - E_il A(c_jk)^T, where
+A is the generator action of R and E_il a matrix unit. The span of all o's
+is a coideal I(R), and D(R) is the free algebra on a basis of
+comatrix(n)/I(R) with the quotient comultiplication.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
@@ -46,9 +50,10 @@ def require_solution(R: EndoPair, action: GeneratorAction, basis):
 
 
 class ObstructionSet:
-    """All o(i,j,k,l) of R as coefficient vectors in comatrix(n)."""
+    """All o(i,j,k,l) of R as coefficient vectors in comatrix(n), each read
+    off A = A(c_jk) as [A^T, E_il]; `action` is R's, if the caller has it."""
 
-    def __init__(self, R: EndoPair, C: Coalgebra = None):
+    def __init__(self, R: EndoPair, C: Coalgebra = None, action: GeneratorAction = None):
         n, k = R.n, R.field
         if C is None:
             C = comatrix(k, n)
@@ -57,18 +62,18 @@ class ObstructionSet:
         self.endo = R
         self.coalgebra = C
         self.n = n
-        x = R.x
+        action = action or GeneratorAction(R)
         self.vectors = {}
-        for i in range(n):
-            for j in range(n):
-                for kk in range(n):
-                    for l in range(n):
-                        vec = [k.zero] * (n * n)
-                        for v in range(n):
-                            vec[v * n + l] = k.add(vec[v * n + l], x[kk][v][j][i])
-                        for a in range(n):
-                            vec[i * n + a] = k.sub(vec[i * n + a], x[kk][l][j][a])
-                        self.vectors[(i + 1, j + 1, kk + 1, l + 1)] = vec
+        rng = range(n)
+        for (j, kk), A in zip(itertools.product(rng, repeat=2), action.matrices):
+            for l in rng:
+                col = [k.neg(row[l]) for row in A.rows]
+                for i in rng:
+                    vec = [k.zero] * (n * n)
+                    vec[l::n] = A.rows[i]  # A^T E_il: column l is row i of A
+                    vec[i * n:i * n + n] = col  # -E_il A^T: row i is -column l of A
+                    vec[i * n + l] = k.add(A.rows[i][i], col[l])  # where both meet
+                    self.vectors[(i + 1, j + 1, kk + 1, l + 1)] = vec
 
     def vector(self, i, j, k, l):
         """o(i,j,k,l) with 1-based indices."""
@@ -114,14 +119,15 @@ def frt_col_order(n: int):
     return off + diag
 
 
-def obstruction_coideal(R: EndoPair, C: Coalgebra = None) -> Coideal:
+def obstruction_coideal(R: EndoPair, C: Coalgebra = None,
+                        action: GeneratorAction = None) -> Coideal:
     """span{o(i,j,k,l)} as a coideal of comatrix(n), from its reduced
     echelon form in `frt_col_order`.
 
     It is not checked at run time: `delta_identity_holds` shows it is a
     coideal for every R, solution or not, and the tests check that and the
     coideal conditions themselves on the census and the catalog."""
-    obs = ObstructionSet(R, C)
+    obs = ObstructionSet(R, C, action)
     basis, pivots = rref([vec for _, vec in obs.items()], R.field,
                          col_order=frt_col_order(R.n))
     return Coideal(obs.coalgebra, basis, pivots, frt_col_order(R.n))
@@ -142,17 +148,16 @@ def standard_comodule(C: Coalgebra) -> Comodule:
 
 
 class GeneratorAction:
-    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju."""
+    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju, the
+    (j, u) strided block of R.matrix(), rows (i, j) and columns (v, u)."""
 
     def __init__(self, R: EndoPair):
         n, k = R.n, R.field
         self.n = n
         self.field = k
-        self.matrices = []
-        for j in range(n):
-            for u in range(n):
-                self.matrices.append(Matrix._computed(
-                    k, [[R.x[u][v][j][i] for v in range(n)] for i in range(n)]))
+        rows = R.matrix().rows
+        self.matrices = [Matrix._computed(k, [row[u::n] for row in rows[j::n]])
+                         for j in range(n) for u in range(n)]
 
 
 def generator_action(R: EndoPair) -> GeneratorAction:
@@ -168,34 +173,6 @@ def annihilation_check(action: GeneratorAction, vectors) -> bool:
     k = action.field
     table = Matrix._computed(k, [[v for row in m.rows for v in row] for m in action.matrices])
     return Matrix._computed(k, vectors).mul(table).is_zero()
-
-
-def defect_pairing(R: EndoPair, j, k, l):
-    """sum c_jk.(m_l)_0 (x) (m_l)_1 - rho(c_jk.m_l) as an M x C table; equals
-    sum_i m_i (x) o(i,j,k,l) for every R (asserted)."""
-    n, f = R.n, R.field
-    if not (1 <= j <= n and 1 <= k <= n and 1 <= l <= n):
-        raise UsageError("index out of range")
-    x = R.x
-    j0, k0, l0 = j - 1, k - 1, l - 1
-    d = n * n
-    table = [[f.zero] * d for _ in range(n)]
-    for v in range(n):
-        for i in range(n):
-            c = x[k0][v][j0][i]
-            if not f.is_zero(c):
-                table[i][v * n + l0] = f.add(table[i][v * n + l0], c)
-    for i in range(n):
-        c = x[k0][l0][j0][i]
-        if f.is_zero(c):
-            continue
-        for w in range(n):
-            table[w][w * n + i] = f.sub(table[w][w * n + i], c)
-    obs = ObstructionSet(R)
-    expect = [obs.vector(i + 1, j, k, l) for i in range(n)]
-    if table != expect:
-        raise RuntimeError("defect pairing identity violated")
-    return table
 
 
 def relation_strings(I: Coideal):
@@ -234,8 +211,8 @@ class FrtPresentation:
         self.field = R.field
         self.n = R.n
         self.coalgebra = comatrix(R.field, R.n)
-        self.ideal = obstruction_coideal(R, self.coalgebra)
         self.action = GeneratorAction(R)
+        self.ideal = obstruction_coideal(R, self.coalgebra, self.action)
         require_solution(R, self.action, self.ideal.basis)
         self.quotient = quotient(self.coalgebra, self.ideal)
         self.relations = relation_strings(self.ideal)

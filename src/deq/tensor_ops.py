@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 
-from .fields import Field, UsageError, env_positive_int
+from .fields import UsageError, env_positive_int
 from .linalg import Matrix, matrix_inverse
 
 DEFAULT_MAX_N = 4
@@ -28,32 +29,24 @@ def _guard_n(n):
         raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, max_n()))
 
 
+def x_cell(n, u, v, j, i):
+    """Row and column of x_uv^ji (0-based indices) in the matrix of R."""
+    return i * n + j, v * n + u
+
+
 class EndoPair:
-    """R in End(M (x) M), stored as the 4-index family x[u][v][j][i], 0-based."""
-
-    def __init__(self, field: Field, n: int, x, coerce: bool = True):
-        if n < 1:
-            raise UsageError("n must be positive")
-        fix = field.coerce if coerce else field.validate
-        self._fill(field, n, [[[[fix(x[u][v][j][i]) for i in range(n)] for j in range(n)]
-                               for v in range(n)] for u in range(n)])
-
-    def _fill(self, field, n, x):
-        self.field = field
-        self.n = n
-        self.x = x
-        self._mat = None
-        self._lifts = {}  # lifts by slot and their products by slot word
+    """R in End(M (x) M), stored once as its n^2 x n^2 matrix."""
 
     @classmethod
     def from_matrix(cls, mat: Matrix):
-        """The operator with matrix mat, whose entries a Matrix has already checked."""
-        n = round(mat.nrows ** 0.5)
+        """The operator with matrix mat, whose entries a Matrix has already
+        checked. mat is kept, not copied: no caller changes it afterwards."""
+        n = math.isqrt(mat.nrows)
         if n * n != mat.nrows or mat.nrows != mat.ncols:
             raise UsageError("matrix of shape %dx%d is not n^2 x n^2" % (mat.nrows, mat.ncols))
         R = cls.__new__(cls)
-        R._fill(mat.field, n, [[[[mat.rows[i * n + j][v * n + u] for i in range(n)]
-                                 for j in range(n)] for v in range(n)] for u in range(n)])
+        R.field, R.n, R._mat = mat.field, n, mat
+        R._lifts = {}  # lifts by slot and their products by slot word
         return R
 
     @classmethod
@@ -61,20 +54,16 @@ class EndoPair:
         return cls.from_matrix(Matrix(field, rows))
 
     def matrix(self) -> Matrix:
-        if self._mat is None:
-            n = self.n
-            rows = [[self.x[u][v][j][i] for v in range(n) for u in range(n)]
-                    for i in range(n) for j in range(n)]
-            self._mat = Matrix._computed(self.field, rows)
         return self._mat
 
     def coeff(self, u, v, j, i):
         """x_{uv}^{ji} with 1-based indices, as written in the formulas."""
-        return self.x[u - 1][v - 1][j - 1][i - 1]
+        r, c = x_cell(self.n, u - 1, v - 1, j - 1, i - 1)
+        return self._mat.rows[r][c]
 
     def __eq__(self, other):
         return (isinstance(other, EndoPair) and self.field == other.field
-                and self.n == other.n and self.x == other.x)
+                and self.n == other.n and self._mat == other._mat)
 
     def __repr__(self):
         return "EndoPair(n=%d, %r)" % (self.n, self.field)
@@ -199,8 +188,9 @@ def _equation_table(n: int):
 
 
 def _equations(n: int):
-    def at(u, v, j, i):  # x_uv^ji sits at row (i, j), column (v, u)
-        return (i * n + j) * n * n + v * n + u
+    def at(u, v, j, i):  # flat row-major index of x_uv^ji
+        r, c = x_cell(n, u, v, j, i)
+        return r * n * n + c
     rng = range(n)
     for i, j, k, l, p, q in itertools.product(rng, repeat=6):
         yield ((i + 1, j + 1, k + 1, l + 1, p + 1, q + 1),

@@ -1,10 +1,12 @@
 """Independent constructions that the package no longer runs: the quotient of
-a coalgebra through an explicit inverse, for any section, and the generic
-convolution inverse by one linear solve. The tests compare the package's
-closed forms with them."""
+a coalgebra through an explicit inverse, for any section, the generic
+convolution inverse by one linear solve, and the index loops over the
+4-index family x_uv^ji that the operator's readers replaced by index maps on
+its matrix. The tests compare the package's closed forms with them."""
 
 from deq.coalg import BilinearForm, Coalgebra, convolve, counit_form
 from deq.linalg import Matrix, matrix_inverse, solve_linear
+from deq.tensor_ops import EndoPair
 
 
 def section_quotient(C, I, complement):
@@ -77,3 +79,87 @@ def convolution_inverse(phi: BilinearForm):
     if convolve(phi, psi) != unit or convolve(psi, phi) != unit:
         raise AssertionError("one-sided convolution inverse is not two-sided")
     return psi
+
+
+def x_table(R):
+    """The 4-index family of R, 0-based: x[u][v][j][i] is x_uv^ji."""
+    rng = range(1, R.n + 1)
+    return [[[[R.coeff(u, v, j, i) for i in rng] for j in rng] for v in rng] for u in rng]
+
+
+def endo_from_table(field, n, x):
+    """The operator with 4-index family x[u][v][j][i]: x_uv^ji at row (i, j),
+    column (v, u) of its matrix. The entries are validated, not coerced."""
+    rng = range(n)
+    rows = [[x[u][v][j][i] for v in rng for u in rng] for i in rng for j in rng]
+    return EndoPair.from_matrix(Matrix(field, rows, coerce=False))
+
+
+def loop_generator_action(R):
+    """A(c_ju)[i][v] = x_uv^ji, one matrix per generator c_ju in row-major order."""
+    n, k, x = R.n, R.field, x_table(R)
+    return [Matrix._computed(k, [[x[u][v][j][i] for v in range(n)] for i in range(n)])
+            for j in range(n) for u in range(n)]
+
+
+def loop_obstruction_vectors(R):
+    """o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia by its 1-based label."""
+    n, k, x = R.n, R.field, x_table(R)
+    vectors = {}
+    for i in range(n):
+        for j in range(n):
+            for kk in range(n):
+                for l in range(n):
+                    vec = [k.zero] * (n * n)
+                    for v in range(n):
+                        vec[v * n + l] = k.add(vec[v * n + l], x[kk][v][j][i])
+                    for a in range(n):
+                        vec[i * n + a] = k.sub(vec[i * n + a], x[kk][l][j][a])
+                    vectors[(i + 1, j + 1, kk + 1, l + 1)] = vec
+    return vectors
+
+
+def defect_pairing(R, j, k, l):
+    """sum c_jk.(m_l)_0 (x) (m_l)_1 - rho(c_jk.m_l) as an M x C table, from
+    the module and comodule sides (1-based j, k, l): row i is the coefficient
+    vector of m_i. It equals sum_i m_i (x) o(i,j,k,l) for every R."""
+    n, f, x = R.n, R.field, x_table(R)
+    j0, k0, l0 = j - 1, k - 1, l - 1
+    table = [[f.zero] * (n * n) for _ in range(n)]
+    for v in range(n):
+        for i in range(n):
+            c = x[k0][v][j0][i]
+            if not f.is_zero(c):
+                table[i][v * n + l0] = f.add(table[i][v * n + l0], c)
+    for i in range(n):
+        c = x[k0][l0][j0][i]
+        if f.is_zero(c):
+            continue
+        for w in range(n):
+            table[w][w * n + i] = f.sub(table[w][w * n + i], c)
+    return table
+
+
+def loop_sigma0_table(R):
+    """sigma0(c_iv (x) c_ju) = x_uv^ji on full C (x) C."""
+    n, k, x = R.n, R.field, x_table(R)
+    d = n * n
+    table = [[k.zero] * d for _ in range(d)]
+    for i in range(n):
+        for v in range(n):
+            for j in range(n):
+                for u in range(n):
+                    table[i * n + v][j * n + u] = x[u][v][j][i]
+    return table
+
+
+def loop_first_symmetry_violation(R):
+    """First (u,v,j,i), 1-based, with x_uv^ji != x_vu^ij, or None."""
+    n, x = R.n, x_table(R)
+    for u in range(n):
+        for v in range(n):
+            for j in range(n):
+                for i in range(n):
+                    if x[u][v][j][i] != x[v][u][i][j]:
+                        return (u + 1, v + 1, j + 1, i + 1)
+    return None

@@ -121,7 +121,7 @@ def test_first_symmetry_violation():
     assert where is not None
     u, v, j, i = where
     R = catalog.triangular_solution(k, 1, 2, 3)
-    assert R.x[u - 1][v - 1][j - 1][i - 1] != R.x[v - 1][u - 1][i - 1][j - 1]
+    assert R.coeff(u, v, j, i) != R.coeff(v, u, i, j)
 
 
 def test_strong_dmap_from_symmetric_solutions():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,13 +7,14 @@ from deq import catalog
 from deq.coalg import comatrix, comatrix_index, quotient
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import (FrtPresentation, NotASolutionError, annihilation_check,
-                     d_bialgebra, defect_pairing, frt_col_order,
+                     d_bialgebra, frt_col_order,
                      generator_action, obstruction_coideal, obstructions,
                      relation_strings, require_solution, standard_comodule,
                      universal_map)
 from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
 from deq.dimodule import r_from_dimodule
+from oracles import defect_pairing
 
 
 def rand_pair(field, rng, n):
@@ -66,15 +68,16 @@ def test_obstruction_comultiplication_identity_all_r():
 
 
 def test_defect_pairing_identity_all_r():
-    # (R23 R12 - R12 R23)(w (x) m_k (x) m_j) = sum A(o(r,s,j,k)) w (x) m_r (x) m_s
+    # sum c_jk.(m_l)_0 (x) (m_l)_1 - rho(c_jk.m_l) = sum_i m_i (x) o(i,j,k,l)
     k = PrimeField(5)
     rng = random.Random(4)
-    for _ in range(25):
-        R = rand_pair(k, rng, 2)
-        for j in range(1, 3):
-            for kk in range(1, 3):
-                for l in range(1, 3):
-                    defect_pairing(R, j, kk, l)  # raises on violation
+    for n, count in ((2, 25), (3, 5)):
+        for _ in range(count):
+            R = rand_pair(k, rng, n)
+            obs = obstructions(R)
+            labels = range(1, n + 1)
+            for j, kk, l in itertools.product(labels, repeat=3):
+                assert defect_pairing(R, j, kk, l) == [obs.vector(i, j, kk, l) for i in labels]
 
 
 def test_action_kills_obstructions_iff_solution():

@@ -22,8 +22,9 @@ from deq.dmap import is_dmap, r_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import d_bialgebra, standard_comodule
 from deq.linalg import Matrix, kernel_basis, matrix_inverse
-from deq.tensor_ops import EndoPair, conjugate, diagonal_solution, identity_pair
+from deq.tensor_ops import conjugate, diagonal_solution, identity_pair
 
+from oracles import endo_from_table
 from test_dimodule import conjugated, z2_eigen_grading, z6_graded_module
 
 
@@ -37,7 +38,7 @@ def loop_r_from_dimodule(d):
     k, n, rho = d.field, d.dim, rho_of(d.comodule)
     x = [[[[k.sum(k.mul(rho[u][j][a], d.act[a].rows[i][v]) for a in range(len(d.act)))
             for i in range(n)] for j in range(n)] for v in range(n)] for u in range(n)]
-    return EndoPair(k, n, x, coerce=False)
+    return endo_from_table(k, n, x)
 
 
 def loop_r_sigma(comodule, dm):
@@ -61,7 +62,7 @@ def loop_r_sigma(comodule, dm):
                             if not k.is_zero(rb):
                                 acc = k.add(acc, k.mul(k.mul(ra, rb), pulled[a][b]))
                     x[u][v][j][i] = acc
-    return EndoPair(k, n, x, coerce=False)
+    return endo_from_table(k, n, x)
 
 
 def loop_convolve(phi, psi):

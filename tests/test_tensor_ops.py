@@ -14,6 +14,7 @@ from deq.tensor_ops import (EndoPair, check_commuting_pair, check_d,
                             diagonal_solution, first_violation, flip_pair,
                             identity_pair, invert, lift, product_solution,
                             tau_matrix, _pair_violation)
+from oracles import x_table
 
 
 def rand_matrix(field, rng, n):
@@ -183,11 +184,12 @@ def test_coordinate_equation_table_states_each_equation():
         xm = [v for row in R.matrix().rows for v in row]
         ym = [v for row in S.matrix().rows for v in row]
         table = coordinate_equations(n)
+        xs, ys = x_table(R), x_table(S)
         assert [label for label, _, _ in table] == [
             tuple(t + 1 for t in idx) for idx in itertools.product(range(n), repeat=6)]
         for label, lhs, rhs in table:
             got = tuple(k.sum(k.mul(xm[s], ym[t]) for s, t in side) for side in (lhs, rhs))
-            assert got == coordinate_sides(k, n, R.x, S.x, *(t - 1 for t in label)), label
+            assert got == coordinate_sides(k, n, xs, ys, *(t - 1 for t in label)), label
 
 
 def one_entry_perturbations(R, rng, count):
@@ -214,17 +216,18 @@ def test_first_violation_labels_match_the_nested_loops():
         ops += one_entry_perturbations(sol, rng, 12)
     labels = set()
     for R in ops:
-        want = nested_loop_violation(k, R.n, R.x, R.x)
+        x = x_table(R)
+        want = nested_loop_violation(k, R.n, x, x)
         assert first_violation(R) == want
         labels.add(want)
     assert len(labels) > 10, "the perturbations fail at many different equations"
     # past DEFAULT_MAX_N the table is generated as it is read
     big = identity_pair(k, 5)
     for R in [big] + one_entry_perturbations(big, rng, 3):
-        assert first_violation(R) == nested_loop_violation(k, 5, R.x, R.x)
+        assert first_violation(R) == nested_loop_violation(k, 5, x_table(R), x_table(R))
     for R, S in zip(ops, ops[1:]):
         if R.n == S.n:
-            assert _pair_violation(R, S) == nested_loop_violation(k, R.n, R.x, S.x)
+            assert _pair_violation(R, S) == nested_loop_violation(k, R.n, x_table(R), x_table(S))
 
 
 def test_check_commuting_pair_is_the_d_check_for_lifts():
