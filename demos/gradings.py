@@ -2,8 +2,7 @@
 QYBE, and a Z/2 eigenspace grading whose tensor square adds degrees."""
 
 from deq import catalog
-from deq.dimodule import (GradedModule, dimodule_from_grading,
-                          grading_from_dimodule, group_bialgebra,
+from deq.dimodule import (GradedModule, dimodule_from_grading, group_bialgebra,
                           r_from_dimodule, tensor_dimodule)
 from deq.fields import QQ
 from deq.linalg import Matrix
@@ -40,7 +39,7 @@ def main():
 
     t = tensor_dimodule(d, d)
     print("tensor square is again a dimodule of dimension %d" % t.dim)
-    proj = grading_from_dimodule(t)
+    proj = t.comodule.slices
     vec = [z, z, z, o]
     even = proj[0].apply(vec) == vec
     print("degree of m2 (x) m2 is g.g = e: %s" % even)

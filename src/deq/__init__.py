@@ -16,15 +16,13 @@ from .tensor_ops import (EndoPair, FormVerdicts, check_commuting_pair,
                          identity_pair, invert, lift, product_solution)
 from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
                     QuotientCoalgebra, coideal, comatrix, convolve,
-                    counit_form, grouplike_coalgebra, is_coideal, quotient)
+                    counit_form, grouplike_coalgebra, quotient)
 from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
                   ObstructionSet, annihilation_check, d_bialgebra,
-                  frt_col_order, generator_action, obstruction_coideal,
-                  obstructions, relation_strings, require_solution,
-                  standard_comodule, universal_map)
+                  frt_col_order, obstruction_coideal, relation_strings,
+                  require_solution, standard_comodule, universal_map)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
-                       check_long_compat, compatible_subalgebra,
-                       dimodule_from_grading, grading_from_dimodule,
+                       compatible_subalgebra, dimodule_from_grading,
                        group_bialgebra, induce_from_comodule,
                        induce_from_module, r_from_dimodule, tensor_dimodule,
                        trivial_comodule, trivial_module)

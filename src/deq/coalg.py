@@ -7,8 +7,50 @@ coordinates are flattened as (b, c) -> b*d + c.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import Field, UsageError
 from .linalg import Matrix, linear_combination, reduce_against, rref
+
+
+def _first_difference(X: Matrix, Y: Matrix):
+    """First (row, column) where two matrices of one shape differ, or None."""
+    if X == Y:
+        return None
+    return next((i, j) for i, (rx, ry) in enumerate(zip(X.rows, Y.rows))
+                for j, (x, y) in enumerate(zip(rx, ry)) if x != y)
+
+
+def _action_failure(unit, product, act):
+    """Where the matrices act[a] fail to be a module over the algebra with
+    unit sum_a unit[a] e_a and e_a e_b = sum_c product(a, b)[c] e_c, or None:
+    (None, (i, j)) when sum_a unit[a] act[a] differs from the identity at
+    entry (i, j), else ((a, b), (i, j)) for the first pair with
+    act[a] act[b] != sum_c product(a, b)[c] act[c].
+
+    This is the module axiom, and also the comodule axiom: the slices of a
+    right C-comodule are a module over the dual algebra C*, with unit eps
+    and e^b e^a = sum_c mu[c][b][a] e^c (Sweedler 1969, Hopf Algebras, 2.1)."""
+    where = _first_difference(linear_combination(unit, act),
+                              Matrix.identity(act[0].field, act[0].nrows))
+    if where is not None:
+        return None, where
+    for a in range(len(act)):
+        for b in range(len(act)):
+            where = _first_difference(act[a] @ act[b], linear_combination(product(a, b), act))
+            if where is not None:
+                return (a, b), where
+    return None
+
+
+def _require_module(unit, product, act, labels, error, unit_message, pair_message):
+    """Raise error(unit_message), or error(pair_message) naming the labels of
+    the pair, where `_action_failure` finds the module axiom failing."""
+    bad = _action_failure(unit, product, act)
+    if bad is not None:
+        pair = bad[0]
+        raise error(unit_message if pair is None
+                    else pair_message % (labels[pair[0]], labels[pair[1]]))
 
 
 class Coalgebra:
@@ -30,39 +72,38 @@ class Coalgebra:
             self._check_axioms()
 
     def _check_axioms(self):
-        k, d, mu, eps = self.field, self.dim, self.mu, self.counit
-        rng = range(d)
-        for a in rng:
-            for r in rng:
-                for s in rng:
-                    for t in rng:
-                        lhs = k.sum(k.mul(mu[a][b][t], mu[b][r][s]) for b in rng)
-                        rhs = k.sum(k.mul(mu[a][r][c], mu[c][s][t]) for c in rng)
-                        if lhs != rhs:
-                            raise UsageError(
-                                "not coassociative at (%s; %s,%s,%s)"
-                                % (self.labels[a], self.labels[r], self.labels[s], self.labels[t]))
-        for a in rng:
-            for c in rng:
-                want = k.one if a == c else k.zero
-                left = k.sum(k.mul(mu[a][b][c], eps[b]) for b in rng)
-                right = k.sum(k.mul(mu[a][c][b], eps[b]) for b in rng)
-                if left != want or right != want:
-                    raise UsageError("counit law fails at %s" % self.labels[a])
+        """Coassociativity and the right counit law are the comodule axioms
+        of Delta on C itself, with the regular slices
+        P_a[w][l] = mu[l][w][a]; the left counit law is eps^T P_c = e_c^T."""
+        labels, P = self.labels, self._regular_slices()
+        bad = _action_failure(self.counit, self._dual_product, P)
+        if bad is not None:
+            pair, (w, l) = bad
+            if pair is None:
+                raise UsageError("counit law fails at %s" % labels[l])
+            raise UsageError("not coassociative at (%s; %s,%s,%s)"
+                             % (labels[l], labels[w], labels[pair[0]], labels[pair[1]]))
+        left = Matrix._computed(self.field, [Pc.transpose().apply(self.counit) for Pc in P])
+        where = _first_difference(left, Matrix.identity(self.field, self.dim))
+        if where is not None:
+            raise UsageError("counit law fails at %s" % labels[where[1]])
+
+    def _regular_slices(self):
+        """The slices of Delta as a right comodule over C itself:
+        P_a[w][l] = mu[l][w][a], column l of P_a is column a of M_l."""
+        deltas = [self.delta_matrix(l) for l in range(self.dim)]
+        return [Matrix._computed(self.field, [M.col(a) for M in deltas]).transpose()
+                for a in range(self.dim)]
+
+    def _dual_product(self, b, a):
+        """Coefficients of e^b e^a = sum_c mu[c][b][a] e^c in the dual algebra C*."""
+        return [self.mu[c][b][a] for c in range(self.dim)]
 
     def delta_vector(self, vec):
-        """Delta applied to a coefficient vector, flattened to length dim^2."""
-        k, d, mu = self.field, self.dim, self.mu
-        out = [k.zero] * (d * d)
-        for a, va in enumerate(vec):
-            if k.is_zero(va):
-                continue
-            row = mu[a]
-            for b in range(d):
-                for c in range(d):
-                    if not k.is_zero(row[b][c]):
-                        out[b * d + c] = k.add(out[b * d + c], k.mul(va, row[b][c]))
-        return out
+        """Delta applied to a coefficient vector, flattened to length dim^2:
+        the rows of sum_a vec[a] M_a."""
+        m = linear_combination(vec, [self.delta_matrix(a) for a in range(self.dim)])
+        return [v for row in m.rows for v in row]
 
     def counit_of(self, vec):
         return self.field.dot(self.counit, vec)
@@ -86,16 +127,12 @@ def comatrix(field, n: int) -> Coalgebra:
         raise UsageError("comatrix order must be in 1..9 (labels are two digits)")
     d = n * n
     labels = ["c%d%d" % (j + 1, k + 1) for j in range(n) for k in range(n)]
-    idx = lambda j, k: j * n + k
     z, o = field.zero, field.one
-    mu = [[[z] * d for _ in range(d)] for _ in range(d)]
-    eps = [z] * d
-    for j in range(n):
-        for k in range(n):
-            for u in range(n):
-                mu[idx(j, k)][idx(j, u)][idx(u, k)] = o
-            if j == k:
-                eps[idx(j, k)] = o
+    e = [[o if i == c else z for i in range(d)] for c in range(d)]
+    # row c_ju of Delta(c_jk) is the unit vector of c_uk, the other rows are zero
+    mu = [[e[b % n * n + k] if b // n == j else [z] * d for b in range(d)]
+          for j in range(n) for k in range(n)]
+    eps = [o if j == k else z for j in range(n) for k in range(n)]
     return Coalgebra(field, labels, mu, eps, check=False)
 
 
@@ -111,9 +148,8 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
         raise UsageError("label set must be nonempty")
     d = len(labels)
     z, o = field.zero, field.one
-    mu = [[[z] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        mu[a][a][a] = o
+    mu = [[[o if c == a else z for c in range(d)] if b == a else [z] * d for b in range(d)]
+          for a in range(d)]
     return Coalgebra(field, labels, mu, [o] * d, check=False)
 
 
@@ -124,9 +160,9 @@ class Coideal:
     Two makers build Coideals. `coideal()` spans user vectors and checks the
     coideal conditions at run time. `frt.obstruction_coideal` builds
     span{o(i,j,k,l)} from its echelon form alone: that span is a coideal for
-    every R, a theorem the tests check (`ObstructionSet.delta_identity_holds`
-    and the coideal test on the census and the catalog). So `quotient` need
-    not check its result again."""
+    every R, a theorem the tests check (the comultiplication identity of the
+    obstructions, and the coideal test on the census and the catalog). So
+    `quotient` need not check its result again."""
 
     def __init__(self, parent: Coalgebra, basis, pivots, col_order):
         self.parent = parent
@@ -163,12 +199,6 @@ def _coideal_failure(C: Coalgebra, basis, pivots):
             if not all(k.is_zero(x) for x in reduce_against(col, basis, pivots, k)):
                 return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)
     return None
-
-
-def is_coideal(C: Coalgebra, vectors) -> bool:
-    k = C.field
-    vecs = [[k.coerce(x) for x in v] for v in vectors]
-    return _coideal_failure(C, *rref(vecs, k)) is None
 
 
 def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
@@ -282,14 +312,9 @@ class Comodule:
             self._check_axioms()
 
     def _check_axioms(self):
-        C, P = self.coalgebra, self.slices
-        if linear_combination(C.counit, P) != Matrix.identity(C.field, self.dim):
-            raise UsageError("comodule counit law fails")
-        for b in range(C.dim):
-            for a in range(C.dim):
-                if P[b] @ P[a] != linear_combination([C.mu[c][b][a] for c in range(C.dim)], P):
-                    raise UsageError("comodule coassociativity fails at (%s, %s)"
-                                     % (C.labels[b], C.labels[a]))
+        C = self.coalgebra
+        _require_module(C.counit, C._dual_product, self.slices, C.labels, UsageError,
+                        "comodule counit law fails", "comodule coassociativity fails at (%s, %s)")
 
     def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
         """(I (x) pi) rho: the induced comodule over C/I, with slices
@@ -340,5 +365,5 @@ def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
     psi_t = Matrix._computed(k, psi.table).transpose()
     w = [[v for row in phi_m.mul(D.delta_matrix(b)).mul(psi_t).rows for v in row]
          for b in range(D.dim)]
-    mc = Matrix._computed(k, [[m for row in C.mu[a] for m in row] for a in range(C.dim)])
+    mc = Matrix._computed(k, [list(itertools.chain(*table)) for table in C.mu])
     return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 
-from .coalg import Coalgebra, Comodule
+from .coalg import (Coalgebra, Comodule, _action_failure, _first_difference,
+                    _require_module)
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
 from .linalg import Matrix, kernel_basis, linear_combination, span_and_membership
@@ -20,7 +21,9 @@ from .tensor_ops import EndoPair
 
 
 class FinAlgebra:
-    """Structure-constant associative unital algebra."""
+    """Structure-constant associative unital algebra. Associativity and the
+    left unit law are the module axiom (`_action_failure`) on its
+    left-regular matrices L_a; the right unit law is L_a unit = e_a."""
 
     def __init__(self, field, labels, mult, unit, check: bool = True):
         d = len(labels)
@@ -35,43 +38,27 @@ class FinAlgebra:
         if check:
             self._check_algebra()
 
-    def multiply(self, u, v):
-        k, d = self.field, self.dim
-        out = [k.zero] * d
-        for a, ua in enumerate(u):
-            if k.is_zero(ua):
-                continue
-            for b, vb in enumerate(v):
-                if k.is_zero(vb):
-                    continue
-                w = k.mul(ua, vb)
-                row = self.mult[a][b]
-                for c in range(d):
-                    if not k.is_zero(row[c]):
-                        out[c] = k.add(out[c], k.mul(w, row[c]))
-        return out
+    @functools.cached_property
+    def _left_regular(self):
+        """L_a with L_a e_b = e_a e_b, that is L_a[c][b] = mult[a][b][c]."""
+        return [Matrix._computed(self.field, table).transpose() for table in self.mult]
 
-    def basis_vector(self, a):
-        k = self.field
-        return [k.one if i == a else k.zero for i in range(self.dim)]
+    def multiply(self, u, v):
+        return linear_combination(u, self._left_regular).apply(v)
 
     def _check_algebra(self):
-        k, d = self.field, self.dim
-        for a in range(d):
-            e = self.basis_vector(a)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
-                raise UsageError("unit law fails at %s" % self.labels[a])
-        for a in range(d):
-            for b in range(d):
-                ab = self.multiply(self.basis_vector(a), self.basis_vector(b))
-                for c in range(d):
-                    lhs = self.multiply(ab, self.basis_vector(c))
-                    bc = self.multiply(self.basis_vector(b), self.basis_vector(c))
-                    rhs = self.multiply(self.basis_vector(a), bc)
-                    if lhs != rhs:
-                        raise UsageError(
-                            "multiplication is not associative at (%s,%s,%s)"
-                            % (self.labels[a], self.labels[b], self.labels[c]))
+        labels, L = self.labels, self._left_regular
+        right = Matrix._computed(self.field, [La.apply(self.unit) for La in L])
+        where = _first_difference(right, Matrix.identity(self.field, self.dim))
+        if where is not None:
+            raise UsageError("unit law fails at %s" % labels[where[0]])
+        bad = _action_failure(self.unit, lambda a, b: self.mult[a][b], L)
+        if bad is not None:
+            pair, (_, c) = bad
+            if pair is None:
+                raise UsageError("unit law fails at %s" % labels[c])
+            raise UsageError("multiplication is not associative at (%s,%s,%s)"
+                             % (labels[pair[0]], labels[pair[1]], labels[c]))
 
 
 class FinBialgebra(FinAlgebra):
@@ -99,66 +86,18 @@ class FinBialgebra(FinAlgebra):
         return self.coalg.counit
 
     def _check_bialgebra(self):
-        k, d = self.field, self.dim
-        mu, dl, eps = self.mult, self.coalg.mu, self.coalg.counit
-        # eps
-        for a in range(d):
-            for b in range(d):
-                prod = self.multiply(self.basis_vector(a), self.basis_vector(b))
-                if k.dot(eps, prod) != k.mul(eps[a], eps[b]):
-                    raise UsageError("counit is not multiplicative at (%s,%s)"
-                                     % (self.labels[a], self.labels[b]))
-        if k.dot(eps, self.unit) != k.one:
-            raise UsageError("counit of the unit is not 1")
-        # Delta(1) = 1 (x) 1
-        du = [[k.zero] * d for _ in range(d)]
-        for a, ua in enumerate(self.unit):
-            if k.is_zero(ua):
-                continue
-            for p in range(d):
-                for q in range(d):
-                    if not k.is_zero(dl[a][p][q]):
-                        du[p][q] = k.add(du[p][q], k.mul(ua, dl[a][p][q]))
-        want = [[k.mul(self.unit[p], self.unit[q]) for q in range(d)] for p in range(d)]
-        if du != want:
-            raise UsageError("Delta of the unit is not unit (x) unit")
-        # Delta multiplicative
-        for a in range(d):
-            for b in range(d):
-                lhs = [[k.zero] * d for _ in range(d)]
-                prod = self.multiply(self.basis_vector(a), self.basis_vector(b))
-                for c, pc in enumerate(prod):
-                    if k.is_zero(pc):
-                        continue
-                    for p in range(d):
-                        for q in range(d):
-                            if not k.is_zero(dl[c][p][q]):
-                                lhs[p][q] = k.add(lhs[p][q], k.mul(pc, dl[c][p][q]))
-                rhs = [[k.zero] * d for _ in range(d)]
-                for p1 in range(d):
-                    for p2 in range(d):
-                        da = dl[a][p1][p2]
-                        if k.is_zero(da):
-                            continue
-                        for q1 in range(d):
-                            for q2 in range(d):
-                                db = dl[b][q1][q2]
-                                if k.is_zero(db):
-                                    continue
-                                w = k.mul(da, db)
-                                for p in range(d):
-                                    m1 = mu[p1][q1][p]
-                                    if k.is_zero(m1):
-                                        continue
-                                    for q in range(d):
-                                        m2 = mu[p2][q2][q]
-                                        if not k.is_zero(m2):
-                                            rhs[p][q] = k.add(
-                                                rhs[p][q],
-                                                k.mul(w, k.mul(m1, m2)))
-                if lhs != rhs:
-                    raise UsageError("Delta is not multiplicative at (%s,%s)"
-                                     % (self.labels[a], self.labels[b]))
+        """eps and Delta are algebra maps exactly when they make k and H (x) H
+        into H-modules: the trivial module, where e_a acts by eps(e_a), and
+        the tensor square of the left-regular module, where e_a acts by
+        sum_{p,q} Delta[a][p][q] L_p (x) L_q. The regular module of the
+        unital algebra H (x) H is faithful, so these products compare those
+        of H (x) H."""
+        product, L = lambda a, b: self.mult[a][b], self._left_regular
+        _require_module(self.unit, product, trivial_module(self, 1), self.labels, UsageError,
+                        "counit of the unit is not 1", "counit is not multiplicative at (%s,%s)")
+        _require_module(self.unit, product, [_kron_combination(t, L, L) for t in self.delta],
+                        self.labels, UsageError, "Delta of the unit is not unit (x) unit",
+                        "Delta is not multiplicative at (%s,%s)")
 
     def __repr__(self):
         return "FinBialgebra(dim=%d)" % self.dim
@@ -193,14 +132,11 @@ def group_bialgebra(field, labels, table) -> FinBialgebra:
     for a in range(d):
         if all(table[a][b] != ident for b in range(d)):
             raise MathError("not a group: no inverse for %s" % labels[a])
-    k = field
-    z, o = k.zero, k.one
-    mult = [[[o if c == table[a][b] else z for c in range(d)] for b in range(d)]
-            for a in range(d)]
-    unit = [o if a == ident else z for a in range(d)]
-    delta = [[[o if (b == a and c == a) else z for c in range(d)] for b in range(d)]
-             for a in range(d)]
-    return FinBialgebra(k, labels, mult, unit, delta, [o] * d, check=False)
+    z, o = field.zero, field.one
+    e = [[o if i == c else z for i in range(d)] for c in range(d)]
+    delta = [[e[a] if b == a else [z] * d for b in range(d)] for a in range(d)]
+    return FinBialgebra(field, labels, [[e[c] for c in row] for row in table], e[ident],
+                        delta, [o] * d, check=False)
 
 
 def _host_parts(host):
@@ -210,17 +146,13 @@ def _host_parts(host):
     return host.gen_coalgebra(), not isinstance(host, FinBialgebra)
 
 
-def _check_module(H: FinAlgebra, act, dim):
-    """Raise MathError unless act (one dim x dim matrix per basis element of
-    H) is an H-module: the unit acts as the identity and the action is
+def _check_module(H: FinAlgebra, act):
+    """Raise MathError unless act (one matrix per basis element of H) is an
+    H-module: the unit acts as the identity and the action is
     multiplicative."""
-    if linear_combination(H.unit, act) != Matrix.identity(H.field, dim):
-        raise MathError("not a module: unit does not act as identity")
-    for a in range(H.dim):
-        for b in range(H.dim):
-            if act[a] @ act[b] != linear_combination(H.mult[a][b], act):
-                raise MathError("not a module: action not multiplicative at (%s,%s)"
-                                % (H.labels[a], H.labels[b]))
+    _require_module(H.unit, lambda a, b: H.mult[a][b], act, H.labels, MathError,
+                    "not a module: unit does not act as identity",
+                    "not a module: action not multiplicative at (%s,%s)")
 
 
 def _compat_tables(A: Matrix, comodule: Comodule, l):
@@ -262,7 +194,7 @@ class LongDimodule:
         self.presented = presented
         if check:
             if not presented:
-                _check_module(host, self.act, self.dim)
+                _check_module(host, self.act)
             bad = self.first_incompatibility()
             if bad is not None:
                 a, l = bad
@@ -290,36 +222,14 @@ class LongDimodule:
         return "LongDimodule(dim=%d over %r)" % (self.dim, self.host)
 
 
-def check_long_compat(algebra, action, comodule: Comodule, generators=None) -> bool:
-    """Exact verdict on rho(a.m) = sum a.m_0 (x) m_1 over all basis pairs of
-    an algebra/coalgebra pair; `generators` restricts the algebra side to a
-    generating set (enough for a bialgebra by the compatible-subalgebra
-    lemma)."""
-    if comodule.coalgebra.field != algebra.field:
-        raise UsageError("algebra and coalgebra fields differ")
-    if action[0].nrows != comodule.dim:
-        raise UsageError("action and coaction dimensions differ")
-    indices = range(len(action)) if generators is None else generators
-    for a in indices:
-        for l in range(comodule.dim):
-            lhs, rhs = _compat_tables(action[a], comodule, l)
-            if lhs != rhs:
-                return False
-    return True
-
-
 def compatible_subalgebra(H: FinBialgebra, action, comodule: Comodule):
     """Basis of {h in H : rho(h.m) = sum h.m_0 (x) m_1 for all m}; the span
     is closed under multiplication and contains the unit (asserted)."""
-    k, dH = H.field, H.dim
-    rows = []
-    for l in range(comodule.dim):
-        tables = [_compat_tables(action[a], comodule, l) for a in range(dH)]
-        for b in range(len(comodule.slices)):
-            for w in range(comodule.dim):
-                rows.append([k.sub(lhs[b][w], rhs[b][w]) for lhs, rhs in tables])
-    basis = kernel_basis(Matrix(k, rows, coerce=False))
-    span, contains = span_and_membership(basis, k, dim=dH)
+    # column a holds the entries of every commutator P_b A_a - A_a P_b
+    cols = [[v for P in comodule.slices for row in (P @ A).sub(A @ P).rows for v in row]
+            for A in action]
+    basis = kernel_basis(Matrix._computed(H.field, cols).transpose())
+    _, contains = span_and_membership(basis, H.field, dim=H.dim)
     if not contains(H.unit):
         raise RuntimeError("compatible set does not contain the unit")
     for u in basis:
@@ -347,7 +257,7 @@ class GradedModule:
         for a in range(H.dim):
             if self.act[a].nrows != d or self.act[a].ncols != d:
                 raise UsageError("action matrix has wrong shape")
-        _check_module(H, self.act, d)
+        _check_module(H, self.act)
         # projector family
         total = Matrix.zeros(k, d, d)
         for s, P in enumerate(self.projectors):
@@ -379,12 +289,6 @@ def dimodule_from_grading(g: GradedModule) -> LongDimodule:
     exactly Long compatibility."""
     comod = Comodule(g.host.gen_coalgebra(), g.projectors, check=False)
     return LongDimodule(g.host, g.act, comod, check=False)
-
-
-def grading_from_dimodule(d: LongDimodule):
-    """Projectors P_sigma = (I (x) eval_sigma) rho for a k[G]-dimodule whose
-    coaction lands in single group components: its slices."""
-    return list(d.comodule.slices)
 
 
 def r_from_dimodule(d: LongDimodule) -> EndoPair:
@@ -427,36 +331,32 @@ def tensor_dimodule(M: LongDimodule, N: LongDimodule) -> LongDimodule:
     if M.presented:
         raise UsageError("tensor products over a free presentation are unsupported")
     H = M.host
-    rng = range(H.dim)
-    action = [_kron_combination(H.delta[a], M.act, N.act) for a in rng]
-    coaction = [_kron_combination([[H.mult[a][b][c] for b in rng] for a in rng],
-                                  M.comodule.slices, N.comodule.slices) for c in rng]
+    action = [_kron_combination(H.delta[a], M.act, N.act) for a in range(H.dim)]
+    # mult[a][b][c] = L_a[c][b]: row c of every left-regular matrix
+    coaction = [_kron_combination([L.rows[c] for L in H._left_regular],
+                                  M.comodule.slices, N.comodule.slices) for c in range(H.dim)]
     return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
 
 
 def induce_from_module(N_action, H: FinBialgebra) -> LongDimodule:
     """N (x) H with h.(n (x) l) = h.n (x) l and coaction I (x) Delta: the
-    action of e_a is A_a (x) I and slice q is I (x) D_q with
-    D_q[p][b] = Delta[b][p][q]."""
-    k, rng = H.field, range(H.dim)
-    ident_h = Matrix.identity(k, H.dim)
-    ident_n = Matrix.identity(k, N_action[0].nrows)
+    action of e_a is A_a (x) I and slice q is I (x) P_q, with P_q the
+    regular slice of H's coalgebra, P_q[p][b] = Delta[b][p][q]."""
+    ident_h = Matrix.identity(H.field, H.dim)
+    ident_n = Matrix.identity(H.field, N_action[0].nrows)
     action = [A.kron(ident_h) for A in N_action]
-    coaction = [ident_n.kron(Matrix._computed(k, [[H.delta[b][p][q] for b in rng] for p in rng]))
-                for q in rng]
+    coaction = [ident_n.kron(P) for P in H.gen_coalgebra()._regular_slices()]
     return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
 
 
 def induce_from_comodule(M: Comodule, H: FinBialgebra) -> LongDimodule:
     """H (x) M with h.(l (x) m) = hl (x) m and coaction l (x) m_0 (x) m_1:
-    the action of e_a is L_a (x) I with L_a[b][c] = mult[a][c][b], and
-    slice a is I (x) P^M_a."""
+    the action of e_a is L_a (x) I with L_a the left-regular matrix of e_a,
+    and slice a is I (x) P^M_a."""
     if M.coalgebra is not H.gen_coalgebra():
         raise UsageError("comodule is not over the host's coalgebra")
-    k, rng = H.field, range(H.dim)
-    ident_h = Matrix.identity(k, H.dim)
-    ident_m = Matrix.identity(k, M.dim)
-    action = [Matrix._computed(k, [[H.mult[a][c][b] for c in rng] for b in rng]).kron(ident_m)
-              for a in rng]
+    ident_h = Matrix.identity(H.field, H.dim)
+    ident_m = Matrix.identity(H.field, M.dim)
+    action = [L.kron(ident_m) for L in H._left_regular]
     coaction = [ident_h.kron(P) for P in M.slices]
     return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))

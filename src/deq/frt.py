@@ -82,33 +82,6 @@ class ObstructionSet:
     def items(self):
         return sorted(self.vectors.items())
 
-    def delta_identity_holds(self) -> bool:
-        """Delta(o(i,j,k,l)) == sum_u ( o(i,j,k,u)(x)c_ul + c_iu(x)o(u,j,k,l) ),
-        an identity valid for every R."""
-        C, n, k = self.coalgebra, self.n, self.coalgebra.field
-        d = n * n
-        for (i, j, kk, l), vec in self.items():
-            lhs = C.delta_vector(vec)
-            rhs = [k.zero] * (d * d)
-            for u in range(1, n + 1):
-                left = self.vector(i, j, kk, u)
-                cul = (u - 1) * n + (l - 1)
-                for b in range(d):
-                    if not k.is_zero(left[b]):
-                        rhs[b * d + cul] = k.add(rhs[b * d + cul], left[b])
-                right = self.vector(u, j, kk, l)
-                ciu = (i - 1) * n + (u - 1)
-                for c in range(d):
-                    if not k.is_zero(right[c]):
-                        rhs[ciu * d + c] = k.add(rhs[ciu * d + c], right[c])
-            if lhs != rhs:
-                return False
-        return True
-
-
-def obstructions(R: EndoPair, C: Coalgebra = None) -> ObstructionSet:
-    return ObstructionSet(R, C)
-
 
 def frt_col_order(n: int):
     """Pivot preference for I(R): off-diagonal labels row-major, then
@@ -124,9 +97,11 @@ def obstruction_coideal(R: EndoPair, C: Coalgebra = None,
     """span{o(i,j,k,l)} as a coideal of comatrix(n), from its reduced
     echelon form in `frt_col_order`.
 
-    It is not checked at run time: `delta_identity_holds` shows it is a
-    coideal for every R, solution or not, and the tests check that and the
-    coideal conditions themselves on the census and the catalog."""
+    It is not checked at run time: the comultiplication identity
+    Delta(o(i,j,k,l)) = sum_u o(i,j,k,u) (x) c_ul + c_iu (x) o(u,j,k,l)
+    makes it a coideal for every R, solution or not, and the tests check
+    that identity and the coideal conditions themselves on the census and
+    the catalog."""
     obs = ObstructionSet(R, C, action)
     basis, pivots = rref([vec for _, vec in obs.items()], R.field,
                          col_order=frt_col_order(R.n))
@@ -158,10 +133,6 @@ class GeneratorAction:
         rows = R.matrix().rows
         self.matrices = [Matrix._computed(k, [row[u::n] for row in rows[j::n]])
                          for j in range(n) for u in range(n)]
-
-
-def generator_action(R: EndoPair) -> GeneratorAction:
-    return GeneratorAction(R)
 
 
 def annihilation_check(action: GeneratorAction, vectors) -> bool:
@@ -276,12 +247,12 @@ def universal_map(R: EndoPair, H, realization):
     # row i*n + j of images is c'_ij, one column per basis element of H
     images = Matrix._computed(k, [[P.rows[i][j] for P in realization.comodule.slices]
                                   for i in range(n) for j in range(n)])
-    # relations map to zero: the image sum_a o[a] c'_a of every o(i,j,k,l)
-    obs = [o for _, o in ObstructionSet(R).items()]
-    if not Matrix._computed(k, obs).mul(images).is_zero():
+    # relations map to zero: the reduced basis of I(R) spans every o(i,j,k,l)
+    pres = H if isinstance(H, FrtPresentation) and H.endo == R else d_bialgebra(R)
+    relations = pres.ideal.basis
+    if relations and not Matrix._computed(k, relations).mul(images).is_zero():
         raise RuntimeError("obstruction image nonzero in host")
     # the assignment factors through the quotient and matches the coaction
-    pres = H if isinstance(H, FrtPresentation) and H.endo == R else d_bialgebra(R)
     Q = pres.quotient
     G = Matrix._computed(k, [images.rows[c] for c in Q.section_cols])
     if Q.proj.transpose().mul(G) != images:

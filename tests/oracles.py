@@ -1,8 +1,12 @@
 """Independent constructions that the package no longer runs: the quotient of
 a coalgebra through an explicit inverse, for any section, the generic
-convolution inverse by one linear solve, and the index loops over the
-4-index family x_uv^ji that the operator's readers replaced by index maps on
-its matrix. The tests compare the package's closed forms with them."""
+convolution inverse by one linear solve, the index loops over the 4-index
+family x_uv^ji that the operator's readers replaced by index maps on its
+matrix, and the index-loop axiom checkers of coalgebras, algebras and
+bialgebras that the regular (co)module identities replaced. The tests
+compare the package's closed forms with them."""
+
+import itertools
 
 from deq.coalg import BilinearForm, Coalgebra, convolve, counit_form
 from deq.linalg import Matrix, matrix_inverse, solve_linear
@@ -162,4 +166,141 @@ def loop_first_symmetry_violation(R):
                 for i in range(n):
                     if x[u][v][j][i] != x[v][u][i][j]:
                         return (u + 1, v + 1, j + 1, i + 1)
+    return None
+
+
+# Structure axioms by index loops over the structure constants, one location
+# at a time. Each loop_*_failure walks the locations in the order of the
+# checker it replaced and returns that checker's message, or None.
+
+def coassociative_at(C, a, r, s, t):
+    """(Delta (x) id) Delta(e_a) and (id (x) Delta) Delta(e_a) agree at e_r (x) e_s (x) e_t."""
+    k, mu, rng = C.field, C.mu, range(C.dim)
+    lhs = k.sum(k.mul(mu[a][b][t], mu[b][r][s]) for b in rng)
+    rhs = k.sum(k.mul(mu[a][r][c], mu[c][s][t]) for c in rng)
+    return lhs == rhs
+
+
+def counit_law_at(C, a):
+    """(eps (x) id) Delta(e_a) = e_a = (id (x) eps) Delta(e_a)."""
+    k, mu, eps, rng = C.field, C.mu, C.counit, range(C.dim)
+    for c in rng:
+        want = k.one if a == c else k.zero
+        left = k.sum(k.mul(mu[a][b][c], eps[b]) for b in rng)
+        right = k.sum(k.mul(mu[a][c][b], eps[b]) for b in rng)
+        if left != want or right != want:
+            return False
+    return True
+
+
+def loop_coalgebra_failure(C):
+    labels = C.labels
+    for a, r, s, t in itertools.product(range(C.dim), repeat=4):
+        if not coassociative_at(C, a, r, s, t):
+            return ("not coassociative at (%s; %s,%s,%s)"
+                    % (labels[a], labels[r], labels[s], labels[t]))
+    for a in range(C.dim):
+        if not counit_law_at(C, a):
+            return "counit law fails at %s" % labels[a]
+    return None
+
+
+def basis_vector(A, a):
+    return [A.field.one if i == a else A.field.zero for i in range(A.dim)]
+
+
+def loop_multiply(A, u, v):
+    """u v in the algebra A, summed over the nonzero products of coefficients."""
+    k, d = A.field, A.dim
+    out = [k.zero] * d
+    for a, ua in enumerate(u):
+        for b, vb in enumerate(v):
+            if k.is_zero(ua) or k.is_zero(vb):
+                continue
+            w = k.mul(ua, vb)
+            for c, m in enumerate(A.mult[a][b]):
+                if not k.is_zero(m):
+                    out[c] = k.add(out[c], k.mul(w, m))
+    return out
+
+
+def unit_law_at(A, a):
+    e = basis_vector(A, a)
+    return loop_multiply(A, A.unit, e) == e and loop_multiply(A, e, A.unit) == e
+
+
+def associative_at(A, a, b, c):
+    ea, eb, ec = basis_vector(A, a), basis_vector(A, b), basis_vector(A, c)
+    return (loop_multiply(A, loop_multiply(A, ea, eb), ec)
+            == loop_multiply(A, ea, loop_multiply(A, eb, ec)))
+
+
+def loop_algebra_failure(A):
+    labels = A.labels
+    for a in range(A.dim):
+        if not unit_law_at(A, a):
+            return "unit law fails at %s" % labels[a]
+    for a, b, c in itertools.product(range(A.dim), repeat=3):
+        if not associative_at(A, a, b, c):
+            return ("multiplication is not associative at (%s,%s,%s)"
+                    % (labels[a], labels[b], labels[c]))
+    return None
+
+
+def counit_multiplicative_at(H, a, b):
+    k = H.field
+    prod = loop_multiply(H, basis_vector(H, a), basis_vector(H, b))
+    return k.dot(H.counit, prod) == k.mul(H.counit[a], H.counit[b])
+
+
+def counit_of_unit_is_one(H):
+    return H.field.dot(H.counit, H.unit) == H.field.one
+
+
+def delta_table(H, vec):
+    """Delta(sum_a vec[a] e_a) as its d x d coefficient table."""
+    k, d, dl = H.field, H.dim, H.delta
+    out = [[k.zero] * d for _ in range(d)]
+    for a, va in enumerate(vec):
+        for p, q in itertools.product(range(d), repeat=2):
+            if not k.is_zero(va) and not k.is_zero(dl[a][p][q]):
+                out[p][q] = k.add(out[p][q], k.mul(va, dl[a][p][q]))
+    return out
+
+
+def delta_of_unit_holds(H):
+    k = H.field
+    return delta_table(H, H.unit) == [[k.mul(x, y) for y in H.unit] for x in H.unit]
+
+
+def delta_multiplicative_at(H, a, b):
+    """Delta(e_a e_b) = Delta(e_a) Delta(e_b), the right side multiplied out
+    term by term in H (x) H."""
+    k, d, dl, mu = H.field, H.dim, H.delta, H.mult
+    lhs = delta_table(H, loop_multiply(H, basis_vector(H, a), basis_vector(H, b)))
+    rhs = [[k.zero] * d for _ in range(d)]
+    pairs = list(itertools.product(range(d), repeat=2))
+    for (p1, p2), (q1, q2) in itertools.product(pairs, repeat=2):
+        w = k.mul(dl[a][p1][p2], dl[b][q1][q2])
+        if k.is_zero(w):
+            continue
+        for p, q in pairs:
+            m = k.mul(mu[p1][q1][p], mu[p2][q2][q])
+            if not k.is_zero(m):
+                rhs[p][q] = k.add(rhs[p][q], k.mul(w, m))
+    return lhs == rhs
+
+
+def loop_bialgebra_failure(H):
+    labels, rng = H.labels, range(H.dim)
+    for a, b in itertools.product(rng, repeat=2):
+        if not counit_multiplicative_at(H, a, b):
+            return "counit is not multiplicative at (%s,%s)" % (labels[a], labels[b])
+    if not counit_of_unit_is_one(H):
+        return "counit of the unit is not 1"
+    if not delta_of_unit_holds(H):
+        return "Delta of the unit is not unit (x) unit"
+    for a, b in itertools.product(rng, repeat=2):
+        if not delta_multiplicative_at(H, a, b):
+            return "Delta is not multiplicative at (%s,%s)" % (labels[a], labels[b])
     return None

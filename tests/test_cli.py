@@ -427,12 +427,14 @@ def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
 
 def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     """Structures correct by construction are not re-checked: one deq frt
-    and one deq dimodule run check no comodule, algebra or bialgebra axioms.
+    and one deq dimodule run check no coalgebra, comodule, algebra or
+    bialgebra axioms.
     deq dimodule tests compatibility once for each (basis element, m_l)
     pair, for its compat lines; deq frt does not test it, since the
     canonical dimodule of a solution is compatible by the FRT-type theorem."""
     from deq import coalg, dimodule
-    checks = {"Comodule._check_axioms": (coalg.Comodule, "_check_axioms"),
+    checks = {"Coalgebra._check_axioms": (coalg.Coalgebra, "_check_axioms"),
+              "Comodule._check_axioms": (coalg.Comodule, "_check_axioms"),
               "FinAlgebra._check_algebra": (dimodule.FinAlgebra, "_check_algebra"),
               "FinBialgebra._check_bialgebra": (dimodule.FinBialgebra, "_check_bialgebra")}
     counts = dict.fromkeys(checks, 0)

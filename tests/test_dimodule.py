@@ -5,8 +5,7 @@ import pytest
 from deq import catalog
 from deq.coalg import Comodule
 from deq.dimodule import (FinBialgebra, GradedModule, LongDimodule,
-                          check_long_compat, compatible_subalgebra,
-                          dimodule_from_grading, grading_from_dimodule,
+                          compatible_subalgebra, dimodule_from_grading,
                           group_bialgebra, induce_from_comodule,
                           induce_from_module, r_from_dimodule,
                           tensor_dimodule, trivial_comodule, trivial_module)
@@ -59,8 +58,8 @@ def test_group_bialgebra_structure():
                 assert H.delta[a][p][q] == want
     assert H.counit == [k.one] * 6
     # multiplication follows the table
-    prod = H.multiply(H.basis_vector(1), H.basis_vector(2))
-    assert prod == H.basis_vector(table[1][2])
+    e = Matrix.identity(k, 6).rows
+    assert H.multiply(e[1], e[2]) == e[table[1][2]]
 
 
 def test_group_bialgebra_rejects_non_groups():
@@ -85,11 +84,10 @@ def test_long_dimodule_rejects_incompatible_pair():
     comod = Comodule(H.gen_coalgebra(), slices)
     with pytest.raises(MathError, match="compatibility fails"):
         LongDimodule(H, action, comod)
-    # same verdict from the standalone checker
-    assert not check_long_compat(H, action, comod)
-    # restricted to the compatible generator e the violation is invisible
-    assert check_long_compat(H, action, comod, generators=[0])
-    assert not check_long_compat(H, action, comod, generators=[1])
+    # the same verdict unchecked; the unit e is compatible, g is the first failure
+    unchecked = LongDimodule(H, action, comod, check=False)
+    assert not unchecked.is_compatible()
+    assert unchecked.first_incompatibility()[0] == 1
 
 
 def test_compatible_subalgebra_of_incompatible_pair():
@@ -101,7 +99,7 @@ def test_compatible_subalgebra_of_incompatible_pair():
     assert len(basis) == 1
     span, contains = span_and_membership(basis, k, dim=2)
     assert contains(H.unit)
-    assert not contains(H.basis_vector(1))
+    assert not contains([k.zero, k.one])
 
 
 def test_compatible_subalgebra_of_graded_module():
@@ -112,14 +110,13 @@ def test_compatible_subalgebra_of_graded_module():
     assert len(basis) == 6
 
 
-def test_check_long_compat_generator_restriction():
-    """t12 and t13 generate k[S3], so checking them decides the rest."""
+def test_compatible_generators_give_the_whole_bialgebra():
+    """t12 and t13 generate k[S3]: when both are compatible, the compatible
+    subalgebra, closed under products, is all of k[S3]."""
     g = catalog.s3_graded_module(QQ)
     d = dimodule_from_grading(g)
-    H = g.host
-    full = check_long_compat(H, d.act, d.comodule)
-    gens = check_long_compat(H, d.act, d.comodule, generators=[1, 2])
-    assert full and gens
+    assert all(d.pair_compatible(a, l) for a in (1, 2) for l in range(d.dim))
+    assert len(compatible_subalgebra(g.host, d.act, d.comodule)) == g.host.dim
 
 
 def test_graded_module_validation():
@@ -148,7 +145,7 @@ def test_grading_round_trip():
     g = z2_eigen_grading(PrimeField(5), 3)
     d = dimodule_from_grading(g)
     assert d.is_compatible()
-    back = grading_from_dimodule(d)
+    back = d.comodule.slices
     assert back == g.projectors
     # and the rebuilt grading is again a valid graded module
     GradedModule(g.host, g.act, back)
@@ -190,7 +187,7 @@ def test_tensor_dimodule_adds_degrees():
     assert t.is_compatible()
     assert check_d(r_from_dimodule(t))
     # e2 (x) e2 has degree g.g = e, e1 (x) e2 has degree g
-    proj = grading_from_dimodule(t)
+    proj = t.comodule.slices
     vec = [k.zero] * 4
     vec[3] = k.one
     assert proj[0].apply(vec) == vec
@@ -307,8 +304,7 @@ def test_dimodules_from_gradings_satisfy_the_axioms():
               conjugated(catalog.s3_graded_module(PrimeField(7)), shear)):
         d = dimodule_from_grading(g)
         comod = Comodule(d.coalgebra, d.comodule.slices, check=True)
-        LongDimodule(g.host, d.act, comod, check=True)
-        assert check_long_compat(g.host, d.act, comod)
+        assert LongDimodule(g.host, d.act, comod, check=True).is_compatible()
         assert check_d(r_from_dimodule(d))
 
 

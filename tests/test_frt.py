@@ -1,15 +1,15 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from deq import catalog
-from deq.coalg import comatrix, comatrix_index, quotient
+from deq.coalg import comatrix, comatrix_index
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import (FrtPresentation, NotASolutionError, annihilation_check,
-                     d_bialgebra, frt_col_order,
-                     generator_action, obstruction_coideal, obstructions,
-                     relation_strings, require_solution, standard_comodule,
+from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
+                     annihilation_check, d_bialgebra, frt_col_order,
+                     obstruction_coideal, relation_strings, require_solution,
                      universal_map)
 from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
@@ -27,7 +27,7 @@ def test_obstruction_definition_against_direct_sum():
     k = PrimeField(7)
     rng = random.Random(1)
     R = rand_pair(k, rng, 2)
-    obs = obstructions(R)
+    obs = ObstructionSet(R)
     n = 2
     for i in range(1, 3):
         for j in range(1, 3):
@@ -50,9 +50,29 @@ def test_obstructions_counit_free():
     C = comatrix(k, 2)
     for _ in range(20):
         R = rand_pair(k, rng, 2)
-        obs = obstructions(R, C)
+        obs = ObstructionSet(R, C)
         for _, vec in obs.items():
             assert C.counit_of(vec) == k.zero
+
+
+def delta_identity_holds(obs):
+    """Delta(o(i,j,k,l)) == sum_u ( o(i,j,k,u)(x)c_ul + c_iu(x)o(u,j,k,l) ) for
+    every label, as d x d tables: the left side is sum_a o[a] M_a, and
+    v (x) c_a is the outer product of v with the unit vector of c_a."""
+    C, n, k = obs.coalgebra, obs.n, obs.coalgebra.field
+    deltas = [C.delta_matrix(a) for a in range(C.dim)]
+    e = Matrix.identity(k, C.dim).rows
+
+    def outer(u, v):
+        return Matrix._computed(k, [u]).transpose().mul(Matrix._computed(k, [v]))
+
+    for (i, j, kk, l), vec in obs.items():
+        rhs = [term for u in range(1, n + 1)
+               for term in (outer(obs.vector(i, j, kk, u), e[comatrix_index(n, u, l)]),
+                            outer(e[comatrix_index(n, i, u)], obs.vector(u, j, kk, l)))]
+        if linear_combination(vec, deltas) != functools.reduce(Matrix.add, rhs):
+            return False
+    return True
 
 
 def test_obstruction_comultiplication_identity_all_r():
@@ -61,10 +81,10 @@ def test_obstruction_comultiplication_identity_all_r():
     rng = random.Random(3)
     for _ in range(40):
         R = rand_pair(k, rng, 2)
-        assert obstructions(R).delta_identity_holds()
+        assert delta_identity_holds(ObstructionSet(R))
     for _ in range(5):
         R = rand_pair(k, rng, 3)
-        assert obstructions(R).delta_identity_holds()
+        assert delta_identity_holds(ObstructionSet(R))
 
 
 def test_defect_pairing_identity_all_r():
@@ -74,7 +94,7 @@ def test_defect_pairing_identity_all_r():
     for n, count in ((2, 25), (3, 5)):
         for _ in range(count):
             R = rand_pair(k, rng, n)
-            obs = obstructions(R)
+            obs = ObstructionSet(R)
             labels = range(1, n + 1)
             for j, kk, l in itertools.product(labels, repeat=3):
                 assert defect_pairing(R, j, kk, l) == [obs.vector(i, j, kk, l) for i in labels]
@@ -91,17 +111,17 @@ def test_action_kills_obstructions_iff_solution():
     zero = Matrix.zeros(k, 2, 2)
     seen = [0, 0]
     for R in cases:
-        act = generator_action(R)
+        act = GeneratorAction(R)
         killed = all(linear_combination(vec, act.matrices) == zero
-                     for _, vec in obstructions(R).items())
+                     for _, vec in ObstructionSet(R).items())
         assert killed == check_d(R)
         seen[int(killed)] += 1
     assert seen[0] and seen[1]
     # a genuine solution with nonvanishing obstruction vectors exists, and
     # the identity imposes no relations at all
-    obs = obstructions(catalog.triangular_solution(k, 1, 2, 3))
+    obs = ObstructionSet(catalog.triangular_solution(k, 1, 2, 3))
     assert any(any(not k.is_zero(v) for v in vec) for _, vec in obs.items())
-    obs_id = obstructions(identity_pair(k, 2))
+    obs_id = ObstructionSet(identity_pair(k, 2))
     assert all(all(k.is_zero(v) for v in vec) for _, vec in obs_id.items())
 
 
@@ -112,9 +132,9 @@ def test_annihilation_equivalence_random():
     rng = random.Random(6)
     for _ in range(60):
         R = rand_pair(k, rng, 2)
-        act = generator_action(R)
+        act = GeneratorAction(R)
         want = check_d(R)
-        assert annihilation_check(act, [v for _, v in obstructions(R).items()]) == want
+        assert annihilation_check(act, [v for _, v in ObstructionSet(R).items()]) == want
         assert annihilation_check(act, obstruction_coideal(R).basis) == want
 
 
@@ -162,7 +182,7 @@ def test_presentation_rejects_non_solution():
     assert len(info.value.where) == 6
     R = catalog.yang_baxter_operator(QQ, 2)
     with pytest.raises(NotASolutionError) as again:
-        require_solution(R, generator_action(R), obstruction_coideal(R).basis)
+        require_solution(R, GeneratorAction(R), obstruction_coideal(R).basis)
     assert again.value.where == info.value.where
 
 
@@ -171,7 +191,7 @@ def test_generator_action_is_the_coefficient_table():
     k = PrimeField(7)
     rng = random.Random(7)
     R = rand_pair(k, rng, 2)
-    act = generator_action(R)
+    act = GeneratorAction(R)
     for j in range(1, 3):
         for u in range(1, 3):
             m = act.matrices[(j - 1) * 2 + (u - 1)]
@@ -236,6 +256,23 @@ def test_universal_map_builds_no_second_presentation(monkeypatch):
     H = catalog.s3_bialgebra(QQ)
     assert universal_map(S, H, dimodule_from_grading(catalog.s3_graded_module(QQ))) is not None
     assert counts == {"d_bialgebra": 1, "obstruction_coideal": 1}
+
+
+def test_universal_map_reuses_the_presentations_relations(monkeypatch):
+    """With H = d_bialgebra(R), universal_map checks the relations on the
+    presentation's reduced basis of I(R) and builds no ObstructionSet."""
+    R = catalog.s3_graded_solution(QQ)
+    H = d_bialgebra(R)
+    built = []
+    init = ObstructionSet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObstructionSet, "__init__", counting)
+    assert universal_map(R, H, H.canonical_dimodule()) is not None
+    assert built == []
 
 
 def test_universal_map_to_group_bialgebra():

@@ -15,9 +15,9 @@ from deq.dmap import (DMap, _sigma0_table, convolution_inverse_of_sigma, delta_f
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError
-from deq.frt import (NotASolutionError, annihilation_check, d_bialgebra, frt_col_order,
-                     generator_action, obstruction_coideal, obstructions,
-                     standard_comodule)
+from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
+                     annihilation_check, d_bialgebra, frt_col_order,
+                     obstruction_coideal, standard_comodule)
 from deq.linalg import Matrix
 from deq.tensor_ops import EndoPair, first_violation, invert
 from oracles import convolution_inverse, section_quotient
@@ -79,7 +79,7 @@ def test_obstruction_span_is_a_coideal_for_every_operator(k_q):
     solutions = 0
     for R in operators:
         C = comatrix(k, R.n)
-        vectors = [v for _, v in obstructions(R, C).items()]
+        vectors = [v for _, v in ObstructionSet(R, C).items()]
         checked = coideal(C, vectors, col_order=frt_col_order(R.n))
         built = obstruction_coideal(R, C)
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
@@ -93,7 +93,7 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
     operators = census_ops + [next(iter(perturbations(R))) for R in census_ops[::7]]
     for R in operators:
         C = comatrix(R.field, 2)
-        vectors = [v for _, v in obstructions(R, C).items()]
+        vectors = [v for _, v in ObstructionSet(R, C).items()]
         built = obstruction_coideal(R, C)
         checked = coideal(C, vectors, col_order=frt_col_order(2))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
@@ -102,7 +102,7 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
     for _ in range(100):
         R = EndoPair.from_matrix(Matrix(k, [[rng.randrange(3) for _ in range(4)]
                                             for _ in range(4)]))
-        coideal(comatrix(k, 2), [v for _, v in obstructions(R).items()])
+        coideal(comatrix(k, 2), [v for _, v in ObstructionSet(R).items()])
 
 
 @pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
@@ -230,7 +230,7 @@ def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
     for R in catalog_solutions(*k_q):
         for S in perturbations(R):
             where = first_violation(S)
-            gate = annihilation_check(generator_action(S), obstruction_coideal(S).basis)
+            gate = annihilation_check(GeneratorAction(S), obstruction_coideal(S).basis)
             assert gate == (where is None)
             seen.add(gate)
             if not gate:
