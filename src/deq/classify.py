@@ -22,8 +22,7 @@ import numpy as np
 
 from .fields import DEFAULT_BUDGET, PrimeField, UsageError, env_positive_int, is_prime
 from .linalg import Matrix
-from .tensor_ops import (EQUATIONS, EndoPair, check_d, coordinate_equations,
-                         flip_index, leg_map, tau123_index)
+from .tensor_ops import EQUATIONS, EndoPair, check_d, coordinate_equations, leg_map
 
 CHUNK = 65536  # rows per vectorized block: candidates, scan prefixes or conjugate images
 
@@ -198,17 +197,6 @@ def qybe_mask(x: np.ndarray, p: int) -> np.ndarray:
 def symmetric_mask(x: np.ndarray) -> np.ndarray:
     """R tau = tau R, i.e. x_uv^ji = x_vu^ij."""
     return _rows_equal(x, x.transpose(0, 2, 1, 4, 3))
-
-
-def forms_masks(x: np.ndarray, p: int):
-    """(d, form_t, form_u, form_w) verdict arrays for a block."""
-    mat = block_matrices(x)
-    flip = np.array(flip_index(x.shape[1]))
-    t123 = np.array(tau123_index(x.shape[1]))
-    tl, tr = _words(mat[:, :, flip], p, *EQUATIONS["form_t"])
-    ul, ur = _words(mat[:, flip, :], p, *EQUATIONS["form_u"])
-    return (coordinate_mask(x, p), _rows_equal(tl, tr[:, :, t123]),
-            _rows_equal(ul[:, t123, :], ur), _equation_mask(mat[:, flip][:, :, flip], p, "d"))
 
 
 class CensusReport:

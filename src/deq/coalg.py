@@ -99,12 +99,6 @@ class Coalgebra:
         """Coefficients of e^b e^a = sum_c mu[c][b][a] e^c in the dual algebra C*."""
         return [self.mu[c][b][a] for c in range(self.dim)]
 
-    def delta_vector(self, vec):
-        """Delta applied to a coefficient vector, flattened to length dim^2:
-        the rows of sum_a vec[a] M_a."""
-        m = linear_combination(vec, [self.delta_matrix(a) for a in range(self.dim)])
-        return [v for row in m.rows for v in row]
-
     def counit_of(self, vec):
         return self.field.dot(self.counit, vec)
 
@@ -188,13 +182,13 @@ def _coideal_failure(C: Coalgebra, basis, pivots):
     C (x) C = (I (x) C + C (x) I) (+) (S (x) S), Delta(v) lies in
     I (x) C + C (x) I iff (pi (x) pi) Delta(v) = 0: reduce the rows of the
     d x d table of Delta(v), then its columns, and require zero."""
-    k, d = C.field, C.dim
+    k, deltas = C.field, [C.delta_matrix(a) for a in range(C.dim)]
     for v in basis:
         if not k.is_zero(C.counit_of(v)):
             return "counit does not vanish on %s" % _show_combo(C, v)
     for v in basis:
-        dv = C.delta_vector(v)
-        rows = [reduce_against(dv[b * d:(b + 1) * d], basis, pivots, k) for b in range(d)]
+        table = linear_combination(v, deltas).rows
+        rows = [reduce_against(row, basis, pivots, k) for row in table]
         for col in zip(*rows):
             if not all(k.is_zero(x) for x in reduce_against(col, basis, pivots, k)):
                 return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)

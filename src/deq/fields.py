@@ -77,18 +77,17 @@ class Field:
 
     Each field also states its integral form, the values on which plain
     Python + and * compute sums of products (linalg.Matrix.mul):
-    `integral(rows)` gives (rows of integral values, their denominator),
-    `integral_zero` is the integral form of zero, and
-    `from_integral(rows, denominator)` turns sums of products of integral
-    values, over the product of their factors' denominators, back into
-    field values. By default the integral form is the values themselves.
+    `integral(arows, brows)` gives the rows of both factors in integral
+    form, the integral zero that sums start from and the denominator of the
+    product, and `from_integral(rows, denominator)` turns sums of products
+    of integral values, over that denominator, back into field values. By
+    default the integral form is the values themselves.
     """
 
     kind = "abstract"
-    integral_zero = 0
 
-    def integral(self, rows):
-        return rows, 1
+    def integral(self, arows, brows):
+        return arows, brows, self.zero, 1
 
     def from_integral(self, rows, denominator):
         return rows
@@ -141,9 +140,14 @@ class RationalField(Field):
     def inv(self, a):
         return 1 / a  # Fraction raises ZeroDivisionError on 0
 
-    # Integral form: ints over the lcm of the denominators, so that a sum of
-    # products costs no gcd until its one division.
-    def integral(self, rows):
+    # Integral form: ints over the lcm of each factor's denominators, so that
+    # a sum of products costs no gcd until its one division.
+    def integral(self, arows, brows):
+        (a, ascale), (b, bscale) = self._cleared(arows), self._cleared(brows)
+        return a, b, 0, ascale * bscale
+
+    @staticmethod
+    def _cleared(rows):
         scale = math.lcm(*{v.denominator for row in rows for v in row if v})
         return [[v.numerator * (scale // v.denominator) if v else 0 for v in row]
                 for row in rows], scale
@@ -168,9 +172,6 @@ class RationalField(Field):
         if not isinstance(v, Fraction):
             raise UsageError("rational entries must be Fraction, got %r" % (v,))
         return v
-
-    def canonical(self, v):
-        return Fraction(v)  # Fraction normalizes on construction
 
     def parse(self, text: str):
         text = text.strip()
@@ -247,9 +248,6 @@ class PrimeField(Field):
         if not isinstance(v, int) or not 0 <= v < self.p:
             raise UsageError("F_%d entries must be ints in [0,%d), got %r" % (self.p, self.p, v))
         return v
-
-    def canonical(self, v):
-        return v % self.p
 
     def parse(self, text: str):
         try:
@@ -339,12 +337,7 @@ class FunctionField(Field):
         self.names = names
         self.ring = sympy.QQ.frac_field(*names)
         self.gens = self.ring.gens
-        # Integral form: the FracElement values themselves. Clearing a matrix
-        # to one common polynomial denominator costs more than it saves: the
-        # products of the cleared numerators grow with every denominator, and
-        # on an n = 2 operator with 16 distinct linear denominators it made
-        # the equation checks four times slower.
-        self.zero = self.integral_zero = self.ring.zero
+        self.zero = self.ring.zero
         self.one = self.ring.one
 
     def add(self, a, b):
@@ -361,6 +354,25 @@ class FunctionField(Field):
             raise UsageError("inverse of 0 in %r" % self)
         return self.one / a
 
+    # Integral form: when every entry of both factors has denominator 1, the
+    # PolyElement numerators. Their sums of products need no gcd, and a sum
+    # with integer coefficients over 1 is canonical as it is (raw_new, no
+    # cancel). Any other product runs on the FracElements (denominator
+    # None): clearing to one common denominator made the checks of an n = 2
+    # operator with 16 distinct linear denominators four times slower.
+    def integral(self, arows, brows):
+        poly = self.ring.field.ring
+        if any(v.denom != poly.one for rows in (arows, brows) for row in rows for v in row):
+            return arows, brows, self.zero, None
+        a, b = ([[v.numer for v in row] for row in rows] for rows in (arows, brows))
+        return a, b, poly.zero, poly.one
+
+    def from_integral(self, rows, denominator):
+        if denominator is None:
+            return rows
+        new, zero = self.ring.field.raw_new, self.zero
+        return [[new(v, denominator) if v else zero for v in row] for row in rows]
+
     def from_int(self, k: int):
         return self.ring.convert(k)
 
@@ -376,9 +388,6 @@ class FunctionField(Field):
         if getattr(v, "field", None) != self.ring.field:
             raise UsageError("entries must live in %r, got %r" % (self, v))
         return v
-
-    def canonical(self, v):
-        return v  # FracElement is canonical by construction
 
     def parse(self, text: str):
         text = text.strip()

@@ -52,9 +52,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], coerce=False)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def col(self, j):
         return [row[j] for row in self.rows]
 
@@ -81,14 +78,13 @@ class Matrix:
             raise UsageError("inner dimensions differ: %d vs %d" % (self.ncols, other.nrows))
         # The sums of products run on the field's integral form (fields.Field)
         # with plain + and *: ints over a common denominator for Q, unreduced
-        # residues for F_p, each entry brought back to a field value once.
+        # residues for F_p, polynomial numerators for Q(vars) when both factors
+        # have only denominators 1, each entry brought back to a field value once.
         # Skipping zero terms is exact: every field keeps values canonical, so
         # the sum of the nonzero products equals the full dot product. Integral
         # values are falsy exactly when zero, a cheaper test than ==.
         k = self.field
-        arows, aden = k.integral(self.rows)
-        brows, bden = k.integral(other.rows)
-        zero = k.integral_zero
+        arows, brows, zero, denominator = k.integral(self.rows, other.rows)
         bnonzero = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
         out = []
         for row in arows:
@@ -98,7 +94,7 @@ class Matrix:
                     for j, b in bk:
                         acc[j] += a * b
             out.append(acc)
-        return Matrix._computed(k, k.from_integral(out, aden * bden))
+        return Matrix._computed(k, k.from_integral(out, denominator))
 
     def __matmul__(self, other):
         return self.mul(other)

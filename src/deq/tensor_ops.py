@@ -82,11 +82,6 @@ def flip_index(n):
     return tuple((k % n) * n + k // n for k in range(n * n))
 
 
-def tau123_index(n):
-    """tau123 on M (x) M (x) M as an index map: m_a (x) m_b (x) m_c -> m_c (x) m_a (x) m_b."""
-    return tuple((c * n + a) * n + b for a, b, c in itertools.product(range(n), repeat=3))
-
-
 def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
     """A[rows[r]][cols[c]] at (r, c), None meaning unpermuted. With P e_k =
     e_image(k), P^-1 A takes rows from image and A P takes cols from image."""
@@ -102,16 +97,12 @@ def tau_matrix(field, n) -> Matrix:
 
 _LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
-# Each equation as the two slot words whose lifted products it equates; the
-# T and U forms hold up to a tau123 factor, applied by check_equivalent_forms
-# and classify.forms_masks.
+# Each equation as the two slot words whose lifted products it equates.
 EQUATIONS = {
     "d": ((12, 23), (23, 12)),
     "qybe": ((12, 13, 23), (23, 13, 12)),
     "hopf": ((12, 23), (23, 13, 12)),
     "pentagon": ((12, 13, 23), (23, 12)),
-    "form_t": ((12, 13), (23, 13)),  # T12 T13 = T23 T13 tau123
-    "form_u": ((13, 23), (13, 12)),  # U13 U23 = tau123 U13 U12
 }
 
 
@@ -254,29 +245,51 @@ def check_pentagon(W: EndoPair) -> bool:
 FormVerdicts = namedtuple("FormVerdicts", ["d", "form_t", "form_u", "form_w"])
 
 
+# The T, U and W forms as their two products each: a slot word of the
+# D-equation and the leg swaps on its left and right (check_equivalent_forms).
+FORMS = ((((12, 23), (), (12, 13)), ((23, 12), (), (23, 13))),
+         (((12, 23), (13, 23), ()), ((23, 12), (13, 12), ())),
+         (((23, 12), (13,), (13,)), ((12, 23), (13,), (13,))))
+
+
+@functools.lru_cache(maxsize=None)
+def swaps_index(n: int, slots):
+    """tau_s1 tau_s2 ... on M (x) M (x) M as an index map (tau_pq swaps legs p, q)."""
+    weight, image = (n * n, n, 1), tuple(range(n ** 3))
+    for slot in slots:
+        p, q = _LEGS[slot]
+        image = tuple(image[k + (x[q] - x[p]) * (weight[p] - weight[q])]
+                      for k, x in enumerate(itertools.product(range(n), repeat=3)))
+    return image
+
+
+def _form_products(R: EndoPair):
+    """[T12 T13, T23 T13], [U13 U23, U13 U12] and [W12 W23, W23 W12] (FORMS)."""
+    return [[_permuted(_product(R, *word), swaps_index(R.n, left[::-1]), swaps_index(R.n, right))
+             for word, left, right in form] for form in FORMS]
+
+
 def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
     """The four equivalent statements; the booleans coincide by the theorem.
+    Equality of the verdicts is left to the caller: it is the statement
+    under test, not an input contract.
 
-    T = R tau satisfies T12 T13 = T23 T13 tau123; U = tau R satisfies
-    U13 U23 = tau123 U13 U12; W = tau R tau satisfies W12 W23 = W23 W12,
-    the equation itself: conjugating the equation for R by the outer-leg
-    swap exchanges R12/R23 with W23/W12, so the flip conjugate of a
-    solution is again a solution. Equality of the verdicts is left to the
-    caller: it is the statement under test, not an input contract.
+    T = R tau satisfies T12 T13 = T23 T13 tau123, U = tau R satisfies
+    U13 U23 = tau123 U13 U12, and W = tau R tau satisfies W12 W23 = W23 W12.
+    No form is built as an operator: with A = R12 R23 and B = R23 R12, and
+    tau_ij R_kl tau_ij being R on the legs kl with i and j swapped,
+
+        T12 T13 = A tau12 tau13        T23 T13 = B tau23 tau13
+        U13 U23 = tau13 tau23 A        U13 U12 = tau13 tau12 B
+        W12 W23 = tau13 B tau13        W23 W12 = tau13 A tau13
+
+    so each side is an index permutation of A or B (FORMS).
     """
-    _guard_n(R.n)
-    m, flip, t123 = R.matrix(), flip_index(R.n), tau123_index(R.n)
-    T = EndoPair.from_matrix(_permuted(m, cols=flip))
-    U = EndoPair.from_matrix(_permuted(m, rows=flip))
-    W = EndoPair.from_matrix(_permuted(m, rows=flip, cols=flip))
-    (tl, tr), (ul, ur) = EQUATIONS["form_t"], EQUATIONS["form_u"]
+    (tl, tr), (ul, ur), (wl, wr) = _form_products(R)
+    t123 = swaps_index(R.n, (13, 12))  # tau123 = tau13 tau12
     # T's right side times tau123; U's form multiplied by tau123^-1 on the left
-    return FormVerdicts(
-        d=check_d(R),
-        form_t=_product(T, *tl) == _permuted(_product(T, *tr), cols=t123),
-        form_u=_permuted(_product(U, *ul), rows=t123) == _product(U, *ur),
-        form_w=_holds(W, "d"),
-    )
+    return FormVerdicts(d=check_d(R), form_t=tl == _permuted(tr, cols=t123),
+                        form_u=_permuted(ul, rows=t123) == ur, form_w=wl == wr)
 
 
 def conjugate(R: EndoPair, u: Matrix) -> EndoPair:

@@ -3,14 +3,19 @@ a coalgebra through an explicit inverse, for any section, the generic
 convolution inverse by one linear solve, the index loops over the 4-index
 family x_uv^ji that the operator's readers replaced by index maps on its
 matrix, and the index-loop axiom checkers of coalgebras, algebras and
-bialgebras that the regular (co)module identities replaced. The tests
-compare the package's closed forms with them."""
+bialgebras that the regular (co)module identities replaced, Delta of a
+coefficient vector flattened to one vector, and the T, U and W forms of
+the D-equation built as operators of their own, exactly and mod p. The
+tests compare the package's closed forms with them."""
 
 import itertools
 
+import numpy as np
+
+from deq.classify import _equation_mask, _rows_equal, _words, block_matrices, coordinate_mask
 from deq.coalg import BilinearForm, Coalgebra, convolve, counit_form
-from deq.linalg import Matrix, matrix_inverse, solve_linear
-from deq.tensor_ops import EndoPair
+from deq.linalg import Matrix, linear_combination, matrix_inverse, solve_linear
+from deq.tensor_ops import EQUATIONS, EndoPair, _permuted, _product, flip_index
 
 
 def section_quotient(C, I, complement):
@@ -304,3 +309,55 @@ def loop_bialgebra_failure(H):
         if not delta_multiplicative_at(H, a, b):
             return "Delta is not multiplicative at (%s,%s)" % (labels[a], labels[b])
     return None
+
+
+def delta_vector(C, vec):
+    """Delta applied to a coefficient vector, flattened to length dim^2:
+    the rows of sum_a vec[a] M_a."""
+    m = linear_combination(vec, [C.delta_matrix(a) for a in range(C.dim)])
+    return [v for row in m.rows for v in row]
+
+
+# The T and U forms as two slot words each, equal up to a tau123 factor:
+# T12 T13 = T23 T13 tau123 and U13 U23 = tau123 U13 U12.
+FORM_EQUATIONS = {
+    "form_t": ((12, 13), (23, 13)),
+    "form_u": ((13, 23), (13, 12)),
+}
+
+
+def tau123_index(n):
+    """tau123 on M (x) M (x) M as an index map: m_a (x) m_b (x) m_c -> m_c (x) m_a (x) m_b."""
+    return tuple((c * n + a) * n + b for a, b, c in itertools.product(range(n), repeat=3))
+
+
+def fresh_form_products(R):
+    """(T12 T13, T23 T13), (U13 U23, U13 U12) and (W12 W23, W23 W12), with
+    T = R tau, U = tau R and W = tau R tau built as operators and each
+    product formed from the form's own lifts."""
+    m, flip = R.matrix(), flip_index(R.n)
+    T = EndoPair.from_matrix(_permuted(m, cols=flip))
+    U = EndoPair.from_matrix(_permuted(m, rows=flip))
+    W = EndoPair.from_matrix(_permuted(m, rows=flip, cols=flip))
+    return [[_product(T, *word) for word in FORM_EQUATIONS["form_t"]],
+            [_product(U, *word) for word in FORM_EQUATIONS["form_u"]],
+            [_product(W, *word) for word in EQUATIONS["d"]]]
+
+
+def fresh_form_verdicts(n, products):
+    """The verdicts of the T, U and W forms, read off fresh_form_products."""
+    (tl, tr), (ul, ur), (wl, wr) = products
+    t123 = tau123_index(n)
+    return tl == _permuted(tr, cols=t123), _permuted(ul, rows=t123) == ur, wl == wr
+
+
+def forms_masks(x: np.ndarray, p: int):
+    """(d, form_t, form_u, form_w) verdict arrays for a block laid out as
+    deq.classify lays out its candidates, each form built mod p."""
+    mat = block_matrices(x)
+    flip = np.array(flip_index(x.shape[1]))
+    t123 = np.array(tau123_index(x.shape[1]))
+    tl, tr = _words(mat[:, :, flip], p, *FORM_EQUATIONS["form_t"])
+    ul, ur = _words(mat[:, flip, :], p, *FORM_EQUATIONS["form_u"])
+    return (coordinate_mask(x, p), _rows_equal(tl, tr[:, :, t123]),
+            _rows_equal(ul[:, t123, :], ur), _equation_mask(mat[:, flip][:, :, flip], p, "d"))

@@ -5,8 +5,7 @@ import time
 
 from deq import catalog
 from deq.classify import (candidate_block, coordinate_mask, endo_from_digits,
-                          enumerate_solutions, forms_masks, operator_count,
-                          orbit_reduce)
+                          enumerate_solutions, operator_count, orbit_reduce)
 from deq.coalg import BilinearForm, convolve, counit_form
 from deq.dimodule import r_from_dimodule
 from deq.dmap import (delta_form, is_dmap, r_sigma, sigma_form, sigma_from_r,
@@ -19,6 +18,7 @@ from deq.tensor_ops import (check_d, check_qybe, conjugate, diagonal_solution,
 from deq.coalg import comatrix
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
+from oracles import forms_masks
 
 
 def report(num, ok, elapsed, budget=None):

@@ -612,6 +612,40 @@ def test_check_validates_each_read_entry_a_bounded_number_of_times(tmp_path, cap
     assert 81 <= len(calls) <= 5 * 3 ** 4
 
 
+def test_check_forms_six_products_from_three_lifts(tmp_path, capsys, monkeypatch):
+    """One deq check lifts R to R12, R13 and R23 once each and forms six
+    n^3 x n^3 products: R12 R23, R23 R12, and the two QYBE words of three
+    lifts, two products each. The T, U and W forms are read off the first
+    two. A count of the work, so no wall clock enters."""
+    from deq import tensor_ops
+    from deq.fields import FunctionField, PrimeField
+    products, lifts = [], []
+    mul, leg_map = Matrix.mul, tensor_ops.leg_map
+
+    def counting_mul(self, other):
+        products.append(self.nrows)
+        return mul(self, other)
+
+    def counting_leg_map(n, slot):
+        lifts.append(slot)
+        return leg_map(n, slot)
+
+    monkeypatch.setattr(Matrix, "mul", counting_mul)
+    monkeypatch.setattr(tensor_ops, "leg_map", counting_leg_map)
+    k5, kq = PrimeField(5), FunctionField(["q"])
+    cases = [(catalog.triangular_solution(QQ, 1, 2, 3), 0), (catalog.rq(kq, kq.gens[0]), 0),
+             (catalog.yang_baxter_operator(QQ, 2), 1), (catalog.s3_graded_solution(QQ), 0),
+             (EndoPair.from_rows(k5, [[(r * c + r + 2) % 5 for c in range(9)]
+                                      for r in range(9)]), 1)]
+    for R, code in cases:
+        path = write_operator(tmp_path, "op.txt", R)
+        del products[:], lifts[:]
+        assert main(["check", path]) == code
+        capsys.readouterr()
+        assert [n for n in products if n == R.n ** 3] == [R.n ** 3] * 6, R
+        assert sorted(lifts) == [12, 13, 23], R
+
+
 def test_bad_entries_in_an_operator_file_exit_2(tmp_path, capsys):
     for header, entry, message in (("Q", "1.5", "bad rational literal"),
                                    ("F 13", "x", "bad integer literal"),

@@ -127,6 +127,75 @@ def test_integral_product_over_q_vars_with_distinct_denominators():
         assert_integral_product_is_exact(x, y)
 
 
+def polynomial_matrix(k, rng, nrows, ncols):
+    """Entries of denominator 1 over Q(a,b): small integer polynomials of
+    degree up to 2, about a third of them zero."""
+    a, b = k.gens
+    monomials = [k.one, a, b, a * b, a * a]
+
+    def entry():
+        if rng.random() < 0.35:
+            return k.zero
+        return sum((k.coerce(rng.randint(-4, 4)) * m for m in monomials), k.zero)
+    return Matrix(k, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+def assert_same_fractions(got, want):
+    """Entry by entry equal, with equal hashes, to the FracElement results."""
+    assert got.rows == want
+    for row, wrow in zip(got.rows, want):
+        for v, w in zip(row, wrow):
+            assert hash(v) == hash(w)
+
+
+def test_q_vars_products_on_polynomial_numerators():
+    """Products of two matrices whose entries all have denominator 1 run on
+    the numerators (the branch is asserted through Field.integral); each
+    nonzero entry is the canonical fraction sympy's own constructor gives,
+    and chains of two and three products equal the triple-loop oracle."""
+    k = FunctionField(["a", "b"])
+    rng = random.Random(29)
+    poly_one = k.ring.field.ring.one
+    for _ in range(8):
+        m, t, n, r = (rng.randint(1, 4) for _ in range(4))
+        x, y, z = (polynomial_matrix(k, rng, *shape) for shape in ((m, t), (t, n), (n, r)))
+        assert k.integral(x.rows, y.rows)[3] == poly_one
+        xy = x.mul(y)
+        assert_same_fractions(xy, reference_mul(x, y))
+        assert_integral_product_is_exact(x, y)
+        for row in xy.rows:
+            for v in row:
+                canonical = k.ring.field.new(v.numer, v.denom)
+                assert (v.numer, v.denom) == (canonical.numer, canonical.denom)
+                assert v == canonical and hash(v) == hash(canonical)
+        oracle_xy = Matrix(k, reference_mul(x, y), coerce=False)
+        assert_same_fractions(xy.mul(z), reference_mul(oracle_xy, z))
+        oracle_xyz = Matrix(k, reference_mul(oracle_xy, z), coerce=False)
+        w = polynomial_matrix(k, rng, r, 2)
+        assert_same_fractions(xy.mul(z).mul(w), reference_mul(oracle_xyz, w))
+
+
+def test_q_vars_product_of_a_denominator_and_a_polynomial_factor():
+    """One factor with a denominator stays on fractions for the whole
+    product, in either order, and equals the triple-loop oracle."""
+    k = FunctionField(["a", "b"])
+    a, b = k.gens
+    rng = random.Random(31)
+    for _ in range(6):
+        m, t, n = (rng.randint(1, 4) for _ in range(3))
+        poly = polynomial_matrix(k, rng, t, n)
+        rows = polynomial_matrix(k, rng, m, t).rows
+        rows[rng.randrange(m)][rng.randrange(t)] = (a - 1) / (b + 2)
+        frac = Matrix(k, rows)
+        assert k.integral(frac.rows, poly.rows)[3] is None
+        assert_same_fractions(frac.mul(poly), reference_mul(frac, poly))
+        assert_integral_product_is_exact(frac, poly)
+        back = poly.transpose()
+        assert k.integral(back.rows, frac.transpose().rows)[3] is None
+        assert_same_fractions(back.mul(frac.transpose()),
+                              reference_mul(back, frac.transpose()))
+
+
 def test_construction_still_checks_entries_from_outside():
     other = FunctionField(["b"])
     for k, bad in ((PrimeField(13), 13), (PrimeField(13), -1), (QQ, 1),

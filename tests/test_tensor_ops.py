@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deq import catalog
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
@@ -13,8 +14,8 @@ from deq.tensor_ops import (EndoPair, check_commuting_pair, check_d,
                             check_pentagon, check_qybe, conjugate,
                             diagonal_solution, first_violation, flip_pair,
                             identity_pair, invert, lift, product_solution,
-                            tau_matrix, _pair_violation)
-from oracles import x_table
+                            tau_matrix, _form_products, _pair_violation)
+from oracles import fresh_form_products, fresh_form_verdicts, x_table
 
 
 def rand_matrix(field, rng, n):
@@ -366,6 +367,58 @@ def test_equivalent_forms_symbolic_triangular_solution():
     a, b, c = k.gens
     forms = check_equivalent_forms(catalog.triangular_solution(k, a, b, c))
     assert forms == (True, True, True, True)
+
+
+FQ = FunctionField(["q"])
+FORM_FIELDS = [PrimeField(5), PrimeField(13), QQ, FQ]
+
+
+@st.composite
+def form_cases(draw, k, n):
+    """(kind, R) over k at n: a dense or sparse operator, mostly a
+    non-solution, or a diagonal or f (x) (c0 + c1 f) solution. Over Q(q) an
+    entry is a + b q, over (1 + q) only in the sparse kind and less often at
+    n = 3, which keeps the products over denominators few and small."""
+    kind = draw(st.sampled_from(["dense", "sparse", "diagonal", "product"]))
+
+    def entry(may_vanish=False):
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+        if may_vanish and draw(st.integers(0, 2)):
+            return k.zero
+        if k is FQ:
+            value = k.coerce(a) + k.coerce(b) * k.gens[0]
+            over = kind == "sparse" and draw(st.integers(0, n - 1)) == 0
+            return value / (k.one + k.gens[0]) if over else value
+        return k.coerce(a) / k.coerce(c or 1) if k is QQ else k.coerce(a)
+
+    if kind in ("dense", "sparse"):
+        d = n * n
+        return kind, EndoPair.from_rows(k, [[entry(kind == "sparse") for _ in range(d)]
+                                            for _ in range(d)])
+    if kind == "diagonal":
+        return kind, diagonal_solution(k, [[entry() for _ in range(n)] for _ in range(n)])
+    f = Matrix(k, [[entry(True) for _ in range(n)] for _ in range(n)])
+    g = Matrix.identity(k, n).scale(entry()).add(f.scale(entry()))
+    return kind, product_solution(f, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", FORM_FIELDS, ids=["F5", "F13", "Q", "Qq"])
+def test_forms_read_off_the_two_products_equal_the_fresh_operators(k, n):
+    """The six index-map matrices are T12 T13, T23 T13, U13 U23, U13 U12,
+    W12 W23 and W23 W12 formed from T, U and W themselves, and the verdicts
+    are the ones read off those fresh products."""
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(form_cases(k, n))
+    def check(case):
+        kind, R = case
+        fresh = fresh_form_products(R)
+        assert _form_products(R) == fresh
+        forms = check_equivalent_forms(R)
+        assert (forms.form_t, forms.form_u, forms.form_w) == fresh_form_verdicts(R.n, fresh)
+        if kind in ("diagonal", "product"):
+            assert all(forms)
+    check()
 
 
 def test_conjugation_preserves_verdict():
