@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from .coalg import (Coalgebra, Comodule, _action_failure, _first_difference,
-                    _require_module)
+                    _require_module, grouplike_coalgebra)
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
 from .linalg import Matrix, kernel_basis, linear_combination, span_and_membership
@@ -258,18 +258,19 @@ class GradedModule:
             if self.act[a].nrows != d or self.act[a].ncols != d:
                 raise UsageError("action matrix has wrong shape")
         _check_module(H, self.act)
-        # projector family
-        total = Matrix.zeros(k, d, d)
-        for s, P in enumerate(self.projectors):
-            if P @ P != P:
+        # projectors that sum to the identity and are orthogonal idempotents
+        # are the comodule axiom over the grouplike coalgebra k[G]
+        G = grouplike_coalgebra(k, H.labels)
+        bad = _action_failure(G.counit, G._dual_product, self.projectors)
+        if bad is not None:
+            pair = bad[0]
+            if pair is None:
+                raise MathError("projectors do not sum to the identity")
+            s, t = pair
+            if s == t:
                 raise MathError("projector for %s is not idempotent" % H.labels[s])
-            total = total.add(P)
-            for t, Q in enumerate(self.projectors):
-                if t != s and not (P @ Q).is_zero():
-                    raise MathError("projectors for %s and %s are not orthogonal"
-                                    % (H.labels[s], H.labels[t]))
-        if total != Matrix.identity(k, d):
-            raise MathError("projectors do not sum to the identity")
+            raise MathError("projectors for %s and %s are not orthogonal"
+                            % (H.labels[s], H.labels[t]))
         # stability: act maps each component into itself
         for s, P in enumerate(self.projectors):
             for a in range(H.dim):

@@ -89,6 +89,12 @@ class Field:
     def integral(self, arows, brows):
         return arows, brows, self.zero, 1
 
+    def cleared(self, values):
+        """(ring, values', d) with each value v = v'/d, v' in ring and d a
+        nonzero element of it: the integral form of a whole operator, cleared
+        once (tensor_ops). By default the ring is the field itself and d = 1."""
+        return self, values, 1
+
     def from_integral(self, rows, denominator):
         return rows
 
@@ -117,6 +123,42 @@ class Field:
 
     def __ne__(self, other):
         return not self.__eq__(other)
+
+
+class IntegralRing(Field):
+    """The ring of an operator's integral form (Field.cleared), on whose
+    values plain +, - and * compute: the ints, or the polynomial numerators
+    (sympy PolyElement) of Q(vars). In products it is its own integral form,
+    the Field default. `key` tells the rings apart: "Z" or the PolyRing."""
+
+    kind = "Z"
+
+    def __init__(self, key, zero, one):
+        self.key, self.zero, self.one = key, zero, one
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def sum(self, values):
+        return sum(values, self.zero)
+
+    def __repr__(self):
+        return "IntegralRing(%r)" % (self.key,)
+
+    def __eq__(self, other):
+        return isinstance(other, IntegralRing) and other.key == self.key
+
+    def __hash__(self):
+        return hash(("Z", self.key))
+
+
+INTEGERS = IntegralRing("Z", 0, 1)
 
 
 class RationalField(Field):
@@ -151,6 +193,10 @@ class RationalField(Field):
         scale = math.lcm(*{v.denominator for row in rows for v in row if v})
         return [[v.numerator * (scale // v.denominator) if v else 0 for v in row]
                 for row in rows], scale
+
+    def cleared(self, values):
+        (values,), scale = self._cleared([values])
+        return INTEGERS, values, scale
 
     def from_integral(self, rows, denominator):
         zero = self.zero
@@ -336,6 +382,8 @@ class FunctionField(Field):
         import sympy  # imported here: only Q(vars) needs it, and it is slow to load
         self.names = names
         self.ring = sympy.QQ.frac_field(*names)
+        poly = self.ring.field.ring
+        self.polynomials = IntegralRing(poly, poly.zero, poly.one)
         self.gens = self.ring.gens
         self.zero = self.ring.zero
         self.one = self.ring.one
@@ -366,6 +414,19 @@ class FunctionField(Field):
             return arows, brows, self.zero, None
         a, b = ([[v.numer for v in row] for row in rows] for rows in (arows, brows))
         return a, b, poly.zero, poly.one
+
+    # Operator integral form: the numerators over the one denominator other
+    # than 1 that the values have, if any. Values over two or more distinct
+    # denominators stay FracElements with d = 1: the seven verdicts of an
+    # n = 2 operator with 16 distinct linear denominators took 0.82 s on
+    # FracElements and 1.29 s cleared to their lcm.
+    def cleared(self, values):
+        one = self.polynomials.one
+        denominators = {v.denom for v in values} - {one}
+        if len(denominators) > 1:
+            return self, values, 1
+        d = denominators.pop() if denominators else one
+        return self.polynomials, [v.numer if v.denom == d else v.numer * d for v in values], d
 
     def from_integral(self, rows, denominator):
         if denominator is None:
@@ -411,38 +472,54 @@ class FunctionField(Field):
                              "coefficients up to %d bits (limits: degree %d, %d monomials, "
                              "%d bits)" % (text, degree, bits, MAX_DEGREE, MAX_TERMS, MAX_BITS))
         try:
-            value = self._evaluate(tree)
+            num, den = self._evaluate(tree)
         except ZeroDivisionError:
             raise UsageError("bad function-field literal %r: division by zero" % text)
+        field = self.ring.field
+        # Integer coefficients over 1 are canonical as they are; any other
+        # denominator takes the literal's one cancel. The numerator over 1 is
+        # copied because sympy's PolyElement.square keeps a hash it took of
+        # a partial result, and a FracElement hashes its numerator's hash.
+        if den == self.polynomials.one:
+            value = field.raw_new(num.copy(), den)
+        else:
+            value = field.new(num, den)
         if max(sum(m) for p in (value.numer, value.denom) for m in p.monoms()) > MAX_DEGREE:
             raise UsageError("function-field literal %r has degree over %d" % (text, MAX_DEGREE))
         return value
 
     def _evaluate(self, node):
-        """The value of a literal's syntax tree, computed in this field; the
-        tree is one that _literal_bounds accepted. A zero divisor raises
-        ZeroDivisionError."""
+        """The value of a literal's syntax tree as a pair (numerator,
+        denominator) of polynomials with integer coefficients, neither
+        reduced; the tree is one that _literal_bounds accepted, whose bounds
+        hold for this pair. A zero divisor raises ZeroDivisionError."""
+        poly = self.polynomials.key
         if isinstance(node, ast.Name):
-            return self.gens[self.names.index(node.id)]
+            return poly.gens[self.names.index(node.id)], poly.one
         if isinstance(node, ast.Constant):
-            return self.ring.convert(node.value)
+            return poly(node.value), poly.one
         if isinstance(node, ast.UnaryOp):
-            value = self._evaluate(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
+            num, den = self._evaluate(node.operand)
+            return (-num, den) if isinstance(node.op, ast.USub) else (num, den)
         if isinstance(node.op, ast.Pow):
             e = ast.literal_eval(node.right)
             if e == 0:
-                return self.one  # x^0 = 1 for every x, 0 included
-            base = self._evaluate(node.left)
-            return (self.one / base) ** -e if e < 0 else base ** e
-        left, right = self._evaluate(node.left), self._evaluate(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
+                return poly.one, poly.one  # x^0 = 1 for every x, 0 included
+            num, den = self._evaluate(node.left)
+            if e < 0:
+                if not num:
+                    raise ZeroDivisionError
+                num, den, e = den, num, -e
+            return num ** e, den ** e
+        (a, b), (c, d) = self._evaluate(node.left), self._evaluate(node.right)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            c = c if isinstance(node.op, ast.Add) else -c
+            return (a + c, b) if b == d else (a * d + c * b, b * d)
         if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
+            return a * c, b * d
+        if not c:
+            raise ZeroDivisionError
+        return a * d, b * c
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")

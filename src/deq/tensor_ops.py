@@ -25,8 +25,9 @@ def max_n() -> int:
 
 
 def _guard_n(n):
-    if n > max_n():
-        raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, max_n()))
+    bound = max_n()
+    if n > bound:
+        raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, bound))
 
 
 def x_cell(n, u, v, j, i):
@@ -47,6 +48,7 @@ class EndoPair:
         R = cls.__new__(cls)
         R.field, R.n, R._mat = mat.field, n, mat
         R._lifts = {}  # lifts by slot and their products by slot word
+        R._cleared = None
         return R
 
     @classmethod
@@ -127,9 +129,24 @@ def leg_map(n: int, slot: int):
     return tuple(pairs)
 
 
+def _integral(R: EndoPair):
+    """R's integral form (R', d): R = R'/d with R' over the ring of
+    R.field.cleared, formed once per operator (R' is R itself when that ring
+    is the field), after the verdict's one read of DEQ_MAX_N. The verdicts
+    compute on R': each side of an equation is a word of lifts of R,
+    homogeneous in R of the word's length, so the lifted products of R' are
+    those of R times d to that length."""
+    _guard_n(R.n)
+    if R._cleared is None:
+        ring, values, d = R.field.cleared(_entries(R))
+        n2 = R.n * R.n
+        R._cleared = (R if ring is R.field else EndoPair.from_matrix(Matrix._computed(
+            ring, [values[r:r + n2] for r in range(0, n2 * n2, n2)]))), d
+    return R._cleared
+
+
 def lift(R: EndoPair, slot: int) -> Matrix:
     """R^{12}, R^{13}, or R^{23} as an n^3 x n^3 matrix, formed once per operator."""
-    _guard_n(R.n)
     if slot not in R._lifts:
         n3 = R.n ** 3
         src = _entries(R)
@@ -149,10 +166,17 @@ def _product(R: EndoPair, *slots) -> Matrix:
     return R._lifts[slots]
 
 
-def _holds(R: EndoPair, name: str) -> bool:
-    """Whether both words of EQUATIONS[name] give the same product for R."""
-    left, right = EQUATIONS[name]
-    return _product(R, *left) == _product(R, *right)
+def _holds(Ri: EndoPair, d, name: str) -> bool:
+    """Whether both words of EQUATIONS[name] give the same product for the
+    operator Ri/d. A word of m lifts of Ri is d^m times that of Ri/d, so
+    the shorter word's product is multiplied by d^(difference) (hopf and
+    pentagon); words of equal length compare as they are."""
+    short, long = sorted(EQUATIONS[name], key=len)
+    a, b = _product(Ri, *short), _product(Ri, *long)
+    if len(long) > len(short) and d != 1:
+        scale = d ** (len(long) - len(short))
+        a = Matrix._computed(a.field, [[scale * v for v in row] for row in a.rows])
+    return a == b
 
 
 def _entries(R: EndoPair):
@@ -205,20 +229,25 @@ def first_violation(R: EndoPair):
 
 
 def check_d(R: EndoPair) -> bool:
-    """D-equation membership; coordinate and operator paths must agree."""
-    _guard_n(R.n)
-    coord = first_violation(R) is None
-    oper = _holds(R, "d")
+    """D-equation membership; coordinate and operator paths must agree.
+    Both run on R's integral form, whose equations are R's times d^2."""
+    Ri, d = _integral(R)
+    coord = first_violation(Ri) is None
+    oper = _holds(Ri, d, "d")
     if coord != oper:
         raise RuntimeError("verdict paths disagree: coordinate=%r operator=%r" % (coord, oper))
     return coord
 
 
 def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
-    """R^{23} S^{12} = S^{12} R^{23}, by coordinates and by operators."""
+    """R^{23} S^{12} = S^{12} R^{23}, by coordinates and by operators. Both
+    sides are bilinear in (R, S), so the integral forms compare as they are
+    when they share a ring, and R and S themselves otherwise."""
     if R.n != S.n or R.field != S.field:
         raise UsageError("operators live on different spaces")
-    _guard_n(R.n)
+    (Ri, _), (Si, _) = _integral(R), _integral(S)
+    if Ri.field == Si.field:
+        R, S = Ri, Si
     coord = _pair_violation(R, S) is None
     r23, s12 = lift(R, 23), lift(S, 12)
     oper = r23.mul(s12) == s12.mul(r23)
@@ -229,17 +258,17 @@ def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
 
 def check_qybe(R: EndoPair) -> bool:
     """Quantum Yang-Baxter: R12 R13 R23 = R23 R13 R12."""
-    return _holds(R, "qybe")
+    return _holds(*_integral(R), "qybe")
 
 
 def check_hopf(R: EndoPair) -> bool:
     """Hopf equation: R12 R23 = R23 R13 R12."""
-    return _holds(R, "hopf")
+    return _holds(*_integral(R), "hopf")
 
 
 def check_pentagon(W: EndoPair) -> bool:
     """Pentagon equation: W12 W13 W23 = W23 W12."""
-    return _holds(W, "pentagon")
+    return _holds(*_integral(W), "pentagon")
 
 
 FormVerdicts = namedtuple("FormVerdicts", ["d", "form_t", "form_u", "form_w"])
@@ -276,7 +305,8 @@ def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
 
     T = R tau satisfies T12 T13 = T23 T13 tau123, U = tau R satisfies
     U13 U23 = tau123 U13 U12, and W = tau R tau satisfies W12 W23 = W23 W12.
-    No form is built as an operator: with A = R12 R23 and B = R23 R12, and
+    No form is built as an operator: with A = R12 R23 and B = R23 R12 of
+    R's integral form (both words have two lifts, so d cancels), and
     tau_ij R_kl tau_ij being R on the legs kl with i and j swapped,
 
         T12 T13 = A tau12 tau13        T23 T13 = B tau23 tau13
@@ -285,7 +315,7 @@ def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
 
     so each side is an index permutation of A or B (FORMS).
     """
-    (tl, tr), (ul, ur), (wl, wr) = _form_products(R)
+    (tl, tr), (ul, ur), (wl, wr) = _form_products(_integral(R)[0])
     t123 = swaps_index(R.n, (13, 12))  # tau123 = tau13 tau12
     # T's right side times tau123; U's form multiplied by tau123^-1 on the left
     return FormVerdicts(d=check_d(R), form_t=tl == _permuted(tr, cols=t123),

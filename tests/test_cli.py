@@ -616,14 +616,17 @@ def test_check_forms_six_products_from_three_lifts(tmp_path, capsys, monkeypatch
     """One deq check lifts R to R12, R13 and R23 once each and forms six
     n^3 x n^3 products: R12 R23, R23 R12, and the two QYBE words of three
     lifts, two products each. The T, U and W forms are read off the first
-    two. A count of the work, so no wall clock enters."""
+    two. A count of the work, so no wall clock enters. Over Q and Q(q) the
+    six products are over the operator's integral ring, not the field; F_p
+    is its own."""
     from deq import tensor_ops
-    from deq.fields import FunctionField, PrimeField
-    products, lifts = [], []
+    from deq.fields import FunctionField, IntegralRing, PrimeField
+    products, lifts, rings = [], [], []
     mul, leg_map = Matrix.mul, tensor_ops.leg_map
 
     def counting_mul(self, other):
         products.append(self.nrows)
+        rings.append((self.nrows, self.field))
         return mul(self, other)
 
     def counting_leg_map(n, slot):
@@ -639,11 +642,13 @@ def test_check_forms_six_products_from_three_lifts(tmp_path, capsys, monkeypatch
                                       for r in range(9)]), 1)]
     for R, code in cases:
         path = write_operator(tmp_path, "op.txt", R)
-        del products[:], lifts[:]
+        del products[:], lifts[:], rings[:]
         assert main(["check", path]) == code
         capsys.readouterr()
         assert [n for n in products if n == R.n ** 3] == [R.n ** 3] * 6, R
         assert sorted(lifts) == [12, 13, 23], R
+        ring = PrimeField if R.field == k5 else IntegralRing
+        assert all(isinstance(field, ring) for n, field in rings if n == R.n ** 3), R
 
 
 def test_bad_entries_in_an_operator_file_exit_2(tmp_path, capsys):

@@ -134,8 +134,13 @@ def test_graded_module_validation():
     zero = Matrix.zeros(k, 2, 2)
     with pytest.raises(MathError, match="sum to the identity"):
         GradedModule(H, [ident, ident], [pe, zero])
-    with pytest.raises(MathError, match="idempotent"):
+    # the projector axioms are the comodule axiom over k[G], whose unit law,
+    # sum to the identity, is checked first
+    with pytest.raises(MathError, match="sum to the identity"):
         GradedModule(H, [ident, ident], [swap, zero])
+    two = Matrix(k, [[2, 0], [0, 0]])
+    with pytest.raises(MathError, match="projector for e is not idempotent"):
+        GradedModule(H, [ident, ident], [two, ident.sub(two)])
     # g must act as an involution over k[Z/2]
     with pytest.raises(MathError, match="not multiplicative"):
         GradedModule(H, [ident, ident.scale(k.coerce(2))], [pe, pg])
