@@ -402,19 +402,7 @@ class FunctionField(Field):
             raise UsageError("inverse of 0 in %r" % self)
         return self.one / a
 
-    # Integral form: when every entry of both factors has denominator 1, the
-    # PolyElement numerators. Their sums of products need no gcd, and a sum
-    # with integer coefficients over 1 is canonical as it is (raw_new, no
-    # cancel). Any other product runs on the FracElements (denominator
-    # None): clearing to one common denominator made the checks of an n = 2
-    # operator with 16 distinct linear denominators four times slower.
-    def integral(self, arows, brows):
-        poly = self.ring.field.ring
-        if any(v.denom != poly.one for rows in (arows, brows) for row in rows for v in row):
-            return arows, brows, self.zero, None
-        a, b = ([[v.numer for v in row] for row in rows] for rows in (arows, brows))
-        return a, b, poly.zero, poly.one
-
+    # Products run on the FracElements themselves (the Field default).
     # Operator integral form: the numerators over the one denominator other
     # than 1 that the values have, if any. Values over two or more distinct
     # denominators stay FracElements with d = 1: the seven verdicts of an
@@ -427,12 +415,6 @@ class FunctionField(Field):
             return self, values, 1
         d = denominators.pop() if denominators else one
         return self.polynomials, [v.numer if v.denom == d else v.numer * d for v in values], d
-
-    def from_integral(self, rows, denominator):
-        if denominator is None:
-            return rows
-        new, zero = self.ring.field.raw_new, self.zero
-        return [[new(v, denominator) if v else zero for v in row] for row in rows]
 
     def from_int(self, k: int):
         return self.ring.convert(k)
@@ -472,54 +454,38 @@ class FunctionField(Field):
                              "coefficients up to %d bits (limits: degree %d, %d monomials, "
                              "%d bits)" % (text, degree, bits, MAX_DEGREE, MAX_TERMS, MAX_BITS))
         try:
-            num, den = self._evaluate(tree)
+            value = self._evaluate(tree)
         except ZeroDivisionError:
             raise UsageError("bad function-field literal %r: division by zero" % text)
-        field = self.ring.field
-        # Integer coefficients over 1 are canonical as they are; any other
-        # denominator takes the literal's one cancel. The numerator over 1 is
-        # copied because sympy's PolyElement.square keeps a hash it took of
-        # a partial result, and a FracElement hashes its numerator's hash.
-        if den == self.polynomials.one:
-            value = field.raw_new(num.copy(), den)
-        else:
-            value = field.new(num, den)
         if max(sum(m) for p in (value.numer, value.denom) for m in p.monoms()) > MAX_DEGREE:
             raise UsageError("function-field literal %r has degree over %d" % (text, MAX_DEGREE))
         return value
 
     def _evaluate(self, node):
-        """The value of a literal's syntax tree as a pair (numerator,
-        denominator) of polynomials with integer coefficients, neither
-        reduced; the tree is one that _literal_bounds accepted, whose bounds
-        hold for this pair. A zero divisor raises ZeroDivisionError."""
-        poly = self.polynomials.key
+        """The value of a literal's syntax tree, computed in this field; the
+        tree is one that _literal_bounds accepted. A zero divisor raises
+        ZeroDivisionError."""
         if isinstance(node, ast.Name):
-            return poly.gens[self.names.index(node.id)], poly.one
+            return self.gens[self.names.index(node.id)]
         if isinstance(node, ast.Constant):
-            return poly(node.value), poly.one
+            return self.ring.convert(node.value)
         if isinstance(node, ast.UnaryOp):
-            num, den = self._evaluate(node.operand)
-            return (-num, den) if isinstance(node.op, ast.USub) else (num, den)
+            value = self._evaluate(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
         if isinstance(node.op, ast.Pow):
             e = ast.literal_eval(node.right)
             if e == 0:
-                return poly.one, poly.one  # x^0 = 1 for every x, 0 included
-            num, den = self._evaluate(node.left)
-            if e < 0:
-                if not num:
-                    raise ZeroDivisionError
-                num, den, e = den, num, -e
-            return num ** e, den ** e
-        (a, b), (c, d) = self._evaluate(node.left), self._evaluate(node.right)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            c = c if isinstance(node.op, ast.Add) else -c
-            return (a + c, b) if b == d else (a * d + c * b, b * d)
+                return self.one  # x^0 = 1 for every x, 0 included
+            base = self._evaluate(node.left)
+            return (self.one / base) ** -e if e < 0 else base ** e
+        left, right = self._evaluate(node.left), self._evaluate(node.right)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
         if isinstance(node.op, ast.Mult):
-            return a * c, b * d
-        if not c:
-            raise ZeroDivisionError
-        return a * d, b * c
+            return left * right
+        return left / right
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")

@@ -78,8 +78,7 @@ class Matrix:
             raise UsageError("inner dimensions differ: %d vs %d" % (self.ncols, other.nrows))
         # The sums of products run on the field's integral form (fields.Field)
         # with plain + and *: ints over a common denominator for Q, unreduced
-        # residues for F_p, polynomial numerators for Q(vars) when both factors
-        # have only denominators 1, each entry brought back to a field value once.
+        # residues for F_p, each entry brought back to a field value once.
         # Skipping zero terms is exact: every field keeps values canonical, so
         # the sum of the nonzero products equals the full dot product. Integral
         # values are falsy exactly when zero, a cheaper test than ==.

@@ -5,12 +5,10 @@ family x_uv^ji that the operator's readers replaced by index maps on its
 matrix, and the index-loop axiom checkers of coalgebras, algebras and
 bialgebras that the regular (co)module identities replaced, Delta of a
 coefficient vector flattened to one vector, and the T, U and W forms of
-the D-equation built as operators of their own, exactly and mod p, the
-seven verdicts of `deq check` on an operator's field values, and a Q(vars)
-literal evaluated node by node on sympy fractions. The tests compare the
-package's closed forms with them."""
+the D-equation built as operators of their own, exactly and mod p, and the
+seven verdicts of `deq check` on an operator's field values. The tests
+compare the package's closed forms with them."""
 
-import ast
 import itertools
 
 import numpy as np
@@ -374,32 +372,3 @@ def field_verdicts(R):
                 for name, (left, right) in EQUATIONS.items()}
     forms = fresh_form_verdicts(R.n, fresh_form_products(R))
     return dict(verdicts, **dict(zip(("form_t", "form_u", "form_w"), forms)))
-
-
-def fraction_literal(k, text):
-    """A Q(vars) literal that FunctionField.parse accepts, evaluated in the
-    field k itself, one sympy fraction (and one cancel) per node. A zero
-    divisor raises ZeroDivisionError."""
-    def value(node):
-        if isinstance(node, ast.Name):
-            return k.gens[k.names.index(node.id)]
-        if isinstance(node, ast.Constant):
-            return k.ring.convert(node.value)
-        if isinstance(node, ast.UnaryOp):
-            v = value(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node.op, ast.Pow):
-            e = ast.literal_eval(node.right)
-            if e == 0:
-                return k.one
-            base = value(node.left)
-            return (k.one / base) ** -e if e < 0 else base ** e
-        left, right = value(node.left), value(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
-    return value(ast.parse(text.strip().replace("^", "**"), mode="eval").body)

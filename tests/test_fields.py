@@ -2,11 +2,10 @@ import ast
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deq.fields import (FunctionField, PrimeField, QQ, UsageError,
                         field_from_header, is_prime)
-from oracles import fraction_literal
 
 
 def test_rationals_basic():
@@ -209,39 +208,6 @@ def test_parse_agrees_with_sympify(text):
             assert "too large" in str(exc) or "degree over" in str(exc), (text, exc)
         return
     assert got == sympify_value(QAB, text), text
-
-
-def rebuilt(v):
-    """The Q(vars) value v built afresh from the terms of its numerator and
-    denominator, so that no hash cached on them carries over."""
-    poly = v.numer.ring
-    return v.field.raw_new(poly.from_dict(dict(v.numer)), poly.from_dict(dict(v.denom)))
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(_literals())
-@example("(a + b)^2")
-@example("(a + b)^(-2)")
-def test_parse_on_polynomial_pairs_equals_fraction_evaluation(text):
-    """parse evaluates a literal on (numerator, denominator) polynomial
-    pairs and builds one fraction at the end; the value, and its hash, are
-    those of evaluating each node on sympy fractions. The hash is compared
-    with that of the fraction rebuilt from its terms: sympy's
-    PolyElement.square keeps a hash it took of a partial result, so the
-    node-by-node value of (a + b)^(-2) hashes apart from an equal one, and
-    so would a squared numerator over 1 that parse did not copy."""
-    try:
-        want = fraction_literal(QAB, text)
-    except ZeroDivisionError:
-        want = None
-    try:
-        got = QAB.parse(text)
-    except UsageError as exc:
-        # the work bounds are checked before either evaluation
-        assert want is None or "division by zero" not in str(exc), (text, exc)
-        return
-    assert got == want and hash(got) == hash(rebuilt(want)) == hash(rebuilt(got)), text
-    assert (got.numer, got.denom) == (want.numer, want.denom), text
 
 
 def test_parse_edge_cases_against_sympify():

@@ -165,7 +165,7 @@ def test_two_distinct_denominators_stay_on_fractions():
     assert Si.field == FQ.polynomials and d == (one + Q_).numer
     assert verdicts(R) == field_verdicts(fresh(R))
     assert verdicts(S) == field_verdicts(fresh(S))
-    # operators over different rings meet on their field values
+    # the commuting pair of operators over different integral rings
     r0, s0 = fresh(R), fresh(S)
     want = lift(r0, 23).mul(lift(s0, 12)) == lift(s0, 12).mul(lift(r0, 23))
     assert check_commuting_pair(R, S) == check_commuting_pair(S, R) == want

@@ -148,18 +148,15 @@ def assert_same_fractions(got, want):
             assert hash(v) == hash(w)
 
 
-def test_q_vars_products_on_polynomial_numerators():
-    """Products of two matrices whose entries all have denominator 1 run on
-    the numerators (the branch is asserted through Field.integral); each
+def test_q_vars_products_of_polynomial_entries():
+    """Products of two matrices whose entries all have denominator 1: each
     nonzero entry is the canonical fraction sympy's own constructor gives,
     and chains of two and three products equal the triple-loop oracle."""
     k = FunctionField(["a", "b"])
     rng = random.Random(29)
-    poly_one = k.ring.field.ring.one
     for _ in range(8):
         m, t, n, r = (rng.randint(1, 4) for _ in range(4))
         x, y, z = (polynomial_matrix(k, rng, *shape) for shape in ((m, t), (t, n), (n, r)))
-        assert k.integral(x.rows, y.rows)[3] == poly_one
         xy = x.mul(y)
         assert_same_fractions(xy, reference_mul(x, y))
         assert_integral_product_is_exact(x, y)
@@ -176,8 +173,8 @@ def test_q_vars_products_on_polynomial_numerators():
 
 
 def test_q_vars_product_of_a_denominator_and_a_polynomial_factor():
-    """One factor with a denominator stays on fractions for the whole
-    product, in either order, and equals the triple-loop oracle."""
+    """A factor with a denominator times a polynomial factor, in either
+    order, equals the triple-loop oracle."""
     k = FunctionField(["a", "b"])
     a, b = k.gens
     rng = random.Random(31)
@@ -187,11 +184,9 @@ def test_q_vars_product_of_a_denominator_and_a_polynomial_factor():
         rows = polynomial_matrix(k, rng, m, t).rows
         rows[rng.randrange(m)][rng.randrange(t)] = (a - 1) / (b + 2)
         frac = Matrix(k, rows)
-        assert k.integral(frac.rows, poly.rows)[3] is None
         assert_same_fractions(frac.mul(poly), reference_mul(frac, poly))
         assert_integral_product_is_exact(frac, poly)
         back = poly.transpose()
-        assert k.integral(back.rows, frac.transpose().rows)[3] is None
         assert_same_fractions(back.mul(frac.transpose()),
                               reference_mul(back, frac.transpose()))
 

@@ -474,6 +474,16 @@ def test_size_guard_env(monkeypatch):
     assert check_d(identity_pair(QQ, 3))
 
 
+def test_commuting_pair_size_guard(monkeypatch):
+    # lift does not check the bound, so check_commuting_pair reads it itself
+    monkeypatch.setenv("DEQ_MAX_N", "2")
+    R = identity_pair(QQ, 3)
+    with pytest.raises(UsageError):
+        check_commuting_pair(R, R)
+    monkeypatch.delenv("DEQ_MAX_N")
+    assert check_commuting_pair(R, R)
+
+
 def test_from_rows_and_field_mismatch():
     k = QQ
     R = EndoPair.from_rows(k, [[1, 0, 0, 0], [0, 1, 0, 0],
