@@ -4,7 +4,7 @@ they span, the quotient presentation, and the round trip back to R."""
 from deq import catalog
 from deq.dimodule import r_from_dimodule
 from deq.fields import QQ
-from deq.frt import ObstructionSet, d_bialgebra
+from deq.frt import GeneratorAction, ObstructionSet, d_bialgebra
 from deq.tensor_ops import identity_pair
 
 
@@ -26,7 +26,7 @@ def main():
     for row in R.matrix().rows:
         print("  " + " ".join(QQ.show(v) for v in row))
 
-    obs = ObstructionSet(R)
+    obs = ObstructionSet(GeneratorAction(R))
     labels = ["c11", "c12", "c21", "c22"]
     print()
     print("obstruction vectors o(i,j,k,l), the nonzero ones:")

@@ -8,12 +8,12 @@ prime fields.
 
 from .fields import (Field, FunctionField, MathError, PrimeField, QQ,
                      UsageError, field_from_header)
-from .linalg import Matrix, kernel_basis, matrix_inverse, rref, solve_linear
-from .tensor_ops import (EndoPair, FormVerdicts, check_commuting_pair,
-                         check_d, check_equivalent_forms, check_hopf,
-                         check_pentagon, check_qybe, conjugate,
-                         diagonal_solution, first_violation, flip_pair,
-                         identity_pair, invert, lift, product_solution)
+from .linalg import Matrix, matrix_inverse, rref
+from .tensor_ops import (EndoPair, FormVerdicts, check_d,
+                         check_equivalent_forms, check_hopf, check_pentagon,
+                         check_qybe, conjugate, diagonal_solution,
+                         first_violation, identity_pair, invert, lift,
+                         product_solution)
 from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
                     QuotientCoalgebra, coideal, comatrix, convolve,
                     counit_form, grouplike_coalgebra, quotient)
@@ -22,16 +22,15 @@ from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
                   frt_col_order, obstruction_coideal, relation_strings,
                   require_solution, standard_comodule, universal_map)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
-                       compatible_subalgebra, dimodule_from_grading,
-                       group_bialgebra, induce_from_comodule,
-                       induce_from_module, r_from_dimodule, tensor_dimodule,
-                       trivial_comodule, trivial_module)
+                       dimodule_from_grading, group_bialgebra,
+                       induce_from_comodule, induce_from_module,
+                       r_from_dimodule, tensor_dimodule, trivial_comodule,
+                       trivial_module)
 from .dmap import (DMap, convolution_inverse_of_sigma, delta_form,
                    first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                    sigma_from_r, strong_dmap_from_symmetric)
-from .fileio import (ParseError, read_cayley, read_coalgebra,
-                     read_graded_module, read_matrix, write_cayley,
-                     write_coalgebra, write_graded_module, write_matrix,
+from .fileio import (ParseError, read_cayley, read_graded_module, read_matrix,
+                     write_cayley, write_graded_module, write_matrix,
                      write_report)
 from . import catalog
 

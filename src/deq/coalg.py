@@ -153,10 +153,11 @@ class Coideal:
 
     Two makers build Coideals. `coideal()` spans user vectors and checks the
     coideal conditions at run time. `frt.obstruction_coideal` builds
-    span{o(i,j,k,l)} from its echelon form alone: that span is a coideal for
-    every R, a theorem the tests check (the comultiplication identity of the
-    obstructions, and the coideal test on the census and the catalog). So
-    `quotient` need not check its result again."""
+    span{o(i,j,k,l)} in comatrix(n) from its echelon form alone: that span
+    is a coideal for every R, a theorem the tests check (the
+    comultiplication identity of the obstructions, and the coideal test on
+    the census and the catalog). So `quotient` need not check its result
+    again."""
 
     def __init__(self, parent: Coalgebra, basis, pivots, col_order):
         self.parent = parent

@@ -16,7 +16,7 @@ from .coalg import (Coalgebra, Comodule, _action_failure, _first_difference,
                     _require_module, grouplike_coalgebra)
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
-from .linalg import Matrix, kernel_basis, linear_combination, span_and_membership
+from .linalg import Matrix, linear_combination
 from .tensor_ops import EndoPair
 
 
@@ -220,23 +220,6 @@ class LongDimodule:
 
     def __repr__(self):
         return "LongDimodule(dim=%d over %r)" % (self.dim, self.host)
-
-
-def compatible_subalgebra(H: FinBialgebra, action, comodule: Comodule):
-    """Basis of {h in H : rho(h.m) = sum h.m_0 (x) m_1 for all m}; the span
-    is closed under multiplication and contains the unit (asserted)."""
-    # column a holds the entries of every commutator P_b A_a - A_a P_b
-    cols = [[v for P in comodule.slices for row in (P @ A).sub(A @ P).rows for v in row]
-            for A in action]
-    basis = kernel_basis(Matrix._computed(H.field, cols).transpose())
-    _, contains = span_and_membership(basis, H.field, dim=H.dim)
-    if not contains(H.unit):
-        raise RuntimeError("compatible set does not contain the unit")
-    for u in basis:
-        for v in basis:
-            if not contains(H.multiply(u, v)):
-                raise RuntimeError("compatible set is not closed under product")
-    return basis
 
 
 class GradedModule:

@@ -407,13 +407,16 @@ class FunctionField(Field):
     # than 1 that the values have, if any. Values over two or more distinct
     # denominators stay FracElements with d = 1: the seven verdicts of an
     # n = 2 operator with 16 distinct linear denominators took 0.82 s on
-    # FracElements and 1.29 s cleared to their lcm.
+    # FracElements and 1.29 s cleared to their lcm. Denominators compare by
+    # ==, not by hash: sympy can hash equal polynomials apart, as the
+    # denominators of parse("(a + b)^(-2)") and parse("1/(a^2 + 2*a*b + b^2)").
     def cleared(self, values):
-        one = self.polynomials.one
-        denominators = {v.denom for v in values} - {one}
-        if len(denominators) > 1:
-            return self, values, 1
-        d = denominators.pop() if denominators else one
+        one = d = self.polynomials.one
+        for v in values:
+            if v.denom != one and v.denom != d:
+                if d != one:
+                    return self, values, 1
+                d = v.denom
         return self.polynomials, [v.numer if v.denom == d else v.numer * d for v in values], d
 
     def from_int(self, k: int):

@@ -1,4 +1,4 @@
-"""Text file formats: matrices, Cayley tables, coalgebras, graded modules, reports."""
+"""Text file formats: matrices, Cayley tables, graded modules, reports."""
 
 from .fields import UsageError, field_from_header
 from .linalg import Matrix
@@ -158,61 +158,6 @@ def write_cayley(path, labels, table):
     lines = ["group %d" % len(labels), "labels %s" % " ".join(labels)]
     for row in table:
         lines.append(" ".join(labels[v] for v in row))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def read_coalgebra(path):
-    """Read a coalgebra: field header, `coalg <d>`, labels, mu triples, counit."""
-    from .coalg import Coalgebra
-    with open(path) as handle:
-        reader = _Reader(path, handle.read())
-    field = _parse_field_header(reader)
-    dim_text = _keyword_line(reader, "coalg")
-    try:
-        d = int(dim_text)
-    except ValueError:
-        reader.fail("bad coalgebra dimension %r" % dim_text)
-    labels = _keyword_line(reader, "labels").split()
-    if len(labels) != d:
-        reader.fail("expected %d labels, got %d" % (d, len(labels)))
-    index = {label: i for i, label in enumerate(labels)}
-    zero = field.zero
-    mu = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    while True:
-        line = reader.next_line("a mu triple or the counit line")
-        if line.startswith("counit"):
-            break
-        parts = _split_row(line)
-        if len(parts) != 4:
-            reader.fail("expected `a b c value`, got %r" % line)
-        try:
-            a, b, c = (index[parts[k]] for k in range(3))
-        except KeyError:
-            reader.fail("unknown label in %r" % line)
-        mu[a][b][c] = _parse_entry(reader, field, parts[3], 4)
-    parts = _split_row(line[len("counit"):].strip())
-    if len(parts) != d:
-        reader.fail("expected %d counit values, got %d" % (d, len(parts)))
-    counit = [_parse_entry(reader, field, part, j + 1)
-              for j, part in enumerate(parts)]
-    return Coalgebra(field, labels, mu, counit)
-
-
-def write_coalgebra(path, C):
-    """Write a coalgebra in the format read_coalgebra reads."""
-    field = C.field
-    sep = ", " if field.header().startswith("QFUN") else " "
-    lines = ["field %s" % field.header(), "coalg %d" % C.dim,
-             "labels %s" % " ".join(C.labels)]
-    for a in range(C.dim):
-        for b in range(C.dim):
-            for c in range(C.dim):
-                v = C.mu[a][b][c]
-                if not field.is_zero(v):
-                    lines.append(sep.join(
-                        [C.labels[a], C.labels[b], C.labels[c], field.show(v)]))
-    lines.append("counit %s" % sep.join(field.show(v) for v in C.counit))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

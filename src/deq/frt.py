@@ -50,19 +50,11 @@ def require_solution(R: EndoPair, action: GeneratorAction, basis):
 
 
 class ObstructionSet:
-    """All o(i,j,k,l) of R as coefficient vectors in comatrix(n), each read
-    off A = A(c_jk) as [A^T, E_il]; `action` is R's, if the caller has it."""
+    """All o(i,j,k,l) of an operator as coefficient vectors in comatrix(n),
+    each read off A = A(c_jk) of its generator action as [A^T, E_il]."""
 
-    def __init__(self, R: EndoPair, C: Coalgebra = None, action: GeneratorAction = None):
-        n, k = R.n, R.field
-        if C is None:
-            C = comatrix(k, n)
-        if C.dim != n * n:
-            raise UsageError("coalgebra dimension does not match the operator")
-        self.endo = R
-        self.coalgebra = C
-        self.n = n
-        action = action or GeneratorAction(R)
+    def __init__(self, action: GeneratorAction):
+        n, k = action.n, action.field
         self.vectors = {}
         rng = range(n)
         for (j, kk), A in zip(itertools.product(rng, repeat=2), action.matrices):
@@ -92,20 +84,19 @@ def frt_col_order(n: int):
     return off + diag
 
 
-def obstruction_coideal(R: EndoPair, C: Coalgebra = None,
-                        action: GeneratorAction = None) -> Coideal:
-    """span{o(i,j,k,l)} as a coideal of comatrix(n), from its reduced
-    echelon form in `frt_col_order`.
+def obstruction_coideal(action: GeneratorAction) -> Coideal:
+    """span{o(i,j,k,l)} of the operator with this generator action, as a
+    coideal of comatrix(n), from its reduced echelon form in `frt_col_order`.
 
     It is not checked at run time: the comultiplication identity
     Delta(o(i,j,k,l)) = sum_u o(i,j,k,u) (x) c_ul + c_iu (x) o(u,j,k,l)
-    makes it a coideal for every R, solution or not, and the tests check
-    that identity and the coideal conditions themselves on the census and
-    the catalog."""
-    obs = ObstructionSet(R, C, action)
-    basis, pivots = rref([vec for _, vec in obs.items()], R.field,
-                         col_order=frt_col_order(R.n))
-    return Coideal(obs.coalgebra, basis, pivots, frt_col_order(R.n))
+    makes it a coideal of comatrix(n) for every R, solution or not, and the
+    tests check that identity and the coideal conditions themselves on the
+    census and the catalog."""
+    n, k = action.n, action.field
+    obs = ObstructionSet(action)
+    basis, pivots = rref([vec for _, vec in obs.items()], k, col_order=frt_col_order(n))
+    return Coideal(comatrix(k, n), basis, pivots, frt_col_order(n))
 
 
 def standard_comodule(C: Coalgebra) -> Comodule:
@@ -181,10 +172,10 @@ class FrtPresentation:
         self.endo = R
         self.field = R.field
         self.n = R.n
-        self.coalgebra = comatrix(R.field, R.n)
         self.action = GeneratorAction(R)
-        self.ideal = obstruction_coideal(R, self.coalgebra, self.action)
+        self.ideal = obstruction_coideal(self.action)
         require_solution(R, self.action, self.ideal.basis)
+        self.coalgebra = self.ideal.parent
         self.quotient = quotient(self.coalgebra, self.ideal)
         self.relations = relation_strings(self.ideal)
 

@@ -194,37 +194,6 @@ def rref(rows, field, col_order=None):
     return work[:rank], pivots
 
 
-def solve_linear(A: Matrix, b):
-    """Some exact solution of A x = b (free variables set to 0), or None."""
-    if len(b) != A.nrows:
-        raise UsageError("rhs length %d does not match %d rows" % (len(b), A.nrows))
-    k = A.field
-    b = [k.coerce(v) for v in b]
-    aug = [row + [rv] for row, rv in zip(A.rows, b)]
-    rows, pivots = rref(aug, k)
-    if A.ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [k.zero] * A.ncols
-    for row, p in zip(rows, pivots):
-        x[p] = row[A.ncols]
-    return x
-
-
-def kernel_basis(A: Matrix):
-    """Deterministic basis of the null space, one vector per free column."""
-    k = A.field
-    rows, pivots = rref(A.rows, k)
-    free = [c for c in range(A.ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [k.zero] * A.ncols
-        v[f] = k.one
-        for row, p in zip(rows, pivots):
-            v[p] = k.neg(row[f])
-        basis.append(v)
-    return basis
-
-
 def reduce_against(v, basis_rows, pivots, field):
     """Subtract the span of reduced-echelon rows from v; zero iff v is in the span."""
     v = list(v)
@@ -233,27 +202,6 @@ def reduce_against(v, basis_rows, pivots, field):
             f = v[p]
             v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
     return v
-
-
-def span_and_membership(vectors, field, dim=None, col_order=None):
-    """Reduced-echelon basis of a span plus an exact membership test."""
-    if vectors:
-        dim = len(vectors[0])
-        for v in vectors:
-            if len(v) != dim:
-                raise UsageError("vectors of mixed dimension")
-    elif dim is None:
-        raise UsageError("dim is required for an empty vector list")
-    coerced = [[field.coerce(x) for x in v] for v in vectors]
-    basis, pivots = rref(coerced, field, col_order=col_order)
-
-    def contains(v):
-        if len(v) != dim:
-            raise UsageError("vector of wrong dimension")
-        v = [field.coerce(x) for x in v]
-        return all(field.is_zero(x) for x in reduce_against(v, basis, pivots, field))
-
-    return basis, contains
 
 
 def matrix_inverse(A: Matrix):

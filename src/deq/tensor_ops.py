@@ -75,10 +75,6 @@ def identity_pair(field, n) -> EndoPair:
     return EndoPair.from_matrix(Matrix.identity(field, n * n))
 
 
-def flip_pair(field, n) -> EndoPair:
-    return EndoPair.from_matrix(tau_matrix(field, n))
-
-
 def flip_index(n):
     """tau on M (x) M as an index map: m_a (x) m_b -> m_b (x) m_a; an involution."""
     return tuple((k % n) * n + k // n for k in range(n * n))
@@ -90,11 +86,6 @@ def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
     rows = range(A.nrows) if rows is None else rows
     cols = range(A.ncols) if cols is None else cols
     return Matrix._computed(A.field, [[A.rows[r][c] for c in cols] for r in rows])
-
-
-def tau_matrix(field, n) -> Matrix:
-    """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
-    return _permuted(Matrix.identity(field, n * n), rows=flip_index(n))
 
 
 _LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
@@ -186,9 +177,11 @@ def _entries(R: EndoPair):
 
 def coordinate_equations(n: int):
     """The n^6 coordinate equations sum_v x_kv^ji y_lq^vp = sum_a x_kl^ja y_aq^ip
-    of R^{23} S^{12} = S^{12} R^{23} (x of R, y of S), in (i,j,k,l,p,q) order:
-    (label, lhs, rhs) with the 1-based label and, per side, the (s, t) pairs
-    of row-major R.matrix() entries whose products x[s] y[t] it sums.
+    of R^{23} R^{12} = R^{12} R^{23} for R alone, x and y both R's entries
+    (x the factor from R^{23}, y the one from R^{12}), in (i,j,k,l,p,q)
+    order: (label, lhs, rhs) with the 1-based label and, per side, the
+    (s, t) pairs of row-major R.matrix() entries whose products x[s] y[t]
+    it sums.
 
     The table is cached up to n = DEFAULT_MAX_N. Past that it is generated
     as it is read: it has n^6 entries, and an operator read from a file may
@@ -213,19 +206,15 @@ def _equations(n: int):
                tuple((at(k, l, j, a), at(a, q, i, p)) for a in rng))
 
 
-def _pair_violation(R: EndoPair, S: EndoPair):
-    """Label of the first coordinate equation R and S fail, or None."""
-    field, x, y = R.field, _entries(R), _entries(S)
+def first_violation(R: EndoPair):
+    """Label of the first coordinate equation of the D-criterion that R
+    fails, or None."""
+    field, x = R.field, _entries(R)
     for label, lhs, rhs in coordinate_equations(R.n):
-        if (field.sum(field.mul(x[s], y[t]) for s, t in lhs)
-                != field.sum(field.mul(x[s], y[t]) for s, t in rhs)):
+        if (field.sum(field.mul(x[s], x[t]) for s, t in lhs)
+                != field.sum(field.mul(x[s], x[t]) for s, t in rhs)):
             return label
     return None
-
-
-def first_violation(R: EndoPair):
-    """First coordinate equation the D-criterion fails on, or None."""
-    return _pair_violation(R, R)
 
 
 def check_d(R: EndoPair) -> bool:
@@ -236,19 +225,6 @@ def check_d(R: EndoPair) -> bool:
     oper = _holds(Ri, d, "d")
     if coord != oper:
         raise RuntimeError("verdict paths disagree: coordinate=%r operator=%r" % (coord, oper))
-    return coord
-
-
-def check_commuting_pair(R: EndoPair, S: EndoPair) -> bool:
-    """R^{23} S^{12} = S^{12} R^{23}, by coordinates and by operators."""
-    if R.n != S.n or R.field != S.field:
-        raise UsageError("operators live on different spaces")
-    _guard_n(R.n)
-    coord = _pair_violation(R, S) is None
-    r23, s12 = lift(R, 23), lift(S, 12)
-    oper = r23.mul(s12) == s12.mul(r23)
-    if coord != oper:
-        raise RuntimeError("verdict paths disagree on the commuting pair")
     return coord
 
 

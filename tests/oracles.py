@@ -6,8 +6,9 @@ matrix, and the index-loop axiom checkers of coalgebras, algebras and
 bialgebras that the regular (co)module identities replaced, Delta of a
 coefficient vector flattened to one vector, and the T, U and W forms of
 the D-equation built as operators of their own, exactly and mod p, and the
-seven verdicts of `deq check` on an operator's field values. The tests
-compare the package's closed forms with them."""
+seven verdicts of `deq check` on an operator's field values, one exact
+linear solve, a span with its membership test, and the flip tau as a
+matrix. The tests compare the package's closed forms with them."""
 
 import itertools
 
@@ -15,8 +16,51 @@ import numpy as np
 
 from deq.classify import _equation_mask, _rows_equal, _words, block_matrices, coordinate_mask
 from deq.coalg import BilinearForm, Coalgebra, convolve, counit_form
-from deq.linalg import Matrix, linear_combination, matrix_inverse, solve_linear
+from deq.fields import UsageError
+from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
 from deq.tensor_ops import EQUATIONS, EndoPair, _permuted, _product, flip_index
+
+
+def solve_linear(A: Matrix, b):
+    """Some exact solution of A x = b (free variables set to 0), or None."""
+    if len(b) != A.nrows:
+        raise UsageError("rhs length %d does not match %d rows" % (len(b), A.nrows))
+    k = A.field
+    b = [k.coerce(v) for v in b]
+    aug = [row + [rv] for row, rv in zip(A.rows, b)]
+    rows, pivots = rref(aug, k)
+    if A.ncols in pivots:
+        return None  # pivot in the augmented column: inconsistent
+    x = [k.zero] * A.ncols
+    for row, p in zip(rows, pivots):
+        x[p] = row[A.ncols]
+    return x
+
+
+def span_and_membership(vectors, field, dim=None):
+    """Reduced-echelon basis of a span plus an exact membership test."""
+    if vectors:
+        dim = len(vectors[0])
+        for v in vectors:
+            if len(v) != dim:
+                raise UsageError("vectors of mixed dimension")
+    elif dim is None:
+        raise UsageError("dim is required for an empty vector list")
+    coerced = [[field.coerce(x) for x in v] for v in vectors]
+    basis, pivots = rref(coerced, field)
+
+    def contains(v):
+        if len(v) != dim:
+            raise UsageError("vector of wrong dimension")
+        v = [field.coerce(x) for x in v]
+        return all(field.is_zero(x) for x in reduce_against(v, basis, pivots, field))
+
+    return basis, contains
+
+
+def tau_matrix(field, n) -> Matrix:
+    """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
+    return _permuted(Matrix.identity(field, n * n), rows=flip_index(n))
 
 
 def section_quotient(C, I, complement):

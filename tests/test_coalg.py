@@ -10,10 +10,16 @@ from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix,
                        comatrix_index, convolve, counit_form,
                        grouplike_coalgebra, quotient)
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import ObstructionSet, obstruction_coideal, standard_comodule
-from deq.linalg import Matrix, linear_combination, rref, span_and_membership
+from deq.frt import GeneratorAction, ObstructionSet, obstruction_coideal, standard_comodule
+from deq.linalg import Matrix, linear_combination, rref
 from deq.tensor_ops import diagonal_solution, identity_pair
-from oracles import convolution_inverse, delta_vector, lift, project, section_quotient
+from oracles import (convolution_inverse, delta_vector, lift, project, section_quotient,
+                     span_and_membership)
+
+
+def obstruction_ideal(R):
+    """I(R) in the comatrix coalgebra that obstruction_coideal builds."""
+    return obstruction_coideal(GeneratorAction(R))
 
 
 def test_comatrix_axioms_and_labels():
@@ -61,8 +67,7 @@ def test_grouplike_coalgebra_cocommutative():
 
 def test_coideal_membership_and_dim():
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    C = comatrix(QQ, 2)
-    I = obstruction_coideal(R, C)
+    I = obstruction_ideal(R)
     assert I.dim == 2
     k = QQ
     # c21 and c22 - c11 belong, c11 does not
@@ -90,9 +95,8 @@ def test_is_coideal_rejects_non_coideal():
 
 def test_quotient_reproduces_relations_and_axioms():
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    C = comatrix(QQ, 2)
-    I = obstruction_coideal(R, C)
-    Q = quotient(C, I)
+    I = obstruction_ideal(R)
+    Q = quotient(I.parent, I)
     assert Q.dim == 2
     assert Q.labels == ["c11~", "c12~"]
     # its axioms are checked in test_quotients_of_catalog_solutions_are_coalgebras
@@ -109,8 +113,8 @@ def test_quotient_reproduces_relations_and_axioms():
 def test_quotient_section_independence():
     # two different complements give the same induced quotient structure
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    C = comatrix(QQ, 2)
-    I = obstruction_coideal(R, C)
+    I = obstruction_ideal(R)
+    C = I.parent
     k = QQ
     Q1 = quotient(C, I)  # the section: c11, c12
     # alternative section: c22, c12 (c22 = c11 mod I), built by the oracle
@@ -145,12 +149,12 @@ def test_quotient_rejects_exhausting_coideal():
 
 
 def test_comodule_axioms_and_pushforward():
-    C = comatrix(QQ, 2)
-    from deq.frt import standard_comodule
+    R = catalog.triangular_solution(QQ, 1, 1, 1)
+    I = obstruction_ideal(R)
+    C = I.parent
     M = standard_comodule(C)
     assert M.dim == 2
-    R = catalog.triangular_solution(QQ, 1, 1, 1)
-    Q = quotient(C, obstruction_coideal(R, C))
+    Q = quotient(C, I)
     M2 = M.pushforward(Q)
     assert M2.dim == 2
     assert M2.coalgebra is Q
@@ -235,9 +239,11 @@ def second_complement(C, I):
     return None
 
 
-def assert_quotient_is_a_coalgebra(C, I):
-    """C/I passes the axiom check, and a second section gives the same
-    structure constants once its basis is matched to the first."""
+def assert_quotient_is_a_coalgebra(I):
+    """C/I, C the parent of I, passes the axiom check, and a second section
+    gives the same structure constants once its basis is matched to the
+    first."""
+    C = I.parent
     k = C.field
     Q1 = quotient(C, I)
     recheck(Q1)
@@ -263,9 +269,7 @@ def test_quotients_of_all_f2_solutions_are_coalgebras():
     report = enumerate_solutions(2, 2)
     assert report.count == 100
     for sol in report.solutions:
-        R = endo_from_digits(2, 2, sol)
-        C = comatrix(R.field, 2)
-        assert_quotient_is_a_coalgebra(C, obstruction_coideal(R, C))
+        assert_quotient_is_a_coalgebra(obstruction_ideal(endo_from_digits(2, 2, sol)))
 
 
 def test_quotients_of_catalog_solutions_are_coalgebras():
@@ -273,8 +277,7 @@ def test_quotients_of_catalog_solutions_are_coalgebras():
     for R in (catalog.triangular_solution(k, 1, 2, 3), catalog.rq(k, 3),
               catalog.projection_solution(k), catalog.s3_graded_solution(k),
               identity_pair(k, 2), diagonal_solution(k, [[1, 2], [3, 4]])):
-        C = comatrix(k, R.n)
-        assert_quotient_is_a_coalgebra(C, obstruction_coideal(R, C))
+        assert_quotient_is_a_coalgebra(obstruction_ideal(R))
 
 
 # The standard comodule of comatrix(n) and its pushforwards to quotients are
@@ -314,9 +317,9 @@ def test_pushforwards_of_the_standard_comodule_satisfy_the_axioms():
                   identity_pair(QQ, 2), diagonal_solution(QQ, [[1, 2], [3, 4]]),
                   catalog.rq(fq, fq.gens[0])]
     for R in operators:
-        C = comatrix(R.field, R.n)
-        Q = quotient(C, obstruction_coideal(R, C))
-        M = standard_comodule(C).pushforward(Q)
+        I = obstruction_ideal(R)
+        Q = quotient(I.parent, I)
+        M = standard_comodule(I.parent).pushforward(Q)
         assert M.coalgebra is Q
         recheck_comodule(M)
 
@@ -351,7 +354,7 @@ def coalgebra_and_vectors(draw):
     C = GROUPLIKE3 if kind == "grouplike" else COMATRIX2
     if kind == "obstruction":
         digits = draw(st.lists(st.integers(0, 2), min_size=16, max_size=16))
-        vectors = [v for _, v in ObstructionSet(endo_from_digits(2, 3, digits), C).items()]
+        vectors = [v for _, v in ObstructionSet(GeneratorAction(endo_from_digits(2, 3, digits))).items()]
     else:
         vectors = draw(st.lists(st.lists(st.integers(0, 2), min_size=C.dim, max_size=C.dim),
                                 min_size=1, max_size=3))

@@ -1,0 +1,53 @@
+"""Every name that `deq` exports is used by the package, a demo or the
+benchmark: a name that only the tests call is dead code in the package."""
+
+import ast
+import pathlib
+import types
+
+import deq
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Exported with no caller in the package, the demos or the benchmark, and
+# kept on purpose.
+ALLOWED = {
+    # statements of the paper, checked by the theorem tests
+    "universal_map": "the universal property of D(R)",
+    "induce_from_module": "the dimodule induced from a module",
+    "induce_from_comodule": "the dimodule induced from a comodule",
+    "r_sigma": "R_sigma solves the equation for every comodule and D-map",
+    # subjects of the acceptance criteria
+    "product_solution": "f (x) g is a solution exactly when fg = gf",
+    "conjugate": "conjugation by u (x) u keeps every verdict",
+    "sigma_form": "eps (x) f is a D-map for every linear f",
+    "delta_form": "delta_ij a is a strong D-map on comatrix(n)",
+    # checked entry points for user input, and oracles
+    "trivial_comodule": "the checked comodule m -> m (x) 1 of a bialgebra",
+    "coideal": "the checked span of user vectors, the oracle of obstruction_coideal",
+}
+
+
+def used_names(paths):
+    """Every name the files read, import from deq or reach as an attribute."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("deq")):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_has_a_caller():
+    paths = [p for p in sorted((ROOT / "src" / "deq").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = used_names(paths)
+    modules = {name for name in deq.__all__
+               if name == "classify" or isinstance(getattr(deq, name), types.ModuleType)}
+    dead = sorted(set(deq.__all__) - used - modules - set(ALLOWED))
+    assert dead == [], "exported, but used only by the tests: %s" % ", ".join(dead)
+    assert set(ALLOWED) <= set(deq.__all__) - used, "an allowed name now has a caller"

@@ -1,13 +1,11 @@
 import pytest
 
 from deq import catalog
-from deq.coalg import comatrix, grouplike_coalgebra
 from deq.dimodule import GradedModule, group_bialgebra
 from deq.fields import FunctionField, PrimeField, QQ
-from deq.fileio import (ParseError, matrix_text, read_cayley, read_coalgebra,
-                        read_graded_module, read_matrix, write_cayley,
-                        write_coalgebra, write_graded_module, write_matrix,
-                        write_report)
+from deq.fileio import (ParseError, matrix_text, read_cayley, read_graded_module,
+                        read_matrix, write_cayley, write_graded_module,
+                        write_matrix, write_report)
 from deq.tensor_ops import diagonal_solution
 
 
@@ -104,37 +102,6 @@ def test_cayley_parse_errors(tmp_path):
     assert "expected 2 labels" in str(exc)
     exc = bad("group 0\nlabels\n")
     assert "positive" in str(exc)
-
-
-def test_coalgebra_round_trip(tmp_path):
-    for C in (comatrix(QQ, 2), grouplike_coalgebra(PrimeField(3), ["g", "h"])):
-        path = str(tmp_path / "c.txt")
-        write_coalgebra(path, C)
-        back = read_coalgebra(path)
-        assert back.labels == C.labels
-        assert back.mu == C.mu
-        assert back.counit == C.counit
-        assert back.field == C.field
-
-
-def test_coalgebra_parse_errors(tmp_path):
-    path = str(tmp_path / "c.txt")
-
-    def bad(text):
-        with open(path, "w") as handle:
-            handle.write(text)
-        with pytest.raises(ParseError) as info:
-            read_coalgebra(path)
-        return info.value
-
-    exc = bad("field Q\ncoalg 1\nlabels g\ng g x 1\ncounit 1\n")
-    assert "unknown label" in str(exc)
-    exc = bad("field Q\ncoalg 1\nlabels g\ng g g 1\n")
-    assert "end of file" in str(exc)
-    exc = bad("field Q\ncoalg 1\nlabels g\ng g g 1\ncounit 1 2\n")
-    assert "expected 1 counit values" in str(exc)
-    exc = bad("field Q\ncoalg 1\nlabels g\ng g 1\ncounit 1\n")
-    assert "expected `a b c value`" in str(exc)
 
 
 def test_graded_module_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deq import catalog
-from deq.coalg import comatrix, comatrix_index
+from deq.coalg import comatrix, comatrix_index, grouplike_coalgebra
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
                      annihilation_check, d_bialgebra, frt_col_order,
@@ -22,12 +22,16 @@ def rand_pair(field, rng, n):
     return EndoPair.from_matrix(Matrix(field, rows))
 
 
+def obstructions(R):
+    return ObstructionSet(GeneratorAction(R))
+
+
 def test_obstruction_definition_against_direct_sum():
     # o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia
     k = PrimeField(7)
     rng = random.Random(1)
     R = rand_pair(k, rng, 2)
-    obs = ObstructionSet(R)
+    obs = obstructions(R)
     n = 2
     for i in range(1, 3):
         for j in range(1, 3):
@@ -50,16 +54,18 @@ def test_obstructions_counit_free():
     C = comatrix(k, 2)
     for _ in range(20):
         R = rand_pair(k, rng, 2)
-        obs = ObstructionSet(R, C)
+        obs = obstructions(R)
         for _, vec in obs.items():
             assert C.counit_of(vec) == k.zero
 
 
-def delta_identity_holds(obs):
+def delta_identity_holds(R):
     """Delta(o(i,j,k,l)) == sum_u ( o(i,j,k,u)(x)c_ul + c_iu(x)o(u,j,k,l) ) for
-    every label, as d x d tables: the left side is sum_a o[a] M_a, and
-    v (x) c_a is the outer product of v with the unit vector of c_a."""
-    C, n, k = obs.coalgebra, obs.n, obs.coalgebra.field
+    every label of R's obstructions, as d x d tables in comatrix(n): the
+    left side is sum_a o[a] M_a, and v (x) c_a is the outer product of v
+    with the unit vector of c_a."""
+    obs, n, k = obstructions(R), R.n, R.field
+    C = comatrix(k, n)
     deltas = [C.delta_matrix(a) for a in range(C.dim)]
     e = Matrix.identity(k, C.dim).rows
 
@@ -81,10 +87,10 @@ def test_obstruction_comultiplication_identity_all_r():
     rng = random.Random(3)
     for _ in range(40):
         R = rand_pair(k, rng, 2)
-        assert delta_identity_holds(ObstructionSet(R))
+        assert delta_identity_holds(R)
     for _ in range(5):
         R = rand_pair(k, rng, 3)
-        assert delta_identity_holds(ObstructionSet(R))
+        assert delta_identity_holds(R)
 
 
 def test_defect_pairing_identity_all_r():
@@ -94,7 +100,7 @@ def test_defect_pairing_identity_all_r():
     for n, count in ((2, 25), (3, 5)):
         for _ in range(count):
             R = rand_pair(k, rng, n)
-            obs = ObstructionSet(R)
+            obs = obstructions(R)
             labels = range(1, n + 1)
             for j, kk, l in itertools.product(labels, repeat=3):
                 assert defect_pairing(R, j, kk, l) == [obs.vector(i, j, kk, l) for i in labels]
@@ -113,16 +119,32 @@ def test_action_kills_obstructions_iff_solution():
     for R in cases:
         act = GeneratorAction(R)
         killed = all(linear_combination(vec, act.matrices) == zero
-                     for _, vec in ObstructionSet(R).items())
+                     for _, vec in obstructions(R).items())
         assert killed == check_d(R)
         seen[int(killed)] += 1
     assert seen[0] and seen[1]
     # a genuine solution with nonvanishing obstruction vectors exists, and
     # the identity imposes no relations at all
-    obs = ObstructionSet(catalog.triangular_solution(k, 1, 2, 3))
+    obs = obstructions(catalog.triangular_solution(k, 1, 2, 3))
     assert any(any(not k.is_zero(v) for v in vec) for _, vec in obs.items())
-    obs_id = ObstructionSet(identity_pair(k, 2))
+    obs_id = obstructions(identity_pair(k, 2))
     assert all(all(k.is_zero(v) for v in vec) for _, vec in obs_id.items())
+
+
+def test_obstructions_live_in_comatrix_only():
+    """The obstruction API takes the generator action alone and builds
+    comatrix(n) itself: no coalgebra of dimension n^2 can be passed in, as a
+    grouplike one once could, with a "coideal" on which eps does not
+    vanish."""
+    R = catalog.triangular_solution(QQ, 1, 2, 3)
+    action = GeneratorAction(R)
+    I = obstruction_coideal(action)
+    assert I.parent.same_structure(comatrix(QQ, 2)) and I.dim == 2
+    grouplike = grouplike_coalgebra(QQ, ["g1", "g2", "g3", "g4"])
+    with pytest.raises(TypeError):
+        obstruction_coideal(action, grouplike)
+    with pytest.raises(TypeError):
+        ObstructionSet(action, grouplike)
 
 
 def test_annihilation_equivalence_random():
@@ -134,8 +156,8 @@ def test_annihilation_equivalence_random():
         R = rand_pair(k, rng, 2)
         act = GeneratorAction(R)
         want = check_d(R)
-        assert annihilation_check(act, [v for _, v in ObstructionSet(R).items()]) == want
-        assert annihilation_check(act, obstruction_coideal(R).basis) == want
+        assert annihilation_check(act, [v for _, v in ObstructionSet(act).items()]) == want
+        assert annihilation_check(act, obstruction_coideal(act).basis) == want
 
 
 def test_frt_col_order():
@@ -181,8 +203,9 @@ def test_presentation_rejects_non_solution():
         d_bialgebra(catalog.yang_baxter_operator(QQ, 2))
     assert len(info.value.where) == 6
     R = catalog.yang_baxter_operator(QQ, 2)
+    action = GeneratorAction(R)
     with pytest.raises(NotASolutionError) as again:
-        require_solution(R, GeneratorAction(R), obstruction_coideal(R).basis)
+        require_solution(R, action, obstruction_coideal(action).basis)
     assert again.value.where == info.value.where
 
 
@@ -319,7 +342,7 @@ def test_universal_map_rejects_wrong_realization():
 
 def test_relation_strings_pivot_first():
     R = catalog.rq(QQ, 3)
-    I = obstruction_coideal(R)
+    I = obstruction_coideal(GeneratorAction(R))
     lines = relation_strings(I)
     assert lines[0].startswith("c12")
     assert all(line.endswith(" = 0") for line in lines)

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 from deq import catalog
 from deq.fields import INTEGERS, FunctionField, PrimeField, QQ
 from deq.linalg import Matrix
-from deq.tensor_ops import (EndoPair, check_commuting_pair, check_d, check_equivalent_forms,
-                            check_hopf, check_pentagon, check_qybe, conjugate,
-                            diagonal_solution, identity_pair, lift, product_solution,
-                            tau_matrix, _integral)
-from oracles import field_verdicts
+from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
+                            check_pentagon, check_qybe, conjugate, diagonal_solution,
+                            first_violation, identity_pair, product_solution, _integral)
+from oracles import field_verdicts, tau_matrix
 
 F5 = PrimeField(5)
 FQ = FunctionField(["q"])
@@ -33,6 +32,16 @@ def verdicts(R):
 def fresh(R):
     """R with no lifts, products or integral form formed yet."""
     return EndoPair.from_matrix(R.matrix())
+
+
+def distinct_denominators(values):
+    """The denominators other than 1 of Q(q) values, compared by == (equal
+    polynomials may hash apart)."""
+    found = []
+    for v in values:
+        if v.denom != FQ.one.denom and v.denom not in found:
+            found.append(v.denom)
+    return found
 
 
 def in_field(k, ring, v):
@@ -93,7 +102,7 @@ def test_integral_form_is_r_times_d_and_keeps_every_verdict(case, n):
         k = R.field
         want = field_verdicts(fresh(R))
         assert verdicts(R) == want
-        assert check_commuting_pair(R, fresh(R)) == want["d"]
+        assert (first_violation(fresh(R)) is None) == want["d"]
         if kind == "diagonal" or kind == "product" and case != "Qq-distinct":
             assert want["d"] and want["qybe"] and want["form_w"]
         Ri, d = _integral(R)
@@ -104,7 +113,7 @@ def test_integral_form_is_r_times_d_and_keeps_every_verdict(case, n):
             assert in_field(k, ring, v) == k.mul(x, in_field(k, ring, d))
         if k is QQ:
             assert ring == INTEGERS
-        elif k is FQ and len({x.denom for x in entries} - {FQ.one.denom}) <= 1:
+        elif k is FQ and len(distinct_denominators(entries)) <= 1:
             assert ring == FQ.polynomials
         else:
             # F_p is its own ring; two distinct denominators other than 1
@@ -165,7 +174,21 @@ def test_two_distinct_denominators_stay_on_fractions():
     assert Si.field == FQ.polynomials and d == (one + Q_).numer
     assert verdicts(R) == field_verdicts(fresh(R))
     assert verdicts(S) == field_verdicts(fresh(S))
-    # the commuting pair of operators over different integral rings
-    r0, s0 = fresh(R), fresh(S)
-    want = lift(r0, 23).mul(lift(s0, 12)) == lift(s0, 12).mul(lift(r0, 23))
-    assert check_commuting_pair(R, S) == check_commuting_pair(S, R) == want
+
+
+def test_equal_denominators_that_hash_apart_are_one_denominator():
+    """parse("(a + b)^(-2)") and parse("1/(a^2 + 2*a*b + b^2)") are equal,
+    and so are their denominators, but the denominators hash apart. The
+    operator still clears to polynomials over the one denominator
+    (a + b)^2, and its seven verdicts are those of its field values."""
+    k = FunctionField(["a", "b"])
+    a = k.gens[0]
+    x, y = k.parse("(a + b)^(-2)"), k.parse("1/(a^2 + 2*a*b + b^2)")
+    assert x == y and x.denom == y.denom
+    one, zero = k.one, k.zero
+    for R in (diagonal_solution(k, [[x, y], [one, a * x]]),
+              EndoPair.from_rows(k, [[x, y, zero, one], [zero, one, y, zero],
+                                     [one, zero, a * x, zero], [zero, zero, zero, y]])):
+        Ri, d = _integral(R)
+        assert Ri.field == k.polynomials and d == x.denom
+        assert verdicts(R) == field_verdicts(fresh(R))

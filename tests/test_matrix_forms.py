@@ -14,14 +14,14 @@ import pytest
 from deq import catalog
 from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import BilinearForm, Comodule, convolve, counit_form, grouplike_coalgebra
-from deq.dimodule import (FinBialgebra, LongDimodule, compatible_subalgebra,
+from deq.dimodule import (FinBialgebra, LongDimodule,
                           dimodule_from_grading, induce_from_comodule,
                           induce_from_module, r_from_dimodule, tensor_dimodule,
                           trivial_comodule, trivial_module)
 from deq.dmap import is_dmap, r_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import d_bialgebra, standard_comodule
-from deq.linalg import Matrix, kernel_basis, matrix_inverse
+from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import conjugate, diagonal_solution, identity_pair
 
 from oracles import endo_from_table
@@ -137,18 +137,6 @@ def loop_compat_tables(A, rho, l):
                 if not k.is_zero(c):
                     rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
     return lhs, rhs
-
-
-def loop_compat_rows(H, action, rho):
-    """The rows whose kernel is the compatible subalgebra, from the loop tables."""
-    k = H.field
-    rows = []
-    for l in range(len(rho)):
-        tables = [loop_compat_tables(action[a], rho, l) for a in range(H.dim)]
-        for w in range(len(rho)):
-            for b in range(len(rho[0][0])):
-                rows.append([k.sub(lhs[w][b], rhs[w][b]) for lhs, rhs in tables])
-    return rows
 
 
 def loop_comodule_failure(C, m, rho):
@@ -349,8 +337,6 @@ def test_gradings_tensor_products_and_inductions(k):
     for g in gradings(k):
         d = dimodule_from_grading(g)
         assert_dimodule_forms_agree(d)
-        assert compatible_subalgebra(g.host, d.act, d.comodule) == \
-            kernel_basis(Matrix(k, loop_compat_rows(g.host, d.act, rho_of(d.comodule))))
     d = dimodule_from_grading(z2_eigen_grading(k, 2))
     H = d.host
     for made, (action, rho) in ((tensor_dimodule(d, d), loop_tensor(d, d)),
@@ -386,8 +372,8 @@ def test_gradings_tensor_products_and_inductions(k):
 @pytest.mark.parametrize("k", [QQ, PrimeField(13), FQ], ids=["Q", "F13", "Qq"])
 def test_incompatible_pairs_agree_pair_by_pair(k):
     """The S3 grading with its action conjugated by a shear and its
-    projectors kept: some (a, l) pairs fail, and each verdict and the
-    compatible subalgebra agree with the loops."""
+    projectors kept: some (a, l) pairs fail, and each verdict agrees with
+    the loops."""
     g = catalog.s3_graded_module(k)
     S = Matrix(k, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     Sinv = matrix_inverse(S)
@@ -403,8 +389,6 @@ def test_incompatible_pairs_agree_pair_by_pair(k):
             assert d.pair_compatible(a, l) == (lhs == rhs)
     assert not all(verdicts) and any(verdicts)
     assert not d.is_compatible()
-    assert compatible_subalgebra(g.host, action, comod) == \
-        kernel_basis(Matrix(k, loop_compat_rows(g.host, action, rho)))
 
 
 @pytest.mark.parametrize("k,q", FIELDS, ids=["Q", "F13", "Qq"])

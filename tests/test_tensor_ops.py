@@ -1,6 +1,5 @@
 import functools
 import itertools
-import os
 import random
 
 import pytest
@@ -9,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from deq import catalog
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.linalg import Matrix, matrix_inverse
-from deq.tensor_ops import (EndoPair, check_commuting_pair, check_d,
-                            check_equivalent_forms, check_hopf, coordinate_equations,
-                            check_pentagon, check_qybe, conjugate,
-                            diagonal_solution, first_violation, flip_pair,
-                            identity_pair, invert, lift, product_solution,
-                            tau_matrix, _form_products, _pair_violation)
-from oracles import fresh_form_products, fresh_form_verdicts, x_table
+from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
+                            coordinate_equations, check_pentagon, check_qybe, conjugate,
+                            diagonal_solution, first_violation, identity_pair, invert,
+                            lift, product_solution, _form_products)
+from oracles import fresh_form_products, fresh_form_verdicts, tau_matrix, x_table
+
+
+def flip_pair(field, n):
+    return EndoPair.from_matrix(tau_matrix(field, n))
 
 
 def rand_matrix(field, rng, n):
@@ -226,17 +227,21 @@ def test_first_violation_labels_match_the_nested_loops():
     big = identity_pair(k, 5)
     for R in [big] + one_entry_perturbations(big, rng, 3):
         assert first_violation(R) == nested_loop_violation(k, 5, x_table(R), x_table(R))
+    # consecutive operators summed: more inputs, failing at other equations
     for R, S in zip(ops, ops[1:]):
         if R.n == S.n:
-            assert _pair_violation(R, S) == nested_loop_violation(k, R.n, x_table(R), x_table(S))
+            T = EndoPair.from_matrix(R.matrix().add(S.matrix()))
+            assert first_violation(T) == nested_loop_violation(k, T.n, x_table(T), x_table(T))
 
 
-def test_check_commuting_pair_is_the_d_check_for_lifts():
+def test_check_d_is_the_commuting_check_for_lifts():
+    """The D-equation is R^{23} R^{12} = R^{12} R^{23}: check_d agrees with
+    the lifted product compared directly."""
     k = PrimeField(5)
     rng = random.Random(5)
-    for _ in range(30):
-        R = rand_pair(k, rng, 2)
-        assert check_commuting_pair(R, R) == check_d(R)
+    for R in [rand_pair(k, rng, 2) for _ in range(30)] + [catalog.rq(k, 2)]:
+        r23, r12 = lift(R, 23), lift(R, 12)
+        assert check_d(R) == (r23.mul(r12) == r12.mul(r23))
 
 
 def test_lift_13_is_conjugated_12():
@@ -474,14 +479,17 @@ def test_size_guard_env(monkeypatch):
     assert check_d(identity_pair(QQ, 3))
 
 
-def test_commuting_pair_size_guard(monkeypatch):
-    # lift does not check the bound, so check_commuting_pair reads it itself
+def test_every_verdict_reads_the_size_guard(monkeypatch):
+    # lift does not check the bound; each verdict reads it before lifting
     monkeypatch.setenv("DEQ_MAX_N", "2")
     R = identity_pair(QQ, 3)
-    with pytest.raises(UsageError):
-        check_commuting_pair(R, R)
+    assert lift(R, 12).nrows == 27
+    for check in (check_d, check_qybe, check_hopf, check_pentagon):
+        with pytest.raises(UsageError):
+            check(identity_pair(QQ, 3))
     monkeypatch.delenv("DEQ_MAX_N")
-    assert check_commuting_pair(R, R)
+    for check in (check_d, check_qybe, check_hopf, check_pentagon):
+        assert check(identity_pair(QQ, 3))
 
 
 def test_from_rows_and_field_mismatch():

@@ -78,10 +78,11 @@ def test_obstruction_span_is_a_coideal_for_every_operator(k_q):
             operators += list(perturbations(R))
     solutions = 0
     for R in operators:
-        C = comatrix(k, R.n)
-        vectors = [v for _, v in ObstructionSet(R, C).items()]
-        checked = coideal(C, vectors, col_order=frt_col_order(R.n))
-        built = obstruction_coideal(R, C)
+        action = GeneratorAction(R)
+        built = obstruction_coideal(action)
+        assert built.parent.same_structure(comatrix(k, R.n))
+        vectors = [v for _, v in ObstructionSet(action).items()]
+        checked = coideal(built.parent, vectors, col_order=frt_col_order(R.n))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
         solutions += first_violation(R) is None
     assert 0 < solutions < len(operators)
@@ -92,17 +93,17 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
     census_ops = census_solutions()
     operators = census_ops + [next(iter(perturbations(R))) for R in census_ops[::7]]
     for R in operators:
-        C = comatrix(R.field, 2)
-        vectors = [v for _, v in ObstructionSet(R, C).items()]
-        built = obstruction_coideal(R, C)
-        checked = coideal(C, vectors, col_order=frt_col_order(2))
+        action = GeneratorAction(R)
+        vectors = [v for _, v in ObstructionSet(action).items()]
+        built = obstruction_coideal(action)
+        checked = coideal(built.parent, vectors, col_order=frt_col_order(2))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
     # random operators over F_3, nearly all of them non-solutions
     k = census_ops[-1].field
     for _ in range(100):
         R = EndoPair.from_matrix(Matrix(k, [[rng.randrange(3) for _ in range(4)]
                                             for _ in range(4)]))
-        coideal(comatrix(k, 2), [v for _, v in ObstructionSet(R).items()])
+        coideal(comatrix(k, 2), [v for _, v in ObstructionSet(GeneratorAction(R)).items()])
 
 
 @pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
@@ -110,8 +111,8 @@ def test_closed_form_quotient_map_is_the_inverse_rows(k_q):
     """pi read off the echelon form equals the last rows of B^-1, and the
     quotient coalgebras agree."""
     for R in each_solution(k_q):
-        C = comatrix(R.field, R.n)
-        I = obstruction_coideal(R, C)
+        I = obstruction_coideal(GeneratorAction(R))
+        C = I.parent
         Q = quotient(C, I)
         oracle, proj = section_quotient(C, I, Q.section_cols)
         assert Q.proj == proj
@@ -131,7 +132,7 @@ def test_sigma_vanishes_on_c_tensor_the_ideal(k_q):
     for a symmetric R sigma0 vanishes on I(R) (x) C as well."""
     inverses = symmetric = 0
     for R in each_solution(k_q):
-        I = obstruction_coideal(R)
+        I = obstruction_coideal(GeneratorAction(R))
         table = _sigma0_table(R)
         assert vanishes_on_right(table, I)
         Rinv = invert(R)
@@ -230,7 +231,8 @@ def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
     for R in catalog_solutions(*k_q):
         for S in perturbations(R):
             where = first_violation(S)
-            gate = annihilation_check(GeneratorAction(S), obstruction_coideal(S).basis)
+            action = GeneratorAction(S)
+            gate = annihilation_check(action, obstruction_coideal(action).basis)
             assert gate == (where is None)
             seen.add(gate)
             if not gate:
