@@ -20,7 +20,7 @@ from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
 from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
                   ObstructionSet, annihilation_check, d_bialgebra,
                   frt_col_order, obstruction_coideal, relation_strings,
-                  require_solution, standard_comodule, universal_map)
+                  require_solution, universal_map)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
                        dimodule_from_grading, group_bialgebra,
                        induce_from_comodule, induce_from_module,

@@ -6,10 +6,9 @@ big-endian base-p digits. The scan (enumerate_range) is a prefix-pruned
 sieve: it fixes the digits left to right and checks each coordinate
 equation of tensor_ops.coordinate_equations as soon as its last digit is
 fixed, so almost every candidate dies as a short prefix; the frontier is
-expanded depth-first, at most CHUNK rows at a time. Whole candidate blocks
-(candidate_block) sieved through every equation (coordinate_mask) are its
-test oracle. The independent operator-composition path evaluates the leg
-maps and the equation table of tensor_ops on the same candidate layout.
+expanded depth-first, at most CHUNK rows at a time. The independent
+operator-composition path evaluates the leg maps and the equation table of
+tensor_ops on whole candidate blocks (candidate_block).
 Flags and orbits are computed mod p in numpy as well; a sample of the
 solutions is re-verified by the exact check_d."""
 
@@ -104,12 +103,6 @@ def block_matrices(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 4, 3, 2, 1).reshape(count, n * n, n * n)
 
 
-def digits_of(x: np.ndarray) -> np.ndarray:
-    """Serialized row-major matrix entries of an x block, as (N, n^4)."""
-    count, n = x.shape[0], x.shape[1]
-    return block_matrices(x).reshape(count, n ** 4)
-
-
 def _rows_equal(a: np.ndarray, b) -> np.ndarray:
     """Per candidate: whether all entries of a equal those of b."""
     return (a == b).reshape(a.shape[0], -1).all(axis=1)
@@ -135,25 +128,6 @@ def _holds(entries: np.ndarray, first: np.ndarray, second: np.ndarray, p: int) -
     n, dtype = first.shape[-1] // 2, entries.dtype
     return (terms[..., :n].sum(axis=-1, dtype=dtype)
             - terms[..., n:].sum(axis=-1, dtype=dtype)) % p == 0
-
-
-def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
-    """check_d by the coordinate equations, as a sieve over a whole block:
-    each equation, in first_violation's order, is evaluated mod p on the
-    candidates that passed the ones before it. With candidate_block it is
-    the oracle for enumerate_range."""
-    count, n = x.shape[0], x.shape[1]
-    entries = digits_of(x).astype(_digit_dtype(n, p), copy=False)
-    alive = np.arange(count)
-    for first, second in zip(*_equation_columns(n)):
-        keep = _holds(entries, first, second, p)
-        if not keep.all():
-            entries, alive = entries[keep], alive[keep]
-            if not len(alive):
-                break
-    mask = np.zeros(count, dtype=bool)
-    mask[alive] = True
-    return mask
 
 
 def _lift_block(mat: np.ndarray, slot: int) -> np.ndarray:
@@ -186,7 +160,7 @@ def _equation_mask(mat: np.ndarray, p: int, name: str) -> np.ndarray:
 
 def operator_mask(x: np.ndarray, p: int) -> np.ndarray:
     """check_d by composing lifted operators, vectorized; the independent
-    path cross-validating coordinate_mask."""
+    path cross-validating the scan."""
     return _equation_mask(block_matrices(x), p, "d")
 
 
@@ -365,12 +339,15 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
         raise UsageError("p must be prime")
     if n < 1:
         raise UsageError("n must be positive")
-    total = p ** (n ** 4)
     cap = limit if limit is not None else budget()
-    if total > cap:
-        raise UsageError(
-            "candidate space has %d operators, over the budget of %d; "
-            "raise the budget to opt in" % (total, cap))
+    # p^(n^4), multiplied up only while it is within the cap
+    total = 1
+    for _ in range(n ** 4):
+        total *= p
+        if total > cap:
+            raise UsageError(
+                "candidate space has %d^(%d^4) operators, over the budget of %d; "
+                "raise the budget to opt in" % (p, n, cap))
     solutions = enumerate_range(n, p, 0, total)  # never empty: R = 0 solves
     xs = block_of(solutions, n)
     mats = block_matrices(xs)

@@ -130,11 +130,6 @@ def comatrix(field, n: int) -> Coalgebra:
     return Coalgebra(field, labels, mu, eps, check=False)
 
 
-def comatrix_index(n, j, k) -> int:
-    """Basis position of c_jk (1-based j, k) in comatrix(n)."""
-    return (j - 1) * n + (k - 1)
-
-
 def grouplike_coalgebra(field, labels) -> Coalgebra:
     """k[X]: every basis label is grouplike."""
     labels = list(labels)
@@ -148,8 +143,7 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
 
 
 class Coideal:
-    """A coideal of `parent`: reduced echelon basis, its pivots, and the
-    column order used.
+    """A coideal of `parent`: reduced echelon basis and its pivots.
 
     Two makers build Coideals. `coideal()` spans user vectors and checks the
     coideal conditions at run time. `frt.obstruction_coideal` builds
@@ -159,20 +153,14 @@ class Coideal:
     the census and the catalog). So `quotient` need not check its result
     again."""
 
-    def __init__(self, parent: Coalgebra, basis, pivots, col_order):
+    def __init__(self, parent: Coalgebra, basis, pivots):
         self.parent = parent
         self.basis = basis
         self.pivots = pivots
-        self.col_order = col_order
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, vec):
-        k = self.parent.field
-        vec = [k.coerce(v) for v in vec]
-        return all(k.is_zero(v) for v in reduce_against(vec, self.basis, self.pivots, k))
 
 
 def _coideal_failure(C: Coalgebra, basis, pivots):
@@ -204,8 +192,7 @@ def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
     reason = _coideal_failure(C, basis, pivots)
     if reason is not None:
         raise UsageError("not a coideal: %s" % reason)
-    order = list(range(C.dim)) if col_order is None else list(col_order)
-    return Coideal(C, basis, pivots, order)
+    return Coideal(C, basis, pivots)
 
 
 def _coeff_term(field, coeff, label):
@@ -287,11 +274,11 @@ class Comodule:
     sum_a eps(e_a) P_a = I and P_b P_a = sum_c mu[c][b][a] P_c.
 
     The axioms are verified at construction unless check=False, which is for
-    comodules by construction, whose axioms the tests check: the standard
-    comodule of comatrix(n); pushforwards, because the quotient map is a
-    coalgebra map; and the coaction of a graded module
-    (`dimodule_from_grading`), whose projectors are orthogonal idempotents
-    that sum to the identity."""
+    comodules by construction, whose axioms the tests check: the comodule
+    of the canonical dimodule of D(R), which is the standard comodule of
+    comatrix(n) pushed along the quotient map, a coalgebra map; and the
+    coaction of a graded module (`dimodule_from_grading`), whose projectors
+    are orthogonal idempotents that sum to the identity."""
 
     def __init__(self, C: Coalgebra, slices, check: bool = True):
         if len(slices) != C.dim:
@@ -310,16 +297,6 @@ class Comodule:
         C = self.coalgebra
         _require_module(C.counit, C._dual_product, self.slices, C.labels, UsageError,
                         "comodule counit law fails", "comodule coassociativity fails at (%s, %s)")
-
-    def pushforward(self, Q: QuotientCoalgebra) -> "Comodule":
-        """(I (x) pi) rho: the induced comodule over C/I, with slices
-        sum_a proj[q][a] P_a. It is not re-checked: pi is the coalgebra map
-        onto the quotient by a coideal, so (I (x) pi) rho is a
-        comodule whenever rho is."""
-        if Q.parent is not self.coalgebra:
-            raise UsageError("quotient of a different coalgebra")
-        return Comodule(Q, [linear_combination(row, self.slices) for row in Q.proj.rows],
-                        check=False)
 
 
 class BilinearForm:

@@ -16,7 +16,7 @@ from .coalg import (Coalgebra, Comodule, _action_failure, _first_difference,
                     _require_module, grouplike_coalgebra)
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
-from .linalg import Matrix, linear_combination
+from .linalg import Matrix
 from .tensor_ops import EndoPair
 
 
@@ -42,9 +42,6 @@ class FinAlgebra:
     def _left_regular(self):
         """L_a with L_a e_b = e_a e_b, that is L_a[c][b] = mult[a][b][c]."""
         return [Matrix._computed(self.field, table).transpose() for table in self.mult]
-
-    def multiply(self, u, v):
-        return linear_combination(u, self._left_regular).apply(v)
 
     def _check_algebra(self):
         labels, L = self.labels, self._left_regular

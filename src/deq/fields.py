@@ -101,11 +101,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        if self.is_zero(b):
-            raise UsageError("division by zero")
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 
@@ -202,9 +197,6 @@ class RationalField(Field):
         zero = self.zero
         return [[Fraction(v, denominator) if v else zero for v in row] for row in rows]
 
-    def from_int(self, k: int):
-        return Fraction(k)
-
     def coerce(self, v):
         if isinstance(v, Fraction):
             return v
@@ -279,9 +271,6 @@ class PrimeField(Field):
     def from_integral(self, rows, denominator):
         p = self.p
         return [[v % p for v in row] for row in rows]
-
-    def from_int(self, k: int):
-        return k % self.p
 
     def coerce(self, v):
         if isinstance(v, int):

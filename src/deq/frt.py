@@ -1,19 +1,20 @@
 """Obstruction elements of an operator R, the coideal I(R), the presented
-universal bialgebra D(R), the standard comodule, generator actions, and the
-generator-level universal map.
+universal bialgebra D(R) with its canonical dimodule, generator actions, and
+the generator-level universal map.
 
 o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia lives in the comatrix
 coalgebra. Read as the n x n matrix of its coefficients (c_ab at (a, b)), it
 is the commutator [A(c_jk)^T, E_il] = A(c_jk)^T E_il - E_il A(c_jk)^T, where
 A is the generator action of R and E_il a matrix unit. The span of all o's
 is a coideal I(R), and D(R) is the free algebra on a basis of
-comatrix(n)/I(R) with the quotient comultiplication.
+comatrix(n)/I(R) with the quotient comultiplication. M = k^n is a Long
+D(R)-dimodule with rho(m_l) = sum_v m_v (x) c~_vl, so its comodule slice at
+the generator q is row q of the quotient map pi read as an n x n matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
 from .fields import MathError, UsageError
@@ -67,10 +68,6 @@ class ObstructionSet:
                     vec[i * n + l] = k.add(A.rows[i][i], col[l])  # where both meet
                     self.vectors[(i + 1, j + 1, kk + 1, l + 1)] = vec
 
-    def vector(self, i, j, k, l):
-        """o(i,j,k,l) with 1-based indices."""
-        return self.vectors[(i, j, k, l)]
-
     def items(self):
         return sorted(self.vectors.items())
 
@@ -96,21 +93,7 @@ def obstruction_coideal(action: GeneratorAction) -> Coideal:
     n, k = action.n, action.field
     obs = ObstructionSet(action)
     basis, pivots = rref([vec for _, vec in obs.items()], k, col_order=frt_col_order(n))
-    return Coideal(comatrix(k, n), basis, pivots, frt_col_order(n))
-
-
-def standard_comodule(C: Coalgebra) -> Comodule:
-    """rho(m_l) = sum_v m_v (x) c_vl on a comatrix coalgebra C. It is not
-    re-checked: on comatrix(n) this rho is a comodule by construction, and
-    any other C is refused."""
-    n = math.isqrt(C.dim)
-    if n * n != C.dim or not C.same_structure(comatrix(C.field, n)):
-        raise UsageError("standard comodule needs a comatrix coalgebra")
-    k = C.field
-    # slice c_wl is the matrix unit E_wl
-    slices = [Matrix._computed(k, [[k.one if (i, j) == (w, l) else k.zero for j in range(n)]
-                                   for i in range(n)]) for w in range(n) for l in range(n)]
-    return Comodule(C, slices, check=False)
+    return Coideal(comatrix(k, n), basis, pivots)
 
 
 class GeneratorAction:
@@ -203,12 +186,16 @@ class FrtPresentation:
 
     def canonical_dimodule(self):
         """The standard module and comodule on M, as a Long dimodule over
-        this presentation. It is built unchecked: R is a solution, so by the
+        this presentation. rho(m_l) = sum_v m_v (x) c~_vl puts pi(c_wl) at
+        (w, l), so slice q is row q of the quotient map, entry (w, l) at
+        proj[q][w n + l]. It is built unchecked: R is a solution, so by the
         FRT-type theorem it is compatible; the tests check that."""
         from .dimodule import LongDimodule
-        std = standard_comodule(self.coalgebra)
+        n, k = self.n, self.field
+        slices = [Matrix._computed(k, [row[w * n:w * n + n] for w in range(n)])
+                  for row in self.quotient.proj.rows]
         return LongDimodule(self, self.generator_matrices(),
-                            std.pushforward(self.quotient), check=False)
+                            Comodule(self.quotient, slices, check=False), check=False)
 
     def __repr__(self):
         return ("FrtPresentation(n=%d, dim I=%d, generators=%s)"

@@ -7,15 +7,19 @@ bialgebras that the regular (co)module identities replaced, Delta of a
 coefficient vector flattened to one vector, and the T, U and W forms of
 the D-equation built as operators of their own, exactly and mod p, and the
 seven verdicts of `deq check` on an operator's field values, one exact
-linear solve, a span with its membership test, and the flip tau as a
-matrix. The tests compare the package's closed forms with them."""
+linear solve, a span with its membership test, the flip tau as a matrix,
+the whole-block sieve of the census, and the standard comodule of
+comatrix(n) with its pushforward to a quotient. The tests compare the
+package's closed forms with them."""
 
 import itertools
+import math
 
 import numpy as np
 
-from deq.classify import _equation_mask, _rows_equal, _words, block_matrices, coordinate_mask
-from deq.coalg import BilinearForm, Coalgebra, convolve, counit_form
+from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _holds,
+                          _rows_equal, _words, block_matrices)
+from deq.coalg import BilinearForm, Coalgebra, Comodule, comatrix, convolve, counit_form
 from deq.fields import UsageError
 from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
 from deq.tensor_ops import EQUATIONS, EndoPair, _permuted, _product, flip_index
@@ -61,6 +65,31 @@ def span_and_membership(vectors, field, dim=None):
 def tau_matrix(field, n) -> Matrix:
     """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
     return _permuted(Matrix.identity(field, n * n), rows=flip_index(n))
+
+
+def comatrix_index(n, j, k) -> int:
+    """Basis position of c_jk (1-based j, k) in comatrix(n)."""
+    return (j - 1) * n + (k - 1)
+
+
+def standard_comodule(C: Coalgebra) -> Comodule:
+    """rho(m_l) = sum_v m_v (x) c_vl on a comatrix coalgebra C, unchecked:
+    slice c_wl is the matrix unit E_wl. Any other C is refused."""
+    n = math.isqrt(C.dim)
+    if n * n != C.dim or not C.same_structure(comatrix(C.field, n)):
+        raise UsageError("standard comodule needs a comatrix coalgebra")
+    k = C.field
+    slices = [Matrix._computed(k, [[k.one if (i, j) == (w, l) else k.zero for j in range(n)]
+                                   for i in range(n)]) for w in range(n) for l in range(n)]
+    return Comodule(C, slices, check=False)
+
+
+def pushforward(M: Comodule, Q) -> Comodule:
+    """(I (x) pi) rho: the comodule induced over the quotient Q = C/I, with
+    slices sum_a proj[q][a] P_a, unchecked. M may live on any copy of C."""
+    if not Q.parent.same_structure(M.coalgebra):
+        raise UsageError("quotient of a different coalgebra")
+    return Comodule(Q, [linear_combination(row, M.slices) for row in Q.proj.rows], check=False)
 
 
 def section_quotient(C, I, complement):
@@ -394,6 +423,31 @@ def fresh_form_verdicts(n, products):
     (tl, tr), (ul, ur), (wl, wr) = products
     t123 = tau123_index(n)
     return tl == _permuted(tr, cols=t123), _permuted(ul, rows=t123) == ur, wl == wr
+
+
+def digits_of(x: np.ndarray) -> np.ndarray:
+    """Serialized row-major matrix entries of an x block, as (N, n^4)."""
+    count, n = x.shape[0], x.shape[1]
+    return block_matrices(x).reshape(count, n ** 4)
+
+
+def coordinate_mask(x: np.ndarray, p: int) -> np.ndarray:
+    """check_d by the coordinate equations, as a sieve over a whole block:
+    each equation, in first_violation's order, is evaluated mod p on the
+    candidates that passed the ones before it. With candidate_block it is
+    the oracle for the prefix-pruned scan enumerate_range."""
+    count, n = x.shape[0], x.shape[1]
+    entries = digits_of(x).astype(_digit_dtype(n, p), copy=False)
+    alive = np.arange(count)
+    for first, second in zip(*_equation_columns(n)):
+        keep = _holds(entries, first, second, p)
+        if not keep.all():
+            entries, alive = entries[keep], alive[keep]
+            if not len(alive):
+                break
+    mask = np.zeros(count, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def forms_masks(x: np.ndarray, p: int):

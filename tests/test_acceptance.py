@@ -4,21 +4,21 @@ import random
 import time
 
 from deq import catalog
-from deq.classify import (candidate_block, coordinate_mask, endo_from_digits,
-                          enumerate_solutions, operator_count, orbit_reduce)
+from deq.classify import (candidate_block, endo_from_digits, enumerate_solutions,
+                          operator_count, orbit_reduce)
 from deq.coalg import BilinearForm, convolve, counit_form
 from deq.dimodule import r_from_dimodule
 from deq.dmap import (delta_form, is_dmap, r_sigma, sigma_form, sigma_from_r,
                       convolution_inverse_of_sigma)
 from deq.fields import FunctionField, PrimeField, QQ
-from deq.frt import d_bialgebra, standard_comodule
+from deq.frt import d_bialgebra
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (check_d, check_qybe, conjugate, diagonal_solution,
                             product_solution)
 from deq.coalg import comatrix
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
-from oracles import forms_masks
+from oracles import coordinate_mask, forms_masks, standard_comodule
 
 
 def report(num, ok, elapsed, budget=None):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deq import catalog, classify
-from deq.classify import (CHUNK, block_matrices, block_of, candidate_block, coordinate_mask,
-                          digits_of, endo_from_digits, enumerate_range, enumerate_solutions,
-                          inverse_mod_p, operator_count, operator_mask,
-                          orbit_reduce, qybe_mask, symmetric_mask, unit_group)
+from deq.classify import (CHUNK, block_matrices, block_of, candidate_block, endo_from_digits,
+                          enumerate_range, enumerate_solutions, inverse_mod_p, operator_count,
+                          operator_mask, orbit_reduce, qybe_mask, symmetric_mask, unit_group)
 from deq.dmap import first_symmetry_violation
 from deq.fields import PrimeField, UsageError
 from deq.linalg import Matrix, matrix_inverse
@@ -18,7 +17,7 @@ from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_qyb
                             conjugate, diagonal_solution, product_solution)
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
-from oracles import forms_masks
+from oracles import coordinate_mask, digits_of, forms_masks
 
 
 def digits_from_endo(R: EndoPair):

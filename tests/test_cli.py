@@ -167,6 +167,22 @@ def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
                       "quotient": 1}
 
 
+def test_frt_builds_comatrix_once(tmp_path, capsys, monkeypatch):
+    """One deq frt run builds comatrix(n) once, for the obstruction
+    coideal: the canonical dimodule reads its comodule off the quotient map
+    and builds no second comatrix(n)."""
+    from deq import coalg
+    counts = count_calls(monkeypatch, {"comatrix": coalg.comatrix})
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    for (command, name), (_, code) in PRESENT_GOLDEN.items():
+        if command == "frt":
+            counts["comatrix"] = 0
+            assert main(["frt", os.path.join(exdir, name)]) == code, name
+            assert counts == {"comatrix": 1}, name
+    capsys.readouterr()
+
+
 def test_frt_and_dmap_rerun_no_theorem_on_a_solution(tmp_path, capsys, monkeypatch):
     """On a solution, deq frt and deq dmap run no coordinate equation, no
     coideal check, no balance condition and no convolution; the tests check
@@ -534,6 +550,18 @@ def test_classify_budget_refusal(capsys):
     assert main(["classify", "--n", "1", "--p", "5", "--budget", "10"]) == 0
     out = capsys.readouterr().out
     assert "solutions: 5" in out and "bijective: 4" in out
+
+
+def test_classify_refuses_oversized_spaces_without_forming_them(capsys):
+    """A space of p^(n^4) operators over the budget is refused with exit 2
+    and a short message that names it as a power, however many digits it
+    has: 2^(11^4) has 4,408."""
+    for n in ("11", "60"):
+        assert main(["classify", "--n", n, "--p", "2"]) == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == "", n
+        assert "over the budget of" in captured.err and len(captured.err) < 200, n
+        assert "2^(%s^4)" % n in captured.err, n
 
 
 def test_examples_round_trip(tmp_path, capsys):

@@ -8,9 +8,10 @@ from deq.dmap import (convolution_inverse_of_sigma, delta_form,
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError, PrimeField, QQ, UsageError
-from deq.frt import GeneratorAction, NotASolutionError, obstruction_coideal, standard_comodule
+from deq.frt import GeneratorAction, NotASolutionError, obstruction_coideal
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import diagonal_solution, identity_pair, product_solution
+from oracles import standard_comodule
 
 
 def random_bijective_solution(field, n, rng):

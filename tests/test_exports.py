@@ -1,4 +1,5 @@
-"""Every name that `deq` exports is used by the package, a demo or the
+"""Every name that `deq` exports, and every public function, class and
+method that its modules define, is used by the package, a demo or the
 benchmark: a name that only the tests call is dead code in the package."""
 
 import ast
@@ -42,12 +43,42 @@ def used_names(paths):
     return used
 
 
+def package_paths():
+    return [p for p in sorted((ROOT / "src" / "deq").glob("*.py")) if p.name != "__init__.py"]
+
+
+def caller_paths():
+    return (package_paths() + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py")))
+
+
+def public_definitions(path):
+    """(qualified name, name) of each public module-level function and class
+    of the file, and of each public method of those classes."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield "%s.%s" % (node.name, item.name), item.name
+
+
 def test_every_export_has_a_caller():
-    paths = [p for p in sorted((ROOT / "src" / "deq").glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = used_names(paths)
+    used = used_names(caller_paths())
     modules = {name for name in deq.__all__
                if name == "classify" or isinstance(getattr(deq, name), types.ModuleType)}
     dead = sorted(set(deq.__all__) - used - modules - set(ALLOWED))
     assert dead == [], "exported, but used only by the tests: %s" % ", ".join(dead)
     assert set(ALLOWED) <= set(deq.__all__) - used, "an allowed name now has a caller"
+
+
+def test_every_public_definition_has_a_caller():
+    """`cli.cmd_*` is exempt: `main` dispatches to it by name."""
+    used = used_names(caller_paths())
+    dead = ["%s.%s" % (path.stem, qualified)
+            for path in package_paths() for qualified, name in public_definitions(path)
+            if name not in used and name not in ALLOWED
+            and not (path.stem == "cli" and name.startswith("cmd_"))]
+    assert dead == [], "defined, but used only by the tests: %s" % ", ".join(dead)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deq import catalog
-from deq.coalg import comatrix, comatrix_index, grouplike_coalgebra
+from deq.coalg import comatrix, grouplike_coalgebra
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
                      annihilation_check, d_bialgebra, frt_col_order,
@@ -14,7 +14,7 @@ from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
 from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
 from deq.dimodule import r_from_dimodule
-from oracles import defect_pairing
+from oracles import comatrix_index, defect_pairing
 
 
 def rand_pair(field, rng, n):
@@ -44,7 +44,7 @@ def test_obstruction_definition_against_direct_sum():
                     for a in range(1, 3):
                         want[comatrix_index(n, i, a)] = k.sub(
                             want[comatrix_index(n, i, a)], R.coeff(kk, l, j, a))
-                    assert obs.vector(i, j, kk, l) == want
+                    assert obs.vectors[(i, j, kk, l)] == want
 
 
 def test_obstructions_counit_free():
@@ -74,8 +74,8 @@ def delta_identity_holds(R):
 
     for (i, j, kk, l), vec in obs.items():
         rhs = [term for u in range(1, n + 1)
-               for term in (outer(obs.vector(i, j, kk, u), e[comatrix_index(n, u, l)]),
-                            outer(e[comatrix_index(n, i, u)], obs.vector(u, j, kk, l)))]
+               for term in (outer(obs.vectors[(i, j, kk, u)], e[comatrix_index(n, u, l)]),
+                            outer(e[comatrix_index(n, i, u)], obs.vectors[(u, j, kk, l)]))]
         if linear_combination(vec, deltas) != functools.reduce(Matrix.add, rhs):
             return False
     return True
@@ -103,7 +103,7 @@ def test_defect_pairing_identity_all_r():
             obs = obstructions(R)
             labels = range(1, n + 1)
             for j, kk, l in itertools.product(labels, repeat=3):
-                assert defect_pairing(R, j, kk, l) == [obs.vector(i, j, kk, l) for i in labels]
+                assert defect_pairing(R, j, kk, l) == [obs.vectors[(i, j, kk, l)] for i in labels]
 
 
 def test_action_kills_obstructions_iff_solution():

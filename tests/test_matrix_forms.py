@@ -20,11 +20,11 @@ from deq.dimodule import (FinBialgebra, LongDimodule,
                           trivial_comodule, trivial_module)
 from deq.dmap import is_dmap, r_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import d_bialgebra, standard_comodule
+from deq.frt import d_bialgebra
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import conjugate, diagonal_solution, identity_pair
 
-from oracles import endo_from_table
+from oracles import endo_from_table, pushforward, standard_comodule
 from test_dimodule import conjugated, z2_eigen_grading, z6_graded_module
 
 
@@ -414,7 +414,7 @@ def test_perturbed_sigma_agrees_with_the_loop(k, q):
 def test_strong_dmaps_regenerate_through_pushforwards(k):
     R = catalog.triangular_solution(k, 1, 2, 2)
     Q, dm = strong_dmap_from_symmetric(R)
-    std = standard_comodule(Q.parent).pushforward(Q)
+    std = pushforward(standard_comodule(Q.parent), Q)
     assert r_sigma(std, dm) == loop_r_sigma(std, dm) == R
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from deq import catalog
 from deq.classify import endo_from_digits
-from deq.coalg import BilinearForm, comatrix, coideal, convolve, counit_form, quotient
+from deq.coalg import BilinearForm, Comodule, comatrix, coideal, convolve, counit_form, quotient
 from deq.dimodule import LongDimodule
 from deq.dmap import (DMap, _sigma0_table, convolution_inverse_of_sigma, delta_form,
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
@@ -17,10 +17,10 @@ from deq.dmap import (DMap, _sigma0_table, convolution_inverse_of_sigma, delta_f
 from deq.fields import MathError
 from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
                      annihilation_check, d_bialgebra, frt_col_order,
-                     obstruction_coideal, standard_comodule)
+                     obstruction_coideal)
 from deq.linalg import Matrix
 from deq.tensor_ops import EndoPair, first_violation, invert
-from oracles import convolution_inverse, section_quotient
+from oracles import convolution_inverse, pushforward, section_quotient, standard_comodule
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
 
@@ -154,6 +154,20 @@ def test_canonical_dimodule_is_compatible(k_q):
         LongDimodule(pres, d.act, d.comodule, check=True)
 
 
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_canonical_comodule_is_the_pushforward_of_the_standard_one(k_q):
+    """Slice q of the canonical comodule, row q of the quotient map read as
+    an n x n matrix, is the standard comodule of a fresh comatrix(n) pushed
+    to C/I(R); it satisfies the comodule axioms."""
+    for R in each_solution(k_q):
+        pres = d_bialgebra(R)
+        got = pres.canonical_dimodule().comodule
+        want = pushforward(standard_comodule(comatrix(R.field, R.n)), pres.quotient)
+        assert got.coalgebra is pres.quotient
+        assert got.slices == want.slices
+        Comodule(got.coalgebra, got.slices, check=True)
+
+
 def sigma_as_matrix(R):
     """Entry ((i, j), (v, u)) of the table of sigma0(c_iv (x) c_ju)."""
     n, table = R.n, _sigma0_table(R)
@@ -218,7 +232,7 @@ def test_strong_dmaps_are_dmaps_and_regenerate(k_q):
         symmetric += 1
         Q, dm = strong_dmap_from_symmetric(R)
         assert dm.is_strong and is_dmap(Q, None, dm.sigma)
-        assert r_sigma(standard_comodule(Q.parent).pushforward(Q), dm) == R
+        assert r_sigma(pushforward(standard_comodule(Q.parent), Q), dm) == R
     assert symmetric
 
 
