@@ -333,14 +333,15 @@ def unit_group(n: int, p: int):
     return np.concatenate(units, dtype=np.int64), np.concatenate(inverses)
 
 
-def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> CensusReport:
-    """Full scan; refuses when the candidate count exceeds the budget."""
+def _candidate_total(n: int, p: int, limit: int = None) -> int:
+    """p^(n^4), the number of candidates of a full scan; refused unless p is
+    prime, n positive and the count within the budget (limit, or budget())."""
     if not is_prime(p):
         raise UsageError("p must be prime")
     if n < 1:
         raise UsageError("n must be positive")
     cap = limit if limit is not None else budget()
-    # p^(n^4), multiplied up only while it is within the cap
+    # multiplied up only while it is within the cap
     total = 1
     for _ in range(n ** 4):
         total *= p
@@ -348,6 +349,12 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
             raise UsageError(
                 "candidate space has %d^(%d^4) operators, over the budget of %d; "
                 "raise the budget to opt in" % (p, n, cap))
+    return total
+
+
+def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> CensusReport:
+    """Full scan; refuses when the candidate count exceeds the budget."""
+    total = _candidate_total(n, p, limit)
     solutions = enumerate_range(n, p, 0, total)  # never empty: R = 0 solves
     xs = block_of(solutions, n)
     mats = block_matrices(xs)
@@ -365,8 +372,9 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
 
 
 def operator_count(n: int, p: int) -> int:
-    """Solution count by the operator-composition path alone."""
-    total = p ** (n ** 4)
+    """Solution count by the operator-composition path alone, within the
+    same budget as enumerate_solutions."""
+    total = _candidate_total(n, p)
     return sum(int(operator_mask(candidate_block(n, p, lo, min(lo + CHUNK, total)), p).sum())
                for lo in range(0, total, CHUNK))
 

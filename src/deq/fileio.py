@@ -44,6 +44,25 @@ class _Reader:
         raise ParseError(self.path, self.pos, col, message)
 
 
+def _open_reader(path):
+    """The _Reader over the file at path, decoded as UTF-8. A byte sequence
+    that is not UTF-8 is a ParseError at the line and column where it starts."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return _Reader(path, data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; "?" stands in for that byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(path, len(lines), len(lines[-1]),
+                         "not valid UTF-8 (byte 0x%02x)" % data[exc.start]) from None
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _split_row(line):
     # commas when any are present (function-field entries contain spaces)
     if "," in line:
@@ -87,8 +106,7 @@ def _show_matrix_rows(field, mat):
 def read_matrix(path):
     """Read an operator file: field header, dim n, then n^2 rows of n^2 entries."""
     from .tensor_ops import EndoPair
-    with open(path) as handle:
-        reader = _Reader(path, handle.read())
+    reader = _open_reader(path)
     field = _parse_field_header(reader)
     dim_text = _keyword_line(reader, "dim")
     try:
@@ -111,8 +129,7 @@ def _parse_field_header(reader):
 
 def write_matrix(path, R):
     """Write an operator in the format read_matrix reads."""
-    with open(path, "w") as handle:
-        handle.write(matrix_text(R))
+    _write_text(path, matrix_text(R))
 
 
 def matrix_text(R):
@@ -124,8 +141,7 @@ def matrix_text(R):
 
 def read_cayley(path):
     """Read a Cayley table: `group <k>`, `labels ...`, then k rows of k labels."""
-    with open(path) as handle:
-        reader = _Reader(path, handle.read())
+    reader = _open_reader(path)
     order_text = _keyword_line(reader, "group")
     try:
         order = int(order_text)
@@ -158,8 +174,7 @@ def write_cayley(path, labels, table):
     lines = ["group %d" % len(labels), "labels %s" % " ".join(labels)]
     for row in table:
         lines.append(" ".join(labels[v] for v in row))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_graded_module(path, labels):
@@ -169,8 +184,7 @@ def read_graded_module(path, labels):
     group element, then `component <label>` projector blocks (absent labels
     mean the zero projector).
     """
-    with open(path) as handle:
-        reader = _Reader(path, handle.read())
+    reader = _open_reader(path)
     field = _parse_field_header(reader)
     dim_text = _keyword_line(reader, "dim")
     try:
@@ -215,14 +229,10 @@ def write_graded_module(path, labels, field, action, projectors):
         if not proj.is_zero():
             lines.append("component %s" % label)
             lines.extend(_show_matrix_rows(field, proj))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(path, text, kv):
     """Write a plain-text report plus a `<path>.kv` sidecar of key=value lines."""
-    with open(path, "w") as handle:
-        handle.write(text)
-    with open(path + ".kv", "w") as handle:
-        for key, value in kv:
-            handle.write("%s=%s\n" % (key, value))
+    _write_text(path, text)
+    _write_text(path + ".kv", "".join("%s=%s\n" % (key, value) for key, value in kv))

@@ -348,6 +348,20 @@ def test_budget_refusal():
         enumerate_solutions(2, 4)
 
 
+def test_operator_count_refuses_before_any_block(monkeypatch):
+    """operator_count reads the budget as enumerate_solutions does: 2^81
+    candidates are refused before one block is formed."""
+    def no_block(*args):
+        raise AssertionError("candidate block formed")
+    monkeypatch.setattr(classify, "candidate_block", no_block)
+    with pytest.raises(UsageError, match="budget"):
+        operator_count(3, 2)
+    with pytest.raises(UsageError, match="budget"):
+        operator_count(2, 3)
+    with pytest.raises(UsageError, match="prime"):
+        operator_count(2, 4)
+
+
 def test_enumerate_range_split_and_merge():
     full = enumerate_range(2, 2, 0, 65536)
     lo = enumerate_range(2, 2, 0, 30000)

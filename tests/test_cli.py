@@ -593,6 +593,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert ("%s:3:3:" % path) in err
 
 
+def test_non_utf8_input_exits_2_with_one_error_line(tmp_path, capsys):
+    """A 0xff byte in any file a command reads is an input error: exit 2
+    and one `error: path:line:col: ...` line, for each file of each command."""
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+    bad = str(tmp_path / "bad.txt")
+    with open(bad, "wb") as handle:
+        handle.write(b"field Q\ndim 1\n\xff\n")
+    group, module = (os.path.join(exdir, name)
+                     for name in ("s3-cayley.txt", "s3-graded-module.txt"))
+    for argv in (["check", bad], ["frt", bad], ["dmap", bad],
+                 ["dimodule", bad, module], ["dimodule", group, bad]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s:3:1: not valid UTF-8 (byte 0xff)\n" % bad, argv
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-m", "deq.cli", "check", bad], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.txt")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -643,8 +667,8 @@ def test_check_validates_each_read_entry_a_bounded_number_of_times(tmp_path, cap
 def test_check_forms_six_products_from_three_lifts(tmp_path, capsys, monkeypatch):
     """One deq check lifts R to R12, R13 and R23 once each and forms six
     n^3 x n^3 products: R12 R23, R23 R12, and the two QYBE words of three
-    lifts, two products each. The T, U and W forms are read off the first
-    two. A count of the work, so no wall clock enters. Over Q and Q(q) the
+    lifts, two products each. The T, U and W verdicts are the D verdict,
+    so they form nothing more. A count of the work, so no wall clock enters. Over Q and Q(q) the
     six products are over the operator's integral ring, not the field; F_p
     is its own."""
     from deq import tensor_ops

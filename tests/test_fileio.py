@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deq import catalog
 from deq.dimodule import GradedModule, group_bialgebra
-from deq.fields import FunctionField, PrimeField, QQ
+from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.fileio import (ParseError, matrix_text, read_cayley, read_graded_module,
                         read_matrix, write_cayley, write_graded_module,
                         write_matrix, write_report)
@@ -148,3 +149,41 @@ def test_write_report_and_sidecar(tmp_path):
     write_report(path, "deq check\nd: true\n", [("d", "true"), ("n", "2")])
     assert open(path).read() == "deq check\nd: true\n"
     assert open(path + ".kv").read() == "d=true\nn=2\n"
+
+
+def test_non_utf8_byte_is_a_parse_error_at_its_line_and_column(tmp_path):
+    path = str(tmp_path / "bad.txt")
+    for data, line, col in ((b"field Q\ndim 1\n\xff\n", 3, 1),
+                            (b"field Q\r\ndim 1\r\n1 \xc3\xa9\xff\n", 3, 4),
+                            (b"\xe2\x82", 1, 1)):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        for read in (read_matrix, read_cayley, lambda p: read_graded_module(p, ["e"])):
+            with pytest.raises(ParseError) as info:
+                read(path)
+            assert (info.value.line, info.value.col) == (line, col), data
+            assert "not valid UTF-8" in str(info.value)
+
+
+# valid heads, so that the bytes after them reach the parsers past the headers
+HEADS = [b"", b"field Q\ndim 1\n", b"field F 5\ndim 2\n", b"field QFUN a\ndim 1\n",
+         b"group 2\nlabels e g\n", b"group 2\nlabels e g\ne g\n",
+         b"field Q\ndim 1\naction e\n", b"field Q\ndim 1\naction e\n1\naction g\n"]
+
+
+def test_readers_raise_only_usage_errors_on_any_bytes(tmp_path):
+    """A file of any bytes is read, or refused with a UsageError (a
+    ParseError for malformed text); never another exception."""
+    path = str(tmp_path / "any.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(HEADS), st.binary(max_size=80))
+    def check(head, tail):
+        with open(path, "wb") as handle:
+            handle.write(head + tail)
+        for read in (read_matrix, read_cayley, lambda p: read_graded_module(p, ["e", "g"])):
+            try:
+                read(path)
+            except (ParseError, UsageError):
+                pass
+    check()

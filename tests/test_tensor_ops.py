@@ -11,7 +11,7 @@ from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
                             coordinate_equations, check_pentagon, check_qybe, conjugate,
                             diagonal_solution, first_violation, identity_pair, invert,
-                            lift, product_solution, _form_products)
+                            lift, product_solution)
 from oracles import fresh_form_products, fresh_form_verdicts, tau_matrix, x_table
 
 
@@ -409,34 +409,56 @@ def form_cases(draw, k, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", FORM_FIELDS, ids=["F5", "F13", "Q", "Qq"])
-def test_forms_read_off_the_two_products_equal_the_fresh_operators(k, n):
-    """The six index-map matrices are T12 T13, T23 T13, U13 U23, U13 U12,
-    W12 W23 and W23 W12 formed from T, U and W themselves, and the verdicts
-    are the ones read off those fresh products."""
+def test_form_verdicts_equal_those_of_the_fresh_operators(k, n):
+    """The T, U and W verdicts of check_equivalent_forms are the ones read
+    off T12 T13, T23 T13, U13 U23, U13 U12, W12 W23 and W23 W12 formed from
+    T, U and W built as operators of their own."""
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(form_cases(k, n))
     def check(case):
         kind, R = case
-        fresh = fresh_form_products(R)
-        assert _form_products(R) == fresh
         forms = check_equivalent_forms(R)
-        assert (forms.form_t, forms.form_u, forms.form_w) == fresh_form_verdicts(R.n, fresh)
+        assert (forms.form_t, forms.form_u, forms.form_w) == fresh_form_verdicts(
+            R.n, fresh_form_products(R))
         if kind in ("diagonal", "product"):
             assert all(forms)
     check()
 
 
-def test_conjugation_preserves_verdict():
-    k = PrimeField(7)
-    rng = random.Random(8)
-    done = 0
-    while done < 25:
-        R = rand_pair(k, rng, 2)
-        u = rand_matrix(k, rng, 2)
-        if matrix_inverse(u) is None:
-            continue
-        done += 1
-        assert check_d(conjugate(R, u)) == check_d(R)
+@st.composite
+def invertible_matrices(draw, k, n):
+    """u = L U over k: L unit lower triangular with entries a + b q over Q(q),
+    U upper triangular with integer entries and a nonzero diagonal. Its
+    determinant is a nonzero constant, so over Q(q) the inverse has
+    polynomial entries and the conjugate keeps R's denominators."""
+    def entry(symbolic):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        return k.coerce(a) + k.coerce(b) * k.gens[0] if symbolic and k is FQ else k.coerce(a)
+    diagonal = [k.coerce(draw(st.sampled_from([-2, -1, 1, 2, 3]))) for _ in range(n)]
+    low = Matrix(k, [[entry(True) if c < r else k.one if c == r else k.zero for c in range(n)]
+                     for r in range(n)], coerce=False)
+    up = Matrix(k, [[entry(False) if c > r else diagonal[r] if c == r else k.zero
+                     for c in range(n)] for r in range(n)], coerce=False)
+    return low.mul(up)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", FORM_FIELDS, ids=["F5", "F13", "Q", "Qq"])
+def test_conjugation_and_flips_preserve_verdict(k, n):
+    """check_d is invariant under R -> (u (x) u) R (u (x) u)^-1 for invertible
+    u and under R -> W = tau R tau, W built as an operator. Dense products
+    of polynomials over Q(q) at n = 3 take about a second, so fewer cases
+    run there."""
+    tau = tau_matrix(k, n)
+
+    @settings(derandomize=True, deadline=None, max_examples=4 if (k, n) == (FQ, 3) else 10)
+    @given(form_cases(k, n), invertible_matrices(k, n))
+    def check(case, u):
+        _, R = case
+        want = check_d(R)
+        assert check_d(conjugate(R, u)) == want
+        assert check_d(EndoPair.from_matrix(tau.mul(R.matrix()).mul(tau))) == want
+    check()
 
 
 def test_conjugate_rejects_singular():
