@@ -15,6 +15,7 @@ solutions is re-verified by the exact check_d."""
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -64,7 +65,9 @@ def _guard_serials(stop: int):
 
 def _digits(values: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
     """Big-endian base-p digits of int64 values, as (N, width): one divmod
-    and one _digit_table lookup per k digits."""
+    and one _digit_table lookup per k digits. Each lookup gathers whole rows
+    of the contiguous table and slices the columns afterwards: a gather from
+    a column slice of the table would first copy all p^k rows of it."""
     table = _digit_table(p, dtype) if p <= CHUNK else None  # no table past CHUNK rows
     k = 1 if table is None else table.shape[1]
     out = np.empty((len(values), width), dtype=dtype)
@@ -72,7 +75,7 @@ def _digits(values: np.ndarray, width: int, p: int, dtype) -> np.ndarray:
         lo = max(hi - k, 0)
         values, low = np.divmod(values, p ** k)
         out[:, lo:hi] = (low[:, None] if table is None
-                         else np.take(table[:, k - hi + lo:], low, axis=0))
+                         else np.take(table, low, axis=0)[:, k - hi + lo:])
     return out
 
 
@@ -394,14 +397,21 @@ def _serial_keys(digits: np.ndarray, p: int) -> np.ndarray:
     return keys
 
 
-def orbit_reduce(solutions, n: int, p: int):
+def orbit_reduce(solutions, n: int, p: int, limit: int = None):
     """Partition into GL_n(F_p)-conjugation orbits; canonical representative
     is the lexicographically least serialization; orbits sorted by it. Every
     solution is conjugated by every unit mod p, at most CHUNK images at a
-    time; each solution's orbit is named by its least image in the pool."""
+    time; each solution's orbit is named by its least image in the pool.
+    Refused before any unit is formed when the |pool| |GL_n(F_p)| images
+    exceed the budget (limit, or budget())."""
     pool = sorted(set(tuple(int(v) for v in sol) for sol in solutions))
     if not pool:
         return []
+    cap = limit if limit is not None else budget()
+    images = len(pool) * math.prod(p ** n - p ** i for i in range(n))  # |GL_n(F_p)|
+    if images > cap:
+        raise UsageError("orbit reduction forms %d conjugate images, over the budget "
+                         "of %d; raise the budget to opt in" % (images, cap))
     digits = np.array(pool, dtype=np.int64)
     keys = _serial_keys(digits, p)
     mats = digits.reshape(len(pool), 1, n * n, n * n)

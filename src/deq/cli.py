@@ -8,7 +8,7 @@ import sys
 from . import catalog, fileio
 from .dimodule import GradedModule, dimodule_from_grading, group_bialgebra, r_from_dimodule
 from .dmap import convolution_inverse_of_sigma, sigma_from_r
-from .fields import DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError
+from .fields import DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, positive_int
 from .frt import d_bialgebra, relation_strings
 from .tensor_ops import (check_d, check_equivalent_forms, check_hopf, check_pentagon,
                          check_qybe, identity_pair)
@@ -147,10 +147,10 @@ def cmd_dimodule(args) -> int:
 
 def cmd_classify(args) -> int:
     from . import classify  # numpy loads only for the census
-    report = classify.enumerate_solutions(args.n, args.p, limit=args.budget,
-                                          seed=args.seed)
+    limit = None if args.budget is None else positive_int("--budget", args.budget)
+    report = classify.enumerate_solutions(args.n, args.p, limit=limit, seed=args.seed)
     if args.orbits:
-        report.orbits = classify.orbit_reduce(report.solutions, args.n, args.p)
+        report.orbits = classify.orbit_reduce(report.solutions, args.n, args.p, limit)
     text = report.to_text(filter_name=args.filter)
     if args.out:
         fileio.write_report(args.out, text, report.to_kv())
@@ -233,9 +233,9 @@ def _parser() -> argparse.ArgumentParser:
                    default="all", help="which solutions to list")
     p.add_argument("--orbits", action="store_true",
                    help="also list conjugation orbit representatives")
-    p.add_argument("--budget", type=int, default=None,
-                   help="candidate budget override (default %d or DEQ_BUDGET)"
-                        % DEFAULT_BUDGET)
+    p.add_argument("--budget", default=None,
+                   help="candidate and conjugate-image budget override (default %d "
+                        "or DEQ_BUDGET)" % DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sample re-verification")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")

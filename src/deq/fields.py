@@ -28,14 +28,18 @@ class MathError(ValueError):
 DEFAULT_BUDGET = 1_000_000
 
 
-def env_positive_int(name: str, default: int) -> int:
-    """The positive integer in environment variable `name`, default when unset."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
+def positive_int(name: str, value: str) -> int:
+    """The positive integer written in `value`, the setting `name`."""
+    value = value.strip()
     if not value.isdecimal() or int(value) < 1:
         raise UsageError("%s must be a positive integer, got %r" % (name, value))
     return int(value)
+
+
+def env_positive_int(name: str, default: int) -> int:
+    """The positive integer in environment variable `name`, default when unset."""
+    value = os.environ.get(name, "").strip()
+    return positive_int(name, value) if value else default
 
 
 # Miller-Rabin with the first thirteen primes, 2..41, as bases decides

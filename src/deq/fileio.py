@@ -63,9 +63,10 @@ def _write_text(path, text):
         handle.write(text)
 
 
-def _split_row(line):
-    # commas when any are present (function-field entries contain spaces)
-    if "," in line:
+def _split_row(line, ncols):
+    # commas when any are present (function-field entries contain spaces),
+    # and a one-column row is one entry: write_matrix puts no comma in it
+    if "," in line or ncols == 1:
         return [part.strip() for part in line.split(",")]
     return line.split()
 
@@ -88,7 +89,7 @@ def _parse_matrix_rows(reader, field, nrows, ncols):
     rows = []
     for _ in range(nrows):
         line = reader.next_line("a matrix row")
-        parts = _split_row(line)
+        parts = _split_row(line, ncols)
         if len(parts) != ncols:
             reader.fail("expected %d entries, got %d" % (ncols, len(parts)))
         row = []

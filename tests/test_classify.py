@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,36 @@ def test_candidate_digits_across_digit_table_groups():
                 continue
             got = digits_of(candidate_block(n, p, lo, hi)).tolist()
             assert got == [python_digits(s, n, p) for s in range(lo, hi)], (n, p, lo)
+
+
+def test_digits_gather_rows_without_copying_the_table():
+    """_digits matches Python base-p digits at every width of one lookup
+    and across lookups, on the table path and past CHUNK (p = 65537), and a
+    small lookup does not copy the cached p^k-row table."""
+    rng = random.Random(25)
+    for p, dtype in ((2, np.int16), (3, np.int16), (13, np.int16), (65537, np.int64)):
+        k = classify._run_length(p)
+        for width in range(1, 2 * k + 2):
+            top = p ** width
+            values = sorted({0, 1 % top, top - 1} | {rng.randrange(top) for _ in range(50)})
+            want = []
+            for value in values:
+                digits = []
+                for _ in range(width):
+                    value, digit = divmod(value, p)
+                    digits.append(digit)
+                want.append(digits[::-1])
+            got = classify._digits(np.array(values, dtype=np.int64), width, p, dtype)
+            assert got.dtype == dtype and got.tolist() == want, (p, width)
+    values = np.arange(512)
+    classify._digits(values, 9, 2, np.int16)  # the 65,536 x 16 table is cached
+    tracemalloc.start()
+    try:
+        classify._digits(values, 9, 2, np.int16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_candidate_blocks_are_lexicographic():
@@ -360,6 +391,27 @@ def test_operator_count_refuses_before_any_block(monkeypatch):
         operator_count(2, 3)
     with pytest.raises(UsageError, match="prime"):
         operator_count(2, 4)
+
+
+def test_orbit_reduce_refuses_before_any_unit(monkeypatch):
+    """orbit_reduce forms |pool| |GL_n(F_p)| conjugate images, and refuses
+    before the unit group is formed when they exceed the budget: 600 at
+    (2, 2), 65,537 x 65,536 at n = 1 over F_65537."""
+    solutions = census(2, 2).solutions
+    want = orbit_reduce(solutions, 2, 2, limit=600)
+
+    def no_units(*args):
+        raise AssertionError("unit group formed")
+    monkeypatch.setattr(classify, "unit_group", no_units)
+    with pytest.raises(UsageError, match="600 conjugate images, over the budget of 599"):
+        orbit_reduce(solutions, 2, 2, limit=599)
+    with pytest.raises(UsageError, match="budget of 1000000"):
+        orbit_reduce([(v,) for v in range(65537)], 1, 65537)
+    monkeypatch.setenv("DEQ_BUDGET", "599")
+    with pytest.raises(UsageError, match="budget of 599"):
+        orbit_reduce(solutions, 2, 2)
+    monkeypatch.undo()
+    assert orbit_reduce(solutions, 2, 2) == want
 
 
 def test_enumerate_range_split_and_merge():

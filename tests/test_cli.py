@@ -334,11 +334,17 @@ def test_bad_max_n_environment_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_budget_environment_exits_2(capsys, monkeypatch):
+    """DEQ_BUDGET and --budget follow one rule: a positive integer."""
     for value in ("abc", "1e6", "0", "-5"):
+        assert main(["classify", "--budget", value]) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget must be a positive integer, got %r" % value in captured.err
         monkeypatch.setenv("DEQ_BUDGET", value)
         assert main(["classify"]) == 2, value
         captured = capsys.readouterr()
-        assert captured.out == "" and "DEQ_BUDGET" in captured.err
+        assert captured.out == ""
+        assert "DEQ_BUDGET must be a positive integer, got %r" % value in captured.err
     monkeypatch.setenv("DEQ_BUDGET", "20")
     assert main(["classify"]) == 2
     assert "over the budget of 20" in capsys.readouterr().err
@@ -550,6 +556,17 @@ def test_classify_budget_refusal(capsys):
     assert main(["classify", "--n", "1", "--p", "5", "--budget", "10"]) == 0
     out = capsys.readouterr().out
     assert "solutions: 5" in out and "bijective: 4" in out
+    # --orbits forms 5 solutions x 4 units = 20 images, within the same
+    # budget; n = 1 over F_65537 forms 65,537 x 65,536, refused before any
+    # unit is formed
+    assert main(["classify", "--n", "1", "--p", "5", "--orbits", "--budget", "19"]) == 2
+    assert "20 conjugate images, over the budget of 19" in capsys.readouterr().err
+    assert main(["classify", "--n", "1", "--p", "5", "--orbits", "--budget", "20"]) == 0
+    assert "orbits: 5" in capsys.readouterr().out
+    assert main(["classify", "--n", "1", "--p", "65537", "--orbits"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4295032832 conjugate images, over the budget of 1000000" in captured.err
 
 
 def test_classify_refuses_oversized_spaces_without_forming_them(capsys):

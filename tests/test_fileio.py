@@ -7,7 +7,53 @@ from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.fileio import (ParseError, matrix_text, read_cayley, read_graded_module,
                         read_matrix, write_cayley, write_graded_module,
                         write_matrix, write_report)
-from deq.tensor_ops import diagonal_solution
+from deq.tensor_ops import EndoPair, diagonal_solution
+
+
+ROUND_TRIP_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(65537),
+                     FunctionField(["a", "b"]), FunctionField(["q"])]
+
+
+@st.composite
+def operators(draw):
+    """An operator of size 1 or 2 over one of ROUND_TRIP_FIELDS, with
+    entries that exercise each field's literals: signed fractions, integers
+    reduced mod p, and quotients of polynomials in the variables."""
+    field = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    n = draw(st.integers(1, 2))
+    if field.kind == "Q":
+        entry = st.fractions(-100, 100, max_denominator=60)
+    elif field.kind == "F":
+        entry = st.integers(-3 * field.p, 3 * field.p)
+    else:
+        x, y = field.gens[0], field.gens[-1]
+        dens = [field.one, field.one + x, x * y - field.from_int(2), field.from_int(3)]
+        entry = st.builds(
+            lambda c0, c1, c2, den: (field.from_int(c0) + field.from_int(c1) * x
+                                     + field.from_int(c2) * x * y * y) / den,
+            st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3), st.sampled_from(dens))
+    rows = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n),
+                         min_size=n * n, max_size=n * n))
+    return EndoPair.from_rows(field, rows)
+
+
+def test_matrix_round_trip_property(tmp_path):
+    """write_matrix then read_matrix gives back an equal operator over Q,
+    F_p and Q(vars), and writing what was read gives the same bytes."""
+    path = str(tmp_path / "r.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(operators())
+    def check(R):
+        write_matrix(path, R)
+        with open(path) as handle:
+            text = handle.read()
+        back = read_matrix(path)
+        assert back == R
+        write_matrix(path, back)
+        with open(path) as handle:
+            assert handle.read() == text == matrix_text(R)
+    check()
 
 
 def test_matrix_round_trip_rationals(tmp_path):
@@ -37,6 +83,11 @@ def test_matrix_round_trip_function_field(tmp_path):
     text = open(path).read()
     assert text.startswith("field QFUN a,b,c\n")
     assert ", " in text.splitlines()[2]
+    assert read_matrix(path) == R
+    # at n = 1 the row is one entry, spaces and all
+    R = EndoPair.from_rows(k, [[k.parse("a - 9")]])
+    write_matrix(path, R)
+    assert open(path).read().endswith("\na - 9\n")
     assert read_matrix(path) == R
 
 
