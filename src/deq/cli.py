@@ -8,7 +8,8 @@ import sys
 from . import catalog, fileio
 from .dimodule import GradedModule, dimodule_from_grading, group_bialgebra, r_from_dimodule
 from .dmap import convolution_inverse_of_sigma, sigma_from_r
-from .fields import DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, positive_int
+from .fields import (DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, positive_int,
+                     read_int)
 from .frt import d_bialgebra, relation_strings
 from .tensor_ops import (check_d, check_equivalent_forms, check_hopf, check_pentagon,
                          check_qybe, identity_pair)
@@ -198,6 +199,11 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def integer(text: str) -> int:
+    """An integer option, read by read_int; argparse reports its error (exit 2)."""
+    return read_int(text, "integer", signed=True)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built at the first main() call of a process.
@@ -227,8 +233,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
 
     p = sub.add_parser("classify", help="census of solutions over a prime field")
-    p.add_argument("--n", type=int, default=2, help="matrix size (default 2)")
-    p.add_argument("--p", type=int, default=2, help="field prime (default 2)")
+    p.add_argument("--n", type=integer, default=2, help="matrix size (default 2)")
+    p.add_argument("--p", type=integer, default=2, help="field prime (default 2)")
     p.add_argument("--filter", choices=["all", "bijective", "symmetric", "qybe"],
                    default="all", help="which solutions to list")
     p.add_argument("--orbits", action="store_true",
@@ -236,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", default=None,
                    help="candidate and conjugate-image budget override (default %d "
                         "or DEQ_BUDGET)" % DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0,
                    help="seed for the sample re-verification")
     p.add_argument("--out", help="write the report here plus a .kv sidecar")
 

@@ -2,7 +2,8 @@
 
 Values are raw objects (Fraction, int residue, sympy FracElement) owned by a
 field object that supplies the arithmetic. All representations are canonical,
-so equality of values is representation equality.
+so equality of values is representation equality. Every decimal integer of an
+input, entry or setting is read by `read_int`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,32 @@ class MathError(ValueError):
 DEFAULT_BUDGET = 1_000_000
 
 
+# The most digits of a decimal integer in any input (read_int): more than
+# Q(vars) coefficients may carry (MAX_BITS), and few enough that Python
+# converts it (its default limit is 4300 digits).
+MAX_DIGITS = 1000
+
+
+def read_int(text: str, what: str, signed: bool = False) -> int:
+    """The decimal integer written in `text`, a `what`: ASCII digits only,
+    behind a + or - only when `signed`, and at most MAX_DIGITS of them,
+    counted before any conversion. Anything else is a UsageError."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError("bad %s %r" % (what, text))
+    if len(digits) > MAX_DIGITS:
+        raise UsageError("%s of %d digits is over the limit of %d digits"
+                         % (what, len(digits), MAX_DIGITS))
+    return int(text)
+
+
 def positive_int(name: str, value: str) -> int:
     """The positive integer written in `value`, the setting `name`."""
     value = value.strip()
-    if not value.isdecimal() or int(value) < 1:
+    n = read_int(value, name) if value.isascii() and value.isdigit() else 0
+    if n < 1:
         raise UsageError("%s must be a positive integer, got %r" % (name, value))
-    return int(value)
+    return n
 
 
 def env_positive_int(name: str, default: int) -> int:
@@ -102,11 +123,8 @@ class Field:
     def from_integral(self, rows, denominator):
         return rows
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a  # every field's values are false exactly at zero
 
     def sum(self, values):
         acc = self.zero
@@ -137,6 +155,9 @@ class IntegralRing(Field):
 
     def add(self, a, b):
         return a + b
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -171,6 +192,9 @@ class RationalField(Field):
 
     def add(self, a, b):
         return a + b
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -218,12 +242,14 @@ class RationalField(Field):
     def parse(self, text: str):
         text = text.strip()
         # integers and integer quotients only, no decimals
-        if not re.fullmatch(r"[+-]?\d+(\s*/\s*\d+)?", text):
+        match = re.fullmatch(r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?", text)
+        if not match:
             raise UsageError("bad rational literal %r" % text)
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
+        num = read_int(match[1], "rational numerator", signed=True)
+        den = read_int(match[2], "rational denominator") if match[2] else 1
+        if not den:
             raise UsageError("bad rational literal %r: zero denominator" % text)
+        return Fraction(num, den)
 
     def show(self, v) -> str:
         return str(v)
@@ -259,6 +285,9 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -289,10 +318,7 @@ class PrimeField(Field):
         return v
 
     def parse(self, text: str):
-        try:
-            return int(text.strip()) % self.p
-        except ValueError as exc:
-            raise UsageError("bad integer literal %r: %s" % (text, exc))
+        return read_int(text.strip(), "integer literal", signed=True) % self.p
 
     def show(self, v) -> str:
         return str(v)
@@ -356,11 +382,16 @@ def _literal_bounds(node):
 
 
 class FunctionField(Field):
-    """Q(vars): rational functions with sympy FracElement values.
+    """Q(vars): rational functions with sympy FracElement values, fractions
+    over Z[vars] (sympy's ZZ.frac_field).
 
-    FracElement is canonical (coprime numerator/denominator, denominator
-    normalized by its lex-leading coefficient), hashable, and compares by
-    representation, which is exactly the Scalar contract.
+    FracElement is canonical (coprime numerator and denominator with integer
+    coefficients, the denominator's lex-leading coefficient positive),
+    hashable, and compares by representation, which is exactly the Scalar
+    contract. Over Z[vars] each cancel runs its gcd where the coefficients
+    live, with no conversion from and back to Q[vars]. A literal is
+    evaluated as a (numerator, denominator) pair of polynomials and
+    cancelled once.
     """
 
     kind = "QFUN"
@@ -374,7 +405,7 @@ class FunctionField(Field):
                 raise UsageError("bad variable name %r" % (name,))
         import sympy  # imported here: only Q(vars) needs it, and it is slow to load
         self.names = names
-        self.ring = sympy.QQ.frac_field(*names)
+        self.ring = sympy.ZZ.frac_field(*names)
         poly = self.ring.field.ring
         self.polynomials = IntegralRing(poly, poly.zero, poly.one)
         self.gens = self.ring.gens
@@ -384,6 +415,9 @@ class FunctionField(Field):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -391,7 +425,7 @@ class FunctionField(Field):
         return -a
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise UsageError("inverse of 0 in %r" % self)
         return self.one / a
 
@@ -402,7 +436,7 @@ class FunctionField(Field):
     # n = 2 operator with 16 distinct linear denominators took 0.82 s on
     # FracElements and 1.29 s cleared to their lcm. Denominators compare by
     # ==, not by hash: sympy can hash equal polynomials apart, as the
-    # denominators of parse("(a + b)^(-2)") and parse("1/(a^2 + 2*a*b + b^2)").
+    # denominators of parse("1/(a + b)") ** 2 and parse("1/(a^2 + 2*a*b + b^2)").
     def cleared(self, values):
         one = d = self.polynomials.one
         for v in values:
@@ -450,38 +484,52 @@ class FunctionField(Field):
                              "coefficients up to %d bits (limits: degree %d, %d monomials, "
                              "%d bits)" % (text, degree, bits, MAX_DEGREE, MAX_TERMS, MAX_BITS))
         try:
-            value = self._evaluate(tree)
+            num, den = self._pair(tree)
         except ZeroDivisionError:
             raise UsageError("bad function-field literal %r: division by zero" % text)
+        if den != self.polynomials.one:
+            num, den = num.cancel(den)
+        # copies: sympy's PolyElement.square and division cache the hash of a
+        # partial result, so a polynomial they return can hash apart from an
+        # equal one
+        value = self.ring.field.raw_new(num.copy(), den.copy())
         if max(sum(m) for p in (value.numer, value.denom) for m in p.monoms()) > MAX_DEGREE:
             raise UsageError("function-field literal %r has degree over %d" % (text, MAX_DEGREE))
         return value
 
-    def _evaluate(self, node):
-        """The value of a literal's syntax tree, computed in this field; the
-        tree is one that _literal_bounds accepted. A zero divisor raises
+    def _pair(self, node):
+        """(numerator, denominator) polynomials of a literal's syntax tree,
+        not cancelled; the tree is one that _literal_bounds accepted, whose
+        bounds are those of this pair. A zero divisor raises
         ZeroDivisionError."""
+        one = self.polynomials.one
         if isinstance(node, ast.Name):
-            return self.gens[self.names.index(node.id)]
+            return self.gens[self.names.index(node.id)].numer, one
         if isinstance(node, ast.Constant):
-            return self.ring.convert(node.value)
+            return one * node.value, one
         if isinstance(node, ast.UnaryOp):
-            value = self._evaluate(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
+            num, den = self._pair(node.operand)
+            return (-num, den) if isinstance(node.op, ast.USub) else (num, den)
         if isinstance(node.op, ast.Pow):
             e = ast.literal_eval(node.right)
             if e == 0:
-                return self.one  # x^0 = 1 for every x, 0 included
-            base = self._evaluate(node.left)
-            return (self.one / base) ** -e if e < 0 else base ** e
-        left, right = self._evaluate(node.left), self._evaluate(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
+                return one, one  # x^0 = 1 for every x, 0 included
+            num, den = self._pair(node.left)
+            if e < 0:
+                if not num:
+                    raise ZeroDivisionError
+                num, den, e = den, num, -e
+            return num ** e, den ** e
+        (ln, ld), (rn, rd) = self._pair(node.left), self._pair(node.right)
         if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
+            return ln * rn, ld * rd
+        if isinstance(node.op, ast.Div):
+            if not rn:
+                raise ZeroDivisionError
+            return ln * rd, ld * rn
+        if ld != rd:
+            ln, rn, ld = ln * rd, rn * ld, ld * rd
+        return (ln + rn if isinstance(node.op, ast.Add) else ln - rn), ld
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")
@@ -516,11 +564,7 @@ def field_from_header(text: str) -> Field:
     if parts == ["Q"]:
         return QQ
     if len(parts) == 2 and parts[0] == "F":
-        try:
-            p = int(parts[1])
-        except ValueError:
-            raise UsageError("bad prime in field header %r" % text)
-        return PrimeField(p)
+        return PrimeField(read_int(parts[1], "prime in field header"))
     if len(parts) == 2 and parts[0] == "QFUN":
         names = [s for s in parts[1].split(",") if s]
         return FunctionField(names)

@@ -1,6 +1,6 @@
 """Text file formats: matrices, Cayley tables, graded modules, reports."""
 
-from .fields import UsageError, field_from_header
+from .fields import UsageError, field_from_header, read_int
 from .linalg import Matrix
 
 
@@ -42,6 +42,19 @@ class _Reader:
 
     def fail(self, message, col=1):
         raise ParseError(self.path, self.pos, col, message)
+
+    def end(self):
+        """Refuse any content after what the format holds, at its first line."""
+        if not self.at_end():
+            self.next_line("the end of the file")
+            self.fail("unexpected content after the last row")
+
+    def number(self, text, what):
+        """The decimal integer `text` read by read_int, a ParseError here if bad."""
+        try:
+            return read_int(text, what)
+        except UsageError as exc:
+            self.fail(str(exc))
 
 
 def _open_reader(path):
@@ -109,14 +122,11 @@ def read_matrix(path):
     from .tensor_ops import EndoPair
     reader = _open_reader(path)
     field = _parse_field_header(reader)
-    dim_text = _keyword_line(reader, "dim")
-    try:
-        n = int(dim_text)
-    except ValueError:
-        reader.fail("bad dimension %r" % dim_text)
+    n = reader.number(_keyword_line(reader, "dim"), "dimension")
     if n < 1:
         reader.fail("dimension must be positive")
     mat = _parse_matrix_rows(reader, field, n * n, n * n)
+    reader.end()
     return EndoPair.from_matrix(mat)
 
 
@@ -143,11 +153,7 @@ def matrix_text(R):
 def read_cayley(path):
     """Read a Cayley table: `group <k>`, `labels ...`, then k rows of k labels."""
     reader = _open_reader(path)
-    order_text = _keyword_line(reader, "group")
-    try:
-        order = int(order_text)
-    except ValueError:
-        reader.fail("bad group order %r" % order_text)
+    order = reader.number(_keyword_line(reader, "group"), "group order")
     if order < 1:
         reader.fail("group order must be positive")
     labels = _keyword_line(reader, "labels").split()
@@ -167,6 +173,7 @@ def read_cayley(path):
                 reader.fail("unknown label %r" % part, col=j + 1)
             row.append(index[part])
         table.append(row)
+    reader.end()
     return labels, table
 
 
@@ -187,11 +194,7 @@ def read_graded_module(path, labels):
     """
     reader = _open_reader(path)
     field = _parse_field_header(reader)
-    dim_text = _keyword_line(reader, "dim")
-    try:
-        m = int(dim_text)
-    except ValueError:
-        reader.fail("bad module dimension %r" % dim_text)
+    m = reader.number(_keyword_line(reader, "dim"), "module dimension")
     wanted = set(labels)
     action = {}
     projectors = {}

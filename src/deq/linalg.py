@@ -212,7 +212,8 @@ def matrix_inverse(A: Matrix):
     n = A.nrows
     ident = Matrix.identity(k, n)
     aug = [row + irow for row, irow in zip(A.rows, ident.rows)]
-    rows, pivots = rref(aug, k)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
+    # pivots only in A's columns: a singular A ends short of n of them
+    rows, pivots = rref(aug, k, col_order=range(n))
+    if len(pivots) != n:
         return None
     return Matrix._computed(k, [row[n:] for row in rows])

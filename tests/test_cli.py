@@ -733,6 +733,64 @@ def test_bad_entries_in_an_operator_file_exit_2(tmp_path, capsys):
         assert captured.out == "" and message in captured.err, header
 
 
+def test_long_q_entry_exits_2(tmp_path, capsys):
+    """A Q entry of 5,000 digits is over the digit bound: exit 2 with one
+    error line, where Python's int conversion used to raise a ValueError."""
+    path = str(tmp_path / "long.txt")
+    with open(path, "w") as handle:
+        handle.write("field Q\ndim 1\n%s\n" % ("7" * 5000))
+    for command in ("check", "frt", "dmap"):
+        assert main([command, path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the limit of 1000 digits" in captured.err
+
+
+def test_long_settings_exit_2(tmp_path, capsys, monkeypatch):
+    long = "1" * 5000
+    assert main(["classify", "--budget", long]) == 2
+    assert "--budget of 5000 digits is over the limit" in capsys.readouterr().err
+    monkeypatch.setenv("DEQ_BUDGET", long)
+    assert main(["classify"]) == 2
+    assert "DEQ_BUDGET of 5000 digits is over the limit" in capsys.readouterr().err
+    monkeypatch.delenv("DEQ_BUDGET")
+    monkeypatch.setenv("DEQ_MAX_N", long)
+    path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
+    assert main(["check", path]) == 2
+    assert "DEQ_MAX_N of 5000 digits is over the limit" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_and_underscores_exit_2(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "digits.txt")
+    for text in ("field Q\ndim 1\n\u0661\n", "field F 1_0_1\ndim 1\n1\n",
+                 "field F \u0667\ndim 1\n1\n", "field Q\ndim 1_0\n",
+                 "field F 7\ndim 1\n1_0\n"):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert main(["check", path]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: %s:" % path), text
+    for value in ("1_0", "\u0663"):
+        assert main(["classify", "--budget", value]) == 2, value
+        monkeypatch.setenv("DEQ_BUDGET", value)
+        assert main(["classify"]) == 2, value
+        monkeypatch.delenv("DEQ_BUDGET")
+        assert "must be a positive integer" in capsys.readouterr().err
+    for argv in (["--n", "\u0661"], ["--p", "1_1"], ["--seed", "\u0663"], ["--n", "1" * 5000]):
+        assert main(["classify"] + argv) == 2, argv
+        assert "invalid integer value" in capsys.readouterr().err
+
+
+def test_trailing_rows_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "extra.txt")
+    with open(path, "w") as handle:
+        handle.write("field Q\ndim 1\n1\n2\n")
+    for command in ("check", "frt", "dmap"):
+        assert main([command, path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s:4:1: unexpected content after the last row\n" % path
+
+
 def test_main_dispatches_to_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
     """The parser is built once per process and holds no command functions,
     so a cmd_* name rebound after the first call (as a tracer does) is the

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deq.fields import (FunctionField, PrimeField, QQ, UsageError,
-                        field_from_header, is_prime)
+from deq.fields import (MAX_DIGITS, MAX_LITERAL_CHARS, FunctionField, PrimeField, QQ,
+                        UsageError, field_from_header, is_prime, positive_int, read_int)
 
 
 def test_rationals_basic():
@@ -86,8 +86,8 @@ def test_field_axioms_random():
             assert k.add(a, b) == k.add(b, a)
             assert k.mul(a, k.add(b, c)) == k.add(k.mul(a, b), k.mul(a, c))
             assert k.add(a, k.neg(a)) == k.zero
-            # Matrix.mul skips terms by truth value
-            assert bool(a) != k.is_zero(a) and not k.add(a, k.neg(a))
+            # is_zero and Matrix.mul test truth values: false exactly at zero
+            assert bool(a) == (a != k.zero) and not k.add(a, k.neg(a))
             if not k.is_zero(a):
                 assert k.mul(a, k.inv(a)) == k.one
 
@@ -220,3 +220,141 @@ def test_parse_edge_cases_against_sympify():
             k.parse(text)
     with pytest.raises(UsageError, match="bad function-field literal"):
         k.parse("007")
+
+
+def test_read_int_takes_ascii_digits_within_the_bound():
+    assert read_int("007", "n") == 7
+    assert read_int("-12", "n", signed=True) == -12
+    assert read_int("+3", "n", signed=True) == 3
+    assert read_int("9" * MAX_DIGITS, "n") == 10 ** MAX_DIGITS - 1
+    for text in ["", "+", "-1", "1_0", "\u0661", " 1", "1.0", "0x1", "\u00b2", "\uff11"]:
+        with pytest.raises(UsageError, match="bad n"):
+            read_int(text, "n")
+    with pytest.raises(UsageError, match="bad n"):
+        read_int("--1", "n", signed=True)
+    with pytest.raises(UsageError, match="over the limit of %d digits" % MAX_DIGITS):
+        read_int("9" * (MAX_DIGITS + 1), "n")
+
+
+def test_long_decimal_literals_and_settings_are_usage_errors():
+    """Python refuses to convert more than 4300 digits with a ValueError;
+    the digit bound comes first, so these are UsageErrors (exit 2)."""
+    for parse in (QQ.parse, PrimeField(7).parse):
+        with pytest.raises(UsageError, match="over the limit"):
+            parse("5" * 5000)
+    with pytest.raises(UsageError, match="over the limit"):
+        QQ.parse("1/" + "5" * 5000)
+    with pytest.raises(UsageError, match="over the limit"):
+        positive_int("DEQ_BUDGET", "1" * 5000)
+    with pytest.raises(UsageError, match="over the limit"):
+        field_from_header("F " + "1" * 5000)
+
+
+def test_non_ascii_digits_and_underscores_are_not_numbers():
+    for text in ["\u0661", "1_0", "\u0661/2", "1/\u0662", "\uff15"]:
+        with pytest.raises(UsageError, match="bad rational literal"):
+            QQ.parse(text)
+    for text in ["\u0661", "1_0", "-\u0663"]:
+        with pytest.raises(UsageError, match="bad integer literal"):
+            PrimeField(7).parse(text)
+    for text in ["F 1_0_1", "F \u0667", "F +7"]:
+        with pytest.raises(UsageError, match="bad prime"):
+            field_from_header(text)
+    for text in ["1_0", "\u0661\u0660", " 1_0 "]:
+        with pytest.raises(UsageError, match="positive integer"):
+            positive_int("DEQ_MAX_N", text)
+
+
+def expanded_text(text):
+    """The literal as sympy writes it cancelled and expanded, in the
+    literal syntax; None when that is not a rational function or is longer
+    than a literal may be."""
+    import sympy
+    try:
+        expr = sympy.cancel(sympy.sympify(text.replace("^", "**"), rational=True))
+    except (sympy.SympifyError, ValueError, TypeError, ZeroDivisionError):
+        return None
+    if expr.has(sympy.nan, sympy.zoo, sympy.oo) or not expr.is_rational_function():
+        return None
+    num, den = (sympy.expand(part) for part in sympy.fraction(expr))
+    out = ("(%s)/(%s)" % (num, den)).replace("**", "^")
+    return out if len(out) <= MAX_LITERAL_CHARS else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_literals())
+def test_equal_literals_hash_equal(text):
+    """A literal and its expanded sympy form parse to equal values of equal
+    hash, and so do the numerators and denominators; both hash as the value
+    rebuilt from fresh coefficient dicts."""
+    try:
+        value = QAB.parse(text)
+    except UsageError:
+        return
+    poly = QAB.polynomials.key
+    fresh = QAB.ring.field.raw_new(poly.from_dict(dict(value.numer)),
+                                   poly.from_dict(dict(value.denom)))
+    assert value == fresh and hash(value) == hash(fresh), text
+    assert hash(value.numer) == hash(fresh.numer) and hash(value.denom) == hash(fresh.denom)
+    other = expanded_text(text)
+    if other is not None:
+        twin = QAB.parse(other)
+        assert twin == value and hash(twin) == hash(value), (text, other)
+
+
+def test_powers_hash_as_their_expansions():
+    k = QAB
+    for left, right in [("(a + b)^2", "a^2 + 2*a*b + b^2"),
+                        ("(a + b)^(-2)", "1/(a^2 + 2*a*b + b^2)"),
+                        ("(a - 1)^3/(b + 1)^2", "(a^3 - 3*a^2 + 3*a - 1)/(b^2 + 2*b + 1)")]:
+        x, y = k.parse(left), k.parse(right)
+        assert x == y and hash(x) == hash(y), left
+        assert len({x, y}) == 1
+
+
+def _coefficients(poly):
+    return [(monom, str(coeff)) for monom, coeff in poly.terms()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "div", "inv"]), _literals()),
+                min_size=1, max_size=5))
+def test_function_field_matches_a_separate_qq_frac_field(chain):
+    """Literals and add/sub/mul/div/inv chains of them give the same
+    numerator coefficients, denominator coefficients and shown text in
+    FunctionField, fractions over Z[a,b], and in Q(a,b) built on its own as
+    sympy's QQ.frac_field, which reads each literal through sympy."""
+    import sympy
+    oracle, k = sympy.QQ.frac_field("a", "b"), QAB
+
+    def both(text):
+        try:
+            value = k.parse(text)
+        except UsageError:
+            return None
+        expr = sympy.sympify(text.replace("^", "**"), rational=True)
+        if expr.has(sympy.nan, sympy.zoo, sympy.oo):
+            return None  # 0^0 and (1/0)^0 are 1 in a literal, not in sympy
+        return value, oracle.from_sympy(expr)
+
+    ours = theirs = None
+    for op, text in chain:
+        parsed = both(text)
+        if parsed is None:
+            continue
+        x, y = parsed
+        if ours is None:
+            ours, theirs = x, y
+        elif op == "add":
+            ours, theirs = k.add(ours, x), theirs + y
+        elif op == "sub":
+            ours, theirs = k.sub(ours, x), theirs - y
+        elif op == "mul":
+            ours, theirs = k.mul(ours, x), theirs * y
+        elif op == "div" and not k.is_zero(x):
+            ours, theirs = k.mul(ours, k.inv(x)), theirs / y
+        elif op == "inv" and not k.is_zero(ours):
+            ours, theirs = k.inv(ours), 1 / theirs
+        assert _coefficients(ours.numer) == _coefficients(theirs.numer), chain
+        assert _coefficients(ours.denom) == _coefficients(theirs.denom), chain
+        assert k.show(ours) == str(theirs).replace("**", "^"), chain

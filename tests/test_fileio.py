@@ -126,6 +126,47 @@ def test_matrix_parse_errors(tmp_path):
     assert "field" in str(exc)
 
 
+def test_readers_refuse_rows_after_the_last_one(tmp_path):
+    """read_matrix and read_cayley end where their format does, as
+    read_graded_module does: the first extra line is a ParseError."""
+    path = str(tmp_path / "extra.txt")
+    for read, text, line in ((read_matrix, "field Q\ndim 1\n1\n2\n", 4),
+                             (read_matrix, "field F 5\ndim 1\n1\n# note\n\n1 2\n", 6),
+                             (read_cayley, "group 1\nlabels e\ne\ne\n", 4),
+                             (read_cayley, "group 2\nlabels e g\ne g\ng e\n\ng e\n", 6)):
+        with open(path, "w") as handle:
+            handle.write(text)
+        with pytest.raises(ParseError, match="after the last row") as info:
+            read(path)
+        assert (info.value.line, info.value.col) == (line, 1), text
+        with open(path, "w") as handle:
+            handle.write(text[:text.rindex("\n", 0, -1) + 1] + "# trailing comment\n\n")
+        read(path)  # comments and blank lines may follow
+
+
+def test_readers_take_ascii_decimal_numbers_only(tmp_path):
+    """`dim`, `group` and module dimensions and the F header's prime are
+    ASCII digits within the digit bound; `1_0` or an Arabic-Indic digit is
+    not read as a number."""
+    path = str(tmp_path / "n.txt")
+    cases = [(read_matrix, "field Q\ndim 1_0\n", 2, "bad dimension"),
+             (read_matrix, "field Q\ndim \u0661\n1\n", 2, "bad dimension"),
+             (read_matrix, "field Q\ndim %s\n" % ("1" * 5000), 2, "over the limit"),
+             (read_matrix, "field F 1_0_1\ndim 1\n1\n", 1, "bad prime"),
+             (read_matrix, "field F \u0667\ndim 1\n1\n", 1, "bad prime"),
+             (read_matrix, "field Q\ndim 1\n\u0661\n", 3, "bad rational literal"),
+             (read_cayley, "group \u0661\nlabels e\ne\n", 1, "bad group order"),
+             (read_cayley, "group 0_1\nlabels e\ne\n", 1, "bad group order"),
+             (lambda p: read_graded_module(p, ["e"]), "field Q\ndim 1_0\naction e\n", 2,
+              "bad module dimension")]
+    for read, text, line, message in cases:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with pytest.raises(ParseError, match=message) as info:
+            read(path)
+        assert info.value.line == line, text
+
+
 def test_cayley_round_trip(tmp_path):
     labels, table = catalog.s3_cayley()
     path = str(tmp_path / "g.txt")

@@ -275,6 +275,39 @@ def test_matrix_inverse_round_trip():
     assert matrix_inverse(Matrix(k, [[1, 2], [2, 4]])) is None
 
 
+def full_rref_inverse(a):
+    """A^{-1} read off the rref of [A | I] over all of its 2n columns, or
+    None: the reference for matrix_inverse, which pivots in A's columns only."""
+    k, n = a.field, a.nrows
+    aug = [row + irow for row, irow in zip(a.rows, Matrix.identity(k, n).rows)]
+    rows, pivots = rref(aug, k)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(k, [row[n:] for row in rows])
+
+
+def test_matrix_inverse_agrees_with_the_full_rref():
+    """Random invertible and singular matrices (the last row a combination
+    of the others) over Q, F_13 and Q(a,b): the same inverse, the same None."""
+    rng = random.Random(29)
+    for k in (QQ, PrimeField(13), FunctionField(["a", "b"])):
+        verdicts = set()
+        for trial in range(24):
+            n = rng.randint(1, 3)
+            rows = rand_matrix(k, rng, n, n).rows
+            if trial % 2:
+                combination = [k.zero] * n
+                for row in rows[:-1]:
+                    c = k.random(rng)
+                    combination = [k.add(x, k.mul(c, y)) for x, y in zip(combination, row)]
+                rows[-1] = combination
+            a = Matrix(k, rows)
+            want = full_rref_inverse(a)
+            assert matrix_inverse(a) == want, (k, rows)
+            verdicts.add(want is None)
+        assert verdicts == {True, False}, k
+
+
 def test_span_and_membership():
     k = QQ
     vectors = [[k.coerce(v) for v in row]
