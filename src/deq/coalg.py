@@ -54,9 +54,11 @@ def _require_module(unit, product, act, labels, error, unit_message, pair_messag
 
 
 class Coalgebra:
-    """Structure-constant coalgebra; axioms are verified at construction
-    unless check=False, which is for coalgebras by construction (comatrix,
-    grouplike, quotients by a coideal), whose axioms the tests check."""
+    """Structure-constant coalgebra; entries are coerced into the field and
+    the axioms verified at construction unless check=False, which is for
+    coalgebras by construction (comatrix, grouplike, k[G], quotients by a
+    coideal): their values come from the field and are taken as built, and
+    their axioms the tests check."""
 
     def __init__(self, field: Field, labels, delta, counit, check: bool = True):
         d = len(labels)
@@ -65,9 +67,12 @@ class Coalgebra:
         self.field = field
         self.labels = list(labels)
         self.dim = d
-        self.mu = [[[field.coerce(delta[a][b][c]) for c in range(d)] for b in range(d)]
-                   for a in range(d)]
-        self.counit = [field.coerce(counit[a]) for a in range(d)]
+        if check:
+            delta = [[[field.coerce(delta[a][b][c]) for c in range(d)] for b in range(d)]
+                     for a in range(d)]
+            counit = [field.coerce(counit[a]) for a in range(d)]
+        self.mu = delta
+        self.counit = counit
         if check:
             self._check_axioms()
 

@@ -14,9 +14,9 @@ import itertools
 
 from .coalg import BilinearForm, Coalgebra, Comodule
 from .fields import MathError, UsageError
-from .frt import d_bialgebra
+from .frt import d_bialgebra, generator_table
 from .linalg import Matrix, linear_combination
-from .tensor_ops import EndoPair, _entries, _permuted, flip_index, invert
+from .tensor_ops import EndoPair, invert
 
 
 class DMap:
@@ -84,24 +84,10 @@ def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
     return BilinearForm(C, C, table)
 
 
-@functools.lru_cache(maxsize=None)
-def _sigma0_index(n: int):
-    """Rows of flat sources in row-major R.matrix() for the sigma0 table:
-    entry ((i, v), (j, u)) is entry ((i, j), (v, u)), x_uv^ji."""
-    pairs = list(itertools.product(range(n), repeat=2))
-    return tuple(tuple(((i * n + j) * n + v) * n + u for j, u in pairs) for i, v in pairs)
-
-
-def _sigma0_table(R: EndoPair):
-    """sigma0(c_iv (x) c_ju) = x_uv^ji on full C (x) C: R.matrix() with the
-    middle two of its four legs swapped."""
-    src = _entries(R)
-    return [[src[s] for s in row] for row in _sigma0_index(R.n)]
-
-
-def _sigma_table(R: EndoPair, Q):
-    """sigma0 of R on C (x) C/I, read on the section columns of Q."""
-    return [[row[c] for c in Q.section_cols] for row in _sigma0_table(R)]
+def _sigma_table(table: Matrix, Q):
+    """sigma(c_iv (x) c_ju~) = x_uv^ji on C (x) C/I: the generator table of
+    R transposed, read on the section columns of Q."""
+    return [list(col) for col in zip(*(table.rows[c] for c in Q.section_cols))]
 
 
 def sigma_from_r(R: EndoPair) -> DMap:
@@ -109,13 +95,14 @@ def sigma_from_r(R: EndoPair) -> DMap:
 
     Building the presentation checks at run time that R is a solution.
     The rest are theorems, checked in the tests rather than on every call:
-    sigma0 vanishes on C (x) I(R) (row (i, v) of sigma0 paired with w in
-    I(R) is entry (i, v) of A(w), zero by the solution gate), so reading it
-    on the section columns is well defined; and sigma is a D-map, the
-    balance condition of the paper's last section."""
+    sigma0, the generator table transposed, vanishes on C (x) I(R) (row
+    (i, v) of sigma0 paired with w in I(R) is entry (i, v) of A(w), zero by
+    the solution gate), so reading it on the section columns is well
+    defined; and sigma is a D-map, the balance condition of the paper's last
+    section."""
     pres = d_bialgebra(R)
     C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
-    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(R, Q)), endo=R)
+    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.action.table, Q)), endo=R)
 
 
 def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
@@ -138,9 +125,10 @@ def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
 
 def first_symmetry_violation(R: EndoPair):
     """First (u,v,j,i), 1-based, with x_uv^ji != x_vu^ij, or None: R commutes
-    with tau exactly when tau R tau = R."""
-    m, flip = R.matrix(), flip_index(R.n)
-    if m == _permuted(m, rows=flip, cols=flip):
+    with tau exactly when its generator table, entry x_uv^ji at ((j, u),
+    (i, v)), is symmetric."""
+    table = generator_table(R)
+    if table == table.transpose():
         return None
     return next(t for t in itertools.product(range(1, R.n + 1), repeat=4)
                 if R.coeff(*t) != R.coeff(t[1], t[0], t[3], t[2]))
@@ -151,8 +139,9 @@ def strong_dmap_from_symmetric(R: EndoPair):
     factors through I(R) on both legs.
 
     Symmetry is checked at run time. Then sigma0 is a symmetric table, so it
-    vanishes on I (x) C as on C (x) I; that the result is a strong D-map and
-    that r_sigma regenerates R from it are theorems the tests check."""
+    vanishes on I (x) C as on C (x) I, and sigma is the rows of sigma_R at
+    the section columns; that the result is a strong D-map and that r_sigma
+    regenerates R from it are theorems the tests check."""
     pres = d_bialgebra(R)
     bad = first_symmetry_violation(R)
     if bad is not None:
@@ -160,9 +149,8 @@ def strong_dmap_from_symmetric(R: EndoPair):
         raise MathError(
             "R tau != tau R: x_%d%d^%d%d != x_%d%d^%d%d" % (u, v, j, i, v, u, i, j))
     Q = pres.quotient
-    table0 = _sigma0_table(R)
-    table = [[table0[a][b] for b in Q.section_cols] for a in Q.section_cols]
-    return Q, DMap(Q, None, None, BilinearForm(Q, Q, table))
+    sigma = _sigma_table(pres.action.table, Q)
+    return Q, DMap(Q, None, None, BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols]))
 
 
 def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:
@@ -180,4 +168,5 @@ def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:
     Rinv = invert(dm.endo)
     if Rinv is None:
         raise MathError("operator is not bijective; sigma has no convolution inverse")
-    return BilinearForm(dm.coalgebra, dm.quotient, _sigma_table(Rinv, dm.quotient))
+    return BilinearForm(dm.coalgebra, dm.quotient,
+                        _sigma_table(generator_table(Rinv), dm.quotient))

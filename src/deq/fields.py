@@ -254,9 +254,6 @@ class RationalField(Field):
     def show(self, v) -> str:
         return str(v)
 
-    def random(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
     def header(self) -> str:
         return "Q"
 
@@ -322,9 +319,6 @@ class PrimeField(Field):
 
     def show(self, v) -> str:
         return str(v)
-
-    def random(self, rng):
-        return rng.randrange(self.p)
 
     def header(self) -> str:
         return "F %d" % self.p
@@ -446,9 +440,6 @@ class FunctionField(Field):
                 d = v.denom
         return self.polynomials, [v.numer if v.denom == d else v.numer * d for v in values], d
 
-    def from_int(self, k: int):
-        return self.ring.convert(k)
-
     def coerce(self, v):
         if isinstance(v, str):
             return self.parse(v)
@@ -533,14 +524,6 @@ class FunctionField(Field):
 
     def show(self, v) -> str:
         return str(v).replace("**", "^")
-
-    def random(self, rng):
-        # small linear numerator over a denominator from a short nonzero list
-        num = self.from_int(rng.randint(-3, 3))
-        for g in self.gens:
-            num = num + self.from_int(rng.randint(-2, 2)) * g
-        dens = [self.one, self.one + self.gens[0], self.from_int(2)]
-        return num / dens[rng.randrange(len(dens))]
 
     def header(self) -> str:
         return "QFUN %s" % ",".join(self.names)

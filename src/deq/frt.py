@@ -10,6 +10,15 @@ is a coideal I(R), and D(R) is the free algebra on a basis of
 comatrix(n)/I(R) with the quotient comultiplication. M = k^n is a Long
 D(R)-dimodule with rho(m_l) = sum_v m_v (x) c~_vl, so its comodule slice at
 the generator q is row q of the quotient map pi read as an n x n matrix.
+
+I(R) is the annihilator of the commutant A' = {Y : [A(c), Y] = 0 for all c}
+under <c_ab, Y> = Y[a][b], for every R, solution or not. Proof: with
+L = A(c_jk), <Y, [L^T, E_il]> = tr(Y^T [L^T, E_il]) = tr([Y^T, L^T] E_il),
+which is entry (i, l) of [L, Y]. So Y lies in I(R)^perp iff it commutes
+with every A(c_jk): I(R)^perp = A'.
+
+The generator action, the solution gate and the sigma_R of `deq.dmap` all
+read one n^2 x n^2 table of R's entries, `generator_table`.
 """
 
 from __future__ import annotations
@@ -96,28 +105,34 @@ def obstruction_coideal(action: GeneratorAction) -> Coideal:
     return Coideal(comatrix(k, n), basis, pivots)
 
 
+def generator_table(R: EndoPair) -> Matrix:
+    """The n^2 x n^2 table of R's entries that D(R) and sigma_R read: row
+    (j, u) is A(c_ju) flattened, so entry (i, v) of it is x_uv^ji, the entry
+    ((i, j), (v, u)) of R.matrix()."""
+    n, rows = R.n, R.matrix().rows
+    return Matrix._computed(R.field, [[x for row in rows[j::n] for x in row[u::n]]
+                                      for j in range(n) for u in range(n)])
+
+
 class GeneratorAction:
-    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju, the
-    (j, u) strided block of R.matrix(), rows (i, j) and columns (v, u)."""
+    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju, row
+    (j, u) of the generator table read as an n x n matrix."""
 
     def __init__(self, R: EndoPair):
         n, k = R.n, R.field
         self.n = n
         self.field = k
-        rows = R.matrix().rows
-        self.matrices = [Matrix._computed(k, [row[u::n] for row in rows[j::n]])
-                         for j in range(n) for u in range(n)]
+        self.table = generator_table(R)
+        self.matrices = [Matrix._computed(k, [row[i * n:i * n + n] for i in range(n)])
+                         for row in self.table.rows]
 
 
 def annihilation_check(action: GeneratorAction, vectors) -> bool:
     """True iff every coefficient vector over the generators acts as zero
-    on M: the vectors, stacked, times the table whose row c is A(c)
-    flattened, is zero."""
+    on M: the vectors, stacked, times the generator table is zero."""
     if not vectors:
         return True
-    k = action.field
-    table = Matrix._computed(k, [[v for row in m.rows for v in row] for m in action.matrices])
-    return Matrix._computed(k, vectors).mul(table).is_zero()
+    return Matrix._computed(action.field, vectors).mul(action.table).is_zero()
 
 
 def relation_strings(I: Coideal):

@@ -61,12 +61,6 @@ class Matrix:
         return Matrix._computed(k, [[k.add(a, b) for a, b in zip(ra, rb)]
                                     for ra, rb in zip(self.rows, other.rows)])
 
-    def sub(self, other):
-        self._match(other, same_shape=True)
-        k = self.field
-        return Matrix._computed(k, [[k.sub(a, b) for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(self.rows, other.rows)])
-
     def scale(self, s):
         k = self.field
         s = k.coerce(s)

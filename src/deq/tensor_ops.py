@@ -75,19 +75,6 @@ def identity_pair(field, n) -> EndoPair:
     return EndoPair.from_matrix(Matrix.identity(field, n * n))
 
 
-def flip_index(n):
-    """tau on M (x) M as an index map: m_a (x) m_b -> m_b (x) m_a; an involution."""
-    return tuple((k % n) * n + k // n for k in range(n * n))
-
-
-def _permuted(A: Matrix, rows=None, cols=None) -> Matrix:
-    """A[rows[r]][cols[c]] at (r, c), None meaning unpermuted. With P e_k =
-    e_image(k), P^-1 A takes rows from image and A P takes cols from image."""
-    rows = range(A.nrows) if rows is None else rows
-    cols = range(A.ncols) if cols is None else cols
-    return Matrix._computed(A.field, [[A.rows[r][c] for c in cols] for r in rows])
-
-
 _LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
 # Each equation as the two slot words whose lifted products it equates.

@@ -7,22 +7,60 @@ bialgebras that the regular (co)module identities replaced, Delta of a
 coefficient vector flattened to one vector, and the T, U and W forms of
 the D-equation built as operators of their own, exactly and mod p, and the
 seven verdicts of `deq check` on an operator's field values, one exact
-linear solve, a span with its membership test, the flip tau as a matrix,
-the whole-block sieve of the census, and the standard comodule of
-comatrix(n) with its pushforward to a quotient. The tests compare the
-package's closed forms with them."""
+linear solve, a kernel read off rref's free columns, a span with its
+membership test, the flip tau as an index map and as a matrix, the
+whole-block sieve of the census, and the standard comodule of comatrix(n)
+with its pushforward to a quotient. The tests compare the package's closed
+forms with them. Small random field values and the difference of two
+matrices, which only the tests use, live here too."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _holds,
                           _rows_equal, _words, block_matrices)
 from deq.coalg import BilinearForm, Coalgebra, Comodule, comatrix, convolve, counit_form
-from deq.fields import UsageError
+from deq.fields import PrimeField, RationalField, UsageError
 from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
-from deq.tensor_ops import EQUATIONS, EndoPair, _permuted, _product, flip_index
+from deq.tensor_ops import EQUATIONS, EndoPair, _product
+
+
+def random_value(k, rng):
+    """A small random value of k: over Q a fraction with numerator in -9..9
+    and denominator in 1..9, over F_p any residue, over Q(vars) a linear
+    numerator over 1, 1 + the first variable, or 2."""
+    if isinstance(k, RationalField):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if isinstance(k, PrimeField):
+        return rng.randrange(k.p)
+    num = k.coerce(rng.randint(-3, 3))
+    for g in k.gens:
+        num = num + k.coerce(rng.randint(-2, 2)) * g
+    dens = [k.one, k.one + k.gens[0], k.coerce(2)]
+    return num / dens[rng.randrange(len(dens))]
+
+
+def matrix_sub(A: Matrix, B: Matrix) -> Matrix:
+    """A - B, entry by entry."""
+    k = A.field
+    return Matrix._computed(k, [[k.sub(a, b) for a, b in zip(ra, rb)]
+                                for ra, rb in zip(A.rows, B.rows)])
+
+
+def flip_index(n):
+    """tau on M (x) M as an index map: m_a (x) m_b -> m_b (x) m_a; an involution."""
+    return tuple((k % n) * n + k // n for k in range(n * n))
+
+
+def permuted(A: Matrix, rows=None, cols=None) -> Matrix:
+    """A[rows[r]][cols[c]] at (r, c), None meaning unpermuted. With P e_k =
+    e_image(k), P^-1 A takes rows from image and A P takes cols from image."""
+    rows = range(A.nrows) if rows is None else rows
+    cols = range(A.ncols) if cols is None else cols
+    return Matrix._computed(A.field, [[A.rows[r][c] for c in cols] for r in rows])
 
 
 def solve_linear(A: Matrix, b):
@@ -39,6 +77,20 @@ def solve_linear(A: Matrix, b):
     for row, p in zip(rows, pivots):
         x[p] = row[A.ncols]
     return x
+
+
+def kernel_basis(rows, k, ncols):
+    """A basis of {y : row . y = 0 for every row}, one vector per free
+    column of the rows' reduced echelon form."""
+    basis, pivots = rref(rows, k)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        y = [k.zero] * ncols
+        y[f] = k.one
+        for row, p in zip(basis, pivots):
+            y[p] = k.neg(row[f])
+        out.append(y)
+    return out
 
 
 def span_and_membership(vectors, field, dim=None):
@@ -64,7 +116,7 @@ def span_and_membership(vectors, field, dim=None):
 
 def tau_matrix(field, n) -> Matrix:
     """Flip on M (x) M: m_a (x) m_b -> m_b (x) m_a."""
-    return _permuted(Matrix.identity(field, n * n), rows=flip_index(n))
+    return permuted(Matrix.identity(field, n * n), rows=flip_index(n))
 
 
 def comatrix_index(n, j, k) -> int:
@@ -410,9 +462,9 @@ def fresh_form_products(R):
     T = R tau, U = tau R and W = tau R tau built as operators and each
     product formed from the form's own lifts."""
     m, flip = R.matrix(), flip_index(R.n)
-    T = EndoPair.from_matrix(_permuted(m, cols=flip))
-    U = EndoPair.from_matrix(_permuted(m, rows=flip))
-    W = EndoPair.from_matrix(_permuted(m, rows=flip, cols=flip))
+    T = EndoPair.from_matrix(permuted(m, cols=flip))
+    U = EndoPair.from_matrix(permuted(m, rows=flip))
+    W = EndoPair.from_matrix(permuted(m, rows=flip, cols=flip))
     return [[_product(T, *word) for word in FORM_EQUATIONS["form_t"]],
             [_product(U, *word) for word in FORM_EQUATIONS["form_u"]],
             [_product(W, *word) for word in EQUATIONS["d"]]]
@@ -422,7 +474,7 @@ def fresh_form_verdicts(n, products):
     """The verdicts of the T, U and W forms, read off fresh_form_products."""
     (tl, tr), (ul, ur), (wl, wr) = products
     t123 = tau123_index(n)
-    return tl == _permuted(tr, cols=t123), _permuted(ul, rows=t123) == ur, wl == wr
+    return tl == permuted(tr, cols=t123), permuted(ul, rows=t123) == ur, wl == wr
 
 
 def digits_of(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+from hypothesis import given, settings, strategies as st
+
 from deq import catalog, fileio
 from deq.cli import main
 from deq.fields import QQ
@@ -789,6 +791,97 @@ def test_trailing_rows_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s:4:1: unexpected content after the last row\n" % path
+
+
+LONG_NUMBER = "7" * 1001
+ODD_NUMBERS = ["0", "-1", "1", "10", "1_0", "\u0663", LONG_NUMBER, "x", "", "2/3"]
+ODD_LITERALS = ODD_NUMBERS + ["1/0", "1e3", "q", "a*b", "(a", "q^99999", "1/" + LONG_NUMBER,
+                              "\u0661/2", "e", "t12"]
+ODD_HEADERS = ["field Q", "field F 4", "field F 13", "field F \u0667", "field F " + LONG_NUMBER,
+               "field QFUN", "field QFUN q", "field QFUN 1x", "field Z", "group 0", "group 7",
+               "group \u0663", "labels e", "dim 2", "action e", ""]
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """The lines of a bundled file with one thing mutated: the header, the
+    number of the `dim` or `group` line, one entry, an extra or a missing
+    line. Entries are separated as the writers separate them."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["header", "size", "entry", "extra", "missing"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "header":
+        lines[0] = draw(st.sampled_from(ODD_HEADERS))
+    elif kind == "size":
+        at = next(i for i, line in enumerate(lines) if line.split()[0] in ("dim", "group"))
+        lines[at] = "%s %s" % (lines[at].split()[0], draw(st.sampled_from(ODD_NUMBERS)))
+    elif kind == "entry":
+        sep = ", " if ", " in lines[at] else " "
+        parts = lines[at].split(sep)
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(ODD_LITERALS))
+        lines[at] = sep.join(parts)
+    elif kind == "extra":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    else:
+        del lines[at]
+    return lines
+
+
+@st.composite
+def near_valid_runs(draw, exdir):
+    """(argv, files): a deq command on bundled example files, one of them
+    mutated and written to `files`, or `deq classify` with one of --n, --p
+    and --budget out of range and the others at a (2, 2) census."""
+    def read(name):
+        with open(os.path.join(exdir, name), encoding="utf-8") as handle:
+            return handle.read().splitlines()
+    kind = draw(st.sampled_from(["operator", "dimodule", "classify"]))
+    if kind == "operator":
+        name = draw(st.sampled_from(sorted(CHECK_GOLDEN)))
+        command = draw(st.sampled_from(["check", "frt", "dmap"]))
+        return [command, "{0}"], [draw(mutated_lines(read(name)))]
+    if kind == "dimodule":
+        files = [read("s3-cayley.txt"), read("s3-graded-module.txt")]
+        which = draw(st.integers(0, 1))
+        files[which] = draw(mutated_lines(files[which]))
+        return ["dimodule", "{0}", "{1}"], files
+    bad = draw(st.sampled_from(["--n", "--p", "--budget"]))
+    values = {"--n": st.one_of(st.integers(-10 ** 6, 0), st.integers(3, 10 ** 6)),
+              "--p": st.integers(-10 ** 6, 10 ** 6).filter(lambda p: p != 2),
+              "--budget": st.integers(-10 ** 6, 0)}
+    value = draw(st.one_of(values[bad].map(str), st.sampled_from(ODD_NUMBERS)))
+    argv = {"--n": "2", "--p": "2", "--budget": "65536", bad: value}
+    return ["classify"] + [word for pair in argv.items() for word in pair], []
+
+
+def test_exit_codes_on_near_valid_inputs(tmp_path, capsys, monkeypatch):
+    """Every near-valid input ends in exit 0, 1 or 2, and no exception but
+    SystemExit leaves main: bundled example files with one thing mutated,
+    and classify with an out-of-range --n, --p or --budget."""
+    for name in ("DEQ_BUDGET", "DEQ_MAX_N"):
+        monkeypatch.delenv(name, raising=False)
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    codes = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(near_valid_runs(exdir))
+    def check(run):
+        argv, files = run
+        paths = []
+        for i, lines in enumerate(files):
+            paths.append(str(tmp_path / ("mutated-%d.txt" % i)))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        try:
+            code = main([word.format(*paths) for word in argv])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+    check()
+    assert codes == {0, 1, 2}
 
 
 def test_main_dispatches_to_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):

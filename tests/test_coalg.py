@@ -9,11 +9,12 @@ from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix, convolve,
                        counit_form, grouplike_coalgebra, quotient)
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import GeneratorAction, ObstructionSet, obstruction_coideal
+from deq.frt import GeneratorAction, ObstructionSet, d_bialgebra, obstruction_coideal
 from deq.linalg import Matrix, linear_combination, reduce_against, rref
 from deq.tensor_ops import diagonal_solution, identity_pair
 from oracles import (comatrix_index, convolution_inverse, delta_vector, lift, project,
-                     pushforward, section_quotient, span_and_membership, standard_comodule)
+                     pushforward, random_value, section_quotient, span_and_membership,
+                     standard_comodule)
 
 
 def obstruction_ideal(R):
@@ -44,6 +45,20 @@ def test_comatrix_counit():
             vec = [k.zero] * 9
             vec[comatrix_index(3, j, u)] = k.one
             assert C.counit_of(vec) == (k.one if j == u else k.zero)
+
+
+@pytest.mark.parametrize("k", [QQ, PrimeField(13), FunctionField(["a", "b", "c"])],
+                         ids=["Q", "F13", "Qabc"])
+def test_built_coalgebras_take_their_values_as_built(k, monkeypatch):
+    """comatrix(k, 3) and the presentation of the S3-graded solution, whose
+    structure constants the field itself produced, coerce nothing."""
+    R = catalog.s3_graded_solution(k)
+    calls = []
+    coerce = type(k).coerce
+    monkeypatch.setattr(type(k), "coerce", lambda self, v: calls.append(v) or coerce(self, v))
+    comatrix(k, 3)
+    d_bialgebra(R)
+    assert calls == []
 
 
 def test_coalgebra_rejects_broken_coassociativity():
@@ -182,7 +197,7 @@ def test_convolution_unit_and_commutativity_of_counit_form():
     C = comatrix(QQ, 2)
     k = QQ
     rng = random.Random(1)
-    table = [[k.random(rng) for _ in range(4)] for _ in range(4)]
+    table = [[random_value(k, rng) for _ in range(4)] for _ in range(4)]
     phi = BilinearForm(C, C, table)
     eps = counit_form(C, C)
     assert convolve(phi, eps) == phi
@@ -194,7 +209,7 @@ def test_convolution_associative_on_samples():
     k = C.field
     rng = random.Random(2)
     for _ in range(10):
-        f, g, h = (BilinearForm(C, C, [[k.random(rng) for _ in range(4)]
+        f, g, h = (BilinearForm(C, C, [[random_value(k, rng) for _ in range(4)]
                                        for _ in range(4)]) for _ in range(3))
         assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
 
@@ -206,7 +221,7 @@ def test_convolution_inverse_round_trip():
     eps = counit_form(C, C)
     found = 0
     while found < 5:
-        phi = BilinearForm(C, C, [[k.random(rng) for _ in range(4)]
+        phi = BilinearForm(C, C, [[random_value(k, rng) for _ in range(4)]
                                   for _ in range(4)])
         inv = convolution_inverse(phi)
         if inv is None:

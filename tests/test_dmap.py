@@ -11,17 +11,17 @@ from deq.fields import MathError, PrimeField, QQ, UsageError
 from deq.frt import GeneratorAction, NotASolutionError, obstruction_coideal
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import diagonal_solution, identity_pair, product_solution
-from oracles import standard_comodule
+from oracles import random_value, standard_comodule
 
 
 def random_bijective_solution(field, n, rng):
     """f (x) g with f invertible and g = aI + bf invertible; fg = gf."""
     k = field
     while True:
-        f = Matrix(k, [[k.random(rng) for _ in range(n)] for _ in range(n)])
+        f = Matrix(k, [[random_value(k, rng) for _ in range(n)] for _ in range(n)])
         if matrix_inverse(f) is None:
             continue
-        a, b = k.random(rng), k.random(rng)
+        a, b = random_value(k, rng), random_value(k, rng)
         g = Matrix.identity(k, n).scale(a).add(f.scale(b))
         if matrix_inverse(g) is not None:
             return product_solution(f, g)
@@ -87,7 +87,7 @@ def test_sigma_form_is_always_balanced():
     for n in (2, 3):
         C = comatrix(k, n)
         for _ in range(10):
-            f = [k.random(rng) for _ in range(C.dim)]
+            f = [random_value(k, rng) for _ in range(C.dim)]
             assert is_dmap(C, None, sigma_form(C, f))
     # and with a genuine nonzero coideal on the right leg
     I = obstruction_coideal(GeneratorAction(catalog.triangular_solution(QQ, 1, 2, 3)))

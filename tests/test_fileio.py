@@ -7,6 +7,7 @@ from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.fileio import (ParseError, matrix_text, read_cayley, read_graded_module,
                         read_matrix, write_cayley, write_graded_module,
                         write_matrix, write_report)
+from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import EndoPair, diagonal_solution
 
 
@@ -27,10 +28,10 @@ def operators(draw):
         entry = st.integers(-3 * field.p, 3 * field.p)
     else:
         x, y = field.gens[0], field.gens[-1]
-        dens = [field.one, field.one + x, x * y - field.from_int(2), field.from_int(3)]
+        dens = [field.one, field.one + x, x * y - field.coerce(2), field.coerce(3)]
         entry = st.builds(
-            lambda c0, c1, c2, den: (field.from_int(c0) + field.from_int(c1) * x
-                                     + field.from_int(c2) * x * y * y) / den,
+            lambda c0, c1, c2, den: (field.coerce(c0) + field.coerce(c1) * x
+                                     + field.coerce(c2) * x * y * y) / den,
             st.integers(-9, 9), st.integers(-9, 9), st.integers(-3, 3), st.sampled_from(dens))
     rows = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n),
                          min_size=n * n, max_size=n * n))
@@ -214,6 +215,89 @@ def test_graded_module_round_trip(tmp_path):
     rebuilt = GradedModule(g.host, [back_action[l] for l in labels],
                            [back_projectors[l] for l in labels])
     assert rebuilt.dim == 3
+
+
+@st.composite
+def relabelled_s3(draw):
+    """S3's Cayley table with its elements in a drawn order and drawn
+    distinct labels."""
+    labels, table = catalog.s3_cayley()
+    order = draw(st.permutations(range(len(labels))))
+    where = {old: new for new, old in enumerate(order)}
+    names = draw(st.lists(st.text("abgxyz019_'", min_size=1, max_size=4),
+                          min_size=len(labels), max_size=len(labels), unique=True))
+    return names, [[where[table[a][b]] for b in order] for a in order]
+
+
+@st.composite
+def graded_modules(draw):
+    """A graded module over a relabelled S3, over Q or F_13: the basis vector
+    m_t spans a component for a drawn group element and carries the trivial
+    or the sign character, all conjugated by S = L U with L, U unit
+    triangular and drawn off-diagonal entries, fractions over Q."""
+    labels, table = draw(relabelled_s3())
+    field = draw(st.sampled_from([QQ, PrimeField(13)]))
+    m = draw(st.integers(1, 3))
+    entry = (st.fractions(-4, 4, max_denominator=5) if field == QQ
+             else st.integers(-4, 4)).map(field.coerce)
+    unit_triangular = lambda upper: Matrix(field, [
+        [field.one if r == c else (draw(entry) if (c > r) == upper else field.zero)
+         for c in range(m)] for r in range(m)])
+    S = unit_triangular(False) @ unit_triangular(True)
+    S_inv = matrix_inverse(S)
+    grade = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    signed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    e = next(a for a in range(6) if table[a][a] == a)
+    odd = [table[a][a] == e and a != e for a in range(6)]
+
+    def conjugated(diagonal):
+        return S @ Matrix(field, [[diagonal[r] if r == c else 0 for c in range(m)]
+                                  for r in range(m)]) @ S_inv
+    action = {label: conjugated([-1 if signed[t] and odd[a] else 1 for t in range(m)])
+              for a, label in enumerate(labels)}
+    projectors = {label: conjugated([1 if grade[t] == a else 0 for t in range(m)])
+                  for a, label in enumerate(labels)}
+    return labels, table, field, action, projectors
+
+
+def test_cayley_round_trip_property(tmp_path):
+    """read_cayley gives back a relabelled S3 table, and writing what was
+    read gives the same bytes."""
+    path = str(tmp_path / "g.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(relabelled_s3())
+    def check(case):
+        labels, table = case
+        write_cayley(path, labels, table)
+        with open(path) as handle:
+            text = handle.read()
+        assert read_cayley(path) == (labels, table)
+        write_cayley(path, *read_cayley(path))
+        with open(path) as handle:
+            assert handle.read() == text
+    check()
+
+
+def test_graded_module_round_trip_property(tmp_path):
+    """read_graded_module gives back a random graded module over Q or F_13,
+    and writing what was read gives the same bytes."""
+    path = str(tmp_path / "m.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(graded_modules())
+    def check(case):
+        labels, table, field, action, projectors = case
+        H = group_bialgebra(field, labels, table)
+        GradedModule(H, [action[l] for l in labels], [projectors[l] for l in labels])
+        write_graded_module(path, labels, field, action, projectors)
+        with open(path) as handle:
+            text = handle.read()
+        assert read_graded_module(path, labels) == (field, action, projectors)
+        write_graded_module(path, labels, *read_graded_module(path, labels))
+        with open(path) as handle:
+            assert handle.read() == text
+    check()
 
 
 def test_graded_module_parse_errors(tmp_path):

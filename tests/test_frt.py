@@ -14,11 +14,11 @@ from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
 from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
 from deq.dimodule import r_from_dimodule
-from oracles import comatrix_index, defect_pairing
+from oracles import comatrix_index, defect_pairing, random_value
 
 
 def rand_pair(field, rng, n):
-    rows = [[field.random(rng) for _ in range(n * n)] for _ in range(n * n)]
+    rows = [[random_value(field, rng) for _ in range(n * n)] for _ in range(n * n)]
     return EndoPair.from_matrix(Matrix(field, rows))
 
 

@@ -1,7 +1,7 @@
 """The readers of x_uv^ji as index maps on R.matrix() against the 4-deep
 loops over the 4-index family that they replaced (tests/oracles.py): the
-generator action, the obstruction vectors, the sigma0 table and the first
-symmetry violation.
+generator action, the obstruction vectors, the sigma0 table (the generator
+table transposed) and the first symmetry violation.
 
 These identities hold for every R, so they are checked on the census
 solutions at (n, p) = (2, 2) and (2, 3), on the catalog over Q, F_13 and
@@ -12,13 +12,13 @@ import random
 
 import pytest
 
-from deq.dmap import _sigma0_table, first_symmetry_violation, strong_dmap_from_symmetric
+from deq.dmap import first_symmetry_violation, strong_dmap_from_symmetric
 from deq.fields import MathError, PrimeField
-from deq.frt import GeneratorAction, ObstructionSet
+from deq.frt import GeneratorAction, ObstructionSet, generator_table
 from deq.linalg import Matrix
-from deq.tensor_ops import EndoPair, flip_index
-from oracles import (loop_first_symmetry_violation, loop_generator_action,
-                     loop_obstruction_vectors, loop_sigma0_table)
+from deq.tensor_ops import EndoPair
+from oracles import (flip_index, loop_first_symmetry_violation, loop_generator_action,
+                     loop_obstruction_vectors, loop_sigma0_table, random_value)
 from test_matrix_forms import FIELDS, catalog_solutions
 from test_theorems import census_solutions
 
@@ -33,7 +33,7 @@ def random_operators():
         d = n * n
         flip = flip_index(n)
         for _ in range(count):
-            rows = [[k.random(rng) for _ in range(d)] for _ in range(d)]
+            rows = [[random_value(k, rng) for _ in range(d)] for _ in range(d)]
             out.append(EndoPair.from_matrix(Matrix(k, rows)))
             sym = [[k.add(rows[r][c], rows[flip[r]][flip[c]]) for c in range(d)]
                    for r in range(d)]
@@ -63,7 +63,7 @@ def test_index_maps_equal_the_loops(source):
         assert action.matrices == loop_generator_action(R)
         want = loop_obstruction_vectors(R)
         assert ObstructionSet(action).vectors == want
-        assert _sigma0_table(R) == loop_sigma0_table(R)
+        assert generator_table(R).transpose().rows == loop_sigma0_table(R)
         where = loop_first_symmetry_violation(R)
         assert first_symmetry_violation(R) == where
         symmetric += where is None

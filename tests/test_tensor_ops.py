@@ -12,7 +12,7 @@ from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hop
                             coordinate_equations, check_pentagon, check_qybe, conjugate,
                             diagonal_solution, first_violation, identity_pair, invert,
                             lift, product_solution)
-from oracles import fresh_form_products, fresh_form_verdicts, tau_matrix, x_table
+from oracles import fresh_form_products, fresh_form_verdicts, random_value, tau_matrix, x_table
 
 
 def flip_pair(field, n):
@@ -20,7 +20,7 @@ def flip_pair(field, n):
 
 
 def rand_matrix(field, rng, n):
-    return Matrix(field, [[field.random(rng) for _ in range(n)]
+    return Matrix(field, [[random_value(field, rng) for _ in range(n)]
                           for _ in range(n)])
 
 
@@ -138,7 +138,7 @@ def test_diagonal_solution_always_solves():
     k = PrimeField(7)
     rng = random.Random(3)
     for _ in range(20):
-        a = [[k.random(rng) for _ in range(2)] for _ in range(2)]
+        a = [[random_value(k, rng) for _ in range(2)] for _ in range(2)]
         assert check_d(diagonal_solution(k, a))
 
 
@@ -313,7 +313,7 @@ def reference_verdicts(R):
 
 def sparse_pair(field, rng, n):
     return EndoPair.from_matrix(Matrix(field, [
-        [field.random(rng) if rng.random() < 0.3 else field.zero for _ in range(n * n)]
+        [random_value(field, rng) if rng.random() < 0.3 else field.zero for _ in range(n * n)]
         for _ in range(n * n)]))
 
 

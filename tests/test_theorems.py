@@ -11,16 +11,17 @@ from deq import catalog
 from deq.classify import endo_from_digits
 from deq.coalg import BilinearForm, Comodule, comatrix, coideal, convolve, counit_form, quotient
 from deq.dimodule import LongDimodule
-from deq.dmap import (DMap, _sigma0_table, convolution_inverse_of_sigma, delta_form,
+from deq.dmap import (DMap, convolution_inverse_of_sigma, delta_form,
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                       sigma_from_r, strong_dmap_from_symmetric)
-from deq.fields import MathError
+from deq.fields import MathError, QQ
 from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
-                     annihilation_check, d_bialgebra, frt_col_order,
+                     annihilation_check, d_bialgebra, frt_col_order, generator_table,
                      obstruction_coideal)
-from deq.linalg import Matrix
+from deq.linalg import Matrix, rref
 from deq.tensor_ops import EndoPair, first_violation, invert
-from oracles import convolution_inverse, pushforward, section_quotient, standard_comodule
+from oracles import (convolution_inverse, kernel_basis, pushforward, random_value,
+                     section_quotient, standard_comodule)
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
 
@@ -55,6 +56,12 @@ def perturbations(R):
             bumped = [list(row) for row in rows]
             bumped[r][c] = k.add(bumped[r][c], k.one)
             yield EndoPair.from_matrix(Matrix._computed(k, bumped))
+
+
+def sigma0_table(R):
+    """sigma0(c_iv (x) c_ju) = x_uv^ji on full C (x) C: the generator table
+    of R transposed."""
+    return generator_table(R).transpose().rows
 
 
 def vanishes_on_right(table, I):
@@ -133,12 +140,12 @@ def test_sigma_vanishes_on_c_tensor_the_ideal(k_q):
     inverses = symmetric = 0
     for R in each_solution(k_q):
         I = obstruction_coideal(GeneratorAction(R))
-        table = _sigma0_table(R)
+        table = sigma0_table(R)
         assert vanishes_on_right(table, I)
         Rinv = invert(R)
         if Rinv is not None:
             inverses += 1
-            assert vanishes_on_right(_sigma0_table(Rinv), I)
+            assert vanishes_on_right(sigma0_table(Rinv), I)
         if first_symmetry_violation(R) is None:
             symmetric += 1
             assert vanishes_on_right([list(col) for col in zip(*table)], I)
@@ -170,7 +177,7 @@ def test_canonical_comodule_is_the_pushforward_of_the_standard_one(k_q):
 
 def sigma_as_matrix(R):
     """Entry ((i, j), (v, u)) of the table of sigma0(c_iv (x) c_ju)."""
-    n, table = R.n, _sigma0_table(R)
+    n, table = R.n, sigma0_table(R)
     return Matrix._computed(R.field, [[table[i * n + v][j * n + u]
                                        for v in range(n) for u in range(n)]
                                       for i in range(n) for j in range(n)])
@@ -188,7 +195,7 @@ def test_sigma_is_r_and_convolution_is_the_matrix_product(k_q):
             continue
         assert sigma_as_matrix(R) == R.matrix()
         C = comatrix(R.field, R.n)
-        form = lambda T: BilinearForm(C, C, _sigma0_table(T))
+        form = lambda T: BilinearForm(C, C, sigma0_table(T))
         RS = EndoPair.from_matrix(R.matrix().mul(S.matrix()))
         assert convolve(form(R), form(S)) == form(RS)
         dm = sigma_from_r(R)
@@ -218,8 +225,8 @@ def test_r_sigma_solves_the_equation(k_q):
     for n in (2, 3):
         C = comatrix(k, n)
         std = standard_comodule(C)
-        for form in (sigma_form(C, [k.random(rng) for _ in range(C.dim)]),
-                     delta_form(C, n, k.random(rng))):
+        for form in (sigma_form(C, [random_value(k, rng) for _ in range(C.dim)]),
+                     delta_form(C, n, random_value(k, rng))):
             assert first_violation(r_sigma(std, DMap(C, None, None, form))) is None
 
 
@@ -254,3 +261,54 @@ def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
                     d_bialgebra(S)
                 assert info.value.where == where
     assert seen == {True, False}
+
+
+def commutant(action):
+    """A' = {Y : [A(c), Y] = 0 for every generator c}, as flattened Y: entry
+    (p, q) of [A, Y] has coefficient A[p][r] [s = q] - [p = r] A[s][q] at
+    Y[r][s]."""
+    n, k = action.n, action.field
+    rng = range(n)
+    rows = []
+    for A in action.matrices:
+        for p in rng:
+            for q in rng:
+                row = [k.zero] * (n * n)
+                for r in rng:
+                    row[r * n + q] = k.add(row[r * n + q], A.rows[p][r])
+                    row[p * n + r] = k.sub(row[p * n + r], A.rows[r][q])
+                rows.append(row)
+    return kernel_basis(rows, k, n * n)
+
+
+def random_non_solutions():
+    """30 random operators over Q at n = 2 and 30 at n = 3 that fail the
+    equation."""
+    rng = random.Random(29)
+    out = []
+    for n in (2, 3):
+        found = 0
+        while found < 30:
+            rows = [[random_value(QQ, rng) for _ in range(n * n)] for _ in range(n * n)]
+            R = EndoPair.from_matrix(Matrix(QQ, rows))
+            if first_violation(R) is not None:
+                out.append(R)
+                found += 1
+    return out
+
+
+@pytest.mark.parametrize("k_q", SOURCES + ["random"], ids=SOURCE_IDS + ["random"])
+def test_obstruction_coideal_is_the_annihilator_of_the_commutant(k_q):
+    """F3: I(R) = (A')^perp for every R, solution or not. The reduced basis
+    of (A')^perp in frt_col_order is that of obstruction_coideal, basis and
+    pivots."""
+    operators = random_non_solutions() if k_q == "random" else each_solution(k_q)
+    dims = set()
+    for R in operators:
+        action = GeneratorAction(R)
+        k, d = R.field, R.n * R.n
+        perp = kernel_basis(commutant(action), k, d)
+        I = obstruction_coideal(action)
+        assert rref(perp, k, col_order=frt_col_order(R.n)) == (I.basis, I.pivots)
+        dims.add(I.dim)
+    assert len(dims) > 1
