@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field, UsageError
-from .linalg import Matrix, linear_combination, reduce_against, rref
+from .linalg import Matrix, linear_combination, module_defects, reduce_against, rref
 
 
 def _first_difference(X: Matrix, Y: Matrix):
@@ -22,24 +22,22 @@ def _first_difference(X: Matrix, Y: Matrix):
 
 
 def _action_failure(unit, product, act):
-    """Where the matrices act[a] fail to be a module over the algebra with
-    unit sum_a unit[a] e_a and e_a e_b = sum_c product(a, b)[c] e_c, or None:
-    (None, (i, j)) when sum_a unit[a] act[a] differs from the identity at
-    entry (i, j), else ((a, b), (i, j)) for the first pair with
-    act[a] act[b] != sum_c product(a, b)[c] act[c].
+    """Where the n x n matrices act[a] fail to be a module over the algebra
+    with unit sum_a unit[a] e_a and e_a e_b = sum_c product(a, b)[c] e_c, or
+    None: (None, (i, j)) when sum_a unit[a] act[a] differs from the identity
+    at entry (i, j), else ((a, b), (i, j)) for the first pair with
+    act[a] act[b] != sum_c product(a, b)[c] act[c], pairs and entries in
+    row-major order.
 
     This is the module axiom, and also the comodule axiom: the slices of a
     right C-comodule are a module over the dual algebra C*, with unit eps
-    and e^b e^a = sum_c mu[c][b][a] e^c (Sweedler 1969, Hopf Algebras, 2.1)."""
-    where = _first_difference(linear_combination(unit, act),
-                              Matrix.identity(act[0].field, act[0].nrows))
-    if where is not None:
-        return None, where
-    for a in range(len(act)):
-        for b in range(len(act)):
-            where = _first_difference(act[a] @ act[b], linear_combination(product(a, b), act))
-            if where is not None:
-                return (a, b), where
+    and e^b e^a = sum_c mu[c][b][a] e^c (Sweedler 1969, Hopf Algebras, 2.1).
+    Two products form every side at once (`module_defects`)."""
+    n, d = act[0].nrows, len(act)
+    unit_row, rows = module_defects(act, unit, [product(a, b) for a in range(d) for b in range(d)])
+    for pair, row in [(None, unit_row)] + [(divmod(p, d), row) for p, row in enumerate(rows)]:
+        if any(row):
+            return pair, divmod(next(t for t, v in enumerate(row) if v), n)
     return None
 
 
@@ -305,16 +303,18 @@ class Comodule:
 
 
 class BilinearForm:
-    """Scalar table phi[a][b] on C (x) D basis pairs; D may be a quotient."""
+    """Scalar table phi[a][b] on C (x) D basis pairs; D may be a quotient.
+    Entries are coerced into the field unless check=False, which is for
+    tables the field's own operations produced: they are taken as built."""
 
-    def __init__(self, left: Coalgebra, right: Coalgebra, table):
+    def __init__(self, left: Coalgebra, right: Coalgebra, table, check: bool = True):
         k = left.field
         if right.field != k:
             raise UsageError("mixed fields in a bilinear form")
         self.left = left
         self.right = right
-        self.table = [[k.coerce(table[a][b]) for b in range(right.dim)]
-                      for a in range(left.dim)]
+        self.table = ([[k.coerce(table[a][b]) for b in range(right.dim)]
+                       for a in range(left.dim)] if check else table)
 
     def __call__(self, a, b):
         return self.table[a][b]
@@ -328,7 +328,7 @@ def counit_form(left: Coalgebra, right: Coalgebra) -> BilinearForm:
     """The convolution unit eps (x) eps."""
     k = left.field
     return BilinearForm(left, right, [[k.mul(ea, eb) for eb in right.counit]
-                                      for ea in left.counit])
+                                      for ea in left.counit], check=False)
 
 
 def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
@@ -343,4 +343,4 @@ def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
     w = [[v for row in phi_m.mul(D.delta_matrix(b)).mul(psi_t).rows for v in row]
          for b in range(D.dim)]
     mc = Matrix._computed(k, [list(itertools.chain(*table)) for table in C.mu])
-    return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows)
+    return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows, check=False)

@@ -16,7 +16,7 @@ from .coalg import (Coalgebra, Comodule, _action_failure, _first_difference,
                     _require_module, grouplike_coalgebra)
 from .fields import MathError, UsageError
 from .frt import FrtPresentation
-from .linalg import Matrix
+from .linalg import Matrix, commutator_columns
 from .tensor_ops import EndoPair
 
 
@@ -152,13 +152,11 @@ def _check_module(H: FinAlgebra, act):
                     "not a module: action not multiplicative at (%s,%s)")
 
 
-def _compat_tables(A: Matrix, comodule: Comodule, l):
-    """(lhs, rhs) of rho(h . m_l) = sum h . (m_l)_0 (x) (m_l)_1 for h acting
-    by A: per slice P_b, the columns P_b (A e_l) and A (P_b e_l). They agree
-    for every l exactly when [A, P_b] = 0."""
-    col = A.col(l)
-    return ([P.apply(col) for P in comodule.slices],
-            [A.apply(P.col(l)) for P in comodule.slices])
+def _incompatible_columns(table):
+    """For each A_a, the sorted l where column l of some [A_a, P_b] is
+    nonzero, from the `commutator_columns` table of the A's and the P's:
+    P_b (A_a e_l) != A_a (P_b e_l), so compatibility fails on m_l."""
+    return [sorted(set().union(*row)) for row in table]
 
 
 class LongDimodule:
@@ -199,18 +197,19 @@ class LongDimodule:
                     "not a Long dimodule: compatibility fails for basis "
                     "element %d acting on m_%d" % (a + 1, l + 1))
 
+    @functools.cached_property
+    def _incompatible(self):
+        """For each A_a, the sorted l with rho(h . m_l) != sum h . (m_l)_0 (x)
+        (m_l)_1 for h acting by A_a. One table for every pair."""
+        return _incompatible_columns(commutator_columns(self.act, self.comodule.slices))
+
     def first_incompatibility(self):
         """First (basis index, module index) violating compatibility, or None."""
-        for a in range(len(self.act)):
-            for l in range(self.dim):
-                if not self.pair_compatible(a, l):
-                    return (a, l)
-        return None
+        return next(((a, cols[0]) for a, cols in enumerate(self._incompatible) if cols), None)
 
     def pair_compatible(self, a, l) -> bool:
         """Compatibility verdict for one basis element acting on one m_l."""
-        lhs, rhs = _compat_tables(self.act[a], self.comodule, l)
-        return lhs == rhs
+        return l not in self._incompatible[a]
 
     def is_compatible(self) -> bool:
         return self.first_incompatibility() is None
@@ -251,13 +250,16 @@ class GradedModule:
                 raise MathError("projector for %s is not idempotent" % H.labels[s])
             raise MathError("projectors for %s and %s are not orthogonal"
                             % (H.labels[s], H.labels[t]))
-        # stability: act maps each component into itself
+        # stability: act maps each component into itself, P A P = A P. As
+        # P^2 = P, P A P - A P = [P, A] P, so only pairs with [A, P] != 0 can fail
+        self._commutators = commutator_columns(self.act, self.projectors)
         for s, P in enumerate(self.projectors):
             for a in range(H.dim):
-                img = self.act[a] @ P
-                if P @ img != img:
-                    raise MathError("component %s is not stable under %s"
-                                    % (H.labels[s], H.labels[a]))
+                if self._commutators[a][s]:
+                    img = self.act[a] @ P
+                    if P @ img != img:
+                        raise MathError("component %s is not stable under %s"
+                                        % (H.labels[s], H.labels[a]))
 
 
 def dimodule_from_grading(g: GradedModule) -> LongDimodule:
@@ -269,15 +271,26 @@ def dimodule_from_grading(g: GradedModule) -> LongDimodule:
     stability of each component gives P_sigma h = h P_sigma, which is
     exactly Long compatibility."""
     comod = Comodule(g.host.gen_coalgebra(), g.projectors, check=False)
-    return LongDimodule(g.host, g.act, comod, check=False)
+    d = LongDimodule(g.host, g.act, comod, check=False)
+    # stability read the commutators of the action with these slices
+    d._incompatible = _incompatible_columns(g._commutators)
+    return d
 
 
 def r_from_dimodule(d: LongDimodule) -> EndoPair:
     """R(m (x) n) = sum n_1 . m (x) n_0, that is R = sum_a A_a (x) P_a; a
     D-equation solution for every Long dimodule (compatibility is
-    LongDimodule's invariant)."""
-    terms = [A.kron(P) for A, P in zip(d.act, d.comodule.slices)]
-    return EndoPair.from_matrix(functools.reduce(Matrix.add, terms))
+    LongDimodule's invariant). One product of the flattened actions, row
+    (i, k) holding A_a[i][k] over a, with the flattened slices, row a
+    holding P_a: its entry ((i, k), (j, l)) is R[(i, j)][(k, l)]."""
+    k, m = d.field, d.dim
+    acts = Matrix._computed(k, [list(col) for col in zip(
+        *([v for row in A.rows for v in row] for A in d.act))])
+    slices = Matrix._computed(k, [[v for row in P.rows for v in row] for P in d.comodule.slices])
+    t = acts.mul(slices).rows
+    return EndoPair.from_matrix(Matrix._computed(
+        k, [[t[i * m + c][j * m + l] for c in range(m) for l in range(m)]
+            for i in range(m) for j in range(m)]))
 
 
 def trivial_module(H: FinBialgebra, dim: int):

@@ -8,6 +8,7 @@ nonzero row as pivot, so bases and echelon forms are reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .fields import Field, UsageError
 
@@ -67,17 +68,22 @@ class Matrix:
         return Matrix._computed(k, [[k.mul(s, a) for a in row] for row in self.rows])
 
     def mul(self, other):
+        rows, denominator = self._integral_mul(other)
+        return Matrix._computed(self.field, self.field.from_integral(rows, denominator))
+
+    def _integral_mul(self, other):
+        """(rows, d): the product is rows / d, rows in the field's integral
+        form (fields.Field), not yet brought back to field values."""
         self._match(other)
         if self.ncols != other.nrows:
             raise UsageError("inner dimensions differ: %d vs %d" % (self.ncols, other.nrows))
-        # The sums of products run on the field's integral form (fields.Field)
-        # with plain + and *: ints over a common denominator for Q, unreduced
-        # residues for F_p, each entry brought back to a field value once.
-        # Skipping zero terms is exact: every field keeps values canonical, so
-        # the sum of the nonzero products equals the full dot product. Integral
-        # values are falsy exactly when zero, a cheaper test than ==.
-        k = self.field
-        arows, brows, zero, denominator = k.integral(self.rows, other.rows)
+        # The sums of products run on the field's integral form with plain +
+        # and *: ints over a common denominator for Q, unreduced residues for
+        # F_p. Skipping zero terms is exact: every field keeps values
+        # canonical, so the sum of the nonzero products equals the full dot
+        # product. Integral values are falsy exactly when zero, a cheaper
+        # test than ==.
+        arows, brows, zero, denominator = self.field.integral(self.rows, other.rows)
         bnonzero = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
         out = []
         for row in arows:
@@ -87,7 +93,7 @@ class Matrix:
                     for j, b in bk:
                         acc[j] += a * b
             out.append(acc)
-        return Matrix._computed(k, k.from_integral(out, denominator))
+        return out, denominator
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -143,6 +149,67 @@ def linear_combination(coeffs, mats):
     if not terms:
         return Matrix.zeros(k, mats[0].nrows, mats[0].ncols)
     return functools.reduce(Matrix.add, terms)
+
+
+def _block_products(X, Y):
+    """(rows, d) with X[a] Y[b] block (a, b) of rows / d in the field's
+    integral form, for nonempty lists of n x n matrices of one field: one
+    product of the X's stacked vertically with the Y's side by side. It
+    holds every pair's product at once, len(X) len(Y) n^2 entries."""
+    for M in itertools.chain(X, Y):
+        X[0]._match(M)
+    stacked = Matrix._computed(X[0].field, [row for M in X for row in M.rows])
+    band = Matrix._computed(Y[0].field, [[v for M in Y for v in M.rows[i]]
+                                         for i in range(Y[0].nrows)])
+    return stacked._integral_mul(band)
+
+
+def _differences(field, xs, dx, ys, dy):
+    """For tables xs / dx and ys / dy in the integral form of the field, the
+    field values of dx dy (xs / dx - ys / dy): nonzero exactly where the two
+    tables differ."""
+    return field.from_integral([[x * dy - y * dx for x, y in zip(rx, ry)]
+                                for rx, ry in zip(xs, ys)], 1)
+
+
+def module_defects(act, unit, coeffs):
+    """(unit row, pair rows) for d n x n matrices act[c] of one field: entry
+    i n + j of the unit row is nonzero exactly where sum_c unit[c] act[c]
+    differs from the identity at (i, j), and entry i n + j of row a d + b
+    exactly where act[a] act[b] and sum_c coeffs[a d + b][c] act[c] differ
+    at (i, j). Two products form every side: the act[a] act[b] are
+    `_block_products`, and the unit and coefficient rows times the
+    flattened act[c] are the others."""
+    k, n, d = act[0].field, act[0].nrows, len(act)
+    for M in act:
+        act[0]._match(M, same_shape=True)
+    lhs, dl = _block_products(act, act)
+    flat = Matrix._computed(k, [[v for row in A.rows for v in row] for A in act])
+    rhs, dr = Matrix._computed(k, [unit] + coeffs)._integral_mul(flat)
+    left = [[dl if t % (n + 1) == 0 else 0 for t in range(n * n)]]  # the identity, dl I / dl
+    left += [[v for row in lhs[a * n:(a + 1) * n] for v in row[b * n:(b + 1) * n]]
+             for a in range(d) for b in range(d)]
+    diff = _differences(k, left, dl, rhs, dr)
+    return diff[0], diff[1:]
+
+
+def commutator_columns(X, Y):
+    """table[a][b], the columns j where X[a] Y[b] and Y[b] X[a] differ, for
+    nonempty lists of n x n matrices of one field: [X[a], Y[b]] = 0 exactly
+    when the list is empty. Two block products form every X[a] Y[b] and
+    every Y[b] X[a]."""
+    n, nx, ny = X[0].nrows, len(X), len(Y)
+    xy, dxy = _block_products(X, Y)
+    yx, dyx = _block_products(Y, X)
+    # row (a, i) of yx laid out as xy: row i of Y[b] X[a] for each b
+    swapped = [[v for b in range(ny) for v in yx[b * n + i][a * n:(a + 1) * n]]
+               for a in range(nx) for i in range(n)]
+    diff = _differences(X[0].field, xy, dxy, swapped, dyx)
+    table = []
+    for a in range(nx):
+        bad = [any(col) for col in zip(*diff[a * n:(a + 1) * n])]
+        table.append([[j for j in range(n) if bad[b * n + j]] for b in range(ny)])
+    return table
 
 
 def rref(rows, field, col_order=None):

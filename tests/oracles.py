@@ -9,11 +9,14 @@ the D-equation built as operators of their own, exactly and mod p, and the
 seven verdicts of `deq check` on an operator's field values, one exact
 linear solve, a kernel read off rref's free columns, a span with its
 membership test, the flip tau as an index map and as a matrix, the
-whole-block sieve of the census, and the standard comodule of comatrix(n)
-with its pushforward to a quotient. The tests compare the package's closed
-forms with them. Small random field values and the difference of two
+whole-block sieve of the census, the standard comodule of comatrix(n)
+with its pushforward to a quotient, and the module axiom, Long
+compatibility, graded stability and R = sum_a A_a (x) P_a one pair at a
+time, as the block products replaced them. The tests compare the
+package's closed forms with them. Small random field values and the difference of two
 matrices, which only the tests use, live here too."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +25,8 @@ import numpy as np
 
 from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _holds,
                           _rows_equal, _words, block_matrices)
-from deq.coalg import BilinearForm, Coalgebra, Comodule, comatrix, convolve, counit_form
+from deq.coalg import (BilinearForm, Coalgebra, Comodule, _first_difference, comatrix, convolve,
+                       counit_form)
 from deq.fields import PrimeField, RationalField, UsageError
 from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
 from deq.tensor_ops import EQUATIONS, EndoPair, _product
@@ -435,6 +439,80 @@ def loop_bialgebra_failure(H):
         if not delta_multiplicative_at(H, a, b):
             return "Delta is not multiplicative at (%s,%s)" % (labels[a], labels[b])
     return None
+
+
+# The module axiom, Long compatibility, stability and R = sum_a A_a (x) P_a
+# one pair at a time, the loops that the block products replaced.
+
+def loop_action_failure(unit, product, act):
+    """`coalg._action_failure` by one product, scale and sum per pair (a, b)."""
+    k, n = act[0].field, act[0].nrows
+    where = _first_difference(linear_combination(unit, act), Matrix.identity(k, n))
+    if where is not None:
+        return None, where
+    for a, b in itertools.product(range(len(act)), repeat=2):
+        where = _first_difference(act[a] @ act[b], linear_combination(product(a, b), act))
+        if where is not None:
+            return (a, b), where
+    return None
+
+
+def rho_of(comodule):
+    """The nested coaction table rho[l][w][a] = P_a[w][l]."""
+    P, m = comodule.slices, comodule.dim
+    return [[[P[a].rows[w][l] for a in range(len(P))] for w in range(m)] for l in range(m)]
+
+
+def loop_compat_tables(A, rho, l):
+    """Tables [w][b] of the coefficients of m_w (x) e_b in rho(h . m_l) and
+    in sum h . (m_l)_0 (x) (m_l)_1, for h acting by A."""
+    k, dim, dC = A.field, A.nrows, len(rho[l][0])
+    lhs = [[k.zero] * dC for _ in range(dim)]
+    for i in range(dim):
+        c = A.rows[i][l]
+        if k.is_zero(c):
+            continue
+        for w in range(dim):
+            for b in range(dC):
+                r = rho[i][w][b]
+                if not k.is_zero(r):
+                    lhs[w][b] = k.add(lhs[w][b], k.mul(c, r))
+    rhs = [[k.zero] * dC for _ in range(dim)]
+    for w in range(dim):
+        for b in range(dC):
+            r = rho[l][w][b]
+            if k.is_zero(r):
+                continue
+            for w2 in range(dim):
+                c = A.rows[w2][w]
+                if not k.is_zero(c):
+                    rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
+    return lhs, rhs
+
+
+def loop_first_incompatibility(act, comodule):
+    """First (a, l) whose compatibility tables differ, or None."""
+    rho = rho_of(comodule)
+    for a, l in itertools.product(range(len(act)), range(comodule.dim)):
+        lhs, rhs = loop_compat_tables(act[a], rho, l)
+        if lhs != rhs:
+            return a, l
+    return None
+
+
+def loop_first_unstable(act, projectors):
+    """First (s, a) with P_s A_a P_s != A_a P_s, or None."""
+    for s, a in itertools.product(range(len(projectors)), range(len(act))):
+        img = act[a] @ projectors[s]
+        if projectors[s] @ img != img:
+            return s, a
+    return None
+
+
+def kron_r_from_dimodule(d):
+    """sum_a A_a (x) P_a by Kronecker products."""
+    terms = [A.kron(P) for A, P in zip(d.act, d.comodule.slices)]
+    return EndoPair.from_matrix(functools.reduce(Matrix.add, terms))
 
 
 def delta_vector(C, vec):

@@ -454,15 +454,22 @@ def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     and one deq dimodule run check no coalgebra, comodule, algebra or
     bialgebra axioms.
     deq dimodule tests compatibility once for each (basis element, m_l)
-    pair, for its compat lines; deq frt does not test it, since the
-    canonical dimodule of a solution is compatible by the FRT-type theorem."""
+    pair, for its compat lines, and forms a number of matrix products that
+    does not grow with the group order: S3, Z/6 and Z/12 gradings of k^3
+    form the same number. Every product, Matrix.mul's and the block
+    kernels', runs through Matrix._integral_mul, which counts them. Its
+    stability check and its compat lines read one commutator table. deq
+    frt forms none, since the canonical dimodule of a solution is
+    compatible by the FRT-type theorem."""
     from deq import coalg, dimodule
+    from test_dimodule import cyclic_graded_module, cyclic_table
     checks = {"Coalgebra._check_axioms": (coalg.Coalgebra, "_check_axioms"),
               "Comodule._check_axioms": (coalg.Comodule, "_check_axioms"),
               "FinAlgebra._check_algebra": (dimodule.FinAlgebra, "_check_algebra"),
               "FinBialgebra._check_bialgebra": (dimodule.FinBialgebra, "_check_bialgebra")}
     counts = dict.fromkeys(checks, 0)
     pairs = {}
+    products = []
     tables = []
 
     def counting(name, fn):
@@ -474,26 +481,41 @@ def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     for name, (owner, attr) in checks.items():
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     pair_compatible = dimodule.LongDimodule.pair_compatible
-    compat_tables = dimodule._compat_tables
+    integral_mul = Matrix._integral_mul
+    commutator_columns = dimodule.commutator_columns
 
     def counted_pair(self, a, l):
         pairs.setdefault(self, []).append((a, l))
         return pair_compatible(self, a, l)
 
+    def counted_mul(self, other):
+        products.append(other)
+        return integral_mul(self, other)
+
     def counted_tables(*args):
         tables.append(args)
-        return compat_tables(*args)
+        return commutator_columns(*args)
 
     monkeypatch.setattr(dimodule.LongDimodule, "pair_compatible", counted_pair)
-    monkeypatch.setattr(dimodule, "_compat_tables", counted_tables)
+    monkeypatch.setattr(Matrix, "_integral_mul", counted_mul)
+    monkeypatch.setattr(dimodule, "commutator_columns", counted_tables)
     exdir = str(tmp_path / "ex")
     assert main(["examples", "--dir", exdir]) == 0
-    for argv in (["frt", os.path.join(exdir, "s3-graded.txt")],
-                 ["dimodule", os.path.join(exdir, "s3-cayley.txt"),
-                  os.path.join(exdir, "s3-graded-module.txt")]):
+    runs = [["frt", os.path.join(exdir, "s3-graded.txt")],
+            ["dimodule", os.path.join(exdir, "s3-cayley.txt"),
+             os.path.join(exdir, "s3-graded-module.txt")]]
+    for order in (6, 12):
+        g = cyclic_graded_module(QQ, order)
+        group, module = (str(tmp_path / ("z%d%s.txt" % (order, end))) for end in ("", "-module"))
+        fileio.write_cayley(group, g.host.labels, cyclic_table(order))
+        fileio.write_graded_module(module, g.host.labels, QQ, dict(zip(g.host.labels, g.act)),
+                                   dict(zip(g.host.labels, g.projectors)))
+        runs.append(["dimodule", group, module])
+    made = []
+    for argv in runs:
         counts.update(dict.fromkeys(checks, 0))
         pairs.clear()
-        del tables[:]
+        del products[:], tables[:]
         assert main(argv) == 0, argv
         assert counts == dict.fromkeys(checks, 0), argv
         if argv[0] == "frt":
@@ -502,7 +524,9 @@ def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
         (dim, seen), = pairs.items()
         grid = [(a, l) for a in range(len(dim.act)) for l in range(dim.dim)]
         assert sorted(seen) == grid, argv
-        assert len(tables) == len(grid), argv
+        assert len(tables) == 1, argv
+        made.append(len(products))
+    assert len(set(made)) == 1, made
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from deq import catalog
 from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix, convolve,
                        counit_form, grouplike_coalgebra, quotient)
+from deq.dmap import convolution_inverse_of_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import GeneratorAction, ObstructionSet, d_bialgebra, obstruction_coideal
 from deq.linalg import Matrix, linear_combination, reduce_against, rref
@@ -58,6 +59,22 @@ def test_built_coalgebras_take_their_values_as_built(k, monkeypatch):
     monkeypatch.setattr(type(k), "coerce", lambda self, v: calls.append(v) or coerce(self, v))
     comatrix(k, 3)
     d_bialgebra(R)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [QQ, PrimeField(13), FunctionField(["a", "b", "c"])],
+                         ids=["Q", "F13", "Qabc"])
+def test_built_forms_take_their_values_as_built(k, monkeypatch):
+    """sigma_R, its convolution inverse, a strong D-map, the counit form and
+    a convolution, whose tables the field itself produced, coerce nothing."""
+    R = catalog.triangular_solution(k, 1, 2, 2)
+    calls = []
+    coerce = type(k).coerce
+    monkeypatch.setattr(type(k), "coerce", lambda self, v: calls.append(v) or coerce(self, v))
+    dm = sigma_from_r(R)
+    prime = convolution_inverse_of_sigma(dm)
+    strong_dmap_from_symmetric(R)
+    assert convolve(dm.sigma, prime) == counit_form(dm.coalgebra, dm.quotient)
     assert calls == []
 
 

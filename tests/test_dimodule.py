@@ -289,20 +289,22 @@ def test_group_bialgebras_satisfy_the_axioms():
             FinBialgebra(k, H.labels, H.mult, H.unit, H.delta, H.counit, check=True)
 
 
-def z6_graded_module(field):
-    """k^3 over k[Z/6] = k[g0..g5]: g_a acts by r^a on a plane (r of order
-    3) and by (-1)^a on a line; the plane is graded g2, the line g3."""
+def cyclic_graded_module(field, order):
+    """k^3 over k[Z/order] = k[g0..], order divisible by 6: g_a acts by r^a
+    on a plane (r of order 3) and by (-1)^a on a line; the plane is graded
+    g(order/3), the line g(order/2)."""
     k = field
     z, o, m = k.zero, k.one, k.neg(k.one)
-    H = group_bialgebra(k, ["g%d" % a for a in range(6)], cyclic_table(6))
+    H = group_bialgebra(k, ["g%d" % a for a in range(order)], cyclic_table(order))
     r = Matrix(k, [[z, m, z], [o, m, z], [z, z, m]], coerce=False)
     action = [Matrix.identity(k, 3)]
-    for _ in range(5):
+    for _ in range(order - 1):
         action.append(action[-1] @ r)
     plane = Matrix(k, [[o, z, z], [z, o, z], [z, z, z]], coerce=False)
     line = Matrix(k, [[z, z, z], [z, z, z], [z, z, o]], coerce=False)
-    zero = Matrix.zeros(k, 3, 3)
-    return GradedModule(H, action, [zero, zero, plane, line, zero, zero])
+    projectors = [Matrix.zeros(k, 3, 3)] * order
+    projectors[order // 3], projectors[order // 2] = plane, line
+    return GradedModule(H, action, projectors)
 
 
 def conjugated(g, rows):
@@ -316,8 +318,8 @@ def conjugated(g, rows):
 def test_dimodules_from_gradings_satisfy_the_axioms():
     shear = [[1, 1, 0], [0, 1, 2], [0, 0, 1]]
     for g in (catalog.s3_graded_module(QQ), catalog.s3_graded_module(PrimeField(7)),
-              z6_graded_module(QQ), z6_graded_module(PrimeField(7)),
-              conjugated(z6_graded_module(QQ), shear),
+              cyclic_graded_module(QQ, 6), cyclic_graded_module(PrimeField(7), 6),
+              conjugated(cyclic_graded_module(QQ, 6), shear),
               conjugated(catalog.s3_graded_module(PrimeField(7)), shear)):
         d = dimodule_from_grading(g)
         comod = Comodule(d.coalgebra, d.comodule.slices, check=True)

@@ -24,14 +24,9 @@ from deq.frt import d_bialgebra
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import conjugate, diagonal_solution, identity_pair
 
-from oracles import endo_from_table, matrix_sub, pushforward, standard_comodule
-from test_dimodule import conjugated, z2_eigen_grading, z6_graded_module
-
-
-def rho_of(comodule):
-    """The nested coaction table rho[l][w][a] = P_a[w][l]."""
-    P, m = comodule.slices, comodule.dim
-    return [[[P[a].rows[w][l] for a in range(len(P))] for w in range(m)] for l in range(m)]
+from oracles import (endo_from_table, kron_r_from_dimodule, loop_compat_tables, matrix_sub,
+                     pushforward, rho_of, standard_comodule)
+from test_dimodule import conjugated, cyclic_graded_module, z2_eigen_grading
 
 
 def loop_r_from_dimodule(d):
@@ -110,33 +105,6 @@ def loop_is_dmap(C, Q, table):
             if lhs != rhs:
                 return False
     return True
-
-
-def loop_compat_tables(A, rho, l):
-    """Tables [w][b] of the coefficients of m_w (x) e_b in rho(h . m_l) and
-    in sum h . (m_l)_0 (x) (m_l)_1."""
-    k, dim, dC = A.field, A.nrows, len(rho[l][0])
-    lhs = [[k.zero] * dC for _ in range(dim)]
-    for i in range(dim):
-        c = A.rows[i][l]
-        if k.is_zero(c):
-            continue
-        for w in range(dim):
-            for b in range(dC):
-                r = rho[i][w][b]
-                if not k.is_zero(r):
-                    lhs[w][b] = k.add(lhs[w][b], k.mul(c, r))
-    rhs = [[k.zero] * dC for _ in range(dim)]
-    for w in range(dim):
-        for b in range(dC):
-            r = rho[l][w][b]
-            if k.is_zero(r):
-                continue
-            for w2 in range(dim):
-                c = A.rows[w2][w]
-                if not k.is_zero(c):
-                    rhs[w2][b] = k.add(rhs[w2][b], k.mul(r, c))
-    return lhs, rhs
 
 
 def loop_comodule_failure(C, m, rho):
@@ -285,14 +253,15 @@ def f2_solutions():
 
 def gradings(k):
     shear = [[1, 1, 0], [0, 1, 2], [0, 0, 1]]
-    return [catalog.s3_graded_module(k), z6_graded_module(k),
+    return [catalog.s3_graded_module(k), cyclic_graded_module(k, 6),
             conjugated(catalog.s3_graded_module(k), shear), z2_eigen_grading(k, 3)]
 
 
 def assert_dimodule_forms_agree(d):
-    """r_from_dimodule, the compatibility tables, every (a, l) verdict and
-    the comodule axioms against their loops."""
-    assert r_from_dimodule(d) == loop_r_from_dimodule(d)
+    """r_from_dimodule against its loop and sum_a A_a (x) P_a, and the
+    compatibility tables, every (a, l) verdict and the comodule axioms
+    against their loops."""
+    assert r_from_dimodule(d) == loop_r_from_dimodule(d) == kron_r_from_dimodule(d)
     rho = rho_of(d.comodule)
     for a in range(len(d.act)):
         for l in range(d.dim):
