@@ -32,10 +32,11 @@ def _action_failure(unit, product, act):
     This is the module axiom, and also the comodule axiom: the slices of a
     right C-comodule are a module over the dual algebra C*, with unit eps
     and e^b e^a = sum_c mu[c][b][a] e^c (Sweedler 1969, Hopf Algebras, 2.1).
-    Two products form every side at once (`module_defects`)."""
+    Block products form the sides, a band of pairs at a time
+    (`module_defects`); the scan stops at the first band that fails."""
     n, d = act[0].nrows, len(act)
-    unit_row, rows = module_defects(act, unit, [product(a, b) for a in range(d) for b in range(d)])
-    for pair, row in [(None, unit_row)] + [(divmod(p, d), row) for p, row in enumerate(rows)]:
+    rows = module_defects(act, unit, [product(a, b) for a in range(d) for b in range(d)])
+    for pair, row in zip(itertools.chain([None], itertools.product(range(d), repeat=2)), rows):
         if any(row):
             return pair, divmod(next(t for t, v in enumerate(row) if v), n)
     return None
@@ -304,17 +305,15 @@ class Comodule:
 
 class BilinearForm:
     """Scalar table phi[a][b] on C (x) D basis pairs; D may be a quotient.
-    Entries are coerced into the field unless check=False, which is for
-    tables the field's own operations produced: they are taken as built."""
+    The entries are field values, taken as built: the field's own operations
+    produced them, or the caller coerced them (Field.coerce)."""
 
-    def __init__(self, left: Coalgebra, right: Coalgebra, table, check: bool = True):
-        k = left.field
-        if right.field != k:
+    def __init__(self, left: Coalgebra, right: Coalgebra, table):
+        if right.field != left.field:
             raise UsageError("mixed fields in a bilinear form")
         self.left = left
         self.right = right
-        self.table = ([[k.coerce(table[a][b]) for b in range(right.dim)]
-                       for a in range(left.dim)] if check else table)
+        self.table = table
 
     def __call__(self, a, b):
         return self.table[a][b]
@@ -328,7 +327,7 @@ def counit_form(left: Coalgebra, right: Coalgebra) -> BilinearForm:
     """The convolution unit eps (x) eps."""
     k = left.field
     return BilinearForm(left, right, [[k.mul(ea, eb) for eb in right.counit]
-                                      for ea in left.counit], check=False)
+                                      for ea in left.counit])
 
 
 def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
@@ -343,4 +342,4 @@ def convolve(phi: BilinearForm, psi: BilinearForm) -> BilinearForm:
     w = [[v for row in phi_m.mul(D.delta_matrix(b)).mul(psi_t).rows for v in row]
          for b in range(D.dim)]
     mc = Matrix._computed(k, [list(itertools.chain(*table)) for table in C.mu])
-    return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows, check=False)
+    return BilinearForm(C, D, mc.mul(Matrix._computed(k, w).transpose()).rows)

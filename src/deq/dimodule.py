@@ -252,10 +252,10 @@ class GradedModule:
                             % (H.labels[s], H.labels[t]))
         # stability: act maps each component into itself, P A P = A P. As
         # P^2 = P, P A P - A P = [P, A] P, so only pairs with [A, P] != 0 can fail
-        self._commutators = commutator_columns(self.act, self.projectors)
+        commutators = commutator_columns(self.act, self.projectors)
         for s, P in enumerate(self.projectors):
             for a in range(H.dim):
-                if self._commutators[a][s]:
+                if commutators[a][s]:
                     img = self.act[a] @ P
                     if P @ img != img:
                         raise MathError("component %s is not stable under %s"
@@ -272,8 +272,9 @@ def dimodule_from_grading(g: GradedModule) -> LongDimodule:
     exactly Long compatibility."""
     comod = Comodule(g.host.gen_coalgebra(), g.projectors, check=False)
     d = LongDimodule(g.host, g.act, comod, check=False)
-    # stability read the commutators of the action with these slices
-    d._incompatible = _incompatible_columns(g._commutators)
+    # no pair fails: with sum_t P_t = 1 and P_s P_t = 0 for s != t, stability
+    # gives P_s A_a = P_s A_a P_s = A_a P_s
+    d._incompatible = [[] for _ in g.act]
     return d
 
 

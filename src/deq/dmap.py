@@ -70,7 +70,7 @@ def sigma_form(C: Coalgebra, f_values, right: Coalgebra = None) -> BilinearForm:
         raise UsageError("f must be a functional on the right coalgebra")
     table = [[k.mul(C.counit[a], k.coerce(f_values[b])) for b in range(right.dim)]
              for a in range(C.dim)]
-    return BilinearForm(C, right, table, check=False)
+    return BilinearForm(C, right, table)
 
 
 def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
@@ -81,7 +81,7 @@ def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
     a_value = k.coerce(a_value)
     table = [[a_value if (i // n) == (i % n) else k.zero for _ in range(C.dim)]
              for i in range(C.dim)]
-    return BilinearForm(C, C, table, check=False)
+    return BilinearForm(C, C, table)
 
 
 def _sigma_table(table: Matrix, Q):
@@ -102,8 +102,7 @@ def sigma_from_r(R: EndoPair) -> DMap:
     section."""
     pres = d_bialgebra(R)
     C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
-    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.action.table, Q), check=False),
-                endo=R)
+    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.action.table, Q)), endo=R)
 
 
 def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
@@ -151,8 +150,7 @@ def strong_dmap_from_symmetric(R: EndoPair):
             "R tau != tau R: x_%d%d^%d%d != x_%d%d^%d%d" % (u, v, j, i, v, u, i, j))
     Q = pres.quotient
     sigma = _sigma_table(pres.action.table, Q)
-    return Q, DMap(Q, None, None,
-                   BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols], check=False))
+    return Q, DMap(Q, None, None, BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols]))
 
 
 def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:
@@ -171,4 +169,4 @@ def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:
     if Rinv is None:
         raise MathError("operator is not bijective; sigma has no convolution inverse")
     return BilinearForm(dm.coalgebra, dm.quotient,
-                        _sigma_table(generator_table(Rinv), dm.quotient), check=False)
+                        _sigma_table(generator_table(Rinv), dm.quotient))

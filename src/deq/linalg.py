@@ -151,17 +151,29 @@ def linear_combination(coeffs, mats):
     return functools.reduce(Matrix.add, terms)
 
 
-def _block_products(X, Y):
-    """(rows, d) with X[a] Y[b] block (a, b) of rows / d in the field's
-    integral form, for nonempty lists of n x n matrices of one field: one
-    product of the X's stacked vertically with the Y's side by side. It
-    holds every pair's product at once, len(X) len(Y) n^2 entries."""
-    for M in itertools.chain(X, Y):
-        X[0]._match(M)
-    stacked = Matrix._computed(X[0].field, [row for M in X for row in M.rows])
-    band = Matrix._computed(Y[0].field, [[v for M in Y for v in M.rows[i]]
-                                         for i in range(Y[0].nrows)])
-    return stacked._integral_mul(band)
+# The block kernels form at most this many entries of a product at once, or
+# one X[a]'s blocks if those alone are more (the module axiom's first band
+# also carries the unit row): a larger family is formed in bands of
+# consecutive X[a], each pair's product still formed once.
+_BAND_ENTRIES = 1 << 14
+
+
+def _bands(count, entries_each):
+    """range(count) cut into consecutive ranges of at most _BAND_ENTRIES
+    entries at entries_each per index, one index at least."""
+    step = max(1, _BAND_ENTRIES // entries_each)
+    return [range(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+def _stacked(mats):
+    """The matrices one above the other."""
+    return Matrix._computed(mats[0].field, [row for M in mats for row in M.rows])
+
+
+def _side_by_side(mats):
+    """The matrices side by side; they have one number of rows."""
+    return Matrix._computed(mats[0].field, [[v for M in mats for v in M.rows[i]]
+                                            for i in range(mats[0].nrows)])
 
 
 def _differences(field, xs, dx, ys, dy):
@@ -173,42 +185,55 @@ def _differences(field, xs, dx, ys, dy):
 
 
 def module_defects(act, unit, coeffs):
-    """(unit row, pair rows) for d n x n matrices act[c] of one field: entry
-    i n + j of the unit row is nonzero exactly where sum_c unit[c] act[c]
-    differs from the identity at (i, j), and entry i n + j of row a d + b
-    exactly where act[a] act[b] and sum_c coeffs[a d + b][c] act[c] differ
-    at (i, j). Two products form every side: the act[a] act[b] are
-    `_block_products`, and the unit and coefficient rows times the
-    flattened act[c] are the others."""
+    """The rows, in order, that mark where d n x n matrices act[c] of one
+    field fail to be a module: entry i n + j of the first (unit) row is
+    nonzero exactly where sum_c unit[c] act[c] differs from the identity at
+    (i, j), and entry i n + j of the row after it numbered a d + b exactly
+    where act[a] act[b] and sum_c coeffs[a d + b][c] act[c] differ at (i, j).
+
+    The rows come in bands of consecutive a (`_bands`), so a caller that
+    stops at a nonzero row forms no later band. Two products form each
+    band's sides: its act[a] stacked times every act[b] side by side, and
+    its coefficient rows (the unit row first) times the flattened act[c]."""
     k, n, d = act[0].field, act[0].nrows, len(act)
     for M in act:
         act[0]._match(M, same_shape=True)
-    lhs, dl = _block_products(act, act)
+    band = _side_by_side(act)
     flat = Matrix._computed(k, [[v for row in A.rows for v in row] for A in act])
-    rhs, dr = Matrix._computed(k, [unit] + coeffs)._integral_mul(flat)
-    left = [[dl if t % (n + 1) == 0 else 0 for t in range(n * n)]]  # the identity, dl I / dl
-    left += [[v for row in lhs[a * n:(a + 1) * n] for v in row[b * n:(b + 1) * n]]
-             for a in range(d) for b in range(d)]
-    diff = _differences(k, left, dl, rhs, dr)
-    return diff[0], diff[1:]
+    for chunk in _bands(d, d * n * n):
+        lhs, dl = _stacked(act[chunk.start:chunk.stop])._integral_mul(band)
+        left = [[v for row in lhs[i * n:(i + 1) * n] for v in row[b * n:(b + 1) * n]]
+                for i in range(len(chunk)) for b in range(d)]
+        right = coeffs[chunk.start * d:chunk.stop * d]
+        if chunk.start == 0:
+            left.insert(0, [dl if t % (n + 1) == 0 else 0 for t in range(n * n)])  # dl I / dl
+            right = [unit] + right
+        rhs, dr = Matrix._computed(k, right)._integral_mul(flat)
+        yield from _differences(k, left, dl, rhs, dr)
 
 
 def commutator_columns(X, Y):
     """table[a][b], the columns j where X[a] Y[b] and Y[b] X[a] differ, for
     nonempty lists of n x n matrices of one field: [X[a], Y[b]] = 0 exactly
-    when the list is empty. Two block products form every X[a] Y[b] and
-    every Y[b] X[a]."""
-    n, nx, ny = X[0].nrows, len(X), len(Y)
-    xy, dxy = _block_products(X, Y)
-    yx, dyx = _block_products(Y, X)
-    # row (a, i) of yx laid out as xy: row i of Y[b] X[a] for each b
-    swapped = [[v for b in range(ny) for v in yx[b * n + i][a * n:(a + 1) * n]]
-               for a in range(nx) for i in range(n)]
-    diff = _differences(X[0].field, xy, dxy, swapped, dyx)
+    when the list is empty. For each band of consecutive a (`_bands`), two
+    block products form every X[a] Y[b] and every Y[b] X[a]: the band's X[a]
+    stacked times the Y[b] side by side, and the other way round."""
+    for M in itertools.chain(X, Y):
+        X[0]._match(M)
+    k, n, ny = X[0].field, X[0].nrows, len(Y)
+    y_stacked, y_band = _stacked(Y), _side_by_side(Y)
     table = []
-    for a in range(nx):
-        bad = [any(col) for col in zip(*diff[a * n:(a + 1) * n])]
-        table.append([[j for j in range(n) if bad[b * n + j]] for b in range(ny)])
+    for chunk in _bands(len(X), ny * n * n):
+        xs = X[chunk.start:chunk.stop]
+        xy, dxy = _stacked(xs)._integral_mul(y_band)
+        yx, dyx = y_stacked._integral_mul(_side_by_side(xs))
+        # row (a, i) of yx laid out as xy: row i of Y[b] X[a] for each b
+        swapped = [[v for b in range(ny) for v in yx[b * n + i][a * n:(a + 1) * n]]
+                   for a in range(len(xs)) for i in range(n)]
+        diff = _differences(k, xy, dxy, swapped, dyx)
+        for a in range(len(xs)):
+            bad = [any(col) for col in zip(*diff[a * n:(a + 1) * n])]
+            table.append([[j for j in range(n) if bad[b * n + j]] for b in range(ny)])
     return table
 
 

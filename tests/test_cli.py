@@ -456,8 +456,9 @@ def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     deq dimodule tests compatibility once for each (basis element, m_l)
     pair, for its compat lines, and forms a number of matrix products that
     does not grow with the group order: S3, Z/6 and Z/12 gradings of k^3
-    form the same number. Every product, Matrix.mul's and the block
-    kernels', runs through Matrix._integral_mul, which counts them. Its
+    form the same number (each of their families is one band of the block
+    kernels). Every product, Matrix.mul's and the block kernels', runs
+    through Matrix._integral_mul, which counts them. Its
     stability check and its compat lines read one commutator table. deq
     frt forms none, since the canonical dimodule of a solution is
     compatible by the FRT-type theorem."""
