@@ -4,13 +4,12 @@ small prime fields, with conjugation-orbit reduction.
 Candidates are serialized row-major over the n^2 x n^2 operator matrix, as
 big-endian base-p digits. The scan (enumerate_range) is a prefix-pruned
 sieve: it fixes the digits left to right and checks each coordinate
-equation of tensor_ops.coordinate_equations as soon as its last digit is
-fixed, so almost every candidate dies as a short prefix; the frontier is
-expanded depth-first, at most CHUNK rows at a time. The independent
-operator-composition path evaluates the leg maps and the equation table of
-tensor_ops on whole candidate blocks (candidate_block).
-Flags and orbits are computed mod p in numpy as well; a sample of the
-solutions is re-verified by the exact check_d."""
+equation, entry (i, l) of L_jk R_pq = R_pq L_jk for the blocks of
+tensor_ops.leg_blocks, as soon as its last digit is fixed, so almost every
+candidate dies as a short prefix. The independent operator-composition path
+evaluates the leg maps and the slot words of tensor_ops on whole candidate
+blocks (candidate_block). Flags and orbits are computed mod p in numpy as
+well; a sample of the solutions is re-verified by the exact check_d."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .fields import DEFAULT_BUDGET, PrimeField, UsageError, env_positive_int, is_prime
 from .linalg import Matrix
-from .tensor_ops import EQUATIONS, EndoPair, check_d, coordinate_equations, leg_map
+from .tensor_ops import EQUATIONS, EndoPair, check_d, leg_blocks, leg_map
 
 CHUNK = 65536  # rows per vectorized block: candidates, scan prefixes or conjugate images
 
@@ -113,12 +112,15 @@ def _rows_equal(a: np.ndarray, b) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _equation_columns(n: int):
-    """tensor_ops.coordinate_equations(n) as two (n^6, 2n) arrays of entry
-    indices: the first and the second factors of the lhs terms, then rhs."""
-    pairs = np.array([lhs + rhs for _, lhs, rhs in coordinate_equations(n)],
-                     dtype=np.intp).reshape(-1, 2 * n, 2)
-    pairs.flags.writeable = False  # cached: shared by every caller
-    return pairs[:, :, 0], pairs[:, :, 1]
+    """The coordinate equations, in label order, as two (n^6, 2n) arrays of
+    entry indices from tensor_ops.leg_blocks: the L_jk and the R_pq factors
+    of the terms of entry (i, l) of L_jk R_pq, then of R_pq L_jk."""
+    left, right = (np.array(blocks, dtype=np.intp).reshape((n,) * 4) for blocks in leg_blocks(n))
+    i, j, k, l, p, q, t = np.indices((n,) * 7)  # t runs over the terms of a side
+    first, second = (np.concatenate(sides, axis=-1).reshape(n ** 6, 2 * n) for sides in
+                     ((left[j, k, i, t], left[j, k, t, l]), (right[p, q, t, l], right[p, q, i, t])))
+    first.flags.writeable = second.flags.writeable = False  # cached: shared by every caller
+    return first, second
 
 
 def _holds(entries: np.ndarray, first: np.ndarray, second: np.ndarray, p: int) -> np.ndarray:

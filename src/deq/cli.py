@@ -12,7 +12,7 @@ from .fields import (DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, p
                      read_int)
 from .frt import d_bialgebra, relation_strings
 from .tensor_ops import (check_d, check_equivalent_forms, check_hopf, check_pentagon,
-                         check_qybe, identity_pair)
+                         check_qybe, guard_n, identity_pair)
 
 
 def _bool_text(value) -> str:
@@ -105,6 +105,7 @@ def cmd_dmap(args) -> int:
 def cmd_dimodule(args) -> int:
     labels, table = fileio.read_cayley(args.group)
     field, action, projectors = fileio.read_graded_module(args.module, labels)
+    guard_n(action[labels[0]].nrows)  # the regenerated operator's n, refused before any work
     H = group_bialgebra(field, labels, table)
     graded = GradedModule(H, [action[l] for l in labels],
                           [projectors[l] for l in labels])

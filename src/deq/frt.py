@@ -28,7 +28,7 @@ import itertools
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
 from .fields import MathError, UsageError
 from .linalg import Matrix, linear_combination, rref
-from .tensor_ops import EndoPair, first_violation
+from .tensor_ops import EndoPair, _entries, first_violation, leg_blocks
 
 
 class NotASolutionError(MathError):
@@ -107,11 +107,11 @@ def obstruction_coideal(action: GeneratorAction) -> Coideal:
 
 def generator_table(R: EndoPair) -> Matrix:
     """The n^2 x n^2 table of R's entries that D(R) and sigma_R read: row
-    (j, u) is A(c_ju) flattened, so entry (i, v) of it is x_uv^ji, the entry
-    ((i, j), (v, u)) of R.matrix()."""
-    n, rows = R.n, R.matrix().rows
-    return Matrix._computed(R.field, [[x for row in rows[j::n] for x in row[u::n]]
-                                      for j in range(n) for u in range(n)])
+    (j, u) is A(c_ju) = L_ju of tensor_ops.leg_blocks flattened, so entry
+    (i, v) of it is x_uv^ji, the entry ((i, j), (v, u)) of R.matrix()."""
+    x = _entries(R)
+    return Matrix._computed(R.field, [[x[s] for row in block for s in row]
+                                      for block in leg_blocks(R.n)[0]])
 
 
 class GeneratorAction:

@@ -19,20 +19,12 @@ from .linalg import Matrix, matrix_inverse
 DEFAULT_MAX_N = 4
 
 
-def max_n() -> int:
-    """Configured bound for equation checks; the cost is Theta(n^7)."""
-    return env_positive_int("DEQ_MAX_N", DEFAULT_MAX_N)
-
-
-def _guard_n(n):
-    bound = max_n()
+def guard_n(n):
+    """Refuse (UsageError) an n above DEQ_MAX_N, the configured bound for the
+    equation checks, whose cost is Theta(n^7)."""
+    bound = env_positive_int("DEQ_MAX_N", DEFAULT_MAX_N)
     if n > bound:
         raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, bound))
-
-
-def x_cell(n, u, v, j, i):
-    """Row and column of x_uv^ji (0-based indices) in the matrix of R."""
-    return i * n + j, v * n + u
 
 
 class EndoPair:
@@ -60,7 +52,7 @@ class EndoPair:
 
     def coeff(self, u, v, j, i):
         """x_{uv}^{ji} with 1-based indices, as written in the formulas."""
-        r, c = x_cell(self.n, u - 1, v - 1, j - 1, i - 1)
+        r, c = divmod(leg_blocks(self.n)[0][(j - 1) * self.n + u - 1][i - 1][v - 1], self.n ** 2)
         return self._mat.rows[r][c]
 
     def __eq__(self, other):
@@ -114,7 +106,7 @@ def _integral(R: EndoPair):
     compute on R': each side of an equation is a word of lifts of R,
     homogeneous in R of the word's length, so the lifted products of R' are
     those of R times d to that length."""
-    _guard_n(R.n)
+    guard_n(R.n)
     if R._cleared is None:
         ring, values, d = R.field.cleared(_entries(R))
         n2 = R.n * R.n
@@ -162,45 +154,41 @@ def _entries(R: EndoPair):
     return [v for row in R.matrix().rows for v in row]
 
 
-def coordinate_equations(n: int):
-    """The n^6 coordinate equations sum_v x_kv^ji y_lq^vp = sum_a x_kl^ja y_aq^ip
-    of R^{23} R^{12} = R^{12} R^{23} for R alone, x and y both R's entries
-    (x the factor from R^{23}, y the one from R^{12}), in (i,j,k,l,p,q)
-    order: (label, lhs, rhs) with the 1-based label and, per side, the
-    (s, t) pairs of row-major R.matrix() entries whose products x[s] y[t]
-    it sums.
-
-    The table is cached up to n = DEFAULT_MAX_N. Past that it is generated
-    as it is read: it has n^6 entries, and an operator read from a file may
-    be large, so one that fails an early equation must not build them all.
-    """
-    return _equation_table(n) if n <= DEFAULT_MAX_N else _equations(n)
-
-
 @functools.lru_cache(maxsize=None)
-def _equation_table(n: int):
-    return tuple(_equations(n))
+def leg_blocks(n: int):
+    """(left, right): the n x n blocks of R.matrix() whose commutators state
+    the D-equation, as row-major flat indices into R.matrix().
 
-
-def _equations(n: int):
-    def at(u, v, j, i):  # flat row-major index of x_uv^ji
-        r, c = x_cell(n, u, v, j, i)
-        return r * n * n + c
-    rng = range(n)
-    for i, j, k, l, p, q in itertools.product(rng, repeat=6):
-        yield ((i + 1, j + 1, k + 1, l + 1, p + 1, q + 1),
-               tuple((at(k, v, j, i), at(l, q, v, p)) for v in rng),
-               tuple((at(k, l, j, a), at(a, q, i, p)) for a in rng))
+    left[j n + k][i][v] is the index of L_jk[i][v] = R[(i,j),(v,k)] = x_kv^ji,
+    right[p n + q][x][y] that of R_pq[x][y] = R[(p,x),(q,y)] = x_yq^xp. As
+    R12 R23 - R23 R12 = sum E_pq (x) [R_pq, L_jk] (x) E_jk, R solves the
+    D-equation iff every L_jk commutes with every R_pq. Coordinate equation
+    (i,j,k,l,p,q), sum_v x_kv^ji x_lq^vp = sum_a x_kl^ja x_aq^ip, is entry
+    (i, l) of L_jk R_pq = R_pq L_jk; labels are 1-based, ordered by
+    (i,j,k,l,p,q)."""
+    n2, rng = n * n, range(n)
+    return (tuple(tuple(tuple((i * n + j) * n2 + v * n + k for v in rng) for i in rng)
+                  for j in rng for k in rng),
+            tuple(tuple(tuple((p * n + x) * n2 + q * n + y for y in rng) for x in rng)
+                  for p in rng for q in rng))
 
 
 def first_violation(R: EndoPair):
     """Label of the first coordinate equation of the D-criterion that R
-    fails, or None."""
-    field, x = R.field, _entries(R)
-    for label, lhs, rhs in coordinate_equations(R.n):
-        if (field.sum(field.mul(x[s], x[t]) for s, t in lhs)
-                != field.sum(field.mul(x[s], x[t]) for s, t in rhs)):
-            return label
+    fails, or None: in label order, row i of L_jk times column l of R_pq
+    against row i of R_pq times column l of L_jk (leg_blocks)."""
+    x, n, mul, total = _entries(R), R.n, R.field.mul, R.field.sum
+    left, right = ([[[x[s] for s in row] for row in block] for block in blocks]
+                   for blocks in leg_blocks(n))
+    right_cols = [list(zip(*block)) for block in right]
+    for i in range(n):
+        for jk, block in enumerate(left):
+            row = block[i]
+            for l, col in enumerate(zip(*block)):
+                for pq, other in enumerate(right):
+                    if (total(map(mul, row, right_cols[pq][l]))
+                            != total(map(mul, col, other[i]))):
+                        return (i + 1, jk // n + 1, jk % n + 1, l + 1, pq // n + 1, pq % n + 1)
     return None
 
 

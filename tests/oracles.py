@@ -9,7 +9,8 @@ the D-equation built as operators of their own, exactly and mod p, and the
 seven verdicts of `deq check` on an operator's field values, one exact
 linear solve, a kernel read off rref's free columns, a span with its
 membership test, the flip tau as an index map and as a matrix, the
-whole-block sieve of the census, the standard comodule of comatrix(n)
+whole-block sieve of the census, the n^6 table of coordinate equations
+that tensor_ops.leg_blocks replaced, the standard comodule of comatrix(n)
 with its pushforward to a quotient, and the module axiom, Long
 compatibility, graded stability and R = sum_a A_a (x) P_a one pair at a
 time, as the block products replaced them. The tests compare the
@@ -224,6 +225,22 @@ def x_table(R):
     """The 4-index family of R, 0-based: x[u][v][j][i] is x_uv^ji."""
     rng = range(1, R.n + 1)
     return [[[[R.coeff(u, v, j, i) for i in rng] for j in rng] for v in rng] for u in rng]
+
+
+def coordinate_equation_table(n):
+    """The n^6 coordinate equations sum_v x_kv^ji y_lq^vp = sum_a x_kl^ja y_aq^ip
+    of R^{23} R^{12} = R^{12} R^{23}, x and y both R's entries (x the factor
+    from R^{23}, y the one from R^{12}), in (i,j,k,l,p,q) order: (label, lhs,
+    rhs) with the 1-based label and, per side, the (s, t) pairs of row-major
+    R.matrix() entries whose products x[s] y[t] it sums. x_uv^ji is the entry
+    at row (i, j), column (v, u)."""
+    def at(u, v, j, i):
+        return (i * n + j) * n * n + v * n + u
+    rng = range(n)
+    for i, j, k, l, p, q in itertools.product(rng, repeat=6):
+        yield ((i + 1, j + 1, k + 1, l + 1, p + 1, q + 1),
+               tuple((at(k, v, j, i), at(l, q, v, p)) for v in rng),
+               tuple((at(k, l, j, a), at(a, q, i, p)) for a in rng))
 
 
 def endo_from_table(field, n, x):

@@ -18,7 +18,7 @@ from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_qyb
                             conjugate, diagonal_solution, product_solution)
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
-from oracles import coordinate_mask, digits_of, forms_masks
+from oracles import coordinate_equation_table, coordinate_mask, digits_of, forms_masks
 
 
 def digits_from_endo(R: EndoPair):
@@ -195,6 +195,18 @@ def test_masks_agree_with_scalar_checks():
         verdicts = assert_operator_masks_exact(rows, 3, p)
         if p == 13:
             assert verdicts[8][0] and not all(v[0] for v in verdicts)
+
+
+def test_equation_columns_match_the_coordinate_equation_table():
+    """The sieve's columns, read off leg_blocks, are the n^6-entry table of
+    coordinate equations: per label, the (L_jk, R_pq) index pairs of the
+    lhs terms, then of the rhs terms."""
+    for n in (1, 2, 3):
+        pairs = np.array([lhs + rhs for _, lhs, rhs in coordinate_equation_table(n)],
+                         dtype=np.intp).reshape(-1, 2 * n, 2)
+        first, second = classify._equation_columns(n)
+        assert first.dtype == second.dtype == np.intp
+        assert np.array_equal(first, pairs[:, :, 0]) and np.array_equal(second, pairs[:, :, 1])
 
 
 def dense_coordinate_mask(x, p):

@@ -449,6 +449,45 @@ def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
         assert captured.err.startswith("error: ") and reason in captured.err
 
 
+def test_dimodule_reads_the_size_bound_before_its_work(tmp_path, capsys, monkeypatch):
+    """A module of dimension above DEQ_MAX_N regenerates an operator that
+    check_d refuses, so deq dimodule refuses it (exit 2) right after reading
+    it, valid or not, before any GradedModule is built."""
+    import deq.cli
+    k = QQ
+    z, o, m = k.zero, k.one, k.neg(k.one)
+    group = str(tmp_path / "z2.txt")
+    fileio.write_cayley(group, ["e", "g"], [[0, 1], [1, 0]])
+
+    def diagonal(*entries):
+        return Matrix(k, [[entries[r] if r == c else z for c in range(5)] for r in range(5)],
+                      coerce=False)
+    valid, unstable = str(tmp_path / "valid.txt"), str(tmp_path / "unstable.txt")
+    fileio.write_graded_module(valid, ["e", "g"], k,
+                               {"e": Matrix.identity(k, 5), "g": diagonal(o, o, o, m, m)},
+                               {"e": diagonal(o, o, o, z, z), "g": diagonal(z, z, z, o, o)})
+    swap = [[o if c == (r ^ 1 if r < 2 else r) else z for c in range(5)] for r in range(5)]
+    fileio.write_graded_module(unstable, ["e", "g"], k,
+                               {"e": Matrix.identity(k, 5), "g": Matrix(k, swap, coerce=False)},
+                               {"e": diagonal(o, z, o, o, o), "g": diagonal(z, o, z, z, z)})
+    built = []
+    graded_module = deq.cli.GradedModule
+    monkeypatch.setattr(deq.cli, "GradedModule",
+                        lambda *args: built.append(args) or graded_module(*args))
+    for module in (valid, unstable):
+        assert main(["dimodule", group, module]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n=5 exceeds the configured bound 4 (set DEQ_MAX_N)" in captured.err
+    assert built == []
+    monkeypatch.setenv("DEQ_MAX_N", "5")
+    assert main(["dimodule", group, valid]) == 0
+    assert "regenerated operator n: 5\nregenerated d: true\n" in capsys.readouterr().out
+    assert main(["dimodule", group, unstable]) == 1
+    assert "component e is not stable under g" in capsys.readouterr().err
+    assert len(built) == 2
+
+
 def test_frt_and_dimodule_check_each_fact_once(tmp_path, capsys, monkeypatch):
     """Structures correct by construction are not re-checked: one deq frt
     and one deq dimodule run check no coalgebra, comodule, algebra or

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deq import catalog
+from deq.classify import _equation_columns
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
-                            coordinate_equations, check_pentagon, check_qybe, conjugate,
-                            diagonal_solution, first_violation, identity_pair, invert,
-                            lift, product_solution)
+                            check_pentagon, check_qybe, conjugate, diagonal_solution,
+                            first_violation, identity_pair, invert, lift, product_solution)
 from oracles import fresh_form_products, fresh_form_verdicts, random_value, tau_matrix, x_table
 
 
@@ -175,23 +175,25 @@ def nested_loop_violation(field, n, x, y):
 
 
 def test_coordinate_equation_table_states_each_equation():
-    """Every entry of the table gives, on a pair (R, S), both sides of the
-    formula at its label. Verdicts cannot see a lost equation: the n^6
-    equations are linearly dependent (rank 45 of 64 at n = 2), and the last
-    one follows from those before it."""
+    """Every row of the census columns gives, on a pair (R, S), both sides of
+    the formula at its label: the L_jk factors are read from R, the R_pq
+    factors from S. Verdicts cannot see a lost equation: the n^6 equations
+    are linearly dependent (rank 45 of 64 at n = 2), and the last one
+    follows from those before it."""
     k = PrimeField(101)
     rng = random.Random(8)
     for n in (1, 2, 3):
         R, S = rand_pair(k, rng, n), rand_pair(k, rng, n)
         xm = [v for row in R.matrix().rows for v in row]
         ym = [v for row in S.matrix().rows for v in row]
-        table = coordinate_equations(n)
+        first, second = _equation_columns(n)
         xs, ys = x_table(R), x_table(S)
-        assert [label for label, _, _ in table] == [
-            tuple(t + 1 for t in idx) for idx in itertools.product(range(n), repeat=6)]
-        for label, lhs, rhs in table:
-            got = tuple(k.sum(k.mul(xm[s], ym[t]) for s, t in side) for side in (lhs, rhs))
-            assert got == coordinate_sides(k, n, xs, ys, *(t - 1 for t in label)), label
+        labels = list(itertools.product(range(n), repeat=6))
+        assert first.shape == second.shape == (len(labels), 2 * n)
+        for label, fs, ss in zip(labels, first.tolist(), second.tolist()):
+            terms = [k.mul(xm[s], ym[t]) for s, t in zip(fs, ss)]
+            got = k.sum(terms[:n]), k.sum(terms[n:])
+            assert got == coordinate_sides(k, n, xs, ys, *label), label
 
 
 def one_entry_perturbations(R, rng, count):
@@ -223,7 +225,23 @@ def test_first_violation_labels_match_the_nested_loops():
         assert first_violation(R) == want
         labels.add(want)
     assert len(labels) > 10, "the perturbations fail at many different equations"
-    # past DEFAULT_MAX_N the table is generated as it is read
+    # n = 4: f (x) g with g a polynomial in f, and a diagonal solution, each
+    # with one entry moved
+    labels = set()
+    for field in (QQ, k):
+        f = rand_matrix(field, rng, 4)
+        g = f.mul(f).add(f.scale(field.coerce(3))).add(Matrix.identity(field, 4))
+        diagonal = diagonal_solution(field, [[random_value(field, rng) for _ in range(4)]
+                                             for _ in range(4)])
+        for sol in (product_solution(f, g), diagonal):
+            assert first_violation(sol) is None
+            for R in one_entry_perturbations(sol, rng, 4):
+                x = x_table(R)
+                want = nested_loop_violation(field, 4, x, x)
+                assert first_violation(R) == want
+                labels.add(want)
+    assert None not in labels and len(labels) > 10
+    # n = 5, past the default bound of DEQ_MAX_N, which first_violation does not read
     big = identity_pair(k, 5)
     for R in [big] + one_entry_perturbations(big, rng, 3):
         assert first_violation(R) == nested_loop_violation(k, 5, x_table(R), x_table(R))
