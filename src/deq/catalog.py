@@ -8,7 +8,7 @@ from __future__ import annotations
 from .dimodule import FinBialgebra, GradedModule, group_bialgebra
 from .fields import Field, UsageError
 from .linalg import Matrix
-from .tensor_ops import EndoPair
+from .tensor_ops import EndoPair, product_solution
 
 
 def triangular_solution(field: Field, a, b, c) -> EndoPair:
@@ -17,20 +17,18 @@ def triangular_solution(field: Field, a, b, c) -> EndoPair:
     a, b, c = field.coerce(a), field.coerce(b), field.coerce(c)
     f = Matrix(field, [[a, field.one], [field.zero, a]], coerce=False)
     g = Matrix(field, [[b, c], [field.zero, b]], coerce=False)
-    return EndoPair.from_matrix(f.kron(g))
+    return product_solution(f, g)
 
 
 def rq(field: Field, q) -> EndoPair:
     """[[0,-q,0,-q^2],[0,1,0,q],[0,0,0,0],[0,0,0,0]]; a D-equation and Hopf
-    equation solution of the form f (x) g with fg = gf = 0."""
+    equation solution f (x) g for f=[[1,q],[0,0]], g=[[0,-q],[0,1]], with
+    fg = gf = 0."""
     q = field.coerce(q)
     z, o = field.zero, field.one
-    q2 = field.mul(q, q)
-    rows = [[z, field.neg(q), z, field.neg(q2)],
-            [z, o, z, q],
-            [z, z, z, z],
-            [z, z, z, z]]
-    return EndoPair.from_matrix(Matrix(field, rows, coerce=False))
+    f = Matrix(field, [[o, q], [z, z]], coerce=False)
+    g = Matrix(field, [[z, field.neg(q)], [z, o]], coerce=False)
+    return product_solution(f, g)
 
 
 def projection_solution(field: Field, a=2, b=3) -> EndoPair:
@@ -39,7 +37,7 @@ def projection_solution(field: Field, a=2, b=3) -> EndoPair:
     z, o = field.zero, field.one
     f = Matrix(field, [[o, z], [z, z]], coerce=False)
     g = Matrix(field, [[a, z], [z, b]], coerce=False)
-    return EndoPair.from_matrix(f.kron(g))
+    return product_solution(f, g)
 
 
 def yang_baxter_operator(field: Field, q) -> EndoPair:

@@ -368,7 +368,7 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
     flags = {"bijective": bijective.tolist(),
              "symmetric": symmetric_mask(xs).tolist(),
              "qybe": qybe_mask(xs, p).tolist()}
-    # re-verify a 1% sample through the scalar dual-path oracle
+    # re-verify a 1% sample by the exact coordinate walk of check_d
     rng = random.Random(seed)
     for idx in sorted(rng.sample(range(len(solutions)), max(1, len(solutions) // 100))):
         if not check_d(endo_from_digits(n, p, solutions[idx])):

@@ -27,7 +27,7 @@ import itertools
 
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
 from .fields import MathError, UsageError
-from .linalg import Matrix, linear_combination, rref
+from .linalg import Matrix, rref
 from .tensor_ops import EndoPair, _entries, first_violation, leg_blocks
 
 
@@ -226,36 +226,17 @@ def universal_map(R: EndoPair, H, realization):
     """Generator assignment c~_ij -> c'_ij of the unique bialgebra map
     D(R) -> H induced by a realization of R as a dimodule over H, or None
     when the realization does not reproduce R. c'_ij is the vector of the
-    (i, j) entries of the realization's slices. When H is the presentation
-    of R itself, its quotient is reused."""
+    (i, j) entries of the realization's slices. By the universal property
+    of D(R), the assignment kills I(R), factors through the quotient and
+    respects Delta and eps; it is not re-checked at run time, and the tests
+    check it (tests/oracles.py, universal_map_failure)."""
     from .dimodule import r_from_dimodule
-    n, k = R.n, R.field
+    n = R.n
     if realization.dim != n:
         raise UsageError("realization dimension does not match the operator")
-    HC = H.gen_coalgebra()
-    if not realization.coalgebra.same_structure(HC):
+    if not realization.coalgebra.same_structure(H.gen_coalgebra()):
         raise UsageError("realization does not live over the given host")
     if r_from_dimodule(realization) != R:
         return None
-    # row i*n + j of images is c'_ij, one column per basis element of H
-    images = Matrix._computed(k, [[P.rows[i][j] for P in realization.comodule.slices]
-                                  for i in range(n) for j in range(n)])
-    # relations map to zero: the reduced basis of I(R) spans every o(i,j,k,l)
-    pres = H if isinstance(H, FrtPresentation) and H.endo == R else d_bialgebra(R)
-    relations = pres.ideal.basis
-    if relations and not Matrix._computed(k, relations).mul(images).is_zero():
-        raise RuntimeError("obstruction image nonzero in host")
-    # the assignment factors through the quotient and matches the coaction
-    Q = pres.quotient
-    G = Matrix._computed(k, [images.rows[c] for c in Q.section_cols])
-    if Q.proj.transpose().mul(G) != images:
-        raise RuntimeError("assignment does not match the coaction")
-    # Delta and eps respected on generators: sum_a G[b][a] M^H_a = G^T M^Q_b G
-    G_t = G.transpose()
-    host_deltas = [HC.delta_matrix(a) for a in range(HC.dim)]
-    for b in range(Q.dim):
-        if linear_combination(G.rows[b], host_deltas) != G_t.mul(Q.delta_matrix(b)).mul(G):
-            raise RuntimeError("comultiplication not respected on generators")
-        if k.dot(HC.counit, G.rows[b]) != Q.counit[b]:
-            raise RuntimeError("counit not respected on generators")
-    return {(i + 1, j + 1): images.rows[i * n + j] for i in range(n) for j in range(n)}
+    slices = realization.comodule.slices
+    return {(i + 1, j + 1): [P.rows[i][j] for P in slices] for i in range(n) for j in range(n)}

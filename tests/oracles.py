@@ -13,8 +13,11 @@ whole-block sieve of the census, the n^6 table of coordinate equations
 that tensor_ops.leg_blocks replaced, the standard comodule of comatrix(n)
 with its pushforward to a quotient, and the module axiom, Long
 compatibility, graded stability and R = sum_a A_a (x) P_a one pair at a
-time, as the block products replaced them. The tests compare the
-package's closed forms with them. Small random field values and the difference of two
+time, as the block products replaced them, the universal property of D(R)
+on a generator assignment, which `universal_map` no longer re-checks,
+solutions with prescribed leg algebras, and the Yetter-Drinfeld condition
+with the conjugation modules of k[G]. The tests compare the package's
+closed forms with them. Small random field values and the difference of two
 matrices, which only the tests use, live here too."""
 
 import functools
@@ -29,8 +32,9 @@ from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _hold
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, _first_difference, comatrix, convolve,
                        counit_form)
 from deq.fields import PrimeField, RationalField, UsageError
+from deq.frt import d_bialgebra
 from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
-from deq.tensor_ops import EQUATIONS, EndoPair, _product
+from deq.tensor_ops import EQUATIONS, EndoPair, _product, conjugate
 
 
 def random_value(k, rng):
@@ -528,8 +532,7 @@ def loop_first_unstable(act, projectors):
 
 def kron_r_from_dimodule(d):
     """sum_a A_a (x) P_a by Kronecker products."""
-    terms = [A.kron(P) for A, P in zip(d.act, d.comodule.slices)]
-    return EndoPair.from_matrix(functools.reduce(Matrix.add, terms))
+    return graded_operator(d.act, d.comodule.slices)
 
 
 def delta_vector(C, vec):
@@ -617,3 +620,129 @@ def field_verdicts(R):
                 for name, (left, right) in EQUATIONS.items()}
     forms = fresh_form_verdicts(R.n, fresh_form_products(R))
     return dict(verdicts, **dict(zip(("form_t", "form_u", "form_w"), forms)))
+
+
+def universal_map_failure(R, H, assignment):
+    """The first universal property of D(R) that the generator assignment
+    of `universal_map` (c_ij -> the vector c'_ij over H's basis) breaks, or
+    None. From a fresh presentation of R: the reduced relations of I(R)
+    vanish on the images; the images factor through the quotient, the image
+    of c_ij being that of its class; and on each generator b with images
+    G[b], Delta and eps hold: sum_a G[b][a] M^H_a = G^T M^Q_b G and
+    eps_H(G[b]) = eps_Q(b)."""
+    n, k = R.n, R.field
+    images = Matrix._computed(k, [assignment[(i + 1, j + 1)]
+                                  for i in range(n) for j in range(n)])
+    pres = d_bialgebra(R)
+    relations = pres.ideal.basis
+    if relations and not Matrix._computed(k, relations).mul(images).is_zero():
+        return "obstruction image nonzero in host"
+    Q, HC = pres.quotient, H.gen_coalgebra()
+    G = Matrix._computed(k, [images.rows[c] for c in Q.section_cols])
+    if Q.proj.transpose().mul(G) != images:
+        return "assignment does not match the coaction"
+    host_deltas = [HC.delta_matrix(a) for a in range(HC.dim)]
+    for b in range(Q.dim):
+        if linear_combination(G.rows[b], host_deltas) != G.transpose().mul(
+                Q.delta_matrix(b)).mul(G):
+            return "comultiplication not respected on generators"
+        if k.dot(HC.counit, G.rows[b]) != Q.counit[b]:
+            return "counit not respected on generators"
+    return None
+
+
+def small_value(k, rng):
+    """An integer in -3..3 over Q and F_p, c q + d with c, d in -3..3 over
+    Q(q): polynomial entries, so products stay cheap over Q(vars)."""
+    value = k.coerce(rng.randint(-3, 3))
+    if isinstance(k, (RationalField, PrimeField)):
+        return value
+    return value + k.coerce(rng.randint(-3, 3)) * k.gens[0]
+
+
+def unit_triangular(k, m, rng) -> Matrix:
+    """L U with L and U unit triangular m x m, off-diagonal integers in -3..3."""
+    def entry(r, c, upper):
+        if r == c:
+            return k.one
+        return k.coerce(rng.randint(-3, 3)) if (c > r) == upper else k.zero
+
+    def triangle(upper):
+        return Matrix._computed(k, [[entry(r, c, upper) for c in range(m)] for r in range(m)])
+    return triangle(False).mul(triangle(True))
+
+
+def structured_solution(k, shape, terms, rng) -> EndoPair:
+    """A D-equation solution with prescribed leg algebras (ROADMAP F12). With
+    shape (v, w, u), M = (V (x) W) (+) U of dimension n = v w + u. R is a sum
+    of `terms` products a (x) b, a in End(V) (x) 1_W (+) k 1_U and b in
+    1_V (x) End(W) (+) End(U). Every such a commutes with every such b, so
+    R12 R23 = sum a (x) b a' (x) b' = R23 R12. R is then conjugated by u (x) u
+    for a unit-triangular u, which keeps every verdict."""
+    v, w, u = shape
+    z = k.zero
+
+    def square(m):
+        return Matrix._computed(k, [[small_value(k, rng) for _ in range(m)] for _ in range(m)])
+
+    def direct_sum(top, bottom):
+        """top (+) bottom, from a (v w)-square Matrix and a u-square row list."""
+        return Matrix._computed(k, [row + [z] * u for row in top.rows]
+                                + [[z] * (v * w) + row for row in bottom])
+
+    R = None
+    for _ in range(terms):
+        c = small_value(k, rng)
+        a = direct_sum(square(v).kron(Matrix.identity(k, w)),
+                       [[c if r == s else z for s in range(u)] for r in range(u)])
+        b = direct_sum(Matrix.identity(k, v).kron(square(w)), square(u).rows if u else [])
+        R = a.kron(b) if R is None else R.add(a.kron(b))
+    return conjugate(EndoPair.from_matrix(R), unit_triangular(k, v * w + u, rng))
+
+
+def inverses(table):
+    """inv[g], the index of g^-1, from a Cayley table."""
+    e = next(a for a in range(len(table)) if table[a][a] == a)
+    return [row.index(e) for row in table]
+
+
+def yetter_drinfeld_failure(table, act, projectors):
+    """First (g, h) with A_g P_h != P_(g h g^-1) A_g, or None: the
+    Yetter-Drinfeld condition of a k[G]-module graded by the projectors P_h,
+    read from the Cayley table. For abelian G it is stability, A_g P_h =
+    P_h A_g."""
+    inv = inverses(table)
+    for g, A in enumerate(act):
+        for h, P in enumerate(projectors):
+            if A @ P != projectors[table[table[g][h]][inv[g]]] @ A:
+                return g, h
+    return None
+
+
+def conjugation_module(k, table, classes, rng):
+    """(action, projectors) of a Yetter-Drinfeld module over k[G]: the direct
+    sum, over the list classes, of k[G] acting by conjugation on the span of
+    the elements of each class (a union of conjugacy classes), e_x graded by
+    x, A_g e_x = e_(g x g^-1); then conjugated by a unit-triangular matrix."""
+    inv = inverses(table)
+    basis = [(c, x) for c, cls in enumerate(classes) for x in cls]  # e_x of summand c
+    m, d = len(basis), len(table)
+
+    def image(g, col):
+        c, x = basis[col]
+        return basis.index((c, table[table[g][x]][inv[g]]))
+
+    act = [Matrix._computed(k, [[k.one if image(g, col) == row else k.zero for col in range(m)]
+                                for row in range(m)]) for g in range(d)]
+    projectors = [Matrix._computed(k, [[k.one if r == s and basis[r][1] == h else k.zero
+                                        for s in range(m)] for r in range(m)]) for h in range(d)]
+    S = unit_triangular(k, m, rng)
+    S_inv = matrix_inverse(S)
+    return [S @ A @ S_inv for A in act], [S @ P @ S_inv for P in projectors]
+
+
+def graded_operator(act, projectors) -> EndoPair:
+    """R = sum_h A_h (x) P_h, the formula of r_from_dimodule, for any graded
+    module, Long or not."""
+    return EndoPair.from_matrix(functools.reduce(
+        Matrix.add, [A.kron(P) for A, P in zip(act, projectors)]))

@@ -714,15 +714,36 @@ def test_bad_invocations_exit_2(capsys):
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    """A broken invariant, here the two check_d verdict paths disagreeing,
-    is neither a verdict nor a usage error."""
-    import deq.tensor_ops
-    path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
-    monkeypatch.setattr(deq.tensor_ops, "first_violation", lambda R: (1, 1, 1, 1, 1, 1))
-    assert main(["check", path]) == 3
+    """A broken invariant, here the annihilation gate refusing an operator
+    whose coordinate equations all hold, is neither a verdict nor a usage
+    error."""
+    import deq.frt
+    path = write_operator(tmp_path, "r.txt", catalog.yang_baxter_operator(QQ, 2))
+    monkeypatch.setattr(deq.frt, "first_violation", lambda R: None)
+    assert main(["frt", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: verdict paths disagree")
+    assert captured.err.startswith(
+        "internal error: annihilation gate and coordinate equations disagree")
+
+
+def test_dimodule_reports_the_theorem_without_regenerating(tmp_path, capsys, monkeypatch):
+    """deq dimodule prints the regenerated operator's n and its D verdict
+    from the theorem: it builds no R and runs no check_d."""
+    exdir = str(tmp_path / "ex")
+    assert main(["examples", "--dir", exdir]) == 0
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("called")
+    for modname, module in list(sys.modules.items()):
+        for name in ("r_from_dimodule", "check_d"):
+            if modname.split(".")[0] == "deq" and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert main(["dimodule", os.path.join(exdir, "s3-cayley.txt"),
+                 os.path.join(exdir, "s3-graded-module.txt")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMODULE_GOLDEN
 
 
 def test_check_validates_each_read_entry_a_bounded_number_of_times(tmp_path, capsys,

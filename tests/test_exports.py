@@ -19,7 +19,6 @@ ALLOWED = {
     "induce_from_comodule": "the dimodule induced from a comodule",
     "r_sigma": "R_sigma solves the equation for every comodule and D-map",
     # subjects of the acceptance criteria
-    "product_solution": "f (x) g is a solution exactly when fg = gf",
     "conjugate": "conjugation by u (x) u keeps every verdict",
     "sigma_form": "eps (x) f is a D-map for every linear f",
     "delta_form": "delta_ij a is a strong D-map on comatrix(n)",

@@ -14,7 +14,7 @@ from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
 from deq.linalg import Matrix, linear_combination
 from deq.tensor_ops import EndoPair, check_d, identity_pair
 from deq.dimodule import r_from_dimodule
-from oracles import comatrix_index, defect_pairing, random_value
+from oracles import comatrix_index, defect_pairing, random_value, universal_map_failure
 
 
 def rand_pair(field, rng, n):
@@ -245,6 +245,7 @@ def test_universal_map_identity_realization():
     dmod = P.canonical_dimodule()
     assignment = universal_map(R, P, dmod)
     assert assignment is not None
+    assert universal_map_failure(R, P, assignment) is None
     k = QQ
     # c11 and c22 map to the first quotient generator, c21 to zero
     assert assignment[(1, 1)] == [k.one, k.zero]
@@ -254,11 +255,11 @@ def test_universal_map_identity_realization():
 
 
 def test_universal_map_builds_no_second_presentation(monkeypatch):
-    """With the presentation of R as host, universal_map reuses its quotient;
-    any other host costs one presentation of R."""
+    """universal_map reads the assignment off the slices: it builds no
+    presentation, whatever the host; the oracle checks what it returns."""
     from deq import frt
     from deq.dimodule import dimodule_from_grading
-    counts = {"d_bialgebra": 0, "obstruction_coideal": 0}
+    counts = {"d_bialgebra": 0, "obstruction_coideal": 0, "quotient": 0}
 
     def counting(name):
         fn = getattr(frt, name)
@@ -270,32 +271,37 @@ def test_universal_map_builds_no_second_presentation(monkeypatch):
 
     R = catalog.triangular_solution(QQ, 1, 1, 1)
     P = d_bialgebra(R)
-    dmod = P.canonical_dimodule()
-    for name in counts:
-        monkeypatch.setattr(frt, name, counting(name))
-    assert universal_map(R, P, dmod) is not None
-    assert counts == {"d_bialgebra": 0, "obstruction_coideal": 0}
     S = catalog.s3_graded_solution(QQ)
     H = catalog.s3_bialgebra(QQ)
-    assert universal_map(S, H, dimodule_from_grading(catalog.s3_graded_module(QQ))) is not None
-    assert counts == {"d_bialgebra": 1, "obstruction_coideal": 1}
+    cases = [(R, P, P.canonical_dimodule()),
+             (S, H, dimodule_from_grading(catalog.s3_graded_module(QQ)))]
+    for name in counts:
+        monkeypatch.setattr(frt, name, counting(name))
+    assignments = [universal_map(*case) for case in cases]
+    assert counts == dict.fromkeys(counts, 0)
+    monkeypatch.undo()
+    for (R, H, _), assignment in zip(cases, assignments):
+        assert universal_map_failure(R, H, assignment) is None
 
 
-def test_universal_map_reuses_the_presentations_relations(monkeypatch):
-    """With H = d_bialgebra(R), universal_map checks the relations on the
-    presentation's reduced basis of I(R) and builds no ObstructionSet."""
+def test_universal_property_oracle_catches_a_moved_image():
+    """The oracle has teeth: moving one coefficient of one image breaks the
+    universal property, on the presentation host and on k[S3]."""
+    from deq.dimodule import dimodule_from_grading
     R = catalog.s3_graded_solution(QQ)
-    H = d_bialgebra(R)
-    built = []
-    init = ObstructionSet.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ObstructionSet, "__init__", counting)
-    assert universal_map(R, H, H.canonical_dimodule()) is not None
-    assert built == []
+    P = d_bialgebra(R)
+    H = catalog.s3_bialgebra(QQ)
+    for host, dmod in ((P, P.canonical_dimodule()),
+                       (H, dimodule_from_grading(catalog.s3_graded_module(QQ)))):
+        assignment = universal_map(R, host, dmod)
+        failures = set()
+        for key in assignment:
+            for b in range(len(assignment[key])):
+                moved = dict(assignment)
+                moved[key] = list(moved[key])
+                moved[key][b] = QQ.add(moved[key][b], QQ.one)
+                failures.add(universal_map_failure(R, host, moved))
+        assert None not in failures and len(failures) > 1
 
 
 def test_universal_map_to_group_bialgebra():
@@ -307,6 +313,7 @@ def test_universal_map_to_group_bialgebra():
     dmod = dimodule_from_grading(catalog.s3_graded_module(k))
     assignment = universal_map(R, H, dmod)
     assert assignment is not None
+    assert universal_map_failure(R, H, assignment) is None
     # image coefficients: c_ij maps into the group algebra basis
     labels = catalog.S3_LABELS
     t12 = labels.index("t12")
@@ -333,11 +340,11 @@ def test_universal_map_rejects_wrong_realization():
     # feeding a dimodule that does not realize R must return None
     k = QQ
     R = catalog.triangular_solution(k, 1, 1, 1)
-    P = d_bialgebra(R)
     other = catalog.projection_solution(k)
     P2 = d_bialgebra(other)
     wrong = P2.canonical_dimodule()
     assert universal_map(R, P2, wrong) is None
+    assert universal_map_failure(other, P2, universal_map(other, P2, wrong)) is None
 
 
 def test_relation_strings_pivot_first():

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deq import catalog
 from deq.classify import _equation_columns
@@ -12,7 +12,8 @@ from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
                             check_pentagon, check_qybe, conjugate, diagonal_solution,
                             first_violation, identity_pair, invert, lift, product_solution)
-from oracles import fresh_form_products, fresh_form_verdicts, random_value, tau_matrix, x_table
+from oracles import (fresh_form_products, fresh_form_verdicts, random_value, structured_solution,
+                     tau_matrix, x_table)
 
 
 def flip_pair(field, n):
@@ -260,6 +261,51 @@ def test_check_d_is_the_commuting_check_for_lifts():
     for R in [rand_pair(k, rng, 2) for _ in range(30)] + [catalog.rq(k, 2)]:
         r23, r12 = lift(R, 23), lift(R, 12)
         assert check_d(R) == (r23.mul(r12) == r12.mul(r23))
+
+
+FQ = FunctionField(["q"])
+# (dim V, dim W, dim U) of structured solutions, by n = dim V dim W + dim U
+SHAPES = {3: [(1, 2, 1)], 4: [(2, 2, 0), (1, 3, 1)], 5: [(2, 2, 1), (1, 4, 1)]}
+
+
+@st.composite
+def structured_cases(draw):
+    """(field, shape, terms, seed, perturbed) for structured_solution: n = 3..5
+    over Q and F_13, n = 3 and 4 over Q(q), where one n = 5 operator costs
+    about 5 s in the lifted products on a 2-core host."""
+    k = draw(st.sampled_from([QQ, PrimeField(13), FQ]))
+    n = draw(st.sampled_from([3, 4] if k is FQ else [3, 4, 5]))
+    return (k, draw(st.sampled_from(SHAPES[n])), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+
+
+def test_check_d_is_the_lifted_commutator_on_structured_solutions(monkeypatch):
+    """check_d is R12 R23 == R23 R12, formed from the lifts, on solutions
+    with prescribed leg algebras at n = 3..5 (one over Q(q) at n = 5) and on
+    their one-entry perturbations, where first_violation names the nested
+    loops' first failing equation."""
+    monkeypatch.setenv("DEQ_MAX_N", "5")
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(structured_cases())
+    @example((FQ, (1, 4, 1), 1, 0, False))
+    def check(case):
+        k, shape, terms, seed, perturbed = case
+        rng = random.Random(seed)
+        R = structured_solution(k, shape, terms, rng)
+        if perturbed:
+            R, = one_entry_perturbations(R, rng, 1)
+            x = x_table(R)
+            assert first_violation(R) == nested_loop_violation(k, R.n, x, x)
+        r12, r23 = lift(R, 12), lift(R, 23)
+        d = check_d(R)
+        assert d == (r12.mul(r23) == r23.mul(r12))
+        assert d or perturbed
+        seen.add((R.n, d))
+
+    check()
+    assert seen == {(n, d) for n in (3, 4, 5) for d in (True, False)}
 
 
 def test_lift_13_is_conjugated_12():

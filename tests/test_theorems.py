@@ -1,6 +1,6 @@
-"""The theorems `deq frt` and `deq dmap` rely on instead of re-checking them
-on every run, each checked on every (2, 2) and (2, 3) solution and on the
-catalog over Q, F_13 and Q(q)."""
+"""The theorems `deq frt`, `deq dmap` and `universal_map` rely on instead of
+re-checking them on every run, each checked on every (2, 2) and (2, 3)
+solution and on the catalog over Q, F_13 and Q(q)."""
 
 import functools
 import random
@@ -17,11 +17,11 @@ from deq.dmap import (DMap, convolution_inverse_of_sigma, delta_form,
 from deq.fields import MathError, QQ
 from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
                      annihilation_check, d_bialgebra, frt_col_order, generator_table,
-                     obstruction_coideal)
+                     obstruction_coideal, universal_map)
 from deq.linalg import Matrix, rref
 from deq.tensor_ops import EndoPair, first_violation, invert
 from oracles import (convolution_inverse, kernel_basis, pushforward, random_value,
-                     section_quotient, standard_comodule)
+                     section_quotient, standard_comodule, universal_map_failure)
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
 
@@ -159,6 +159,17 @@ def test_canonical_dimodule_is_compatible(k_q):
         d = pres.canonical_dimodule()
         assert d.is_compatible()
         LongDimodule(pres, d.act, d.comodule, check=True)
+
+
+@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
+def test_universal_map_is_a_bialgebra_map(k_q):
+    """The universal property of D(R), which universal_map does not re-check:
+    the assignment it reads off the canonical dimodule kills I(R), factors
+    through the quotient and respects Delta and eps."""
+    for R in each_solution(k_q):
+        pres = d_bialgebra(R)
+        assignment = universal_map(R, pres, pres.canonical_dimodule())
+        assert universal_map_failure(R, pres, assignment) is None
 
 
 @pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
