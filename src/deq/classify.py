@@ -19,15 +19,11 @@ import random
 
 import numpy as np
 
-from .fields import DEFAULT_BUDGET, PrimeField, UsageError, env_positive_int, is_prime
+from .fields import DEFAULT_BUDGET, PrimeField, UsageError, is_prime
 from .linalg import Matrix
 from .tensor_ops import EQUATIONS, EndoPair, check_d, leg_blocks, leg_map
 
 CHUNK = 65536  # rows per vectorized block: candidates, scan prefixes or conjugate images
-
-
-def budget() -> int:
-    return env_positive_int("DEQ_BUDGET", DEFAULT_BUDGET)
 
 
 def _digit_dtype(n: int, p: int):
@@ -338,26 +334,26 @@ def unit_group(n: int, p: int):
     return np.concatenate(units, dtype=np.int64), np.concatenate(inverses)
 
 
-def _candidate_total(n: int, p: int, limit: int = None) -> int:
+def _candidate_total(n: int, p: int, limit: int) -> int:
     """p^(n^4), the number of candidates of a full scan; refused unless p is
-    prime, n positive and the count within the budget (limit, or budget())."""
+    prime, n positive and the count within the budget, limit."""
     if not is_prime(p):
         raise UsageError("p must be prime")
     if n < 1:
         raise UsageError("n must be positive")
-    cap = limit if limit is not None else budget()
-    # multiplied up only while it is within the cap
+    # multiplied up only while it is within the limit
     total = 1
     for _ in range(n ** 4):
         total *= p
-        if total > cap:
+        if total > limit:
             raise UsageError(
                 "candidate space has %d^(%d^4) operators, over the budget of %d; "
-                "raise the budget to opt in" % (p, n, cap))
+                "raise the budget to opt in" % (p, n, limit))
     return total
 
 
-def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> CensusReport:
+def enumerate_solutions(n: int, p: int, limit: int = DEFAULT_BUDGET,
+                        seed: int = 0) -> CensusReport:
     """Full scan; refuses when the candidate count exceeds the budget."""
     total = _candidate_total(n, p, limit)
     solutions = enumerate_range(n, p, 0, total)  # never empty: R = 0 solves
@@ -376,10 +372,10 @@ def enumerate_solutions(n: int, p: int, limit: int = None, seed: int = 0) -> Cen
     return CensusReport(n, p, total, solutions, flags)
 
 
-def operator_count(n: int, p: int) -> int:
+def operator_count(n: int, p: int, limit: int = DEFAULT_BUDGET) -> int:
     """Solution count by the operator-composition path alone, within the
     same budget as enumerate_solutions."""
-    total = _candidate_total(n, p)
+    total = _candidate_total(n, p, limit)
     return sum(int(operator_mask(candidate_block(n, p, lo, min(lo + CHUNK, total)), p).sum())
                for lo in range(0, total, CHUNK))
 
@@ -399,21 +395,20 @@ def _serial_keys(digits: np.ndarray, p: int) -> np.ndarray:
     return keys
 
 
-def orbit_reduce(solutions, n: int, p: int, limit: int = None):
+def orbit_reduce(solutions, n: int, p: int, limit: int = DEFAULT_BUDGET):
     """Partition into GL_n(F_p)-conjugation orbits; canonical representative
     is the lexicographically least serialization; orbits sorted by it. Every
     solution is conjugated by every unit mod p, at most CHUNK images at a
     time; each solution's orbit is named by its least image in the pool.
     Refused before any unit is formed when the |pool| |GL_n(F_p)| images
-    exceed the budget (limit, or budget())."""
+    exceed the budget, limit."""
     pool = sorted(set(tuple(int(v) for v in sol) for sol in solutions))
     if not pool:
         return []
-    cap = limit if limit is not None else budget()
     images = len(pool) * math.prod(p ** n - p ** i for i in range(n))  # |GL_n(F_p)|
-    if images > cap:
+    if images > limit:
         raise UsageError("orbit reduction forms %d conjugate images, over the budget "
-                         "of %d; raise the budget to opt in" % (images, cap))
+                         "of %d; raise the budget to opt in" % (images, limit))
     digits = np.array(pool, dtype=np.int64)
     keys = _serial_keys(digits, p)
     mats = digits.reshape(len(pool), 1, n * n, n * n)

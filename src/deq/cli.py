@@ -12,7 +12,23 @@ from .fields import (DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, p
                      read_int)
 from .frt import d_bialgebra, relation_strings
 from .tensor_ops import (check_equivalent_forms, check_hopf, check_pentagon, check_qybe,
-                         guard_n, identity_pair)
+                         identity_pair)
+
+DEFAULT_MAX_N = 4
+
+
+def env_positive_int(name: str, default: int) -> int:
+    """The positive integer in environment variable `name`, default when unset."""
+    value = os.environ.get(name, "").strip()
+    return positive_int(name, value) if value else default
+
+
+def guard_n(n: int) -> None:
+    """Refuse (UsageError) an n above DEQ_MAX_N; each command that reads an
+    operator or a module calls it right after reading, before any work."""
+    bound = env_positive_int("DEQ_MAX_N", DEFAULT_MAX_N)
+    if n > bound:
+        raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, bound))
 
 
 def _bool_text(value) -> str:
@@ -29,6 +45,7 @@ def _emit(args, lines, kv) -> None:
 
 def cmd_check(args) -> int:
     R = fileio.read_matrix(args.matrix)
+    guard_n(R.n)
     forms = check_equivalent_forms(R)
     verdicts = [
         ("d", forms.d),
@@ -50,6 +67,7 @@ def cmd_check(args) -> int:
 
 def cmd_frt(args) -> int:
     R = fileio.read_matrix(args.matrix)
+    guard_n(R.n)
     pres = d_bialgebra(R)
     regen = r_from_dimodule(pres.canonical_dimodule())
     round_trip = regen.matrix() == R.matrix()
@@ -72,6 +90,7 @@ def cmd_frt(args) -> int:
 
 def cmd_dmap(args) -> int:
     R = fileio.read_matrix(args.matrix)
+    guard_n(R.n)
     dm = sigma_from_r(R)
     k = R.field
     C, Q = dm.coalgebra, dm.sigma.right
@@ -105,7 +124,7 @@ def cmd_dmap(args) -> int:
 def cmd_dimodule(args) -> int:
     labels, table = fileio.read_cayley(args.group)
     field, action, projectors = fileio.read_graded_module(args.module, labels)
-    guard_n(action[labels[0]].nrows)  # the regenerated operator's n, refused before any work
+    guard_n(action[labels[0]].nrows)  # the regenerated operator's n
     H = group_bialgebra(field, labels, table)
     graded = GradedModule(H, [action[l] for l in labels],
                           [projectors[l] for l in labels])
@@ -148,7 +167,8 @@ def cmd_dimodule(args) -> int:
 
 def cmd_classify(args) -> int:
     from . import classify  # numpy loads only for the census
-    limit = None if args.budget is None else positive_int("--budget", args.budget)
+    limit = (env_positive_int("DEQ_BUDGET", DEFAULT_BUDGET) if args.budget is None
+             else positive_int("--budget", args.budget))
     report = classify.enumerate_solutions(args.n, args.p, limit=limit, seed=args.seed)
     if args.orbits:
         report.orbits = classify.orbit_reduce(report.solutions, args.n, args.p, limit)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import math
-import os
 import re
 from fractions import Fraction
 
@@ -24,8 +23,8 @@ class MathError(ValueError):
     operator is not a solution); distinct from usage errors for exit codes."""
 
 
-# The census's default candidate budget (DEQ_BUDGET); kept here so that the
-# command line's help can show it without importing numpy.
+# The census's default candidate budget, classify's default `limit`; kept
+# here so that the command line's help can show it without importing numpy.
 DEFAULT_BUDGET = 1_000_000
 
 
@@ -55,12 +54,6 @@ def positive_int(name: str, value: str) -> int:
     if n < 1:
         raise UsageError("%s must be a positive integer, got %r" % (name, value))
     return n
-
-
-def env_positive_int(name: str, default: int) -> int:
-    """The positive integer in environment variable `name`, default when unset."""
-    value = os.environ.get(name, "").strip()
-    return positive_int(name, value) if value else default
 
 
 # Miller-Rabin with the first thirteen primes, 2..41, as bases decides

@@ -195,6 +195,8 @@ def read_graded_module(path, labels):
     reader = _open_reader(path)
     field = _parse_field_header(reader)
     m = reader.number(_keyword_line(reader, "dim"), "module dimension")
+    if m < 1:
+        reader.fail("module dimension must be positive")
     wanted = set(labels)
     action = {}
     projectors = {}

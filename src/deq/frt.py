@@ -99,10 +99,10 @@ def obstruction_coideal(action: GeneratorAction) -> Coideal:
     makes it a coideal of comatrix(n) for every R, solution or not, and the
     tests check that identity and the coideal conditions themselves on the
     census and the catalog."""
-    n, k = action.n, action.field
-    obs = ObstructionSet(action)
-    basis, pivots = rref([vec for _, vec in obs.items()], k, col_order=frt_col_order(n))
-    return Coideal(comatrix(k, n), basis, pivots)
+    C = comatrix(action.field, action.n)  # refuses n >= 10 before the rref
+    rows = [vec for _, vec in ObstructionSet(action).items()]
+    basis, pivots = rref(rows, action.field, col_order=frt_col_order(action.n))
+    return Coideal(C, basis, pivots)
 
 
 def generator_table(R: EndoPair) -> Matrix:

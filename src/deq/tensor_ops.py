@@ -13,18 +13,8 @@ import itertools
 import math
 from collections import namedtuple
 
-from .fields import UsageError, env_positive_int
+from .fields import UsageError
 from .linalg import Matrix, matrix_inverse
-
-DEFAULT_MAX_N = 4
-
-
-def guard_n(n):
-    """Refuse (UsageError) an n above DEQ_MAX_N, the configured bound for the
-    equation checks, whose cost is Theta(n^7)."""
-    bound = env_positive_int("DEQ_MAX_N", DEFAULT_MAX_N)
-    if n > bound:
-        raise UsageError("n=%d exceeds the configured bound %d (set DEQ_MAX_N)" % (n, bound))
 
 
 class EndoPair:
@@ -102,11 +92,9 @@ def leg_map(n: int, slot: int):
 def _integral(R: EndoPair):
     """R's integral form (R', d): R = R'/d with R' over the ring of
     R.field.cleared, formed once per operator (R' is R itself when that ring
-    is the field), after the verdict's one read of DEQ_MAX_N. The verdicts
-    compute on R': each side of an equation is a word of lifts of R,
-    homogeneous in R of the word's length, so the lifted products of R' are
-    those of R times d to that length."""
-    guard_n(R.n)
+    is the field). The verdicts compute on R': each side of an equation is
+    a word of lifts of R, homogeneous in R of the word's length, so the
+    lifted products of R' are those of R times d to that length."""
     if R._cleared is None:
         ring, values, d = R.field.cleared(_entries(R))
         n2 = R.n * R.n

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,20 +286,85 @@ def test_frt_and_dmap_on_non_solutions_are_frozen(tmp_path, capsys):
         assert got == want, (command, name)
 
 
-def test_frt_and_dmap_refuse_n_above_9_before_any_equation(tmp_path, capsys):
-    """comatrix(n) has two-digit labels, so n >= 10 is refused with exit 2
-    before the obstruction coideal or an equation is computed, for a
-    solution and a non-solution alike."""
+def test_frt_and_dmap_refuse_n_above_9_before_any_equation(tmp_path, capsys, monkeypatch):
+    """An n = 10 operator is refused with exit 2 before its obstruction rows
+    are reduced or an equation is computed, for a solution and a
+    non-solution alike: at the default bound as n=10 > 4, and at
+    DEQ_MAX_N=10 by comatrix(n), whose labels are two digits."""
+    import deq.frt
     n = 10
     R = diagonal_solution(QQ, [[i + j + 1 for j in range(n)] for i in range(n)])
     rows = [list(row) for row in R.matrix().rows]
     rows[0][1] = QQ.one
-    for name, S in (("sol.txt", R), ("non.txt", EndoPair.from_matrix(Matrix(QQ, rows)))):
-        path = write_operator(tmp_path, name, S)
-        for command in ("frt", "dmap"):
-            assert main([command, path]) == 2, (command, name)
+    paths = [write_operator(tmp_path, name, S)
+             for name, S in (("sol.txt", R), ("non.txt", EndoPair.from_matrix(Matrix(QQ, rows))))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("obstruction rows reduced or an equation computed")
+    monkeypatch.setattr(deq.frt, "rref", refuse)
+    monkeypatch.setattr(deq.frt, "first_violation", refuse)
+    for bound, message in ((None, "n=10 exceeds the configured bound 4 (set DEQ_MAX_N)"),
+                           ("10", "comatrix order must be in 1..9")):
+        if bound:
+            monkeypatch.setenv("DEQ_MAX_N", bound)
+        for path in paths:
+            for command in ("frt", "dmap"):
+                assert main([command, path]) == 2, (command, path, bound)
+                captured = capsys.readouterr()
+                assert captured.out == "" and message in captured.err
+
+
+def dense_operator(n):
+    """An operator on Q^n (x) Q^n with seed-1 random entries in -9..9; it
+    fails the equation."""
+    rng = random.Random(1)
+    return EndoPair.from_matrix(Matrix(QQ, [[rng.randint(-9, 9) for _ in range(n * n)]
+                                            for _ in range(n * n)]))
+
+
+def test_check_frt_and_dmap_read_one_size_bound(tmp_path, capsys, monkeypatch):
+    """check, frt and dmap read DEQ_MAX_N the same way, right after reading
+    the operator. At the default bound 4, dense operators at n = 5 and 6
+    exit 2 before the generator action, the obstruction coideal or an
+    equation is formed; at DEQ_MAX_N=6 they are a no (exit 1), shown at
+    n = 5 for every command and at n = 6 for check. At DEQ_MAX_N=2 the
+    n = 3 s3-graded solution exits 2 from all three, and 0 without it."""
+    import deq.frt
+    import deq.tensor_ops
+    paths = {n: write_operator(tmp_path, "dense%d.txt" % n, dense_operator(n)) for n in (5, 6)}
+
+    def refuse(*args):
+        raise AssertionError("work done above the bound")
+    for owner, name in ((deq.frt, "GeneratorAction"), (deq.frt, "obstruction_coideal"),
+                        (deq.frt, "first_violation"), (deq.tensor_ops, "first_violation")):
+        monkeypatch.setattr(owner, name, refuse)
+    for n, path in paths.items():
+        for command in ("check", "frt", "dmap"):
+            assert main([command, path]) == 2, (command, n)
             captured = capsys.readouterr()
-            assert captured.out == "" and "comatrix order must be in 1..9" in captured.err
+            assert captured.out == ""
+            assert captured.err == (
+                "error: n=%d exceeds the configured bound 4 (set DEQ_MAX_N)\n" % n)
+    monkeypatch.undo()
+    monkeypatch.setenv("DEQ_MAX_N", "6")
+    for n, command in ((5, "check"), (5, "frt"), (5, "dmap"), (6, "check")):
+        assert main([command, paths[n]]) == 1, (command, n)
+        captured = capsys.readouterr()
+        if command == "check":
+            assert "\nd: false\n" in captured.out and captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: not a D-equation solution: ")
+    s3 = write_operator(tmp_path, "s3.txt", catalog.s3_graded_solution(QQ))
+    for command in ("check", "frt", "dmap"):
+        monkeypatch.setenv("DEQ_MAX_N", "2")
+        assert main([command, s3]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=3 exceeds the configured bound 2 (set DEQ_MAX_N)\n"
+        monkeypatch.delenv("DEQ_MAX_N")
+        assert main([command, s3]) == 0, command
+        capsys.readouterr()
 
 
 def test_cli_import_does_not_load_numpy():
@@ -330,9 +396,10 @@ def test_bad_max_n_environment_exits_2(tmp_path, capsys, monkeypatch):
     path = write_operator(tmp_path, "r.txt", catalog.rq(QQ, 3))
     for value in ("x", "2.5", "0", "-1"):
         monkeypatch.setenv("DEQ_MAX_N", value)
-        assert main(["check", path]) == 2, value
-        captured = capsys.readouterr()
-        assert captured.out == "" and "DEQ_MAX_N" in captured.err
+        for command in ("check", "frt", "dmap"):
+            assert main([command, path]) == 2, (command, value)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "DEQ_MAX_N" in captured.err
 
 
 def test_bad_budget_environment_exits_2(capsys, monkeypatch):
@@ -350,6 +417,26 @@ def test_bad_budget_environment_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("DEQ_BUDGET", "20")
     assert main(["classify"]) == 2
     assert "over the budget of 20" in capsys.readouterr().err
+
+
+def test_budget_environment_is_read_once_for_census_and_orbits(capsys, monkeypatch):
+    """deq classify reads DEQ_BUDGET once, when --budget is absent, and
+    passes it to the census and to orbit_reduce as their limit: 599 refuses
+    the (2, 2) census, and at n = 1 over F_29 the 29 candidates pass while
+    29 x 28 = 812 conjugate images exceed 800. Either way exit 2, with no
+    unit group formed."""
+    from deq import classify
+
+    def no_units(*args):
+        raise AssertionError("unit group formed")
+    monkeypatch.setattr(classify, "unit_group", no_units)
+    for value, argv, message in (
+            ("599", ["--n", "2", "--p", "2"], "budget of 599"),
+            ("800", ["--n", "1", "--p", "29"], "812 conjugate images, over the budget of 800")):
+        monkeypatch.setenv("DEQ_BUDGET", value)
+        assert main(["classify", "--orbits"] + argv) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_frt_golden_presentation(tmp_path, capsys):
@@ -425,6 +512,17 @@ def test_dimodule_golden_on_bundled_example(tmp_path, capsys):
                  os.path.join(exdir, "s3-graded-module.txt")]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIMODULE_GOLDEN
+
+
+def test_dimodule_refuses_dimension_0_at_its_line(tmp_path, capsys):
+    group, module = str(tmp_path / "z2.txt"), str(tmp_path / "m.txt")
+    fileio.write_cayley(group, ["e", "g"], [[0, 1], [1, 0]])
+    with open(module, "w") as handle:
+        handle.write("field Q\ndim 0\naction e\naction g\n")
+    assert main(["dimodule", group, module]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s:2:1: module dimension must be positive\n" % module
 
 
 def test_dimodule_refuses_unstable_gradings_and_non_groups(tmp_path, capsys):
@@ -606,7 +704,10 @@ CLASSIFY_GOLDEN = {
 }
 
 
-def test_classify_golden_for_every_filter(capsys):
+def test_classify_golden_for_every_filter(capsys, monkeypatch):
+    """deq classify reads no DEQ_MAX_N: the check_d of its 1% re-verification
+    answers at every n, so DEQ_MAX_N=1 changes no report."""
+    monkeypatch.setenv("DEQ_MAX_N", "1")
     for name, digests in CLASSIFY_GOLDEN.items():
         for orbits, digest in zip(([], ["--orbits"]), digests):
             assert main(["classify", "--n", "2", "--p", "2", "--filter", name] + orbits) == 0

@@ -318,6 +318,8 @@ def test_graded_module_parse_errors(tmp_path):
     assert "unknown group label 'h'" in str(exc)
     exc = bad("field Q\ndim 1\nrows e\n1\n")
     assert "expected `action <label>`" in str(exc)
+    exc = bad("field Q\ndim 0\naction e\naction g\n")
+    assert str(exc) == "%s:2:1: module dimension must be positive" % path
 
 
 def test_write_report_and_sidecar(tmp_path):

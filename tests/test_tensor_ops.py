@@ -242,7 +242,7 @@ def test_first_violation_labels_match_the_nested_loops():
                 assert first_violation(R) == want
                 labels.add(want)
     assert None not in labels and len(labels) > 10
-    # n = 5, past the default bound of DEQ_MAX_N, which first_violation does not read
+    # n = 5, past the command line's default bound of DEQ_MAX_N
     big = identity_pair(k, 5)
     for R in [big] + one_entry_perturbations(big, rng, 3):
         assert first_violation(R) == nested_loop_violation(k, 5, x_table(R), x_table(R))
@@ -279,12 +279,11 @@ def structured_cases(draw):
             draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
 
 
-def test_check_d_is_the_lifted_commutator_on_structured_solutions(monkeypatch):
+def test_check_d_is_the_lifted_commutator_on_structured_solutions():
     """check_d is R12 R23 == R23 R12, formed from the lifts, on solutions
     with prescribed leg algebras at n = 3..5 (one over Q(q) at n = 5) and on
     their one-entry perturbations, where first_violation names the nested
     loops' first failing equation."""
-    monkeypatch.setenv("DEQ_MAX_N", "5")
     seen = set()
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -557,25 +556,14 @@ def test_pentagon_flip_of_hopf():
         assert check_pentagon(W) == check_hopf(R)
 
 
-def test_size_guard_env(monkeypatch):
+def test_verdicts_answer_past_the_command_line_size_bound(monkeypatch):
+    """DEQ_MAX_N is the command line's bound (deq.cli.guard_n): with it set
+    to 2, every verdict still answers at n = 5, from its argument alone."""
     monkeypatch.setenv("DEQ_MAX_N", "2")
-    with pytest.raises(UsageError):
-        check_d(identity_pair(QQ, 3))
-    monkeypatch.delenv("DEQ_MAX_N")
-    assert check_d(identity_pair(QQ, 3))
-
-
-def test_every_verdict_reads_the_size_guard(monkeypatch):
-    # lift does not check the bound; each verdict reads it before lifting
-    monkeypatch.setenv("DEQ_MAX_N", "2")
-    R = identity_pair(QQ, 3)
-    assert lift(R, 12).nrows == 27
+    R = identity_pair(QQ, 5)
+    assert lift(R, 12).nrows == 125
     for check in (check_d, check_qybe, check_hopf, check_pentagon):
-        with pytest.raises(UsageError):
-            check(identity_pair(QQ, 3))
-    monkeypatch.delenv("DEQ_MAX_N")
-    for check in (check_d, check_qybe, check_hopf, check_pentagon):
-        assert check(identity_pair(QQ, 3))
+        assert check(R)
 
 
 def test_from_rows_and_field_mismatch():

@@ -1,6 +1,7 @@
 """The theorems `deq frt`, `deq dmap` and `universal_map` rely on instead of
 re-checking them on every run, each checked on every (2, 2) and (2, 3)
-solution and on the catalog over Q, F_13 and Q(q)."""
+solution, on the catalog over Q, F_13 and Q(q), and on seeded solutions with
+prescribed leg algebras at n = 3 and 4 over Q and F_13 and n = 3 over Q(q)."""
 
 import functools
 import random
@@ -21,11 +22,20 @@ from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
 from deq.linalg import Matrix, rref
 from deq.tensor_ops import EndoPair, first_violation, invert
 from oracles import (convolution_inverse, kernel_basis, pushforward, random_value,
-                     section_quotient, standard_comodule, universal_map_failure)
+                     section_quotient, standard_comodule, structured_solution,
+                     universal_map_failure)
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
 
 FIELD_IDS = ["Q", "F13", "Qq"]
+CATALOG = dict(zip(FIELD_IDS, FIELDS))
+# Seeded structured_solution sources, "<field>-n<n>": (field, n, most terms).
+# Each gives one operator for each shape (dim V, dim W, dim U) of SHAPES[n],
+# n = dim V dim W + dim U, and each number of terms 1..most; one term over
+# Q(q), where the convolution-inverse oracle takes seconds for two.
+STRUCTURED = {"%s-n%d" % (name, n): (k, n, 1 if name == "Qq" else 2)
+              for name, (k, _) in CATALOG.items() for n in ((3,) if name == "Qq" else (3, 4))}
+SHAPES = {3: [(1, 1, 2), (3, 1, 0)], 4: [(2, 2, 0), (1, 3, 1)]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,12 +49,21 @@ def census_solutions():
     return out
 
 
-def each_solution(k_q=None):
-    return census_solutions() if k_q is None else catalog_solutions(*k_q)
+def each_solution(source):
+    """The solutions of a source: the census, the catalog over a field, or
+    seeded structured solutions over a field at one n, one for each shape
+    and number of terms."""
+    if source == "census":
+        return census_solutions()
+    if source in CATALOG:
+        return catalog_solutions(*CATALOG[source])
+    k, n, most = STRUCTURED[source]
+    rng = random.Random(n)
+    return [structured_solution(k, shape, terms, rng)
+            for shape in SHAPES[n] for terms in range(1, most + 1)]
 
 
-SOURCES = [None] + FIELDS
-SOURCE_IDS = ["census"] + FIELD_IDS
+SOURCES = ["census"] + FIELD_IDS + list(STRUCTURED)
 
 
 def perturbations(R):
@@ -113,11 +132,11 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
         coideal(comatrix(k, 2), [v for _, v in ObstructionSet(GeneratorAction(R)).items()])
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_closed_form_quotient_map_is_the_inverse_rows(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_closed_form_quotient_map_is_the_inverse_rows(source):
     """pi read off the echelon form equals the last rows of B^-1, and the
     quotient coalgebras agree."""
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         I = obstruction_coideal(GeneratorAction(R))
         C = I.parent
         Q = quotient(C, I)
@@ -126,19 +145,19 @@ def test_closed_form_quotient_map_is_the_inverse_rows(k_q):
         assert (Q.mu, Q.counit) == (oracle.mu, oracle.counit)
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_sigma_from_r_is_a_dmap(k_q):
-    for R in each_solution(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_sigma_from_r_is_a_dmap(source):
+    for R in each_solution(source):
         dm = sigma_from_r(R)
         assert is_dmap(dm.coalgebra, dm.quotient, dm.sigma)
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_sigma_vanishes_on_c_tensor_the_ideal(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_sigma_vanishes_on_c_tensor_the_ideal(source):
     """sigma0 of R, and of R^-1 when R is bijective, vanishes on C (x) I(R);
     for a symmetric R sigma0 vanishes on I(R) (x) C as well."""
     inverses = symmetric = 0
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         I = obstruction_coideal(GeneratorAction(R))
         table = sigma0_table(R)
         assert vanishes_on_right(table, I)
@@ -149,35 +168,35 @@ def test_sigma_vanishes_on_c_tensor_the_ideal(k_q):
         if first_symmetry_violation(R) is None:
             symmetric += 1
             assert vanishes_on_right([list(col) for col in zip(*table)], I)
-    assert inverses and (k_q is not None or symmetric)
+    assert inverses and (source != "census" or symmetric)
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_canonical_dimodule_is_compatible(k_q):
-    for R in each_solution(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_canonical_dimodule_is_compatible(source):
+    for R in each_solution(source):
         pres = d_bialgebra(R)
         d = pres.canonical_dimodule()
         assert d.is_compatible()
         LongDimodule(pres, d.act, d.comodule, check=True)
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_universal_map_is_a_bialgebra_map(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_universal_map_is_a_bialgebra_map(source):
     """The universal property of D(R), which universal_map does not re-check:
     the assignment it reads off the canonical dimodule kills I(R), factors
     through the quotient and respects Delta and eps."""
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         pres = d_bialgebra(R)
         assignment = universal_map(R, pres, pres.canonical_dimodule())
         assert universal_map_failure(R, pres, assignment) is None
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_canonical_comodule_is_the_pushforward_of_the_standard_one(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_canonical_comodule_is_the_pushforward_of_the_standard_one(source):
     """Slice q of the canonical comodule, row q of the quotient map read as
     an n x n matrix, is the standard comodule of a fresh comatrix(n) pushed
     to C/I(R); it satisfies the comodule axioms."""
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         pres = d_bialgebra(R)
         got = pres.canonical_dimodule().comodule
         want = pushforward(standard_comodule(comatrix(R.field, R.n)), pres.quotient)
@@ -194,12 +213,12 @@ def sigma_as_matrix(R):
                                       for i in range(n) for j in range(n)])
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_sigma_is_r_and_convolution_is_the_matrix_product(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_sigma_is_r_and_convolution_is_the_matrix_product(source):
     """On comatrix(n), sigma0 of R is R.matrix() re-indexed, convolving
     sigma0 of R and S gives sigma0 of RS, and sigma_(R^-1) is the two-sided
     convolution inverse of sigma_R, as the generic solve finds it."""
-    solutions = each_solution(k_q)
+    solutions = each_solution(source)
     found = 0
     for R, S in zip(solutions, solutions[1:] + solutions[:1]):
         if (R.n, R.field) != (S.n, S.field):
@@ -223,12 +242,12 @@ def test_sigma_is_r_and_convolution_is_the_matrix_product(k_q):
     assert found
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_r_sigma_solves_the_equation(k_q):
+@pytest.mark.parametrize("source", SOURCES)
+def test_r_sigma_solves_the_equation(source):
     """r_sigma of the standard comodule gives back R for sigma_from_r(R),
     and a solution for the D-maps sigma_f and delta_form."""
     rng = random.Random(22)
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         dm = sigma_from_r(R)
         std = standard_comodule(dm.coalgebra)
         assert r_sigma(std, dm) == R
@@ -241,10 +260,11 @@ def test_r_sigma_solves_the_equation(k_q):
             assert first_violation(r_sigma(std, DMap(C, None, None, form))) is None
 
 
-@pytest.mark.parametrize("k_q", SOURCES, ids=SOURCE_IDS)
-def test_strong_dmaps_are_dmaps_and_regenerate(k_q):
+@pytest.mark.parametrize("source", ["census"] + FIELD_IDS)
+def test_strong_dmaps_are_dmaps_and_regenerate(source):
+    """On the symmetric solutions; no structured solution is symmetric."""
     symmetric = 0
-    for R in each_solution(k_q):
+    for R in each_solution(source):
         if first_symmetry_violation(R) is not None:
             continue
         symmetric += 1
@@ -308,12 +328,12 @@ def random_non_solutions():
     return out
 
 
-@pytest.mark.parametrize("k_q", SOURCES + ["random"], ids=SOURCE_IDS + ["random"])
-def test_obstruction_coideal_is_the_annihilator_of_the_commutant(k_q):
+@pytest.mark.parametrize("source", SOURCES + ["random"])
+def test_obstruction_coideal_is_the_annihilator_of_the_commutant(source):
     """F3: I(R) = (A')^perp for every R, solution or not. The reduced basis
     of (A')^perp in frt_col_order is that of obstruction_coideal, basis and
     pivots."""
-    operators = random_non_solutions() if k_q == "random" else each_solution(k_q)
+    operators = random_non_solutions() if source == "random" else each_solution(source)
     dims = set()
     for R in operators:
         action = GeneratorAction(R)
@@ -323,3 +343,12 @@ def test_obstruction_coideal_is_the_annihilator_of_the_commutant(k_q):
         assert rref(perp, k, col_order=frt_col_order(R.n)) == (I.basis, I.pivots)
         dims.add(I.dim)
     assert len(dims) > 1
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_d_has_as_many_generators_as_the_commutant_has_dimensions(source):
+    """F3: D(R) is generated by a basis of comatrix(n)/I(R), and I(R) is
+    (A')^perp in the n^2 labels, so it has dim A' generators."""
+    for R in each_solution(source):
+        pres = d_bialgebra(R)
+        assert len(pres.generators) == len(commutant(pres.action))

@@ -28,7 +28,7 @@ FIELDS = [QQ, PrimeField(13)]
 # polynomial of each order whose degree is at most 4; its companion matrix
 # generates a representation of Z/order
 CYCLOTOMIC = {3: [1, 1], 4: [1, 0], 5: [1, 1, 1, 1], 6: [1, -1]}
-MAX_DIM = 4  # the default DEQ_MAX_N, so check_d and deq dimodule take every module
+MAX_DIM = 4  # the default DEQ_MAX_N, so deq dimodule takes every module
 
 
 def companion(k, coeffs):
