@@ -4,7 +4,7 @@ they span, the quotient presentation, and the round trip back to R."""
 from deq import catalog
 from deq.dimodule import r_from_dimodule
 from deq.fields import QQ
-from deq.frt import GeneratorAction, ObstructionSet, d_bialgebra
+from deq.frt import d_bialgebra, generator_table, obstruction_vectors
 from deq.tensor_ops import identity_pair
 
 
@@ -26,11 +26,10 @@ def main():
     for row in R.matrix().rows:
         print("  " + " ".join(QQ.show(v) for v in row))
 
-    obs = ObstructionSet(GeneratorAction(R))
     labels = ["c11", "c12", "c21", "c22"]
     print()
     print("obstruction vectors o(i,j,k,l), the nonzero ones:")
-    for key, vec in obs.items():
+    for key, vec in obstruction_vectors(generator_table(R)):
         if any(not QQ.is_zero(v) for v in vec):
             print("  o%s = %s" % (key, show_vector(labels, vec, QQ)))
 

@@ -15,10 +15,9 @@ from .tensor_ops import (EndoPair, FormVerdicts, check_d,
                          first_violation, identity_pair, invert, lift,
                          product_solution)
 from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
-                    QuotientCoalgebra, coideal, comatrix, convolve,
-                    counit_form, grouplike_coalgebra, quotient)
-from .frt import (FrtPresentation, GeneratorAction, NotASolutionError,
-                  ObstructionSet, annihilation_check, d_bialgebra,
+                    QuotientCoalgebra, comatrix, convolve, counit_form,
+                    grouplike_coalgebra, quotient)
+from .frt import (FrtPresentation, NotASolutionError, d_bialgebra,
                   frt_col_order, obstruction_coideal, relation_strings,
                   require_solution, universal_map)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,

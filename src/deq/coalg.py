@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field, UsageError
-from .linalg import Matrix, linear_combination, module_defects, reduce_against, rref
+from .linalg import Matrix, module_defects
 
 
 def _first_difference(X: Matrix, Y: Matrix):
@@ -103,9 +103,6 @@ class Coalgebra:
         """Coefficients of e^b e^a = sum_c mu[c][b][a] e^c in the dual algebra C*."""
         return [self.mu[c][b][a] for c in range(self.dim)]
 
-    def counit_of(self, vec):
-        return self.field.dot(self.counit, vec)
-
     def delta_matrix(self, a) -> Matrix:
         """M_a, the Matrix of mu[a]: Delta(e_a) = sum M_a[b][c] e_b (x) e_c."""
         return Matrix._computed(self.field, self.mu[a])
@@ -149,12 +146,12 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
 class Coideal:
     """A coideal of `parent`: reduced echelon basis and its pivots.
 
-    Two makers build Coideals. `coideal()` spans user vectors and checks the
-    coideal conditions at run time. `frt.obstruction_coideal` builds
-    span{o(i,j,k,l)} in comatrix(n) from its echelon form alone: that span
-    is a coideal for every R, a theorem the tests check (the
-    comultiplication identity of the obstructions, and the coideal test on
-    the census and the catalog). So `quotient` need not check its result
+    One maker in the package builds Coideals: `frt.obstruction_coideal`
+    builds span{o(i,j,k,l)} in comatrix(n) from its echelon form alone. That
+    span is a coideal for every R, a theorem the tests check (the
+    comultiplication identity of the obstructions, and `coideal` of
+    tests/oracles.py, which checks the coideal conditions of a span, on the
+    census and the catalog). So `quotient` need not check its result
     again."""
 
     def __init__(self, parent: Coalgebra, basis, pivots):
@@ -165,38 +162,6 @@ class Coideal:
     @property
     def dim(self):
         return len(self.basis)
-
-
-def _coideal_failure(C: Coalgebra, basis, pivots):
-    """None when span(basis) is a coideal, else a reason string.
-
-    basis is reduced echelon with the given pivots, so reducing against it
-    is the projection pi along I onto the non-pivot coordinates S. As
-    C (x) C = (I (x) C + C (x) I) (+) (S (x) S), Delta(v) lies in
-    I (x) C + C (x) I iff (pi (x) pi) Delta(v) = 0: reduce the rows of the
-    d x d table of Delta(v), then its columns, and require zero."""
-    k, deltas = C.field, [C.delta_matrix(a) for a in range(C.dim)]
-    for v in basis:
-        if not k.is_zero(C.counit_of(v)):
-            return "counit does not vanish on %s" % _show_combo(C, v)
-    for v in basis:
-        table = linear_combination(v, deltas).rows
-        rows = [reduce_against(row, basis, pivots, k) for row in table]
-        for col in zip(*rows):
-            if not all(k.is_zero(x) for x in reduce_against(col, basis, pivots, k)):
-                return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)
-    return None
-
-
-def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
-    """Span the vectors, verify the coideal conditions, return the Coideal."""
-    k = C.field
-    vecs = [[k.coerce(x) for x in v] for v in vectors]
-    basis, pivots = rref(vecs, k, col_order=col_order)
-    reason = _coideal_failure(C, basis, pivots)
-    if reason is not None:
-        raise UsageError("not a coideal: %s" % reason)
-    return Coideal(C, basis, pivots)
 
 
 def _coeff_term(field, coeff, label):
@@ -222,12 +187,6 @@ def _combo_text(field, pairs):
         else:
             out += " %s %s" % (sign, text)
     return out if out else "0"
-
-
-def _show_combo(C: Coalgebra, vec) -> str:
-    """Render a coefficient vector over C's labels."""
-    k = C.field
-    return _combo_text(k, [(v, C.labels[a]) for a, v in enumerate(vec) if not k.is_zero(v)])
 
 
 class QuotientCoalgebra(Coalgebra):

@@ -168,8 +168,10 @@ class LongDimodule:
     with every P_b; it is the invariant every LongDimodule keeps, so
     `r_from_dimodule` does not check it again. It is verified at
     construction, with the module axioms over a bialgebra host, unless
-    check=False, which only `dimodule_from_grading` passes: there both
-    hold by construction, and the tests check them."""
+    check=False, which `dimodule_from_grading` and
+    `FrtPresentation.canonical_dimodule` pass: there both hold by
+    construction (for the canonical dimodule, by the FRT-type theorem), and
+    the tests check them."""
 
     def __init__(self, host, action, comodule: Comodule, check: bool = True):
         HC, presented = _host_parts(host)

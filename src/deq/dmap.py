@@ -102,7 +102,7 @@ def sigma_from_r(R: EndoPair) -> DMap:
     section."""
     pres = d_bialgebra(R)
     C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
-    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.action.table, Q)), endo=R)
+    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.table, Q)), endo=R)
 
 
 def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
@@ -149,7 +149,7 @@ def strong_dmap_from_symmetric(R: EndoPair):
         raise MathError(
             "R tau != tau R: x_%d%d^%d%d != x_%d%d^%d%d" % (u, v, j, i, v, u, i, j))
     Q = pres.quotient
-    sigma = _sigma_table(pres.action.table, Q)
+    sigma = _sigma_table(pres.table, Q)
     return Q, DMap(Q, None, None, BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols]))
 
 

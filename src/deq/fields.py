@@ -125,12 +125,6 @@ class Field:
             acc = self.add(acc, v)
         return acc
 
-    def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
-
     def __ne__(self, other):
         return not self.__eq__(other)
 

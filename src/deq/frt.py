@@ -1,15 +1,16 @@
 """Obstruction elements of an operator R, the coideal I(R), the presented
-universal bialgebra D(R) with its canonical dimodule, generator actions, and
-the generator-level universal map.
+universal bialgebra D(R) with its canonical dimodule, and the
+generator-level universal map.
 
 o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia lives in the comatrix
 coalgebra. Read as the n x n matrix of its coefficients (c_ab at (a, b)), it
 is the commutator [A(c_jk)^T, E_il] = A(c_jk)^T E_il - E_il A(c_jk)^T, where
-A is the generator action of R and E_il a matrix unit. The span of all o's
-is a coideal I(R), and D(R) is the free algebra on a basis of
-comatrix(n)/I(R) with the quotient comultiplication. M = k^n is a Long
-D(R)-dimodule with rho(m_l) = sum_v m_v (x) c~_vl, so its comodule slice at
-the generator q is row q of the quotient map pi read as an n x n matrix.
+A(c_jk) is the action of c_jk on M, row (j, k) of the generator table read
+as an n x n matrix, and E_il a matrix unit. The span of all o's is a
+coideal I(R), and D(R) is the free algebra on a basis of comatrix(n)/I(R)
+with the quotient comultiplication. M = k^n is a Long D(R)-dimodule with
+rho(m_l) = sum_v m_v (x) c~_vl, so its comodule slice at the generator q is
+row q of the quotient map pi read as an n x n matrix.
 
 I(R) is the annihilator of the commutant A' = {Y : [A(c), Y] = 0 for all c}
 under <c_ab, Y> = Y[a][b], for every R, solution or not. Proof: with
@@ -17,13 +18,15 @@ L = A(c_jk), <Y, [L^T, E_il]> = tr(Y^T [L^T, E_il]) = tr([Y^T, L^T] E_il),
 which is entry (i, l) of [L, Y]. So Y lies in I(R)^perp iff it commutes
 with every A(c_jk): I(R)^perp = A'.
 
-The generator action, the solution gate and the sigma_R of `deq.dmap` all
-read one n^2 x n^2 table of R's entries, `generator_table`.
+The obstructions, the solution gate, the canonical dimodule and the sigma_R
+of `deq.dmap` all read one n^2 x n^2 table of R's entries,
+`generator_table`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
 from .fields import MathError, UsageError
@@ -44,41 +47,38 @@ class NotASolutionError(MathError):
         super().__init__(msg)
 
 
-def require_solution(R: EndoPair, action: GeneratorAction, basis):
+def require_solution(R: EndoPair, table: Matrix, basis):
     """Raise NotASolutionError unless R solves the equation.
 
     By the FRT-type theorem, R is a solution exactly when every obstruction
     acts as zero on M: entry (p, q) of A(o(i,j,k,l)) is the difference of
-    the two sides of coordinate equation (i,j,k,l,p,q). A is linear, so the
-    reduced basis of I(R) decides it (`annihilation_check`). The equation
-    that fails is named by `first_violation`, which runs only after a no."""
-    if not annihilation_check(action, basis):
+    the two sides of coordinate equation (i,j,k,l,p,q). A is linear, so it
+    is decided on the reduced basis of I(R): the basis, stacked, times the
+    generator table must be zero. The equation that fails is named by
+    `first_violation`, which runs only after a no."""
+    if basis and not Matrix._computed(R.field, basis).mul(table).is_zero():
         where = first_violation(R)
         if where is None:
             raise RuntimeError("annihilation gate and coordinate equations disagree")
         raise NotASolutionError(where)
 
 
-class ObstructionSet:
-    """All o(i,j,k,l) of an operator as coefficient vectors in comatrix(n),
-    each read off A = A(c_jk) of its generator action as [A^T, E_il]."""
-
-    def __init__(self, action: GeneratorAction):
-        n, k = action.n, action.field
-        self.vectors = {}
-        rng = range(n)
-        for (j, kk), A in zip(itertools.product(rng, repeat=2), action.matrices):
-            for l in rng:
-                col = [k.neg(row[l]) for row in A.rows]
-                for i in rng:
-                    vec = [k.zero] * (n * n)
-                    vec[l::n] = A.rows[i]  # A^T E_il: column l is row i of A
-                    vec[i * n:i * n + n] = col  # -E_il A^T: row i is -column l of A
-                    vec[i * n + l] = k.add(A.rows[i][i], col[l])  # where both meet
-                    self.vectors[(i + 1, j + 1, kk + 1, l + 1)] = vec
-
-    def items(self):
-        return sorted(self.vectors.items())
+def obstruction_vectors(table: Matrix):
+    """(label, o(i,j,k,l)) for every 1-based label, in label order, each a
+    coefficient vector in comatrix(n): with A = A(c_jk), row (j, k) of the
+    generator table read as an n x n matrix, it is [A^T, E_il]."""
+    k, n = table.field, math.isqrt(table.nrows)
+    # neg_cols[jk][l] is minus column l of A(c_jk)
+    neg_cols = [[[k.neg(x) for x in row[l::n]] for l in range(n)] for row in table.rows]
+    out = []
+    for i, jk, l in itertools.product(range(n), range(n * n), range(n)):
+        row, col = table.rows[jk], neg_cols[jk][l]
+        vec = [k.zero] * (n * n)
+        vec[l::n] = row[i * n:i * n + n]  # A^T E_il: column l is row i of A
+        vec[i * n:i * n + n] = col  # -E_il A^T: row i is -column l of A
+        vec[i * n + l] = k.add(row[i * n + i], col[l])  # where both meet
+        out.append(((i + 1, jk // n + 1, jk % n + 1, l + 1), vec))
+    return out
 
 
 def frt_col_order(n: int):
@@ -90,8 +90,8 @@ def frt_col_order(n: int):
     return off + diag
 
 
-def obstruction_coideal(action: GeneratorAction) -> Coideal:
-    """span{o(i,j,k,l)} of the operator with this generator action, as a
+def obstruction_coideal(table: Matrix) -> Coideal:
+    """span{o(i,j,k,l)} of the operator with this generator table, as a
     coideal of comatrix(n), from its reduced echelon form in `frt_col_order`.
 
     It is not checked at run time: the comultiplication identity
@@ -99,9 +99,10 @@ def obstruction_coideal(action: GeneratorAction) -> Coideal:
     makes it a coideal of comatrix(n) for every R, solution or not, and the
     tests check that identity and the coideal conditions themselves on the
     census and the catalog."""
-    C = comatrix(action.field, action.n)  # refuses n >= 10 before the rref
-    rows = [vec for _, vec in ObstructionSet(action).items()]
-    basis, pivots = rref(rows, action.field, col_order=frt_col_order(action.n))
+    n = math.isqrt(table.nrows)
+    C = comatrix(table.field, n)  # refuses n >= 10 before the rref
+    rows = [vec for _, vec in obstruction_vectors(table)]
+    basis, pivots = rref(rows, table.field, col_order=frt_col_order(n))
     return Coideal(C, basis, pivots)
 
 
@@ -112,27 +113,6 @@ def generator_table(R: EndoPair) -> Matrix:
     x = _entries(R)
     return Matrix._computed(R.field, [[x[s] for row in block for s in row]
                                       for block in leg_blocks(R.n)[0]])
-
-
-class GeneratorAction:
-    """A(c_ju) m_v = sum_i x_uv^ji m_i: one matrix per generator c_ju, row
-    (j, u) of the generator table read as an n x n matrix."""
-
-    def __init__(self, R: EndoPair):
-        n, k = R.n, R.field
-        self.n = n
-        self.field = k
-        self.table = generator_table(R)
-        self.matrices = [Matrix._computed(k, [row[i * n:i * n + n] for i in range(n)])
-                         for row in self.table.rows]
-
-
-def annihilation_check(action: GeneratorAction, vectors) -> bool:
-    """True iff every coefficient vector over the generators acts as zero
-    on M: the vectors, stacked, times the generator table is zero."""
-    if not vectors:
-        return True
-    return Matrix._computed(action.field, vectors).mul(action.table).is_zero()
 
 
 def relation_strings(I: Coideal):
@@ -163,16 +143,16 @@ def delta_string(Q: Coalgebra, b: int) -> str:
 class FrtPresentation:
     """D(R) presented as the free algebra on a basis of comatrix(n)/I(R).
 
-    Building it is the solution gate: `require_solution` on the reduced
-    basis of I(R) and the generator action, both kept."""
+    It keeps R as its generator table and nothing else. Building it is the
+    solution gate: `require_solution` on the reduced basis of I(R)."""
 
     def __init__(self, R: EndoPair):
         self.endo = R
         self.field = R.field
         self.n = R.n
-        self.action = GeneratorAction(R)
-        self.ideal = obstruction_coideal(self.action)
-        require_solution(R, self.action, self.ideal.basis)
+        self.table = generator_table(R)
+        self.ideal = obstruction_coideal(self.table)
+        require_solution(R, self.table, self.ideal.basis)
         self.coalgebra = self.ideal.parent
         self.quotient = quotient(self.coalgebra, self.ideal)
         self.relations = relation_strings(self.ideal)
@@ -185,11 +165,6 @@ class FrtPresentation:
         """The coalgebra of generators, comatrix(n)/I(R)."""
         return self.quotient
 
-    def generator_matrices(self):
-        """Action of each quotient-basis generator on the standard module:
-        the generator c~ is the class of its section column c."""
-        return [self.action.matrices[c] for c in self.quotient.section_cols]
-
     def generator_lines(self):
         """Delta and eps of every generator, as text."""
         Q = self.quotient
@@ -201,16 +176,21 @@ class FrtPresentation:
 
     def canonical_dimodule(self):
         """The standard module and comodule on M, as a Long dimodule over
-        this presentation. rho(m_l) = sum_v m_v (x) c~_vl puts pi(c_wl) at
-        (w, l), so slice q is row q of the quotient map, entry (w, l) at
+        this presentation. The quotient-basis generator c~ is the class of
+        its section column c, and acts as A(c), row c of the generator table
+        read as an n x n matrix. rho(m_l) = sum_v m_v (x) c~_vl puts pi(c_wl)
+        at (w, l), so slice q is row q of the quotient map, entry (w, l) at
         proj[q][w n + l]. It is built unchecked: R is a solution, so by the
         FRT-type theorem it is compatible; the tests check that."""
         from .dimodule import LongDimodule
         n, k = self.n, self.field
-        slices = [Matrix._computed(k, [row[w * n:w * n + n] for w in range(n)])
-                  for row in self.quotient.proj.rows]
-        return LongDimodule(self, self.generator_matrices(),
-                            Comodule(self.quotient, slices, check=False), check=False)
+
+        def square(row):
+            return Matrix._computed(k, [row[w * n:w * n + n] for w in range(n)])
+        act = [square(self.table.rows[c]) for c in self.quotient.section_cols]
+        slices = [square(row) for row in self.quotient.proj.rows]
+        return LongDimodule(self, act, Comodule(self.quotient, slices, check=False),
+                            check=False)
 
     def __repr__(self):
         return ("FrtPresentation(n=%d, dim I=%d, generators=%s)"

@@ -280,16 +280,6 @@ def rref(rows, field, col_order=None):
     return work[:rank], pivots
 
 
-def reduce_against(v, basis_rows, pivots, field):
-    """Subtract the span of reduced-echelon rows from v; zero iff v is in the span."""
-    v = list(v)
-    for row, p in zip(basis_rows, pivots):
-        if not field.is_zero(v[p]):
-            f = v[p]
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
-    return v
-
-
 def matrix_inverse(A: Matrix):
     """A^{-1}, or None when A is singular."""
     if A.nrows != A.ncols:

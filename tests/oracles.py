@@ -8,8 +8,9 @@ coefficient vector flattened to one vector, and the T, U and W forms of
 the D-equation built as operators of their own, exactly and mod p, and the
 seven verdicts of `deq check` on an operator's field values, one exact
 linear solve, a kernel read off rref's free columns, a span with its
-membership test, the flip tau as an index map and as a matrix, the
-whole-block sieve of the census, the n^6 table of coordinate equations
+membership test, the span of vectors as a coideal with its conditions
+checked (the oracle of frt.obstruction_coideal), the flip tau as an index
+map and as a matrix, the whole-block sieve of the census, the n^6 table of coordinate equations
 that tensor_ops.leg_blocks replaced, the standard comodule of comatrix(n)
 with its pushforward to a quotient, and the module axiom, Long
 compatibility, graded stability and R = sum_a A_a (x) P_a one pair at a
@@ -17,8 +18,9 @@ time, as the block products replaced them, the universal property of D(R)
 on a generator assignment, which `universal_map` no longer re-checks,
 solutions with prescribed leg algebras, and the Yetter-Drinfeld condition
 with the conjugation modules of k[G]. The tests compare the package's
-closed forms with them. Small random field values and the difference of two
-matrices, which only the tests use, live here too."""
+closed forms with them. Small random field values, the dot product of two
+vectors and the difference of two matrices, which only the tests use, live
+here too."""
 
 import functools
 import itertools
@@ -29,11 +31,11 @@ import numpy as np
 
 from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _holds,
                           _rows_equal, _words, block_matrices)
-from deq.coalg import (BilinearForm, Coalgebra, Comodule, _first_difference, comatrix, convolve,
-                       counit_form)
+from deq.coalg import (BilinearForm, Coalgebra, Coideal, Comodule, _combo_text,
+                       _first_difference, comatrix, convolve, counit_form)
 from deq.fields import PrimeField, RationalField, UsageError
 from deq.frt import d_bialgebra
-from deq.linalg import Matrix, linear_combination, matrix_inverse, reduce_against, rref
+from deq.linalg import Matrix, linear_combination, matrix_inverse, rref
 from deq.tensor_ops import EQUATIONS, EndoPair, _product, conjugate
 
 
@@ -50,6 +52,11 @@ def random_value(k, rng):
         num = num + k.coerce(rng.randint(-2, 2)) * g
     dens = [k.one, k.one + k.gens[0], k.coerce(2)]
     return num / dens[rng.randrange(len(dens))]
+
+
+def dot(k, xs, ys):
+    """sum_i xs[i] ys[i] in k."""
+    return k.sum(k.mul(x, y) for x, y in zip(xs, ys))
 
 
 def matrix_sub(A: Matrix, B: Matrix) -> Matrix:
@@ -102,6 +109,16 @@ def kernel_basis(rows, k, ncols):
     return out
 
 
+def reduce_against(v, basis_rows, pivots, field):
+    """Subtract the span of reduced-echelon rows from v; zero iff v is in the span."""
+    v = list(v)
+    for row, p in zip(basis_rows, pivots):
+        if not field.is_zero(v[p]):
+            f = v[p]
+            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+    return v
+
+
 def span_and_membership(vectors, field, dim=None):
     """Reduced-echelon basis of a span plus an exact membership test."""
     if vectors:
@@ -121,6 +138,44 @@ def span_and_membership(vectors, field, dim=None):
         return all(field.is_zero(x) for x in reduce_against(v, basis, pivots, field))
 
     return basis, contains
+
+
+def _coideal_failure(C: Coalgebra, basis, pivots):
+    """None when span(basis) is a coideal, else a reason string.
+
+    basis is reduced echelon with the given pivots, so reducing against it
+    is the projection pi along I onto the non-pivot coordinates S. As
+    C (x) C = (I (x) C + C (x) I) (+) (S (x) S), Delta(v) lies in
+    I (x) C + C (x) I iff (pi (x) pi) Delta(v) = 0: reduce the rows of the
+    d x d table of Delta(v), then its columns, and require zero."""
+    k, deltas = C.field, [C.delta_matrix(a) for a in range(C.dim)]
+    for v in basis:
+        if not k.is_zero(dot(k, C.counit, v)):
+            return "counit does not vanish on %s" % _show_combo(C, v)
+    for v in basis:
+        table = linear_combination(v, deltas).rows
+        rows = [reduce_against(row, basis, pivots, k) for row in table]
+        for col in zip(*rows):
+            if not all(k.is_zero(x) for x in reduce_against(col, basis, pivots, k)):
+                return "Delta(%s) leaves I(x)C + C(x)I" % _show_combo(C, v)
+    return None
+
+
+def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
+    """Span the vectors, verify the coideal conditions, return the Coideal."""
+    k = C.field
+    vecs = [[k.coerce(x) for x in v] for v in vectors]
+    basis, pivots = rref(vecs, k, col_order=col_order)
+    reason = _coideal_failure(C, basis, pivots)
+    if reason is not None:
+        raise UsageError("not a coideal: %s" % reason)
+    return Coideal(C, basis, pivots)
+
+
+def _show_combo(C: Coalgebra, vec) -> str:
+    """Render a coefficient vector over C's labels."""
+    k = C.field
+    return _combo_text(k, [(v, C.labels[a]) for a, v in enumerate(vec) if not k.is_zero(v)])
 
 
 def tau_matrix(field, n) -> Matrix:
@@ -406,11 +461,11 @@ def loop_algebra_failure(A):
 def counit_multiplicative_at(H, a, b):
     k = H.field
     prod = loop_multiply(H, basis_vector(H, a), basis_vector(H, b))
-    return k.dot(H.counit, prod) == k.mul(H.counit[a], H.counit[b])
+    return dot(k, H.counit, prod) == k.mul(H.counit[a], H.counit[b])
 
 
 def counit_of_unit_is_one(H):
-    return H.field.dot(H.counit, H.unit) == H.field.one
+    return dot(H.field, H.counit, H.unit) == H.field.one
 
 
 def delta_table(H, vec):
@@ -646,7 +701,7 @@ def universal_map_failure(R, H, assignment):
         if linear_combination(G.rows[b], host_deltas) != G.transpose().mul(
                 Q.delta_matrix(b)).mul(G):
             return "comultiplication not respected on generators"
-        if k.dot(HC.counit, G.rows[b]) != Q.counit[b]:
+        if dot(k, HC.counit, G.rows[b]) != Q.counit[b]:
             return "counit not respected on generators"
     return None
 

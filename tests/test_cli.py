@@ -125,15 +125,57 @@ PRESENT_GOLDEN = {
 }
 
 
-def test_frt_and_dmap_golden_on_bundled_examples(tmp_path, capsys):
+def write_examples(tmp_path, capsys):
     exdir = str(tmp_path / "ex")
     assert main(["examples", "--dir", exdir]) == 0
     capsys.readouterr()
+    return exdir
+
+
+def assert_present_golden(exdir, capsys, command):
+    for (cmd, name), (digest, code) in PRESENT_GOLDEN.items():
+        if cmd == command:
+            assert main([command, os.path.join(exdir, name)]) == code, (command, name)
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name)
+
+
+def test_frt_and_dmap_golden_on_bundled_examples(tmp_path, capsys):
+    exdir = write_examples(tmp_path, capsys)
     assert {name for _, name in PRESENT_GOLDEN} == set(CHECK_GOLDEN)
-    for (command, name), (digest, code) in PRESENT_GOLDEN.items():
-        assert main([command, os.path.join(exdir, name)]) == code, (command, name)
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, name)
+    for command in ("frt", "dmap"):
+        assert_present_golden(exdir, capsys, command)
+
+
+def refuse_everywhere(monkeypatch, name):
+    """Rebind `name` to raise in every deq module that binds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("%s called" % name)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "deq" and hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
+    return refuse
+
+
+def test_frt_prints_the_round_trip_from_the_theorem(tmp_path, capsys, monkeypatch):
+    """deq frt prints `round trip: true` as the verdict of the FRT-type
+    theorem: it builds no canonical dimodule and regenerates no R, and its
+    reports and exit codes stay the golden ones.
+    tests/test_theorems.py checks the round trip itself."""
+    from deq.frt import FrtPresentation
+    exdir = write_examples(tmp_path, capsys)  # the s3 example regenerates its R
+    refuse = refuse_everywhere(monkeypatch, "r_from_dimodule")
+    monkeypatch.setattr(FrtPresentation, "canonical_dimodule", refuse)
+    assert_present_golden(exdir, capsys, "frt")
+
+
+def test_dmap_reads_bijectivity_without_forming_the_inverse_form(tmp_path, capsys,
+                                                                 monkeypatch):
+    """deq dmap prints its convolution inverse line from invert(R): it forms
+    no sigma_(R^-1), and its reports and exit codes stay the golden ones."""
+    exdir = write_examples(tmp_path, capsys)
+    refuse_everywhere(monkeypatch, "convolution_inverse_of_sigma")
+    assert_present_golden(exdir, capsys, "dmap")
 
 
 def count_calls(monkeypatch, originals):
@@ -188,12 +230,11 @@ def test_frt_builds_comatrix_once(tmp_path, capsys, monkeypatch):
 
 def test_frt_and_dmap_rerun_no_theorem_on_a_solution(tmp_path, capsys, monkeypatch):
     """On a solution, deq frt and deq dmap run no coordinate equation, no
-    coideal check, no balance condition and no convolution; the tests check
-    those theorems instead. deq dmap inverts R once, for its convolution
-    inverse line, and deq frt never."""
+    balance condition and no convolution; the tests check those theorems
+    instead (the coideal check lives in tests/oracles.py alone). deq dmap
+    inverts R once, for its convolution inverse line, and deq frt never."""
     from deq import coalg, dmap, linalg, tensor_ops
     counts = count_calls(monkeypatch, {"first_violation": tensor_ops.first_violation,
-                                       "_coideal_failure": coalg._coideal_failure,
                                        "is_dmap": dmap.is_dmap,
                                        "convolve": coalg.convolve,
                                        "matrix_inverse": linalg.matrix_inverse})
@@ -325,7 +366,7 @@ def dense_operator(n):
 def test_check_frt_and_dmap_read_one_size_bound(tmp_path, capsys, monkeypatch):
     """check, frt and dmap read DEQ_MAX_N the same way, right after reading
     the operator. At the default bound 4, dense operators at n = 5 and 6
-    exit 2 before the generator action, the obstruction coideal or an
+    exit 2 before the generator table, the obstruction coideal or an
     equation is formed; at DEQ_MAX_N=6 they are a no (exit 1), shown at
     n = 5 for every command and at n = 6 for check. At DEQ_MAX_N=2 the
     n = 3 s3-graded solution exits 2 from all three, and 0 without it."""
@@ -335,7 +376,7 @@ def test_check_frt_and_dmap_read_one_size_bound(tmp_path, capsys, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("work done above the bound")
-    for owner, name in ((deq.frt, "GeneratorAction"), (deq.frt, "obstruction_coideal"),
+    for owner, name in ((deq.frt, "generator_table"), (deq.frt, "obstruction_coideal"),
                         (deq.frt, "first_violation"), (deq.tensor_ops, "first_violation")):
         monkeypatch.setattr(owner, name, refuse)
     for n, path in paths.items():
@@ -831,16 +872,9 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
 def test_dimodule_reports_the_theorem_without_regenerating(tmp_path, capsys, monkeypatch):
     """deq dimodule prints the regenerated operator's n and its D verdict
     from the theorem: it builds no R and runs no check_d."""
-    exdir = str(tmp_path / "ex")
-    assert main(["examples", "--dir", exdir]) == 0
-    capsys.readouterr()
-
-    def refuse(*args):
-        raise AssertionError("called")
-    for modname, module in list(sys.modules.items()):
-        for name in ("r_from_dimodule", "check_d"):
-            if modname.split(".")[0] == "deq" and hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    exdir = write_examples(tmp_path, capsys)
+    for name in ("r_from_dimodule", "check_d"):
+        refuse_everywhere(monkeypatch, name)
     assert main(["dimodule", os.path.join(exdir, "s3-cayley.txt"),
                  os.path.join(exdir, "s3-graded-module.txt")]) == 0
     out = capsys.readouterr().out

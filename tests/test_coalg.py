@@ -6,21 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from deq import catalog
 from deq.classify import endo_from_digits, enumerate_solutions
-from deq.coalg import (BilinearForm, Coalgebra, Comodule, coideal, comatrix, convolve,
-                       counit_form, grouplike_coalgebra, quotient)
+from deq.coalg import (BilinearForm, Coalgebra, Comodule, comatrix, convolve, counit_form,
+                       grouplike_coalgebra, quotient)
 from deq.dmap import convolution_inverse_of_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import GeneratorAction, ObstructionSet, d_bialgebra, obstruction_coideal
-from deq.linalg import Matrix, linear_combination, reduce_against, rref
+from deq.frt import d_bialgebra, generator_table, obstruction_coideal, obstruction_vectors
+from deq.linalg import Matrix, linear_combination, rref
 from deq.tensor_ops import diagonal_solution, identity_pair
-from oracles import (comatrix_index, convolution_inverse, delta_vector, lift, project,
-                     pushforward, random_value, section_quotient, span_and_membership,
-                     standard_comodule)
+from oracles import (coideal, comatrix_index, convolution_inverse, delta_vector, dot, lift,
+                     project, pushforward, random_value, reduce_against, section_quotient,
+                     span_and_membership, standard_comodule)
 
 
 def obstruction_ideal(R):
     """I(R) in the comatrix coalgebra that obstruction_coideal builds."""
-    return obstruction_coideal(GeneratorAction(R))
+    return obstruction_coideal(generator_table(R))
 
 
 def test_comatrix_axioms_and_labels():
@@ -45,7 +45,7 @@ def test_comatrix_counit():
         for u in range(1, 4):
             vec = [k.zero] * 9
             vec[comatrix_index(3, j, u)] = k.one
-            assert C.counit_of(vec) == (k.one if j == u else k.zero)
+            assert dot(k, C.counit, vec) == (k.one if j == u else k.zero)
 
 
 @pytest.mark.parametrize("k", [QQ, PrimeField(13), FunctionField(["a", "b", "c"])],
@@ -298,7 +298,7 @@ def assert_quotient_is_a_coalgebra(I):
                       for u in range(q) for w in range(q))
                 for t in range(q)] for s in range(q)]
         assert lhs == rhs
-        assert k.dot(Q2.counit, images[b]) == Q1.counit[b]
+        assert dot(k, Q2.counit, images[b]) == Q1.counit[b]
 
 
 def test_quotients_of_all_f2_solutions_are_coalgebras():
@@ -365,7 +365,7 @@ def reference_is_coideal(C, vectors):
     """The coideal test by span membership in I (x) C + C (x) I."""
     k, d = C.field, C.dim
     basis, _ = rref([[k.coerce(x) for x in v] for v in vectors], k)
-    if any(not k.is_zero(C.counit_of(v)) for v in basis):
+    if any(not k.is_zero(dot(k, C.counit, v)) for v in basis):
         return False
     gens = []
     for v in basis:
@@ -391,7 +391,8 @@ def coalgebra_and_vectors(draw):
     C = GROUPLIKE3 if kind == "grouplike" else COMATRIX2
     if kind == "obstruction":
         digits = draw(st.lists(st.integers(0, 2), min_size=16, max_size=16))
-        vectors = [v for _, v in ObstructionSet(GeneratorAction(endo_from_digits(2, 3, digits))).items()]
+        table = generator_table(endo_from_digits(2, 3, digits))
+        vectors = [v for _, v in obstruction_vectors(table)]
     else:
         vectors = draw(st.lists(st.lists(st.integers(0, 2), min_size=C.dim, max_size=C.dim),
                                 min_size=1, max_size=3))

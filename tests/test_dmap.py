@@ -8,7 +8,7 @@ from deq.dmap import (convolution_inverse_of_sigma, delta_form,
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError, PrimeField, QQ, UsageError
-from deq.frt import GeneratorAction, NotASolutionError, obstruction_coideal
+from deq.frt import NotASolutionError, generator_table, obstruction_coideal
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import diagonal_solution, identity_pair, product_solution
 from oracles import random_value, standard_comodule
@@ -90,7 +90,7 @@ def test_sigma_form_is_always_balanced():
             f = [random_value(k, rng) for _ in range(C.dim)]
             assert is_dmap(C, None, sigma_form(C, f))
     # and with a genuine nonzero coideal on the right leg
-    I = obstruction_coideal(GeneratorAction(catalog.triangular_solution(QQ, 1, 2, 3)))
+    I = obstruction_coideal(generator_table(catalog.triangular_solution(QQ, 1, 2, 3)))
     C = I.parent
     Q = quotient(C, I)
     f = [QQ.coerce(3), QQ.coerce(-1)]

@@ -22,9 +22,8 @@ ALLOWED = {
     "conjugate": "conjugation by u (x) u keeps every verdict",
     "sigma_form": "eps (x) f is a D-map for every linear f",
     "delta_form": "delta_ij a is a strong D-map on comatrix(n)",
-    # checked entry points for user input, and oracles
+    # checked entry points for user input
     "trivial_comodule": "the checked comodule m -> m (x) 1 of a bialgebra",
-    "coideal": "the checked span of user vectors, the oracle of obstruction_coideal",
 }
 
 

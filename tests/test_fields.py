@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from deq.fields import (MAX_DIGITS, MAX_LITERAL_CHARS, FunctionField, PrimeField, QQ,
                         UsageError, field_from_header, is_prime, positive_int, read_int)
-from oracles import random_value
+from oracles import dot, random_value
 
 
 def test_rationals_basic():
@@ -151,7 +151,7 @@ def test_field_from_header_rejects_malformed():
 def test_sum_and_dot():
     k = PrimeField(5)
     assert k.sum([1, 2, 3]) == 1
-    assert k.dot([1, 2], [3, 4]) == 1  # 3 + 8 = 11 = 1 mod 5
+    assert dot(k, [1, 2], [3, 4]) == 1  # 3 + 8 = 11 = 1 mod 5
 
 
 def sympify_value(k, text):

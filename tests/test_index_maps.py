@@ -1,7 +1,8 @@
 """The readers of x_uv^ji as index maps on R.matrix() against the 4-deep
 loops over the 4-index family that they replaced (tests/oracles.py): the
-generator action, the obstruction vectors, the sigma0 table (the generator
-table transposed) and the first symmetry violation.
+generator table read as the generator action, the obstruction vectors in
+label order, the sigma0 table (the generator table transposed) and the
+first symmetry violation.
 
 These identities hold for every R, so they are checked on the census
 solutions at (n, p) = (2, 2) and (2, 3), on the catalog over Q, F_13 and
@@ -14,7 +15,7 @@ import pytest
 
 from deq.dmap import first_symmetry_violation, strong_dmap_from_symmetric
 from deq.fields import MathError, PrimeField
-from deq.frt import GeneratorAction, ObstructionSet, generator_table
+from deq.frt import generator_table, obstruction_vectors
 from deq.linalg import Matrix
 from deq.tensor_ops import EndoPair
 from oracles import (flip_index, loop_first_symmetry_violation, loop_generator_action,
@@ -59,11 +60,11 @@ def operators(source):
 def test_index_maps_equal_the_loops(source):
     symmetric = broken = 0
     for R in operators(source):
-        action = GeneratorAction(R)
-        assert action.matrices == loop_generator_action(R)
-        want = loop_obstruction_vectors(R)
-        assert ObstructionSet(action).vectors == want
-        assert generator_table(R).transpose().rows == loop_sigma0_table(R)
+        n, table = R.n, generator_table(R)
+        assert [Matrix._computed(R.field, [row[i * n:i * n + n] for i in range(n)])
+                for row in table.rows] == loop_generator_action(R)
+        assert obstruction_vectors(table) == sorted(loop_obstruction_vectors(R).items())
+        assert table.transpose().rows == loop_sigma0_table(R)
         where = loop_first_symmetry_violation(R)
         assert first_symmetry_violation(R) == where
         symmetric += where is None

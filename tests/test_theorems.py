@@ -4,28 +4,30 @@ solution, on the catalog over Q, F_13 and Q(q), and on seeded solutions with
 prescribed leg algebras at n = 3 and 4 over Q and F_13 and n = 3 over Q(q)."""
 
 import functools
+import math
 import random
 
 import pytest
 
 from deq import catalog
 from deq.classify import endo_from_digits
-from deq.coalg import BilinearForm, Comodule, comatrix, coideal, convolve, counit_form, quotient
-from deq.dimodule import LongDimodule
+from deq.coalg import BilinearForm, Comodule, comatrix, convolve, counit_form, quotient
+from deq.dimodule import LongDimodule, r_from_dimodule
 from deq.dmap import (DMap, convolution_inverse_of_sigma, delta_form,
                       first_symmetry_violation, is_dmap, r_sigma, sigma_form,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError, QQ
-from deq.frt import (GeneratorAction, NotASolutionError, ObstructionSet,
-                     annihilation_check, d_bialgebra, frt_col_order, generator_table,
-                     obstruction_coideal, universal_map)
+from deq.frt import (NotASolutionError, d_bialgebra, frt_col_order, generator_table,
+                     obstruction_coideal, obstruction_vectors, require_solution,
+                     universal_map)
 from deq.linalg import Matrix, rref
 from deq.tensor_ops import EndoPair, first_violation, invert
-from oracles import (convolution_inverse, kernel_basis, pushforward, random_value,
+from oracles import (coideal, convolution_inverse, kernel_basis, pushforward, random_value,
                      section_quotient, standard_comodule, structured_solution,
-                     universal_map_failure)
+                     universal_map_failure, x_table)
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
+from test_tensor_ops import nested_loop_violation, one_entry_perturbations
 
 FIELD_IDS = ["Q", "F13", "Qq"]
 CATALOG = dict(zip(FIELD_IDS, FIELDS))
@@ -104,10 +106,10 @@ def test_obstruction_span_is_a_coideal_for_every_operator(k_q):
             operators += list(perturbations(R))
     solutions = 0
     for R in operators:
-        action = GeneratorAction(R)
-        built = obstruction_coideal(action)
+        table = generator_table(R)
+        built = obstruction_coideal(table)
         assert built.parent.same_structure(comatrix(k, R.n))
-        vectors = [v for _, v in ObstructionSet(action).items()]
+        vectors = [v for _, v in obstruction_vectors(table)]
         checked = coideal(built.parent, vectors, col_order=frt_col_order(R.n))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
         solutions += first_violation(R) is None
@@ -119,9 +121,9 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
     census_ops = census_solutions()
     operators = census_ops + [next(iter(perturbations(R))) for R in census_ops[::7]]
     for R in operators:
-        action = GeneratorAction(R)
-        vectors = [v for _, v in ObstructionSet(action).items()]
-        built = obstruction_coideal(action)
+        table = generator_table(R)
+        vectors = [v for _, v in obstruction_vectors(table)]
+        built = obstruction_coideal(table)
         checked = coideal(built.parent, vectors, col_order=frt_col_order(2))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
     # random operators over F_3, nearly all of them non-solutions
@@ -129,7 +131,7 @@ def test_obstruction_span_is_a_coideal_on_the_census_and_beyond():
     for _ in range(100):
         R = EndoPair.from_matrix(Matrix(k, [[rng.randrange(3) for _ in range(4)]
                                             for _ in range(4)]))
-        coideal(comatrix(k, 2), [v for _, v in ObstructionSet(GeneratorAction(R)).items()])
+        coideal(comatrix(k, 2), [v for _, v in obstruction_vectors(generator_table(R))])
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -137,7 +139,7 @@ def test_closed_form_quotient_map_is_the_inverse_rows(source):
     """pi read off the echelon form equals the last rows of B^-1, and the
     quotient coalgebras agree."""
     for R in each_solution(source):
-        I = obstruction_coideal(GeneratorAction(R))
+        I = obstruction_coideal(generator_table(R))
         C = I.parent
         Q = quotient(C, I)
         oracle, proj = section_quotient(C, I, Q.section_cols)
@@ -158,7 +160,7 @@ def test_sigma_vanishes_on_c_tensor_the_ideal(source):
     for a symmetric R sigma0 vanishes on I(R) (x) C as well."""
     inverses = symmetric = 0
     for R in each_solution(source):
-        I = obstruction_coideal(GeneratorAction(R))
+        I = obstruction_coideal(generator_table(R))
         table = sigma0_table(R)
         assert vanishes_on_right(table, I)
         Rinv = invert(R)
@@ -178,6 +180,15 @@ def test_canonical_dimodule_is_compatible(source):
         d = pres.canonical_dimodule()
         assert d.is_compatible()
         LongDimodule(pres, d.act, d.comodule, check=True)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_canonical_dimodule_gives_back_r(source):
+    """The FRT-type theorem, which `deq frt` prints as its round trip
+    without re-deriving it: R = R_(M,.,rho) for the canonical Long
+    D(R)-dimodule."""
+    for R in each_solution(source):
+        assert r_from_dimodule(d_bialgebra(R).canonical_dimodule()) == R
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -283,8 +294,13 @@ def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
     for R in catalog_solutions(*k_q):
         for S in perturbations(R):
             where = first_violation(S)
-            action = GeneratorAction(S)
-            gate = annihilation_check(action, obstruction_coideal(action).basis)
+            table = generator_table(S)
+            try:
+                require_solution(S, table, obstruction_coideal(table).basis)
+                gate = True
+            except NotASolutionError as exc:
+                gate = False
+                assert exc.where == where
             assert gate == (where is None)
             seen.add(gate)
             if not gate:
@@ -294,20 +310,44 @@ def test_gate_agrees_with_the_coordinate_equations_on_perturbations(k_q):
     assert seen == {True, False}
 
 
-def commutant(action):
-    """A' = {Y : [A(c), Y] = 0 for every generator c}, as flattened Y: entry
+@pytest.mark.parametrize("source", [name for name in STRUCTURED if not name.startswith("Qq")])
+def test_gate_names_the_nested_loops_equation_beyond_n_2(source):
+    """On seeded structured solutions at n = 3 and 4 over Q and F_13 and on
+    seeded one-entry perturbations of them, first_violation names the
+    nested loops' first failing equation, and d_bialgebra raises
+    NotASolutionError with that label exactly when the loops find one."""
+    rng = random.Random(31)
+    seen = set()
+    for R in each_solution(source):
+        for S in [R] + one_entry_perturbations(R, rng, 3):
+            x = x_table(S)
+            where = nested_loop_violation(S.field, S.n, x, x)
+            assert first_violation(S) == where
+            if where is None:
+                d_bialgebra(S)
+            else:
+                with pytest.raises(NotASolutionError) as info:
+                    d_bialgebra(S)
+                assert info.value.where == where
+            seen.add(where is None)
+    assert seen == {True, False}
+
+
+def commutant(table):
+    """A' = {Y : [A(c), Y] = 0 for every generator c}, as flattened Y, with
+    A = A(c) a row of the generator table read as an n x n matrix: entry
     (p, q) of [A, Y] has coefficient A[p][r] [s = q] - [p = r] A[s][q] at
     Y[r][s]."""
-    n, k = action.n, action.field
+    n, k = math.isqrt(table.nrows), table.field
     rng = range(n)
     rows = []
-    for A in action.matrices:
+    for A in table.rows:
         for p in rng:
             for q in rng:
                 row = [k.zero] * (n * n)
                 for r in rng:
-                    row[r * n + q] = k.add(row[r * n + q], A.rows[p][r])
-                    row[p * n + r] = k.sub(row[p * n + r], A.rows[r][q])
+                    row[r * n + q] = k.add(row[r * n + q], A[p * n + r])
+                    row[p * n + r] = k.sub(row[p * n + r], A[r * n + q])
                 rows.append(row)
     return kernel_basis(rows, k, n * n)
 
@@ -336,10 +376,10 @@ def test_obstruction_coideal_is_the_annihilator_of_the_commutant(source):
     operators = random_non_solutions() if source == "random" else each_solution(source)
     dims = set()
     for R in operators:
-        action = GeneratorAction(R)
+        table = generator_table(R)
         k, d = R.field, R.n * R.n
-        perp = kernel_basis(commutant(action), k, d)
-        I = obstruction_coideal(action)
+        perp = kernel_basis(commutant(table), k, d)
+        I = obstruction_coideal(table)
         assert rref(perp, k, col_order=frt_col_order(R.n)) == (I.basis, I.pivots)
         dims.add(I.dim)
     assert len(dims) > 1
@@ -351,4 +391,4 @@ def test_d_has_as_many_generators_as_the_commutant_has_dimensions(source):
     (A')^perp in the n^2 labels, so it has dim A' generators."""
     for R in each_solution(source):
         pres = d_bialgebra(R)
-        assert len(pres.generators) == len(commutant(pres.action))
+        assert len(pres.generators) == len(commutant(pres.table))
