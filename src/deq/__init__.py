@@ -11,23 +11,19 @@ from .fields import (Field, FunctionField, MathError, PrimeField, QQ,
 from .linalg import Matrix, matrix_inverse, rref
 from .tensor_ops import (EndoPair, FormVerdicts, check_d,
                          check_equivalent_forms, check_hopf, check_pentagon,
-                         check_qybe, conjugate, diagonal_solution,
-                         first_violation, identity_pair, invert, lift,
-                         product_solution)
+                         check_qybe, diagonal_solution, first_violation,
+                         identity_pair, invert, lift, product_solution)
 from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
                     QuotientCoalgebra, comatrix, convolve, counit_form,
                     grouplike_coalgebra, quotient)
 from .frt import (FrtPresentation, NotASolutionError, d_bialgebra,
                   frt_col_order, obstruction_coideal, relation_strings,
-                  require_solution, universal_map)
+                  require_solution)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
-                       dimodule_from_grading, group_bialgebra,
-                       induce_from_comodule, induce_from_module,
-                       r_from_dimodule, tensor_dimodule, trivial_comodule,
-                       trivial_module)
-from .dmap import (DMap, convolution_inverse_of_sigma, delta_form,
-                   first_symmetry_violation, is_dmap, r_sigma, sigma_form,
-                   sigma_from_r, strong_dmap_from_symmetric)
+                       dimodule_from_grading, group_bialgebra, r_from_dimodule,
+                       tensor_dimodule, trivial_module)
+from .dmap import (DMap, convolution_inverse_of_sigma, first_symmetry_violation,
+                   is_dmap, sigma_from_r, strong_dmap_from_symmetric)
 from .fileio import (ParseError, read_cayley, read_graded_module, read_matrix,
                      write_cayley, write_graded_module, write_matrix,
                      write_report)

@@ -11,8 +11,9 @@ from .dmap import sigma_from_r
 from .fields import (DEFAULT_BUDGET, MathError, FunctionField, QQ, UsageError, positive_int,
                      read_int)
 from .frt import d_bialgebra, relation_strings
+from .linalg import rref
 from .tensor_ops import (check_equivalent_forms, check_hopf, check_pentagon, check_qybe,
-                         identity_pair, invert)
+                         identity_pair)
 
 DEFAULT_MAX_N = 4
 
@@ -105,8 +106,10 @@ def cmd_dmap(args) -> int:
             if not k.is_zero(v):
                 lines.append("sigma(%s, %s) = %s" % (C.labels[a], Q.labels[b], k.show(v)))
                 entries += 1
-    # sigma_(R^-1) is the convolution inverse exactly when R is bijective
-    inverse_status = "not bijective" if invert(R) is None else "found"
+    # sigma_(R^-1) is the convolution inverse exactly when R is bijective,
+    # that is when R's matrix has n^2 pivots
+    _, pivots = rref(R.matrix().rows, k)
+    inverse_status = "found" if len(pivots) == R.n ** 2 else "not bijective"
     lines.append("convolution inverse: %s" % inverse_status)
     kv = [("field", k.header()), ("n", str(R.n)),
           ("quotient_dim", str(Q.dim)),

@@ -107,11 +107,6 @@ class Coalgebra:
         """M_a, the Matrix of mu[a]: Delta(e_a) = sum M_a[b][c] e_b (x) e_c."""
         return Matrix._computed(self.field, self.mu[a])
 
-    def same_structure(self, other) -> bool:
-        """Equal field, comultiplication and counit, basis by basis."""
-        return (self.field == other.field and self.mu == other.mu
-                and self.counit == other.counit)
-
     def __repr__(self):
         return "Coalgebra(dim=%d, %r)" % (self.dim, self.field)
 

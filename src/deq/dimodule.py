@@ -1,6 +1,6 @@
 """Long dimodules over structure-constant bialgebras and over presented
-universal bialgebras: compatibility checks, constructions (gradings, tensor
-products, induction), and regeneration of the operator R.
+universal bialgebras: compatibility checks, constructions (gradings and tensor
+products), and regeneration of the operator R.
 
 A Long dimodule is a module and comodule over the same bialgebra with
 rho(h.m) = sum h.m_0 (x) m_1. The induced operator is
@@ -302,12 +302,6 @@ def trivial_module(H: FinBialgebra, dim: int):
     return [Matrix.identity(k, dim).scale(H.counit[a]) for a in range(H.dim)]
 
 
-def trivial_comodule(H: FinBialgebra, dim: int) -> Comodule:
-    """rho(m) = m (x) 1: the slices are unit[a] I."""
-    ident = Matrix.identity(H.field, dim)
-    return Comodule(H.gen_coalgebra(), [ident.scale(u) for u in H.unit])
-
-
 def _kron_combination(table, left, right) -> Matrix:
     """sum_{p,q} table[p][q] left[p] (x) right[q], forming only the terms
     with a nonzero coefficient; table has one at least (a counit law for
@@ -332,28 +326,4 @@ def tensor_dimodule(M: LongDimodule, N: LongDimodule) -> LongDimodule:
     # mult[a][b][c] = L_a[c][b]: row c of every left-regular matrix
     coaction = [_kron_combination([L.rows[c] for L in H._left_regular],
                                   M.comodule.slices, N.comodule.slices) for c in range(H.dim)]
-    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
-
-
-def induce_from_module(N_action, H: FinBialgebra) -> LongDimodule:
-    """N (x) H with h.(n (x) l) = h.n (x) l and coaction I (x) Delta: the
-    action of e_a is A_a (x) I and slice q is I (x) P_q, with P_q the
-    regular slice of H's coalgebra, P_q[p][b] = Delta[b][p][q]."""
-    ident_h = Matrix.identity(H.field, H.dim)
-    ident_n = Matrix.identity(H.field, N_action[0].nrows)
-    action = [A.kron(ident_h) for A in N_action]
-    coaction = [ident_n.kron(P) for P in H.gen_coalgebra()._regular_slices()]
-    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
-
-
-def induce_from_comodule(M: Comodule, H: FinBialgebra) -> LongDimodule:
-    """H (x) M with h.(l (x) m) = hl (x) m and coaction l (x) m_0 (x) m_1:
-    the action of e_a is L_a (x) I with L_a the left-regular matrix of e_a,
-    and slice a is I (x) P^M_a."""
-    if M.coalgebra is not H.gen_coalgebra():
-        raise UsageError("comodule is not over the host's coalgebra")
-    ident_h = Matrix.identity(H.field, H.dim)
-    ident_m = Matrix.identity(H.field, M.dim)
-    action = [L.kron(ident_m) for L in H._left_regular]
-    coaction = [ident_h.kron(P) for P in M.slices]
     return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))

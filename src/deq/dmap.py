@@ -1,6 +1,6 @@
 """D-maps on coalgebras: the balance condition on bilinear forms, the map
-sigma attached to a solution R, regeneration of R from a comodule and a
-D-map, strong D-maps from symmetric solutions, and convolution inverses.
+sigma attached to a solution R, strong D-maps from symmetric solutions,
+and convolution inverses.
 
 A D-map is sigma: C (x) C/I -> k with
 sum sigma(c_1 (x) d~) c_2~ = sum sigma(c_2 (x) d~) c_1~ in C/I; it is
@@ -9,13 +9,12 @@ strong when I = 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
-from .coalg import BilinearForm, Coalgebra, Comodule
+from .coalg import BilinearForm, Coalgebra
 from .fields import MathError, UsageError
 from .frt import d_bialgebra, generator_table
-from .linalg import Matrix, linear_combination
+from .linalg import Matrix
 from .tensor_ops import EndoPair, invert
 
 
@@ -60,30 +59,6 @@ def is_dmap(C: Coalgebra, Q, sigma) -> bool:
     return True
 
 
-def sigma_form(C: Coalgebra, f_values, right: Coalgebra = None) -> BilinearForm:
-    """sigma_f(c (x) d~) = eps(c) f(d~): a D-map for every linear f on C/I;
-    `right` is the quotient (default C itself, i.e. I = 0)."""
-    k = C.field
-    if right is None:
-        right = C
-    if len(f_values) != right.dim:
-        raise UsageError("f must be a functional on the right coalgebra")
-    table = [[k.mul(C.counit[a], k.coerce(f_values[b])) for b in range(right.dim)]
-             for a in range(C.dim)]
-    return BilinearForm(C, right, table)
-
-
-def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
-    """sigma(c_ij (x) c_pq) = delta_ij a on comatrix(n); a strong D-map."""
-    k = C.field
-    if C.dim != n * n:
-        raise UsageError("coalgebra is not comatrix(n)")
-    a_value = k.coerce(a_value)
-    table = [[a_value if (i // n) == (i % n) else k.zero for _ in range(C.dim)]
-             for i in range(C.dim)]
-    return BilinearForm(C, C, table)
-
-
 def _sigma_table(table: Matrix, Q):
     """sigma(c_iv (x) c_ju~) = x_uv^ji on C (x) C/I: the generator table of
     R transposed, read on the section columns of Q."""
@@ -105,24 +80,6 @@ def sigma_from_r(R: EndoPair) -> DMap:
     return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.table, Q)), endo=R)
 
 
-def r_sigma(comodule: Comodule, dm: DMap) -> EndoPair:
-    """R_sigma(m (x) n) = sum sigma(m_1 (x) n_1~) m_0 (x) n_0, that is
-    R = sum_a P_a (x) (sum_b sigma-bar[a][b] P_b) with sigma-bar the table
-    pulled back to C (x) C. It solves the equation for every comodule and
-    D-map, a theorem of the paper that the tests check; it is not re-checked
-    here."""
-    if comodule.coalgebra is not dm.coalgebra:
-        raise UsageError("comodule is not over the D-map's coalgebra")
-    k = dm.coalgebra.field
-    Q = dm.quotient
-    # sigma with the right leg pulled back to C
-    pulled = dm.sigma.table if Q is None else \
-        Matrix(k, dm.sigma.table, coerce=False).mul(Q.proj).rows
-    P = comodule.slices
-    return EndoPair.from_matrix(functools.reduce(
-        Matrix.add, (Pa.kron(linear_combination(row, P)) for Pa, row in zip(P, pulled))))
-
-
 def first_symmetry_violation(R: EndoPair):
     """First (u,v,j,i), 1-based, with x_uv^ji != x_vu^ij, or None: R commutes
     with tau exactly when its generator table, entry x_uv^ji at ((j, u),
@@ -140,8 +97,9 @@ def strong_dmap_from_symmetric(R: EndoPair):
 
     Symmetry is checked at run time. Then sigma0 is a symmetric table, so it
     vanishes on I (x) C as on C (x) I, and sigma is the rows of sigma_R at
-    the section columns; that the result is a strong D-map and that r_sigma
-    regenerates R from it are theorems the tests check."""
+    the section columns; that the result is a strong D-map and that R_sigma
+    (tests/oracles.py, r_sigma) regenerates R from it are theorems the
+    tests check."""
     pres = d_bialgebra(R)
     bad = first_symmetry_violation(R)
     if bad is not None:

@@ -410,7 +410,11 @@ class FunctionField(Field):
             raise UsageError("inverse of 0 in %r" % self)
         return self.one / a
 
-    # Products run on the FracElements themselves (the Field default).
+    # Products run on the FracElements themselves (the Field default):
+    # clearing a matrix to one polynomial denominator made the checks of an
+    # n = 2 operator with 16 distinct linear denominators four times slower,
+    # and, cleared anew for each product, the lifted products of operators
+    # whose entries share one linear denominator 1.03-1.17 times slower.
     # Operator integral form: the numerators over the one denominator other
     # than 1 that the values have, if any. Values over two or more distinct
     # denominators stay FracElements with d = 1: the seven verdicts of an

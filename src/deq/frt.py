@@ -1,6 +1,5 @@
-"""Obstruction elements of an operator R, the coideal I(R), the presented
-universal bialgebra D(R) with its canonical dimodule, and the
-generator-level universal map.
+"""Obstruction elements of an operator R, the coideal I(R), and the
+presented universal bialgebra D(R) with its canonical dimodule.
 
 o(i,j,k,l) = sum_v x_kv^ji c_vl - sum_a x_kl^ja c_ia lives in the comatrix
 coalgebra. Read as the n x n matrix of its coefficients (c_ab at (a, b)), it
@@ -25,11 +24,12 @@ of `deq.dmap` all read one n^2 x n^2 table of R's entries,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .coalg import Coalgebra, Coideal, Comodule, _combo_text, comatrix, quotient
-from .fields import MathError, UsageError
+from .fields import MathError
 from .linalg import Matrix, rref
 from .tensor_ops import EndoPair, _entries, first_violation, leg_blocks
 
@@ -155,7 +155,11 @@ class FrtPresentation:
         require_solution(R, self.table, self.ideal.basis)
         self.coalgebra = self.ideal.parent
         self.quotient = quotient(self.coalgebra, self.ideal)
-        self.relations = relation_strings(self.ideal)
+
+    @functools.cached_property
+    def relations(self):
+        """`relation_strings` of I(R), rendered on first read."""
+        return relation_strings(self.ideal)
 
     @property
     def generators(self):
@@ -200,23 +204,3 @@ class FrtPresentation:
 def d_bialgebra(R: EndoPair) -> FrtPresentation:
     """The universal bialgebra presentation for a D-equation solution."""
     return FrtPresentation(R)
-
-
-def universal_map(R: EndoPair, H, realization):
-    """Generator assignment c~_ij -> c'_ij of the unique bialgebra map
-    D(R) -> H induced by a realization of R as a dimodule over H, or None
-    when the realization does not reproduce R. c'_ij is the vector of the
-    (i, j) entries of the realization's slices. By the universal property
-    of D(R), the assignment kills I(R), factors through the quotient and
-    respects Delta and eps; it is not re-checked at run time, and the tests
-    check it (tests/oracles.py, universal_map_failure)."""
-    from .dimodule import r_from_dimodule
-    n = R.n
-    if realization.dim != n:
-        raise UsageError("realization dimension does not match the operator")
-    if not realization.coalgebra.same_structure(H.gen_coalgebra()):
-        raise UsageError("realization does not live over the given host")
-    if r_from_dimodule(realization) != R:
-        return None
-    slices = realization.comodule.slices
-    return {(i + 1, j + 1): [P.rows[i][j] for P in slices] for i in range(n) for j in range(n)}

@@ -7,7 +7,6 @@ nonzero row as pivot, so bases and echelon forms are reproducible.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .fields import Field, UsageError
@@ -139,16 +138,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r, %dx%d)" % (self.field, self.nrows, self.ncols)
-
-
-def linear_combination(coeffs, mats):
-    """sum_a coeffs[a] mats[a] for a nonempty list of matrices of one field
-    and shape; zero coefficients cost nothing."""
-    k = mats[0].field
-    terms = [m.scale(c) for c, m in zip(coeffs, mats) if not k.is_zero(c)]
-    if not terms:
-        return Matrix.zeros(k, mats[0].nrows, mats[0].ncols)
-    return functools.reduce(Matrix.add, terms)
 
 
 # The block kernels form at most this many entries of a product at once, or

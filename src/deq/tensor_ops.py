@@ -220,17 +220,6 @@ def check_equivalent_forms(R: EndoPair) -> FormVerdicts:
     return FormVerdicts(d=d, form_t=d, form_u=d, form_w=d)
 
 
-def conjugate(R: EndoPair, u: Matrix) -> EndoPair:
-    """(u (x) u) R (u (x) u)^{-1}; preserves every check_d verdict."""
-    if u.nrows != R.n or u.ncols != R.n:
-        raise UsageError("conjugating matrix must be %d x %d" % (R.n, R.n))
-    uu = u.kron(u)
-    uu_inv = matrix_inverse(uu)
-    if uu_inv is None:
-        raise UsageError("conjugating matrix is singular")
-    return EndoPair.from_matrix(uu.mul(R.matrix()).mul(uu_inv))
-
-
 def product_solution(f: Matrix, g: Matrix) -> EndoPair:
     """R = f (x) g; a D-solution exactly when fg = gf."""
     if f.field != g.field or f.nrows != f.ncols or g.nrows != g.ncols or f.nrows != g.nrows:

@@ -15,12 +15,16 @@ that tensor_ops.leg_blocks replaced, the standard comodule of comatrix(n)
 with its pushforward to a quotient, and the module axiom, Long
 compatibility, graded stability and R = sum_a A_a (x) P_a one pair at a
 time, as the block products replaced them, the universal property of D(R)
-on a generator assignment, which `universal_map` no longer re-checks,
-solutions with prescribed leg algebras, and the Yetter-Drinfeld condition
-with the conjugation modules of k[G]. The tests compare the package's
-closed forms with them. Small random field values, the dot product of two
-vectors and the difference of two matrices, which only the tests use, live
-here too."""
+on a generator assignment, solutions with prescribed leg algebras, and the
+Yetter-Drinfeld condition with the conjugation modules of k[G]. The tests compare the package's
+closed forms with them. The statements of the paper that no command runs
+are built here as well: the generator assignment of the universal map of
+D(R), the dimodules induced from a module and from a comodule, the
+trivial comodule, the D-maps sigma_f and delta_ij a, R_sigma of a
+comodule and a D-map, and conjugation by u (x) u. Small random field
+values, the dot product of two vectors, linear combinations of matrices,
+the difference of two matrices and equality of coalgebra structures,
+which only the tests use, live here too."""
 
 import functools
 import itertools
@@ -33,10 +37,11 @@ from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _hold
                           _rows_equal, _words, block_matrices)
 from deq.coalg import (BilinearForm, Coalgebra, Coideal, Comodule, _combo_text,
                        _first_difference, comatrix, convolve, counit_form)
+from deq.dimodule import LongDimodule, r_from_dimodule
 from deq.fields import PrimeField, RationalField, UsageError
 from deq.frt import d_bialgebra
-from deq.linalg import Matrix, linear_combination, matrix_inverse, rref
-from deq.tensor_ops import EQUATIONS, EndoPair, _product, conjugate
+from deq.linalg import Matrix, matrix_inverse, rref
+from deq.tensor_ops import EQUATIONS, EndoPair, _product
 
 
 def random_value(k, rng):
@@ -64,6 +69,21 @@ def matrix_sub(A: Matrix, B: Matrix) -> Matrix:
     k = A.field
     return Matrix._computed(k, [[k.sub(a, b) for a, b in zip(ra, rb)]
                                 for ra, rb in zip(A.rows, B.rows)])
+
+
+def linear_combination(coeffs, mats):
+    """sum_a coeffs[a] mats[a] for a nonempty list of matrices of one field
+    and shape; zero coefficients cost nothing."""
+    k = mats[0].field
+    terms = [m.scale(c) for c, m in zip(coeffs, mats) if not k.is_zero(c)]
+    if not terms:
+        return Matrix.zeros(k, mats[0].nrows, mats[0].ncols)
+    return functools.reduce(Matrix.add, terms)
+
+
+def same_structure(C: Coalgebra, D: Coalgebra) -> bool:
+    """Equal field, comultiplication and counit, basis by basis."""
+    return C.field == D.field and C.mu == D.mu and C.counit == D.counit
 
 
 def flip_index(n):
@@ -192,7 +212,7 @@ def standard_comodule(C: Coalgebra) -> Comodule:
     """rho(m_l) = sum_v m_v (x) c_vl on a comatrix coalgebra C, unchecked:
     slice c_wl is the matrix unit E_wl. Any other C is refused."""
     n = math.isqrt(C.dim)
-    if n * n != C.dim or not C.same_structure(comatrix(C.field, n)):
+    if n * n != C.dim or not same_structure(C, comatrix(C.field, n)):
         raise UsageError("standard comodule needs a comatrix coalgebra")
     k = C.field
     slices = [Matrix._computed(k, [[k.one if (i, j) == (w, l) else k.zero for j in range(n)]
@@ -203,7 +223,7 @@ def standard_comodule(C: Coalgebra) -> Comodule:
 def pushforward(M: Comodule, Q) -> Comodule:
     """(I (x) pi) rho: the comodule induced over the quotient Q = C/I, with
     slices sum_a proj[q][a] P_a, unchecked. M may live on any copy of C."""
-    if not Q.parent.same_structure(M.coalgebra):
+    if not same_structure(Q.parent, M.coalgebra):
         raise UsageError("quotient of a different coalgebra")
     return Comodule(Q, [linear_combination(row, M.slices) for row in Q.proj.rows], check=False)
 
@@ -801,3 +821,103 @@ def graded_operator(act, projectors) -> EndoPair:
     module, Long or not."""
     return EndoPair.from_matrix(functools.reduce(
         Matrix.add, [A.kron(P) for A, P in zip(act, projectors)]))
+
+
+def conjugate(R: EndoPair, u: Matrix) -> EndoPair:
+    """(u (x) u) R (u (x) u)^{-1}; preserves every check_d verdict."""
+    if u.nrows != R.n or u.ncols != R.n:
+        raise UsageError("conjugating matrix must be %d x %d" % (R.n, R.n))
+    uu = u.kron(u)
+    uu_inv = matrix_inverse(uu)
+    if uu_inv is None:
+        raise UsageError("conjugating matrix is singular")
+    return EndoPair.from_matrix(uu.mul(R.matrix()).mul(uu_inv))
+
+
+def universal_map(R: EndoPair, H, realization):
+    """Generator assignment c~_ij -> c'_ij of the unique bialgebra map
+    D(R) -> H induced by a realization of R as a dimodule over H, or None
+    when the realization does not reproduce R. c'_ij is the vector of the
+    (i, j) entries of the realization's slices. By the universal property
+    of D(R), the assignment kills I(R), factors through the quotient and
+    respects Delta and eps; `universal_map_failure` checks that."""
+    n = R.n
+    if realization.dim != n:
+        raise UsageError("realization dimension does not match the operator")
+    if not same_structure(realization.coalgebra, H.gen_coalgebra()):
+        raise UsageError("realization does not live over the given host")
+    if r_from_dimodule(realization) != R:
+        return None
+    slices = realization.comodule.slices
+    return {(i + 1, j + 1): [P.rows[i][j] for P in slices] for i in range(n) for j in range(n)}
+
+
+def trivial_comodule(H, dim: int) -> Comodule:
+    """rho(m) = m (x) 1 over the bialgebra H: the slices are unit[a] I."""
+    ident = Matrix.identity(H.field, dim)
+    return Comodule(H.gen_coalgebra(), [ident.scale(u) for u in H.unit])
+
+
+def induce_from_module(N_action, H) -> LongDimodule:
+    """N (x) H with h.(n (x) l) = h.n (x) l and coaction I (x) Delta: the
+    action of e_a is A_a (x) I and slice q is I (x) P_q, with P_q the
+    regular slice of H's coalgebra, P_q[p][b] = Delta[b][p][q]."""
+    ident_h = Matrix.identity(H.field, H.dim)
+    ident_n = Matrix.identity(H.field, N_action[0].nrows)
+    action = [A.kron(ident_h) for A in N_action]
+    coaction = [ident_n.kron(P) for P in H.gen_coalgebra()._regular_slices()]
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
+
+
+def induce_from_comodule(M: Comodule, H) -> LongDimodule:
+    """H (x) M with h.(l (x) m) = hl (x) m and coaction l (x) m_0 (x) m_1:
+    the action of e_a is L_a (x) I with L_a the left-regular matrix of e_a,
+    and slice a is I (x) P^M_a."""
+    if M.coalgebra is not H.gen_coalgebra():
+        raise UsageError("comodule is not over the host's coalgebra")
+    ident_h = Matrix.identity(H.field, H.dim)
+    ident_m = Matrix.identity(H.field, M.dim)
+    action = [L.kron(ident_m) for L in H._left_regular]
+    coaction = [ident_h.kron(P) for P in M.slices]
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
+
+
+def sigma_form(C: Coalgebra, f_values, right: Coalgebra = None) -> BilinearForm:
+    """sigma_f(c (x) d~) = eps(c) f(d~): a D-map for every linear f on C/I;
+    `right` is the quotient (default C itself, i.e. I = 0)."""
+    k = C.field
+    if right is None:
+        right = C
+    if len(f_values) != right.dim:
+        raise UsageError("f must be a functional on the right coalgebra")
+    table = [[k.mul(C.counit[a], k.coerce(f_values[b])) for b in range(right.dim)]
+             for a in range(C.dim)]
+    return BilinearForm(C, right, table)
+
+
+def delta_form(C: Coalgebra, n: int, a_value) -> BilinearForm:
+    """sigma(c_ij (x) c_pq) = delta_ij a on comatrix(n); a strong D-map."""
+    k = C.field
+    if C.dim != n * n:
+        raise UsageError("coalgebra is not comatrix(n)")
+    a_value = k.coerce(a_value)
+    table = [[a_value if (i // n) == (i % n) else k.zero for _ in range(C.dim)]
+             for i in range(C.dim)]
+    return BilinearForm(C, C, table)
+
+
+def r_sigma(comodule: Comodule, dm) -> EndoPair:
+    """R_sigma(m (x) n) = sum sigma(m_1 (x) n_1~) m_0 (x) n_0 for a comodule
+    and a D-map, that is R = sum_a P_a (x) (sum_b sigma-bar[a][b] P_b) with
+    sigma-bar the table pulled back to C (x) C. It solves the equation for
+    every comodule and D-map, a theorem of the paper that the tests check."""
+    if comodule.coalgebra is not dm.coalgebra:
+        raise UsageError("comodule is not over the D-map's coalgebra")
+    k = dm.coalgebra.field
+    Q = dm.quotient
+    # sigma with the right leg pulled back to C
+    pulled = dm.sigma.table if Q is None else \
+        Matrix(k, dm.sigma.table, coerce=False).mul(Q.proj).rows
+    P = comodule.slices
+    return EndoPair.from_matrix(functools.reduce(
+        Matrix.add, (Pa.kron(linear_combination(row, P)) for Pa, row in zip(P, pulled))))

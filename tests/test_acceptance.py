@@ -8,17 +8,16 @@ from deq.classify import (candidate_block, endo_from_digits, enumerate_solutions
                           operator_count, orbit_reduce)
 from deq.coalg import BilinearForm, convolve, counit_form
 from deq.dimodule import r_from_dimodule
-from deq.dmap import (delta_form, is_dmap, r_sigma, sigma_form, sigma_from_r,
-                      convolution_inverse_of_sigma)
+from deq.dmap import convolution_inverse_of_sigma, is_dmap, sigma_from_r
 from deq.fields import FunctionField, PrimeField, QQ
 from deq.frt import d_bialgebra
 from deq.linalg import Matrix, matrix_inverse
-from deq.tensor_ops import (check_d, check_qybe, conjugate, diagonal_solution,
-                            product_solution)
+from deq.tensor_ops import check_d, check_qybe, diagonal_solution, product_solution
 from deq.coalg import comatrix
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
-from oracles import coordinate_mask, forms_masks, random_value, standard_comodule
+from oracles import (conjugate, coordinate_mask, delta_form, forms_masks, r_sigma, random_value,
+                     sigma_form, standard_comodule)
 
 
 def report(num, ok, elapsed, budget=None):

@@ -15,10 +15,11 @@ from deq.dmap import first_symmetry_violation
 from deq.fields import PrimeField, UsageError
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_qybe,
-                            conjugate, diagonal_solution, product_solution)
+                            diagonal_solution, product_solution)
 from identity_masks import (annihilation_mask, defect_identity_mask, delta_identity_mask,
                             random_block)
-from oracles import coordinate_equation_table, coordinate_mask, digits_of, forms_masks
+from oracles import (conjugate, coordinate_equation_table, coordinate_mask, digits_of,
+                     forms_masks)
 
 
 def digits_from_endo(R: EndoPair):

@@ -171,8 +171,9 @@ def test_frt_prints_the_round_trip_from_the_theorem(tmp_path, capsys, monkeypatc
 
 def test_dmap_reads_bijectivity_without_forming_the_inverse_form(tmp_path, capsys,
                                                                  monkeypatch):
-    """deq dmap prints its convolution inverse line from invert(R): it forms
-    no sigma_(R^-1), and its reports and exit codes stay the golden ones."""
+    """deq dmap prints its convolution inverse line from the number of
+    pivots of R's matrix: it forms no sigma_(R^-1), and its reports and exit
+    codes stay the golden ones."""
     exdir = write_examples(tmp_path, capsys)
     refuse_everywhere(monkeypatch, "convolution_inverse_of_sigma")
     assert_present_golden(exdir, capsys, "dmap")
@@ -231,8 +232,8 @@ def test_frt_builds_comatrix_once(tmp_path, capsys, monkeypatch):
 def test_frt_and_dmap_rerun_no_theorem_on_a_solution(tmp_path, capsys, monkeypatch):
     """On a solution, deq frt and deq dmap run no coordinate equation, no
     balance condition and no convolution; the tests check those theorems
-    instead (the coideal check lives in tests/oracles.py alone). deq dmap
-    inverts R once, for its convolution inverse line, and deq frt never."""
+    instead (the coideal check lives in tests/oracles.py alone). Neither
+    inverts R: deq dmap reads its convolution inverse line off R's rank."""
     from deq import coalg, dmap, linalg, tensor_ops
     counts = count_calls(monkeypatch, {"first_violation": tensor_ops.first_violation,
                                        "is_dmap": dmap.is_dmap,
@@ -240,13 +241,26 @@ def test_frt_and_dmap_rerun_no_theorem_on_a_solution(tmp_path, capsys, monkeypat
                                        "matrix_inverse": linalg.matrix_inverse})
     exdir = str(tmp_path / "ex")
     assert main(["examples", "--dir", exdir]) == 0
-    for command, inverses in (("frt", 0), ("dmap", 1)):
+    for command in ("frt", "dmap"):
         for name in ("s3-graded.txt", "rq-symbolic.txt", "triangular-symbolic.txt",
                      "projection.txt", "identity-n2.txt"):
             counts.update(dict.fromkeys(counts, 0))
             assert main([command, os.path.join(exdir, name)]) == 0, (command, name)
-            assert counts == dict(dict.fromkeys(counts, 0), matrix_inverse=inverses), \
-                (command, name)
+            assert counts == dict.fromkeys(counts, 0), (command, name)
+    capsys.readouterr()
+
+
+def test_frt_and_dmap_render_the_relations_once(tmp_path, capsys, monkeypatch):
+    """One deq frt or deq dmap run renders the relation lines of I(R) once:
+    the presentation renders them only when they are read."""
+    from deq import frt
+    counts = count_calls(monkeypatch, {"relation_strings": frt.relation_strings})
+    exdir = write_examples(tmp_path, capsys)
+    for (command, name), (_, code) in PRESENT_GOLDEN.items():
+        if code == 0:
+            counts["relation_strings"] = 0
+            assert main([command, os.path.join(exdir, name)]) == 0, (command, name)
+            assert counts == {"relation_strings": 1}, (command, name)
     capsys.readouterr()
 
 

@@ -11,11 +11,11 @@ from deq.coalg import (BilinearForm, Coalgebra, Comodule, comatrix, convolve, co
 from deq.dmap import convolution_inverse_of_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import d_bialgebra, generator_table, obstruction_coideal, obstruction_vectors
-from deq.linalg import Matrix, linear_combination, rref
+from deq.linalg import Matrix, rref
 from deq.tensor_ops import diagonal_solution, identity_pair
 from oracles import (coideal, comatrix_index, convolution_inverse, delta_vector, dot, lift,
-                     project, pushforward, random_value, reduce_against, section_quotient,
-                     span_and_membership, standard_comodule)
+                     linear_combination, project, pushforward, random_value, reduce_against,
+                     section_quotient, span_and_membership, standard_comodule)
 
 
 def obstruction_ideal(R):

@@ -6,13 +6,12 @@ from deq import catalog
 from deq.coalg import Comodule
 from deq.dimodule import (FinBialgebra, GradedModule, LongDimodule,
                           dimodule_from_grading, group_bialgebra,
-                          induce_from_comodule, induce_from_module,
-                          r_from_dimodule, tensor_dimodule, trivial_comodule,
-                          trivial_module)
+                          r_from_dimodule, tensor_dimodule, trivial_module)
 from deq.fields import MathError, PrimeField, QQ, UsageError
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import check_d, check_qybe, identity_pair
-from oracles import loop_multiply, matrix_sub
+from oracles import (induce_from_comodule, induce_from_module, loop_multiply, matrix_sub,
+                     trivial_comodule)
 
 
 def z2_bialgebra(field):

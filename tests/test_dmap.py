@@ -4,14 +4,13 @@ import pytest
 
 from deq import catalog
 from deq.coalg import BilinearForm, comatrix, convolve, counit_form, quotient
-from deq.dmap import (convolution_inverse_of_sigma, delta_form,
-                      first_symmetry_violation, is_dmap, r_sigma, sigma_form,
+from deq.dmap import (convolution_inverse_of_sigma, first_symmetry_violation, is_dmap,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError, PrimeField, QQ, UsageError
 from deq.frt import NotASolutionError, generator_table, obstruction_coideal
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import diagonal_solution, identity_pair, product_solution
-from oracles import random_value, standard_comodule
+from oracles import delta_form, r_sigma, random_value, sigma_form, standard_comodule
 
 
 def random_bijective_solution(field, n, rng):

@@ -10,34 +10,67 @@ import deq
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Exported with no caller in the package, the demos or the benchmark, and
-# kept on purpose.
-ALLOWED = {
-    # statements of the paper, checked by the theorem tests
-    "universal_map": "the universal property of D(R)",
-    "induce_from_module": "the dimodule induced from a module",
-    "induce_from_comodule": "the dimodule induced from a comodule",
-    "r_sigma": "R_sigma solves the equation for every comodule and D-map",
-    # subjects of the acceptance criteria
-    "conjugate": "conjugation by u (x) u keeps every verdict",
-    "sigma_form": "eps (x) f is a D-map for every linear f",
-    "delta_form": "delta_ij a is a strong D-map on comatrix(n)",
-    # checked entry points for user input
-    "trivial_comodule": "the checked comodule m -> m (x) 1 of a bialgebra",
-}
+
+def class_table(paths):
+    """Class name -> (the functions its body defines, the names of its
+    bases), for every class of the files."""
+    classes = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
+                classes[node.name] = (defined, bases)
+    return classes
+
+
+def ancestors(classes, name):
+    """The class and its bases among `classes`, nearest first."""
+    found, todo = [], [name]
+    while todo:
+        cls = todo.pop(0)
+        if cls in classes and cls not in found:
+            found.append(cls)
+            todo.extend(classes[cls][1])
+    return found
+
+
+def owners(classes, name, attr):
+    """The names "Class.attr" of the functions that a read of attr through
+    class `name` can reach: that of the nearest of `name` and its bases that
+    defines attr, and those of the subclasses of `name` that define it.
+    Empty when no such class defines attr."""
+    nearest = next((cls for cls in ancestors(classes, name) if attr in classes[cls][0]), None)
+    reached = {cls for cls in classes
+               if attr in classes[cls][0] and name in ancestors(classes, cls)}
+    return {"%s.%s" % (cls, attr) for cls in reached | {nearest} - {None}}
 
 
 def used_names(paths):
-    """Every name the files read, import from deq or reach as an attribute."""
+    """Every name the files read or import from deq. An attribute read
+    through `self` or `cls` in a package class's body, or through a package
+    class's name, counts as "Class.attr" for the classes that define it;
+    any other attribute read counts by its bare name."""
+    classes = class_table(package_paths())
     used = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            owner = cls if base in ("self", "cls") else base
+            resolved = owners(classes, owner, node.attr) if owner in classes else set()
+            used.update(resolved or {node.attr})
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("deq")):
+            used.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("deq")):
-                used.update(alias.name for alias in node.names)
+        visit(ast.parse(path.read_text(), str(path)), None)
     return used
 
 
@@ -67,9 +100,8 @@ def test_every_export_has_a_caller():
     used = used_names(caller_paths())
     modules = {name for name in deq.__all__
                if name == "classify" or isinstance(getattr(deq, name), types.ModuleType)}
-    dead = sorted(set(deq.__all__) - used - modules - set(ALLOWED))
+    dead = sorted(set(deq.__all__) - used - modules)
     assert dead == [], "exported, but used only by the tests: %s" % ", ".join(dead)
-    assert set(ALLOWED) <= set(deq.__all__) - used, "an allowed name now has a caller"
 
 
 def test_every_public_definition_has_a_caller():
@@ -77,6 +109,6 @@ def test_every_public_definition_has_a_caller():
     used = used_names(caller_paths())
     dead = ["%s.%s" % (path.stem, qualified)
             for path in package_paths() for qualified, name in public_definitions(path)
-            if name not in used and name not in ALLOWED
+            if qualified not in used and name not in used
             and not (path.stem == "cli" and name.startswith("cmd_"))]
     assert dead == [], "defined, but used only by the tests: %s" % ", ".join(dead)

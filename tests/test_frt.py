@@ -9,12 +9,13 @@ from deq.coalg import comatrix, grouplike_coalgebra
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import (NotASolutionError, d_bialgebra, frt_col_order, generator_table,
                      obstruction_coideal, obstruction_vectors, relation_strings,
-                     require_solution, universal_map)
-from deq.linalg import Matrix, linear_combination
+                     require_solution)
+from deq.linalg import Matrix
 from deq.tensor_ops import EndoPair, check_d, first_violation, identity_pair
 from deq.dimodule import r_from_dimodule
-from oracles import (comatrix_index, defect_pairing, dot, loop_generator_action,
-                     random_value, universal_map_failure)
+from oracles import (comatrix_index, defect_pairing, dot, linear_combination,
+                     loop_generator_action, random_value, same_structure, universal_map,
+                     universal_map_failure)
 
 
 def rand_pair(field, rng, n):
@@ -140,7 +141,7 @@ def test_obstructions_live_in_comatrix_only():
     R = catalog.triangular_solution(QQ, 1, 2, 3)
     table = generator_table(R)
     I = obstruction_coideal(table)
-    assert I.parent.same_structure(comatrix(QQ, 2)) and I.dim == 2
+    assert same_structure(I.parent, comatrix(QQ, 2)) and I.dim == 2
     grouplike = grouplike_coalgebra(QQ, ["g1", "g2", "g3", "g4"])
     with pytest.raises(TypeError):
         obstruction_coideal(table, grouplike)

@@ -11,9 +11,9 @@ from deq import catalog
 from deq.fields import INTEGERS, FunctionField, PrimeField, QQ
 from deq.linalg import Matrix
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
-                            check_pentagon, check_qybe, conjugate, diagonal_solution,
-                            first_violation, identity_pair, product_solution, _integral)
-from oracles import field_verdicts, tau_matrix
+                            check_pentagon, check_qybe, diagonal_solution, first_violation,
+                            identity_pair, product_solution, _integral)
+from oracles import conjugate, field_verdicts, tau_matrix
 
 F5 = PrimeField(5)
 FQ = FunctionField(["q"])

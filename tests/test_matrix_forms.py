@@ -14,18 +14,17 @@ import pytest
 from deq import catalog
 from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import BilinearForm, Comodule, convolve, counit_form, grouplike_coalgebra
-from deq.dimodule import (FinBialgebra, LongDimodule,
-                          dimodule_from_grading, induce_from_comodule,
-                          induce_from_module, r_from_dimodule, tensor_dimodule,
-                          trivial_comodule, trivial_module)
-from deq.dmap import is_dmap, r_sigma, sigma_from_r, strong_dmap_from_symmetric
+from deq.dimodule import (FinBialgebra, LongDimodule, dimodule_from_grading,
+                          r_from_dimodule, tensor_dimodule, trivial_module)
+from deq.dmap import is_dmap, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.frt import d_bialgebra
 from deq.linalg import Matrix, matrix_inverse
-from deq.tensor_ops import conjugate, diagonal_solution, identity_pair
+from deq.tensor_ops import diagonal_solution, identity_pair
 
-from oracles import (endo_from_table, kron_r_from_dimodule, loop_compat_tables, matrix_sub,
-                     pushforward, rho_of, standard_comodule)
+from oracles import (conjugate, endo_from_table, induce_from_comodule, induce_from_module,
+                     kron_r_from_dimodule, loop_compat_tables, matrix_sub, pushforward,
+                     r_sigma, rho_of, standard_comodule, trivial_comodule)
 from test_dimodule import conjugated, cyclic_graded_module, z2_eigen_grading
 
 

@@ -18,7 +18,7 @@ from deq import catalog
 from deq.coalg import Coalgebra, comatrix, grouplike_coalgebra
 from deq.dimodule import FinAlgebra, FinBialgebra, group_bialgebra
 from deq.fields import PrimeField, QQ, UsageError
-from deq.linalg import Matrix, linear_combination, matrix_inverse
+from deq.linalg import Matrix, matrix_inverse
 
 import oracles
 
@@ -48,7 +48,7 @@ def transported_coalgebra(k, mu, eps, T):
         return mu, eps
     Tinv = matrix_inverse(T)
     deltas = [Matrix(k, table) for table in mu]
-    mu = [(Tinv @ linear_combination(T.col(a), deltas) @ Tinv.transpose()).rows
+    mu = [(Tinv @ oracles.linear_combination(T.col(a), deltas) @ Tinv.transpose()).rows
           for a in range(T.ncols)]
     return mu, T.transpose().apply(eps)
 

@@ -10,10 +10,10 @@ from deq.classify import _equation_columns
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
 from deq.linalg import Matrix, matrix_inverse
 from deq.tensor_ops import (EndoPair, check_d, check_equivalent_forms, check_hopf,
-                            check_pentagon, check_qybe, conjugate, diagonal_solution,
-                            first_violation, identity_pair, invert, lift, product_solution)
-from oracles import (fresh_form_products, fresh_form_verdicts, random_value, structured_solution,
-                     tau_matrix, x_table)
+                            check_pentagon, check_qybe, diagonal_solution, first_violation,
+                            identity_pair, invert, lift, product_solution)
+from oracles import (conjugate, fresh_form_products, fresh_form_verdicts, random_value,
+                     structured_solution, tau_matrix, x_table)
 
 
 def flip_pair(field, n):

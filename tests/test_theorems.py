@@ -1,7 +1,8 @@
-"""The theorems `deq frt`, `deq dmap` and `universal_map` rely on instead of
-re-checking them on every run, each checked on every (2, 2) and (2, 3)
-solution, on the catalog over Q, F_13 and Q(q), and on seeded solutions with
-prescribed leg algebras at n = 3 and 4 over Q and F_13 and n = 3 over Q(q)."""
+"""The theorems `deq frt` and `deq dmap` rely on instead of re-checking them
+on every run, and the universal property of D(R), each checked on every
+(2, 2) and (2, 3) solution, on the catalog over Q, F_13 and Q(q), and on
+seeded solutions with prescribed leg algebras at n = 3 and 4 over Q and
+F_13 and n = 3 over Q(q)."""
 
 import functools
 import math
@@ -13,17 +14,16 @@ from deq import catalog
 from deq.classify import endo_from_digits
 from deq.coalg import BilinearForm, Comodule, comatrix, convolve, counit_form, quotient
 from deq.dimodule import LongDimodule, r_from_dimodule
-from deq.dmap import (DMap, convolution_inverse_of_sigma, delta_form,
-                      first_symmetry_violation, is_dmap, r_sigma, sigma_form,
+from deq.dmap import (DMap, convolution_inverse_of_sigma, first_symmetry_violation, is_dmap,
                       sigma_from_r, strong_dmap_from_symmetric)
 from deq.fields import MathError, QQ
 from deq.frt import (NotASolutionError, d_bialgebra, frt_col_order, generator_table,
-                     obstruction_coideal, obstruction_vectors, require_solution,
-                     universal_map)
+                     obstruction_coideal, obstruction_vectors, require_solution)
 from deq.linalg import Matrix, rref
 from deq.tensor_ops import EndoPair, first_violation, invert
-from oracles import (coideal, convolution_inverse, kernel_basis, pushforward, random_value,
-                     section_quotient, standard_comodule, structured_solution,
+from oracles import (coideal, convolution_inverse, delta_form, kernel_basis, pushforward,
+                     r_sigma, random_value, same_structure, section_quotient, sigma_form,
+                     standard_comodule, structured_solution, universal_map,
                      universal_map_failure, x_table)
 from test_classify import census
 from test_matrix_forms import FIELDS, catalog_solutions
@@ -108,7 +108,7 @@ def test_obstruction_span_is_a_coideal_for_every_operator(k_q):
     for R in operators:
         table = generator_table(R)
         built = obstruction_coideal(table)
-        assert built.parent.same_structure(comatrix(k, R.n))
+        assert same_structure(built.parent, comatrix(k, R.n))
         vectors = [v for _, v in obstruction_vectors(table)]
         checked = coideal(built.parent, vectors, col_order=frt_col_order(R.n))
         assert (built.basis, built.pivots) == (checked.basis, checked.pivots)
@@ -269,6 +269,20 @@ def test_r_sigma_solves_the_equation(source):
         for form in (sigma_form(C, [random_value(k, rng) for _ in range(C.dim)]),
                      delta_form(C, n, random_value(k, rng))):
             assert first_violation(r_sigma(std, DMap(C, None, None, form))) is None
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_full_rank_is_bijectivity(source):
+    """deq dmap prints its convolution inverse line from the number of
+    pivots of rref(R): there are n^2 exactly when invert finds R^-1, on every
+    solution of the source and on its one-entry perturbations, all of them
+    at n = 2 and eight seeded ones above."""
+    rng = random.Random(46)
+    for R in each_solution(source):
+        bumped = perturbations(R) if R.n == 2 else one_entry_perturbations(R, rng, 8)
+        for S in [R, *bumped]:
+            _, pivots = rref(S.matrix().rows, S.field)
+            assert (len(pivots) == S.n ** 2) == (invert(S) is not None)
 
 
 @pytest.mark.parametrize("source", ["census"] + FIELD_IDS)
