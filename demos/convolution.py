@@ -23,7 +23,7 @@ def main():
     R = diagonal_solution(QQ, [[1, 2], [3, 4]])
     print("operator: diagonal with weights 1 2 / 3 4")
     dm = sigma_from_r(R)
-    print("relations: %s" % ", ".join(relation_strings(dm.ideal)))
+    print("relations: %s" % ", ".join(relation_strings(dm.quotient)))
     print("sigma lives on C (x) C/I with quotient dimension %d:" % dm.sigma.right.dim)
     show_table(dm.sigma, QQ)
     print("balance condition holds: %s" % is_dmap(dm.coalgebra, dm.quotient, dm.sigma))

@@ -36,7 +36,7 @@ def main():
     pres = d_bialgebra(R)
     print()
     print("they span a %d-dimensional coideal; the quotient has dimension %d"
-          % (pres.ideal.dim, pres.quotient.dim))
+          % (len(pres.quotient.pivots), pres.quotient.dim))
     for rel in pres.relations:
         print("  relation: %s" % rel)
     print("generators: %s" % " ".join(pres.generators))
@@ -52,7 +52,7 @@ def main():
     print("the identity operator imposes no relations at all:")
     pres = d_bialgebra(identity_pair(QQ, 2))
     print("  ideal dimension %d, quotient dimension %d, %d relations"
-          % (pres.ideal.dim, pres.quotient.dim, len(pres.relations)))
+          % (len(pres.quotient.pivots), pres.quotient.dim, len(pres.relations)))
 
 
 if __name__ == "__main__":

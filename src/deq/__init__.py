@@ -13,12 +13,11 @@ from .tensor_ops import (EndoPair, FormVerdicts, check_d,
                          check_equivalent_forms, check_hopf, check_pentagon,
                          check_qybe, diagonal_solution, first_violation,
                          identity_pair, invert, lift, product_solution)
-from .coalg import (BilinearForm, Coalgebra, Coideal, Comodule,
-                    QuotientCoalgebra, comatrix, convolve, counit_form,
-                    grouplike_coalgebra, quotient)
-from .frt import (FrtPresentation, NotASolutionError, d_bialgebra,
-                  frt_col_order, obstruction_coideal, relation_strings,
-                  require_solution)
+from .coalg import (BilinearForm, Coalgebra, Comodule, comatrix, convolve,
+                    counit_form, grouplike_coalgebra)
+from .frt import (FrtPresentation, NotASolutionError, QuotientCoalgebra,
+                  d_bialgebra, frt_col_order, obstruction_coideal,
+                  relation_strings, require_solution)
 from .dimodule import (FinAlgebra, FinBialgebra, GradedModule, LongDimodule,
                        dimodule_from_grading, group_bialgebra, r_from_dimodule,
                        tensor_dimodule, trivial_module)

@@ -71,7 +71,7 @@ def cmd_frt(args) -> int:
     guard_n(R.n)
     pres = d_bialgebra(R)
     lines = ["deq frt", "field: %s" % R.field.header(), "n: %d" % R.n,
-             "ideal dimension: %d" % pres.ideal.dim,
+             "ideal dimension: %d" % len(pres.quotient.pivots),
              "quotient dimension: %d" % pres.quotient.dim]
     for rel in pres.relations:
         lines.append("relation: %s" % rel)
@@ -80,7 +80,7 @@ def cmd_frt(args) -> int:
     # FRT-type theorem: the canonical Long D(R)-dimodule gives back R
     lines.append("round trip: true")
     kv = [("field", R.field.header()), ("n", str(R.n)),
-          ("ideal_dim", str(pres.ideal.dim)),
+          ("ideal_dim", str(len(pres.quotient.pivots))),
           ("quotient_dim", str(pres.quotient.dim)),
           ("relations", str(len(pres.relations))),
           ("round_trip", "true")]
@@ -97,7 +97,7 @@ def cmd_dmap(args) -> int:
     lines = ["deq dmap", "field: %s" % k.header(), "n: %d" % R.n,
              "quotient dimension: %d" % Q.dim,
              "strong: %s" % _bool_text(dm.is_strong)]
-    for rel in relation_strings(dm.ideal):
+    for rel in relation_strings(Q):
         lines.append("relation: %s" % rel)
     entries = 0
     for a in range(C.dim):

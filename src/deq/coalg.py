@@ -1,5 +1,6 @@
-"""Finite-dimensional coalgebras by structure constants, coideals, quotients,
-comodules, and the convolution algebra of scalar bilinear forms.
+"""Finite-dimensional coalgebras by structure constants, comodules, and the
+convolution algebra of scalar bilinear forms. The one quotient coalgebra
+the package builds, comatrix(n)/I(R), is `deq.frt.QuotientCoalgebra`.
 
 Delta(e_a) = sum_{b,c} mu[a][b][c] e_b (x) e_c, counit eps[a]. Tensor-square
 coordinates are flattened as (b, c) -> b*d + c.
@@ -55,9 +56,9 @@ def _require_module(unit, product, act, labels, error, unit_message, pair_messag
 class Coalgebra:
     """Structure-constant coalgebra; entries are coerced into the field and
     the axioms verified at construction unless check=False, which is for
-    coalgebras by construction (comatrix, grouplike, k[G], quotients by a
-    coideal): their values come from the field and are taken as built, and
-    their axioms the tests check."""
+    coalgebras by construction (comatrix, grouplike, k[G]): their values
+    come from the field and are taken as built, and their axioms the tests
+    check."""
 
     def __init__(self, field: Field, labels, delta, counit, check: bool = True):
         d = len(labels)
@@ -138,92 +139,6 @@ def grouplike_coalgebra(field, labels) -> Coalgebra:
     return Coalgebra(field, labels, mu, [o] * d, check=False)
 
 
-class Coideal:
-    """A coideal of `parent`: reduced echelon basis and its pivots.
-
-    One maker in the package builds Coideals: `frt.obstruction_coideal`
-    builds span{o(i,j,k,l)} in comatrix(n) from its echelon form alone. That
-    span is a coideal for every R, a theorem the tests check (the
-    comultiplication identity of the obstructions, and `coideal` of
-    tests/oracles.py, which checks the coideal conditions of a span, on the
-    census and the catalog). So `quotient` need not check its result
-    again."""
-
-    def __init__(self, parent: Coalgebra, basis, pivots):
-        self.parent = parent
-        self.basis = basis
-        self.pivots = pivots
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-def _coeff_term(field, coeff, label):
-    """Render coeff*label with sign split off: returns (sign, text)."""
-    mag = field.show(coeff)
-    sign = "+"
-    if mag.startswith("-"):
-        sign, mag = "-", mag[1:]
-    if mag == "1":
-        return sign, label
-    if any(ch in mag for ch in " +-"):
-        mag = "(%s)" % mag
-    return sign, "%s*%s" % (mag, label)
-
-
-def _combo_text(field, pairs):
-    """Signed sum of (coeff, label) terms."""
-    out = ""
-    for idx, (coeff, label) in enumerate(pairs):
-        sign, text = _coeff_term(field, coeff, label)
-        if idx == 0:
-            out = ("-" if sign == "-" else "") + text
-        else:
-            out += " %s %s" % (sign, text)
-    return out if out else "0"
-
-
-class QuotientCoalgebra(Coalgebra):
-    """C/I on the non-pivot coordinates of I's reduced basis; a genuine
-    Coalgebra on their labels.
-
-    The quotient map is read off the echelon form: pi(e_s) = e_s on a
-    non-pivot column s, and e_p + sum_s basis[r][s] e_s lies in I for the
-    pivot p of row r, so pi(e_p) = -sum_s basis[r][s] e_s. The tests check
-    that this equals the last rows of B^-1 for B = [basis | section], and
-    that another section gives the same coalgebra. I is a coideal, so the
-    structure (pi (x) pi) Delta satisfies the axioms (checked in the tests);
-    it is not re-checked here."""
-
-    def __init__(self, parent: Coalgebra, ideal: Coideal):
-        k, d = parent.field, parent.dim
-        if ideal.dim == d:
-            raise UsageError("coideal exhausts the coalgebra")
-        section = [c for c in range(d) if c not in ideal.pivots]
-        proj = [[k.zero] * d for _ in section]
-        for b, s in enumerate(section):
-            proj[b][s] = k.one
-            for row, p in zip(ideal.basis, ideal.pivots):
-                proj[b][p] = k.neg(row[s])
-        self.parent = parent
-        self.ideal = ideal
-        self.proj = Matrix._computed(k, proj)
-        self.section_cols = section
-        # Delta-bar(e_c~) = (pi (x) pi) Delta(e_c): the table P mu[c] P^t
-        proj_t = self.proj.transpose()
-        mu = [self.proj.mul(parent.delta_matrix(c)).mul(proj_t).rows for c in section]
-        labels = [parent.labels[c] + "~" for c in section]
-        eps = [parent.counit[c] for c in section]
-        super().__init__(k, labels, mu, eps, check=False)
-
-
-def quotient(C: Coalgebra, I: Coideal) -> QuotientCoalgebra:
-    if I.parent is not C:
-        raise UsageError("coideal belongs to a different coalgebra")
-    return QuotientCoalgebra(C, I)
-
-
 class Comodule:
     """Right C-comodule on k^dim, stored as its slices: one dim x dim Matrix
     P_a per basis element e_a of C, with P_a[w][l] the coefficient of
@@ -234,9 +149,10 @@ class Comodule:
     The axioms are verified at construction unless check=False, which is for
     comodules by construction, whose axioms the tests check: the comodule
     of the canonical dimodule of D(R), which is the standard comodule of
-    comatrix(n) pushed along the quotient map, a coalgebra map; and the
+    comatrix(n) pushed along the quotient map, a coalgebra map; the
     coaction of a graded module (`dimodule_from_grading`), whose projectors
-    are orthogonal idempotents that sum to the identity."""
+    are orthogonal idempotents that sum to the identity; and the coaction of
+    a tensor product of dimodules (`tensor_dimodule`)."""
 
     def __init__(self, C: Coalgebra, slices, check: bool = True):
         if len(slices) != C.dim:

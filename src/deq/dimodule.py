@@ -23,7 +23,8 @@ from .tensor_ops import EndoPair
 class FinAlgebra:
     """Structure-constant associative unital algebra. Associativity and the
     left unit law are the module axiom (`_action_failure`) on its
-    left-regular matrices L_a; the right unit law is L_a unit = e_a."""
+    left-regular matrices L_a; the right unit law is L_a unit = e_a.
+    check=False takes the entries as built, as for `Coalgebra`."""
 
     def __init__(self, field, labels, mult, unit, check: bool = True):
         d = len(labels)
@@ -32,9 +33,12 @@ class FinAlgebra:
         self.field = field
         self.labels = list(labels)
         self.dim = d
-        self.mult = [[[field.coerce(mult[a][b][c]) for c in range(d)] for b in range(d)]
-                     for a in range(d)]
-        self.unit = [field.coerce(unit[a]) for a in range(d)]
+        if check:
+            mult = [[[field.coerce(mult[a][b][c]) for c in range(d)] for b in range(d)]
+                    for a in range(d)]
+            unit = [field.coerce(unit[a]) for a in range(d)]
+        self.mult = mult
+        self.unit = unit
         if check:
             self._check_algebra()
 
@@ -168,7 +172,7 @@ class LongDimodule:
     with every P_b; it is the invariant every LongDimodule keeps, so
     `r_from_dimodule` does not check it again. It is verified at
     construction, with the module axioms over a bialgebra host, unless
-    check=False, which `dimodule_from_grading` and
+    check=False, which `dimodule_from_grading`, `tensor_dimodule` and
     `FrtPresentation.canonical_dimodule` pass: there both hold by
     construction (for the canonical dimodule, by the FRT-type theorem), and
     the tests check them."""
@@ -316,7 +320,12 @@ def tensor_dimodule(M: LongDimodule, N: LongDimodule) -> LongDimodule:
     """M (x) N with h.(m (x) n) = sum h_1.m (x) h_2.n and coaction
     m_0 (x) n_0 (x) m_1 n_1: the action of e_a is
     sum_{p,q} Delta[a][p][q] A^M_p (x) A^N_q, and slice c is
-    sum_{a,b} mult[a][b][c] P^M_a (x) P^N_b."""
+    sum_{a,b} mult[a][b][c] P^M_a (x) P^N_b.
+
+    Built unchecked, as the tests check: Delta is an algebra map, so this is
+    a module; the multiplication is a coalgebra map, so a comodule; and
+    rho(h.(m (x) n)) = h_1 m_0 (x) h_2 n_0 (x) m_1 n_1, so they are
+    compatible."""
     if M.host is not N.host:
         raise UsageError("tensor product needs the same host bialgebra")
     if M.presented:
@@ -326,4 +335,5 @@ def tensor_dimodule(M: LongDimodule, N: LongDimodule) -> LongDimodule:
     # mult[a][b][c] = L_a[c][b]: row c of every left-regular matrix
     coaction = [_kron_combination([L.rows[c] for L in H._left_regular],
                                   M.comodule.slices, N.comodule.slices) for c in range(H.dim)]
-    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction))
+    return LongDimodule(H, action, Comodule(H.gen_coalgebra(), coaction, check=False),
+                        check=False)

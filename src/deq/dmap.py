@@ -19,19 +19,19 @@ from .tensor_ops import EndoPair, invert
 
 
 class DMap:
-    """sigma: C (x) C/I -> k satisfying the balance condition; `endo` is the
-    solution R it was built from, if any."""
+    """sigma: C (x) C/I -> k satisfying the balance condition, C/I being the
+    `quotient`; strong when there is none or it has no relation. `endo` is
+    the solution R it was built from, if any."""
 
-    def __init__(self, C: Coalgebra, I, Q, sigma: BilinearForm, endo: EndoPair = None):
+    def __init__(self, C: Coalgebra, Q, sigma: BilinearForm, endo: EndoPair = None):
         self.coalgebra = C
-        self.ideal = I
         self.quotient = Q
         self.sigma = sigma
         self.endo = endo
 
     @property
     def is_strong(self) -> bool:
-        return self.ideal is None or self.ideal.dim == 0
+        return self.quotient is None or not self.quotient.pivots
 
     def __repr__(self):
         kind = "strong " if self.is_strong else ""
@@ -76,8 +76,8 @@ def sigma_from_r(R: EndoPair) -> DMap:
     defined; and sigma is a D-map, the balance condition of the paper's last
     section."""
     pres = d_bialgebra(R)
-    C, I, Q = pres.coalgebra, pres.ideal, pres.quotient
-    return DMap(C, I, Q, BilinearForm(C, Q, _sigma_table(pres.table, Q)), endo=R)
+    Q = pres.quotient
+    return DMap(Q.parent, Q, BilinearForm(Q.parent, Q, _sigma_table(pres.table, Q)), endo=R)
 
 
 def first_symmetry_violation(R: EndoPair):
@@ -108,7 +108,7 @@ def strong_dmap_from_symmetric(R: EndoPair):
             "R tau != tau R: x_%d%d^%d%d != x_%d%d^%d%d" % (u, v, j, i, v, u, i, j))
     Q = pres.quotient
     sigma = _sigma_table(pres.table, Q)
-    return Q, DMap(Q, None, None, BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols]))
+    return Q, DMap(Q, None, BilinearForm(Q, Q, [sigma[a] for a in Q.section_cols]))
 
 
 def convolution_inverse_of_sigma(dm: DMap) -> BilinearForm:

@@ -109,7 +109,7 @@ def _parse_matrix_rows(reader, field, nrows, ncols):
         for j, part in enumerate(parts):
             row.append(_parse_entry(reader, field, part, j + 1))
         rows.append(row)
-    return Matrix(field, rows, coerce=False)
+    return Matrix._computed(field, rows)  # field.parse checked each entry
 
 
 def _show_matrix_rows(field, mat):

@@ -45,12 +45,12 @@ class Matrix:
     @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], coerce=False)
+        return cls._computed(field, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], coerce=False)
+        return cls._computed(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     def col(self, j):
         return [row[j] for row in self.rows]

@@ -35,11 +35,11 @@ import numpy as np
 
 from deq.classify import (_digit_dtype, _equation_columns, _equation_mask, _holds,
                           _rows_equal, _words, block_matrices)
-from deq.coalg import (BilinearForm, Coalgebra, Coideal, Comodule, _combo_text,
-                       _first_difference, comatrix, convolve, counit_form)
+from deq.coalg import (BilinearForm, Coalgebra, Comodule, _first_difference, comatrix,
+                       convolve, counit_form)
 from deq.dimodule import LongDimodule, r_from_dimodule
 from deq.fields import PrimeField, RationalField, UsageError
-from deq.frt import d_bialgebra
+from deq.frt import _combo_text, d_bialgebra
 from deq.linalg import Matrix, matrix_inverse, rref
 from deq.tensor_ops import EQUATIONS, EndoPair, _product
 
@@ -181,15 +181,16 @@ def _coideal_failure(C: Coalgebra, basis, pivots):
     return None
 
 
-def coideal(C: Coalgebra, vectors, col_order=None) -> Coideal:
-    """Span the vectors, verify the coideal conditions, return the Coideal."""
+def coideal(C: Coalgebra, vectors, col_order=None):
+    """Span the vectors, verify the coideal conditions of C, return rref's
+    (basis, pivots) of the span."""
     k = C.field
     vecs = [[k.coerce(x) for x in v] for v in vectors]
     basis, pivots = rref(vecs, k, col_order=col_order)
     reason = _coideal_failure(C, basis, pivots)
     if reason is not None:
         raise UsageError("not a coideal: %s" % reason)
-    return Coideal(C, basis, pivots)
+    return basis, pivots
 
 
 def _show_combo(C: Coalgebra, vec) -> str:
@@ -228,16 +229,18 @@ def pushforward(M: Comodule, Q) -> Comodule:
     return Comodule(Q, [linear_combination(row, M.slices) for row in Q.proj.rows], check=False)
 
 
-def section_quotient(C, I, complement):
-    """(C/I, pi) on the classes of the basis elements in `complement`, or
-    None when they do not complement I: with B the matrix whose columns are
-    I's basis and the unit vectors of `complement`, pi is the last rows of
-    B^-1 and Delta-bar(e_c~) = (pi (x) pi) Delta(e_c). The coalgebra is
-    built with the full axiom check."""
-    k, d, rank = C.field, C.dim, I.dim
-    if len(complement) != d - rank or rank == d:
+def section_quotient(Q, complement):
+    """(C/I, pi) for the quotient Q = C/I(R) on the classes of the basis
+    elements in `complement`, or None when they do not complement I: with B
+    the matrix whose columns are I's basis and the unit vectors of
+    `complement`, pi is the last rows of B^-1 and
+    Delta-bar(e_c~) = (pi (x) pi) Delta(e_c). The coalgebra is built with
+    the full axiom check."""
+    C = Q.parent
+    k, d, rank = C.field, C.dim, len(Q.basis)
+    if len(complement) != d - rank:
         return None
-    cols = [list(v) for v in I.basis] + \
+    cols = [list(v) for v in Q.basis] + \
            [[k.one if a == c else k.zero for a in range(d)] for c in complement]
     Binv = matrix_inverse(Matrix(k, cols, coerce=False).transpose())
     if Binv is None:
@@ -709,7 +712,7 @@ def universal_map_failure(R, H, assignment):
     images = Matrix._computed(k, [assignment[(i + 1, j + 1)]
                                   for i in range(n) for j in range(n)])
     pres = d_bialgebra(R)
-    relations = pres.ideal.basis
+    relations = pres.quotient.basis
     if relations and not Matrix._computed(k, relations).mul(images).is_zero():
         return "obstruction image nonzero in host"
     Q, HC = pres.quotient, H.gen_coalgebra()

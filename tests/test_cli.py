@@ -205,12 +205,12 @@ def test_dmap_builds_the_presentation_once(tmp_path, capsys, monkeypatch):
     counts = count_calls(monkeypatch, {"first_violation": tensor_ops.first_violation,
                                        "comatrix": coalg.comatrix,
                                        "obstruction_coideal": frt.obstruction_coideal,
-                                       "quotient": coalg.quotient})
+                                       "QuotientCoalgebra": frt.QuotientCoalgebra})
     path = write_operator(tmp_path, "diag.txt", diagonal_solution(QQ, [[1, 2], [3, 4]]))
     assert main(["dmap", path]) == 0
     assert "convolution inverse: found" in capsys.readouterr().out
     assert counts == {"first_violation": 0, "comatrix": 1, "obstruction_coideal": 1,
-                      "quotient": 1}
+                      "QuotientCoalgebra": 1}
 
 
 def test_frt_builds_comatrix_once(tmp_path, capsys, monkeypatch):
@@ -262,6 +262,27 @@ def test_frt_and_dmap_render_the_relations_once(tmp_path, capsys, monkeypatch):
             assert main([command, os.path.join(exdir, name)]) == 0, (command, name)
             assert counts == {"relation_strings": 1}, (command, name)
     capsys.readouterr()
+
+
+def test_dmap_forms_no_comultiplication_and_frt_forms_it_once(tmp_path, capsys,
+                                                              monkeypatch):
+    """D(R)'s comultiplication is formed when it is first read, from one
+    comatrix(n) table per generator: deq frt, which prints it, reads r
+    tables for r generators, and deq dmap, which prints none of it, reads
+    no table at all."""
+    from deq.coalg import Coalgebra
+    reads = []
+    delta_matrix = Coalgebra.delta_matrix
+    monkeypatch.setattr(Coalgebra, "delta_matrix",
+                        lambda self, a: reads.append(a) or delta_matrix(self, a))
+    exdir = write_examples(tmp_path, capsys)
+    for (command, name), (_, code) in PRESENT_GOLDEN.items():
+        if code == 0:
+            reads.clear()
+            assert main([command, os.path.join(exdir, name)]) == 0, (command, name)
+            out = capsys.readouterr().out
+            r = int(out.split("\nquotient dimension: ")[1].split("\n")[0])
+            assert len(reads) == (r if command == "frt" else 0), (command, name)
 
 
 def perturbed_runs(tmp_path, capsys, command, path):
@@ -899,22 +920,27 @@ def test_check_validates_each_read_entry_a_bounded_number_of_times(tmp_path, cap
                                                                  monkeypatch):
     """Entries are checked where they enter; products, lifts and permuted
     matrices of checked entries are not checked again. One deq check on the
-    n = 3 example reads 81 entries and may check each at most 5 times."""
+    n = 3 example parses each of its 81 entries once and validates none
+    again."""
     from deq.fields import RationalField
     exdir = str(tmp_path / "ex")
     assert main(["examples", "--dir", exdir]) == 0
     capsys.readouterr()
-    calls = []
-    validate = RationalField.validate
+    calls = {"parse": 0, "validate": 0}
 
-    def counting(self, v):
-        calls.append(v)
-        return validate(self, v)
+    def counting(name):
+        method = getattr(RationalField, name)
 
-    monkeypatch.setattr(RationalField, "validate", counting)
+        def wrapper(self, v):
+            calls[name] += 1
+            return method(self, v)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(RationalField, name, counting(name))
     assert main(["check", os.path.join(exdir, "s3-graded.txt")]) == 0
     assert capsys.readouterr().out.startswith("deq check\nfield: Q\nn: 3\n")
-    assert 81 <= len(calls) <= 5 * 3 ** 4
+    assert calls == {"parse": 3 ** 4, "validate": 0}
 
 
 def test_check_forms_six_products_from_three_lifts(tmp_path, capsys, monkeypatch):

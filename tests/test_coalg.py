@@ -7,20 +7,20 @@ from hypothesis import given, settings, strategies as st
 from deq import catalog
 from deq.classify import endo_from_digits, enumerate_solutions
 from deq.coalg import (BilinearForm, Coalgebra, Comodule, comatrix, convolve, counit_form,
-                       grouplike_coalgebra, quotient)
+                       grouplike_coalgebra)
 from deq.dmap import convolution_inverse_of_sigma, sigma_from_r, strong_dmap_from_symmetric
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import d_bialgebra, generator_table, obstruction_coideal, obstruction_vectors
+from deq.frt import QuotientCoalgebra, d_bialgebra, generator_table, obstruction_vectors
 from deq.linalg import Matrix, rref
-from deq.tensor_ops import diagonal_solution, identity_pair
+from deq.tensor_ops import EndoPair, diagonal_solution, identity_pair
 from oracles import (coideal, comatrix_index, convolution_inverse, delta_vector, dot, lift,
                      linear_combination, project, pushforward, random_value, reduce_against,
                      section_quotient, span_and_membership, standard_comodule)
 
 
-def obstruction_ideal(R):
-    """I(R) in the comatrix coalgebra that obstruction_coideal builds."""
-    return obstruction_coideal(generator_table(R))
+def quotient_of(R):
+    """comatrix(n)/I(R), which holds the reduced basis of I(R)."""
+    return QuotientCoalgebra(generator_table(R))
 
 
 def test_comatrix_axioms_and_labels():
@@ -98,13 +98,13 @@ def test_grouplike_coalgebra_cocommutative():
 
 def test_coideal_membership_and_dim():
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    I = obstruction_ideal(R)
-    assert I.dim == 2
+    Q = quotient_of(R)
+    assert len(Q.basis) == len(Q.pivots) == 2
     k = QQ
 
     def contains(vec):
         """Membership in I: vec reduces to zero against its echelon basis."""
-        return all(k.is_zero(v) for v in reduce_against(vec, I.basis, I.pivots, k))
+        return all(k.is_zero(v) for v in reduce_against(vec, Q.basis, Q.pivots, k))
 
     # c21 and c22 - c11 belong, c11 does not
     v_c21 = [k.zero] * 4
@@ -131,8 +131,7 @@ def test_is_coideal_rejects_non_coideal():
 
 def test_quotient_reproduces_relations_and_axioms():
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    I = obstruction_ideal(R)
-    Q = quotient(I.parent, I)
+    Q = quotient_of(R)
     assert Q.dim == 2
     assert Q.labels == ["c11~", "c12~"]
     # its axioms are checked in test_quotients_of_catalog_solutions_are_coalgebras
@@ -149,13 +148,11 @@ def test_quotient_reproduces_relations_and_axioms():
 def test_quotient_section_independence():
     # two different complements give the same induced quotient structure
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    I = obstruction_ideal(R)
-    C = I.parent
     k = QQ
-    Q1 = quotient(C, I)  # the section: c11, c12
+    Q1 = quotient_of(R)  # the section: c11, c12
     # alternative section: c22, c12 (c22 = c11 mod I), built by the oracle
     alt = [comatrix_index(2, 2, 2), comatrix_index(2, 1, 2)]
-    Q2, proj2 = section_quotient(C, I, alt)
+    Q2, proj2 = section_quotient(Q1, alt)
     v11 = [k.zero] * 4
     v11[comatrix_index(2, 1, 1)] = k.one
     v12 = [k.zero] * 4
@@ -173,24 +170,29 @@ def test_quotient_section_independence():
     assert Q1.counit == Q2.counit
 
 
-def test_quotient_rejects_exhausting_coideal():
-    # the whole coalgebra is not a coideal (counit does not vanish), so build
-    # a maximal proper coideal in the grouplike case: span(g - h)
-    k = QQ
-    C = grouplike_coalgebra(k, ["g", "h"])
-    v = [k.one, k.neg(k.one)]
-    I = coideal(C, [v])
-    Q = quotient(C, I)
-    assert Q.dim == 1
+def test_quotient_keeps_at_least_one_generator():
+    """I(R) = (A')^perp and A' holds the identity, so c11 is never in I(R):
+    where the A(c_jk) span all of End(M), A' is the scalars and c11~ alone
+    is left, with counit 1, solution or not."""
+    k = PrimeField(5)
+    rng = random.Random(4)
+    seen = 0
+    for _ in range(20):
+        R = EndoPair.from_matrix(Matrix(k, [[rng.randrange(5) for _ in range(4)]
+                                            for _ in range(4)]))
+        Q = quotient_of(R)
+        assert Q.dim >= 1 and Q.section_cols[0] == 0
+        if Q.dim == 1:
+            seen += 1
+            assert (Q.labels, Q.counit, recheck(Q).mu) == (["c11~"], [k.one], [[[k.one]]])
+    assert seen
 
 
 def test_comodule_axioms_and_pushforward():
     R = catalog.triangular_solution(QQ, 1, 1, 1)
-    I = obstruction_ideal(R)
-    C = I.parent
-    M = standard_comodule(C)
+    Q = quotient_of(R)
+    M = standard_comodule(Q.parent)
     assert M.dim == 2
-    Q = quotient(C, I)
     M2 = pushforward(M, Q)
     assert M2.dim == 2
     assert M2.coalgebra is Q
@@ -248,8 +250,8 @@ def test_convolution_inverse_round_trip():
         assert convolve(inv, phi) == eps
 
 
-# The runtime builds comatrix and grouplike coalgebras and quotients by a
-# verified coideal without checking their axioms; these tests check them.
+# The runtime builds comatrix and grouplike coalgebras and the quotients by
+# I(R) without checking their axioms; these tests check them.
 
 def recheck(C):
     """Rebuild C with the full axiom check."""
@@ -263,27 +265,23 @@ def test_constant_coalgebras_satisfy_the_axioms():
         recheck(grouplike_coalgebra(k, ["g", "h", "u"]))
 
 
-def second_complement(C, I):
+def second_complement(Q):
     """A complement of I other than its non-pivot coordinates and the
-    oracle's quotient on it, or None."""
-    default = [c for c in range(C.dim) if c not in I.pivots]
-    for cols in itertools.combinations(range(C.dim), len(default)):
-        if list(cols) != default:
-            found = section_quotient(C, I, list(cols))
+    oracle's quotient on it, or None, for Q = C/I."""
+    for cols in itertools.combinations(range(Q.parent.dim), Q.dim):
+        if list(cols) != Q.section_cols:
+            found = section_quotient(Q, list(cols))
             if found is not None:
                 return found
     return None
 
 
-def assert_quotient_is_a_coalgebra(I):
-    """C/I, C the parent of I, passes the axiom check, and a second section
-    gives the same structure constants once its basis is matched to the
-    first."""
-    C = I.parent
-    k = C.field
-    Q1 = quotient(C, I)
+def assert_quotient_is_a_coalgebra(Q1):
+    """Q1 = C/I passes the axiom check, and a second section gives the same
+    structure constants once its basis is matched to the first."""
+    k = Q1.field
     recheck(Q1)
-    alt = second_complement(C, I)
+    alt = second_complement(Q1)
     if alt is None:
         return
     Q2, proj2 = alt
@@ -305,7 +303,7 @@ def test_quotients_of_all_f2_solutions_are_coalgebras():
     report = enumerate_solutions(2, 2)
     assert report.count == 100
     for sol in report.solutions:
-        assert_quotient_is_a_coalgebra(obstruction_ideal(endo_from_digits(2, 2, sol)))
+        assert_quotient_is_a_coalgebra(quotient_of(endo_from_digits(2, 2, sol)))
 
 
 def test_quotients_of_catalog_solutions_are_coalgebras():
@@ -313,7 +311,7 @@ def test_quotients_of_catalog_solutions_are_coalgebras():
     for R in (catalog.triangular_solution(k, 1, 2, 3), catalog.rq(k, 3),
               catalog.projection_solution(k), catalog.s3_graded_solution(k),
               identity_pair(k, 2), diagonal_solution(k, [[1, 2], [3, 4]])):
-        assert_quotient_is_a_coalgebra(obstruction_ideal(R))
+        assert_quotient_is_a_coalgebra(quotient_of(R))
 
 
 # The standard comodule of comatrix(n) and its pushforwards to quotients are
@@ -354,9 +352,8 @@ def test_pushforwards_of_the_standard_comodule_satisfy_the_axioms():
                   identity_pair(QQ, 2), diagonal_solution(QQ, [[1, 2], [3, 4]]),
                   catalog.rq(fq, fq.gens[0])]
     for R in operators:
-        I = obstruction_ideal(R)
-        Q = quotient(I.parent, I)
-        M = pushforward(standard_comodule(I.parent), Q)
+        Q = quotient_of(R)
+        M = pushforward(standard_comodule(Q.parent), Q)
         assert M.coalgebra is Q
         recheck_comodule(M)
 

@@ -7,9 +7,9 @@ import pytest
 from deq import catalog
 from deq.coalg import comatrix, grouplike_coalgebra
 from deq.fields import FunctionField, PrimeField, QQ, UsageError
-from deq.frt import (NotASolutionError, d_bialgebra, frt_col_order, generator_table,
-                     obstruction_coideal, obstruction_vectors, relation_strings,
-                     require_solution)
+from deq.frt import (NotASolutionError, QuotientCoalgebra, d_bialgebra, frt_col_order,
+                     generator_table, obstruction_coideal, obstruction_vectors,
+                     relation_strings, require_solution)
 from deq.linalg import Matrix
 from deq.tensor_ops import EndoPair, check_d, first_violation, identity_pair
 from deq.dimodule import r_from_dimodule
@@ -140,13 +140,32 @@ def test_obstructions_live_in_comatrix_only():
     vanish."""
     R = catalog.triangular_solution(QQ, 1, 2, 3)
     table = generator_table(R)
-    I = obstruction_coideal(table)
-    assert same_structure(I.parent, comatrix(QQ, 2)) and I.dim == 2
+    Q = QuotientCoalgebra(table)
+    assert same_structure(Q.parent, comatrix(QQ, 2)) and len(Q.pivots) == 2
+    assert obstruction_coideal(table) == (Q.basis, Q.pivots)
     grouplike = grouplike_coalgebra(QQ, ["g1", "g2", "g3", "g4"])
     with pytest.raises(TypeError):
         obstruction_coideal(table, grouplike)
     with pytest.raises(TypeError):
         obstruction_vectors(table, grouplike)
+
+
+def test_quotients_are_built_from_a_generator_table_alone():
+    """QuotientCoalgebra(table) is the one maker of a quotient coalgebra, so
+    every quotient is by I(R), a coideal: deq and deq.coalg export no
+    coideal type and no quotient function, and the constructor takes a
+    generator table and nothing else."""
+    import inspect
+
+    import deq
+    import deq.coalg
+    for module in (deq, deq.coalg):
+        assert not hasattr(module, "Coideal") and not hasattr(module, "quotient")
+    assert {"Coideal", "quotient"}.isdisjoint(deq.__all__)
+    assert list(inspect.signature(QuotientCoalgebra).parameters) == ["table"]
+    table = generator_table(catalog.rq(QQ, 3))
+    with pytest.raises(TypeError):
+        QuotientCoalgebra(comatrix(QQ, 2), table)
 
 
 def test_annihilation_equivalence_random():
@@ -162,7 +181,7 @@ def test_annihilation_equivalence_random():
         want = check_d(R)
         seen.add(want)
         for vectors in ([v for _, v in obstruction_vectors(table)],
-                        obstruction_coideal(table).basis):
+                        obstruction_coideal(table)[0]):
             if want:
                 require_solution(R, table, vectors)
             else:
@@ -217,7 +236,7 @@ def test_presentation_rejects_non_solution():
     R = catalog.yang_baxter_operator(QQ, 2)
     table = generator_table(R)
     with pytest.raises(NotASolutionError) as again:
-        require_solution(R, table, obstruction_coideal(table).basis)
+        require_solution(R, table, obstruction_coideal(table)[0])
     assert again.value.where == info.value.where
 
 
@@ -266,34 +285,17 @@ def test_universal_map_identity_realization():
     assert assignment[(1, 2)] == [k.zero, k.one]
 
 
-def test_universal_map_builds_no_second_presentation(monkeypatch):
-    """universal_map reads the assignment off the slices: it builds no
-    presentation, whatever the host; the oracle checks what it returns."""
-    from deq import frt
+def test_universal_map_assignments_pass_the_oracle():
+    """universal_map reads the assignment off the slices, on the
+    presentation host and on k[S3]; the oracle checks what it returns."""
     from deq.dimodule import dimodule_from_grading
-    counts = {"d_bialgebra": 0, "obstruction_coideal": 0, "quotient": 0}
-
-    def counting(name):
-        fn = getattr(frt, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     R = catalog.triangular_solution(QQ, 1, 1, 1)
     P = d_bialgebra(R)
     S = catalog.s3_graded_solution(QQ)
     H = catalog.s3_bialgebra(QQ)
-    cases = [(R, P, P.canonical_dimodule()),
-             (S, H, dimodule_from_grading(catalog.s3_graded_module(QQ)))]
-    for name in counts:
-        monkeypatch.setattr(frt, name, counting(name))
-    assignments = [universal_map(*case) for case in cases]
-    assert counts == dict.fromkeys(counts, 0)
-    monkeypatch.undo()
-    for (R, H, _), assignment in zip(cases, assignments):
-        assert universal_map_failure(R, H, assignment) is None
+    for R, H, dmod in ((R, P, P.canonical_dimodule()),
+                       (S, H, dimodule_from_grading(catalog.s3_graded_module(QQ)))):
+        assert universal_map_failure(R, H, universal_map(R, H, dmod)) is None
 
 
 def test_universal_property_oracle_catches_a_moved_image():
@@ -361,7 +363,6 @@ def test_universal_map_rejects_wrong_realization():
 
 def test_relation_strings_pivot_first():
     R = catalog.rq(QQ, 3)
-    I = obstruction_coideal(generator_table(R))
-    lines = relation_strings(I)
+    lines = relation_strings(QuotientCoalgebra(generator_table(R)))
     assert lines[0].startswith("c12")
     assert all(line.endswith(" = 0") for line in lines)

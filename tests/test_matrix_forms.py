@@ -300,6 +300,14 @@ def test_canonical_dimodules_of_all_f2_solutions():
         assert_dmap_forms_agree(R)
 
 
+def checked_tensor(M, N):
+    """tensor_dimodule(M, N), which is built unchecked, after the checked
+    Comodule and LongDimodule constructors have accepted it."""
+    made = tensor_dimodule(M, N)
+    LongDimodule(made.host, made.act, Comodule(made.coalgebra, made.comodule.slices))
+    return made
+
+
 @pytest.mark.parametrize("k", [QQ, PrimeField(13), FQ], ids=["Q", "F13", "Qq"])
 def test_gradings_tensor_products_and_inductions(k):
     for g in gradings(k):
@@ -307,7 +315,7 @@ def test_gradings_tensor_products_and_inductions(k):
         assert_dimodule_forms_agree(d)
     d = dimodule_from_grading(z2_eigen_grading(k, 2))
     H = d.host
-    for made, (action, rho) in ((tensor_dimodule(d, d), loop_tensor(d, d)),
+    for made, (action, rho) in ((checked_tensor(d, d), loop_tensor(d, d)),
                                 (induce_from_module(d.act, H), loop_induce_from_module(d.act, H)),
                                 (induce_from_comodule(d.comodule, H),
                                  loop_induce_from_comodule(d.comodule, H))):
@@ -315,7 +323,7 @@ def test_gradings_tensor_products_and_inductions(k):
         assert rho_of(made.comodule) == rho
         assert_dimodule_forms_agree(made)
     s3 = dimodule_from_grading(catalog.s3_graded_module(k))
-    made = tensor_dimodule(s3, s3)
+    made = checked_tensor(s3, s3)
     action, rho = loop_tensor(s3, s3)
     assert [A.rows for A in made.act] == action and rho_of(made.comodule) == rho
     # k[S3] is not commutative and k^S3 not cocommutative: index order shows
@@ -326,13 +334,13 @@ def test_gradings_tensor_products_and_inductions(k):
                 (induced, loop_induce_from_module(trivial.act, H)),
                 (induce_from_comodule(trivial.comodule, H),
                  loop_induce_from_comodule(trivial.comodule, H)),
-                (tensor_dimodule(induced, trivial), loop_tensor(induced, trivial)),
-                (tensor_dimodule(trivial, induced), loop_tensor(trivial, induced))):
+                (checked_tensor(induced, trivial), loop_tensor(induced, trivial)),
+                (checked_tensor(trivial, induced), loop_tensor(trivial, induced))):
             assert [A.rows for A in made.act] == action
             assert rho_of(made.comodule) == rho
             assert_dimodule_forms_agree(made)
     # two nontrivial factors over the non-cocommutative host
-    made = tensor_dimodule(induced, induced)
+    made = checked_tensor(induced, induced)
     action, rho = loop_tensor(induced, induced)
     assert [A.rows for A in made.act] == action and rho_of(made.comodule) == rho
 
